@@ -11,6 +11,11 @@ every experiment):
    baseline plus one Gaussian-wise render for the GCC dataflow) is at least
    5x faster than the reference backend.
 
+It also records where a vectorized tile-wise frame spends its time
+(``project`` / ``pair_build`` / ``blend`` stage milliseconds) and the
+*dead-pair share*: of the ``(Gaussian, tile)`` pairs the frame counts as
+processed, the share the footprint cull never evaluates.
+
 Run with::
 
     pytest benchmarks/bench_engine_speed.py --benchmark-only
@@ -25,6 +30,8 @@ import numpy as np
 from conftest import run_once
 
 from repro.eval.runner import EvalSetup, load_scene_and_camera
+from repro.obs import Tracer, TracerStageHook
+from repro.render import kernels, tile_raster
 from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
 from repro.render.tile_raster import render_tilewise
@@ -54,6 +61,43 @@ def _stats_identical(reference, vectorized) -> list[str]:
         if not equal:
             mismatches.append(field.name)
     return mismatches
+
+
+def tile_stage_ms(scene, camera, config, repeats: int = 3) -> dict[str, float]:
+    """Best-of-N milliseconds per kernel stage of one tile-wise frame."""
+    best: dict[str, float] = {}
+    for _ in range(repeats):
+        tracer = Tracer()
+        previous = kernels.set_stage_hook(TracerStageHook(tracer))
+        try:
+            render_tilewise(scene, camera, config)
+        finally:
+            kernels.set_stage_hook(previous)
+        for span in tracer.spans:
+            best[span["name"]] = min(best.get(span["name"], float("inf")), span["dur_ms"])
+    return best
+
+
+def dead_pair_share(scene, camera, config) -> float:
+    """Processed pairs the cull skipped / processed pairs, over one frame."""
+    processed = culled = 0
+    render_tile = tile_raster._render_tile_vectorized
+
+    def counting(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, obb, subtile, stats, *rest):
+        nonlocal processed, culled
+        before = stats.num_pairs_processed
+        render_tile(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, obb, subtile, stats, *rest)
+        counted = stats.num_pairs_processed - before
+        live = kernels.live_tile_rows(cull_bounds, rows[:counted], x0, y0, x1, y1)
+        processed += counted
+        culled += counted - live.size
+
+    tile_raster._render_tile_vectorized = counting
+    try:
+        render_tilewise(scene, camera, config)
+    finally:
+        tile_raster._render_tile_vectorized = render_tile
+    return culled / processed if processed else 0.0
 
 
 def measure_engine_speed(scene_name: str = "train") -> dict:
@@ -94,6 +138,8 @@ def measure_engine_speed(scene_name: str = "train") -> dict:
         "gauss_image_max_diff": float(np.abs(gauss_ref.image - gauss_vec.image).max()),
         "tile_stats_mismatches": _stats_identical(tile_ref.stats, tile_vec.stats),
         "gauss_stats_mismatches": _stats_identical(gauss_ref.stats, gauss_vec.stats),
+        "tile_stage_ms": tile_stage_ms(scene, camera, tile_cfg("vectorized")),
+        "tile_dead_pair_share": dead_pair_share(scene, camera, tile_cfg("vectorized")),
     }
 
 
@@ -113,6 +159,10 @@ def _format_report(result: dict) -> str:
         "",
         f"tile image max |diff|:  {result['tile_image_max_diff']:.3e}",
         f"gauss image max |diff|: {result['gauss_image_max_diff']:.3e}",
+        "",
+        "tile-wise stages (vectorized): "
+        + "  ".join(f"{name} {ms:.1f} ms" for name, ms in result["tile_stage_ms"].items()),
+        f"dead-pair share (processed pairs never evaluated): {result['tile_dead_pair_share']:.3f}",
     ]
     return "\n".join(lines)
 

@@ -76,6 +76,7 @@ from repro.gaussians.model import GaussianScene
 from repro.obs import DEFAULT_BYTE_BUCKETS, MetricsRegistry, ObsContext, TracerStageHook
 from repro.obs.health import HEARTBEAT_GAUGE, REPLIES_COUNTER, Watchdog, summarize_states
 from repro.obs.resources import ResourceSampler, record_resource_gauges
+from repro.obs.trace import wall_anchor_ns, wall_now_ns
 from repro.render.kernels import set_stage_hook
 from repro.store.codec import quant_spec
 
@@ -259,7 +260,7 @@ class _WorkerSlot:
     process: object
     conn: object
     inflight: _FrameTask | None = field(default=None)
-    #: Wall time (``time.time_ns``) the in-flight task was sent; with
+    #: Wall time (``obs.trace.wall_now_ns``) the in-flight task was sent; with
     #: tracing on this anchors the parent-side dispatch ("request") span
     #: the worker's shipped spans are re-parented under.
     sent_ns: int = 0
@@ -525,7 +526,7 @@ class RenderExecutor:
         Sequential mode returns the same shape with an empty worker
         list, so callers can surface the report unconditionally.
         """
-        now_ns = time.time_ns()
+        now_ns = wall_now_ns()
         with self._lock:
             pending = len(self._pending)
             replaced = self.stats.workers_replaced
@@ -775,7 +776,13 @@ class RenderExecutor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, child_conn, self.worker_cache_size, self._obs is not None),
+            args=(
+                worker_id,
+                child_conn,
+                self.worker_cache_size,
+                self._obs is not None,
+                wall_anchor_ns(),
+            ),
             name=f"repro-exec-worker-{worker_id}",
             daemon=True,
         )
@@ -784,7 +791,7 @@ class RenderExecutor:
         # be the last writer closing, so EOF reaches the dispatcher.
         child_conn.close()
         self._workers[worker_id] = _WorkerSlot(
-            worker_id, process, parent_conn, spawned_ns=time.time_ns()
+            worker_id, process, parent_conn, spawned_ns=wall_now_ns()
         )
 
     # ------------------------------------------------------------------
@@ -816,7 +823,7 @@ class RenderExecutor:
                 if task is None:
                     return
                 slot.inflight = task
-                slot.sent_ns = time.time_ns()
+                slot.sent_ns = wall_now_ns()
                 try:
                     slot.conn.send(
                         (
@@ -847,7 +854,7 @@ class RenderExecutor:
 
     def _handle_message(self, slot: _WorkerSlot, message) -> None:
         # Heartbeat: every reply (ok or err) proves the worker alive.
-        slot.last_reply_ns = time.time_ns()
+        slot.last_reply_ns = wall_now_ns()
         slot.tasks_done += 1
         kind = message[0]
         if kind == "ok":
@@ -924,7 +931,7 @@ class RenderExecutor:
         """
         if self._obs is None or obs_payload is None:
             return
-        recv_ns = time.time_ns()
+        recv_ns = wall_now_ns()
         spans, metrics_snapshot = obs_payload
         tracer = self._obs.tracer
         lane = self._lane(f"worker-{slot.worker_id}")
@@ -1021,7 +1028,7 @@ class RenderExecutor:
                 # window is all that remains).
                 tracer = self._obs.tracer
                 lane = self._lane(f"worker-{slot.worker_id}")
-                now_ms = time.time_ns() / 1e6
+                now_ms = wall_now_ns() / 1e6
                 tracer.instant(
                     "lane_closed",
                     lane=lane,

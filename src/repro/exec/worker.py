@@ -165,8 +165,20 @@ def _run_task(cache, cache_size, job_id, index, camera, spec, ref, shard, tracer
     return record, hit, loaded
 
 
-def worker_main(worker_id: int, conn, cache_size: int, obs_enabled: bool = False) -> None:
-    """Run one worker: render tasks forever against a resident scene cache."""
+def worker_main(
+    worker_id: int,
+    conn,
+    cache_size: int,
+    obs_enabled: bool = False,
+    wall_anchor_ns: int | None = None,
+) -> None:
+    """Run one worker: render tasks forever against a resident scene cache.
+
+    ``wall_anchor_ns`` is the parent's span-clock anchor
+    (:func:`repro.obs.trace.wall_anchor_ns`); adopting it keeps this
+    worker's spans inside the parent's dispatch windows whatever the start
+    method and whenever the worker was spawned.
+    """
     cache: OrderedDict[tuple, object] = OrderedDict()
     tracer = metrics = None
     if obs_enabled:
@@ -175,8 +187,11 @@ def worker_main(worker_id: int, conn, cache_size: int, obs_enabled: bool = False
         # installed here (this process) so kernel-level project/pair/blend
         # spans nest under this worker's frame spans.
         from repro.obs import MetricsRegistry, Tracer, TracerStageHook
+        from repro.obs.trace import adopt_wall_anchor_ns
         from repro.render.kernels import set_stage_hook
 
+        if wall_anchor_ns is not None:
+            adopt_wall_anchor_ns(wall_anchor_ns)
         tracer = Tracer(origin=f"w{worker_id}", default_lane=f"worker-{worker_id}")
         metrics = MetricsRegistry()
         set_stage_hook(TracerStageHook(tracer))

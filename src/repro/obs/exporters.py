@@ -42,9 +42,9 @@ __all__ = [
 _WALL_PID = 1
 _VIRTUAL_PID = 2
 
-# Tolerance (µs) for nesting checks: span starts come from time_ns and
-# durations from perf_counter deltas, so sibling boundaries can disagree
-# by sub-µs clock-source skew.
+# Tolerance (µs) for nesting checks: ``t0_ms``/``dur_ms`` are float
+# milliseconds of an epoch-sized number, so boundaries that were equal in
+# integer nanoseconds can disagree by a rounding step (~0.25 µs).
 _NEST_EPS_US = 5.0
 
 

@@ -24,7 +24,8 @@ behaviour, so the resource plane is strictly additive.
 from __future__ import annotations
 
 import os
-import time
+
+from repro.obs.trace import wall_now_ns
 
 __all__ = [
     "CPU_GAUGE",
@@ -80,7 +81,7 @@ def read_proc_sample(pid: int) -> dict | None:
         "rss_bytes": rss_bytes,
         "voluntary_ctx": voluntary,
         "involuntary_ctx": involuntary,
-        "t_ns": time.time_ns(),
+        "t_ns": wall_now_ns(),
     }
 
 

@@ -7,11 +7,17 @@ marks an instant event (a point, not an interval).
 
 Two clock domains coexist in one trace:
 
-* ``"wall"`` — real time.  ``t0_ms`` is unix-epoch milliseconds
-  (``time.time_ns() / 1e6``), which is the one clock every process on the
-  machine shares, so worker-side spans land at the right offset inside the
-  parent's dispatch window without any cross-process clock handshake.
-  Durations are measured with ``time.perf_counter`` (monotonic).
+* ``"wall"`` — real time.  ``t0_ms`` is unix-epoch milliseconds, which
+  every process on the machine shares, so worker-side spans land at the
+  right offset inside the parent's dispatch window without any
+  cross-process clock handshake.  The epoch is read once per process and
+  every later stamp is that anchor plus the machine-wide monotonic counter
+  the durations are measured with (:func:`wall_now_ns`): a slewing or
+  stepped wall clock cannot make a child span end after its parent.
+  The executor hands its anchor to every worker it starts
+  (:func:`adopt_wall_anchor_ns`), so parent and workers stamp on one
+  timeline under any multiprocessing start method and however late a
+  replacement worker is spawned.
 * ``"virtual"`` — the scheduler's deterministic decision clock.  Virtual
   spans are *recorded from* already-decided quantities (arrival, queue
   wait, service), never measured, so tracing cannot perturb the decision
@@ -35,15 +41,44 @@ import threading
 import time
 from typing import Any, Iterable
 
-__all__ = ["WALL", "VIRTUAL", "Tracer", "TracerStageHook"]
+__all__ = [
+    "WALL",
+    "VIRTUAL",
+    "Tracer",
+    "TracerStageHook",
+    "wall_now_ns",
+    "wall_anchor_ns",
+    "adopt_wall_anchor_ns",
+]
 
 WALL = "wall"
 VIRTUAL = "virtual"
 
 
-def wall_now_ms() -> float:
-    """The wall clock spans use for ``t0_ms`` (unix-epoch milliseconds)."""
-    return time.time_ns() / 1e6
+#: Unix-epoch nanoseconds of the monotonic counter's zero, read once.
+_EPOCH_ANCHOR_NS = time.time_ns() - time.perf_counter_ns()
+
+
+def wall_now_ns() -> int:
+    """The wall clock of every span stamp: unix-epoch nanoseconds on the
+    monotonic counter (see the module docstring)."""
+    return _EPOCH_ANCHOR_NS + time.perf_counter_ns()
+
+
+def wall_anchor_ns() -> int:
+    """This process's epoch anchor, for handing to a child process."""
+    return _EPOCH_ANCHOR_NS
+
+
+def adopt_wall_anchor_ns(anchor_ns: int) -> None:
+    """Stamp on the timeline of the process that read ``anchor_ns``.
+
+    The monotonic counter is machine-wide, so a child that adopts its
+    parent's anchor produces stamps directly comparable with the parent's
+    even if the wall clock stepped between the two processes' imports.
+    """
+    global _EPOCH_ANCHOR_NS
+    _EPOCH_ANCHOR_NS = anchor_ns
 
 
 class _SpanHandle:
@@ -53,7 +88,7 @@ class _SpanHandle:
     parent before it closes) and, after exit, ``dur_ms``.
     """
 
-    __slots__ = ("_tracer", "name", "lane", "attrs", "span_id", "parent", "t0_ms", "_t0_perf", "dur_ms", "_obs_token")
+    __slots__ = ("_tracer", "name", "lane", "attrs", "span_id", "parent", "t0_ms", "_t0_ns", "dur_ms", "_obs_token")
 
     def __init__(self, tracer: "Tracer", name: str, lane: str | None, attrs: dict | None):
         self._tracer = tracer
@@ -77,13 +112,13 @@ class _SpanHandle:
         self.span_id = tracer._next_id()
         observer = tracer.observer
         self._obs_token = None if observer is None else observer.span_enter(self.name)
-        self.t0_ms = wall_now_ms()
-        self._t0_perf = time.perf_counter()
+        self._t0_ns = wall_now_ns()
+        self.t0_ms = self._t0_ns / 1e6
         stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.dur_ms = (time.perf_counter() - self._t0_perf) * 1e3
+        self.dur_ms = (wall_now_ns() - self._t0_ns) / 1e6
         observer = self._tracer.observer
         if observer is not None:
             observer.span_exit(self.name, self._obs_token)

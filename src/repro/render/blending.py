@@ -18,16 +18,27 @@ def alpha_from_maha(
     opacity,
     alpha_min: float = ALPHA_MIN,
     alpha_max: float = ALPHA_MAX,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Alpha from precomputed Mahalanobis^2 values (Equation 9).
 
     ``opacity`` may be a scalar or an array broadcasting against ``maha``.
     This is the single definition of the clamp/threshold semantics shared by
     the reference loops and the vectorized kernels, so the two backends
-    cannot drift apart.
+    cannot drift apart.  With ``out`` (an array of ``maha``'s shape and
+    dtype, which ``opacity`` must broadcast into) the same operations run in
+    place with no temporaries; the values are those of the allocating form
+    (``x * True == x`` and ``x * False == 0`` exactly).
     """
-    alpha = np.minimum(opacity * np.exp(-0.5 * maha), alpha_max)
-    return np.where(alpha < alpha_min, 0.0, alpha)
+    if out is None:
+        alpha = np.minimum(opacity * np.exp(-0.5 * maha), alpha_max)
+        return np.where(alpha < alpha_min, 0.0, alpha)
+    np.multiply(maha, -0.5, out=out)
+    np.exp(out, out=out)
+    out *= opacity
+    np.minimum(out, alpha_max, out=out)
+    out *= out >= alpha_min
+    return out
 
 
 def compute_alpha(

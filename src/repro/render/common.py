@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Minimum alpha that contributes to blending (the paper's 1/255 threshold).
 ALPHA_MIN = 1.0 / 255.0
 
@@ -22,6 +24,11 @@ TILE_SIZE = 16
 
 #: Pixel-block edge length used by GCC's Alpha Unit (an 8x8 PE array).
 BLOCK_SIZE = 8
+
+#: dtype of the Gaussian index arrays a frame's statistics carry
+#: (``rendered_indices`` / ``processed_indices``).  They travel the worker
+#: result pipe with every frame; scene sizes are far below 2**31.
+INDEX_DTYPE = np.int32
 
 #: The rasterisation engines every renderer can run on.
 BACKENDS: tuple[str, ...] = ("vectorized", "reference")
@@ -68,7 +75,7 @@ class RenderConfig:
         the kernels in :mod:`repro.render.kernels`; ``"reference"`` runs the
         original per-Gaussian/per-block Python loops.  The two backends
         produce identical statistics counters and images equal to
-        ``atol=1e-9``.
+        ``atol=1e-9`` (bitwise for the tile-wise rasteriser).
     dtype:
         Floating-point mode of the tile-wise rendering stage, one of
         :data:`DTYPES`.  Projection, depth sorting and tile assignment

@@ -44,7 +44,7 @@ from repro.gaussians.model import GaussianScene
 from repro.gaussians.sh import evaluate_sh_colors
 from repro.render.blending import blend_pixels, compute_alpha, finalize_image
 from repro.render.boundary import identify_influence_blocks
-from repro.render.common import RenderConfig
+from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.grouping import group_by_depth
 from repro.render.kernels import (
     blend_region_blocks,
@@ -105,7 +105,7 @@ class GaussianWiseStats:
     #: Sort operations (elements pushed through the intra-group sorter).
     sort_elements: int = 0
     #: Gaussian indices (into the original scene) that were rendered.
-    rendered_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    rendered_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=INDEX_DTYPE))
 
     @property
     def rendered_fraction(self) -> float:
@@ -441,7 +441,7 @@ def render_gaussianwise(
 
     stats.num_rendered = len(rendered_sources)
     if rendered_sources:
-        stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=np.int64)
+        stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
 
     image = finalize_image(color_accum, transmittance, config.background)
     return GaussianWiseResult(image=image, stats=stats)

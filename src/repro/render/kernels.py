@@ -6,11 +6,14 @@ Python loops that mirror the hardware pipelines one operation at a time.
 This module provides the batched equivalents used by
 ``RenderConfig(backend="vectorized")``:
 
+* :func:`tile_cull_bounds` / :func:`live_tile_rows` — the exact dead-pair
+  cull: which of a tile's depth-ordered Gaussians can change a pixel or a
+  counter at all, decided from a conservative footprint box.
 * :func:`batched_tile_alpha` — alpha/Mahalanobis evaluation of a whole chunk
   of depth-ordered Gaussians over a full tile at once.
 * :func:`sequential_blend` — front-to-back blending of a depth-ordered chunk
   with the exact freeze-after-saturation semantics of
-  :func:`repro.render.blending.blend_pixels`, implemented with a cumulative
+  :func:`repro.render.blending.blend_pixels`, implemented as a running
   product over the Gaussian axis.
 * :func:`subtile_evaluation_count` — the GSCore OBB subtile-skip statistic
   computed for a chunk of Gaussians in one reduction.
@@ -25,9 +28,10 @@ Every kernel is *observationally equivalent* to the reference loops: the
 per-pixel arithmetic uses identical elementwise operations in the same
 order, so all statistics counters (pairs processed, alpha evaluations,
 pixels blended, blocks visited/skipped, ...) are integer-identical and the
-transmittance state evolves bitwise-identically.  Only the accumulation
-order of the colour buffer differs (a batched sum instead of a left fold),
-which keeps rendered images within ``atol=1e-9`` of the reference.
+transmittance state evolves bitwise-identically.  The tile-wise kernels also
+accumulate colour in the reference's order (a left fold), so their images
+are bitwise-identical too; the Gaussian-wise block kernels batch the colour
+sum, which keeps their images within ``atol=1e-9`` of the reference.
 """
 
 from __future__ import annotations
@@ -38,14 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gaussians.covariance import mahalanobis_sq
 from repro.render.blending import alpha_from_maha
 from repro.render.boundary import BlockTraversalResult, _alpha_chi2, _clamp_to_bounds
 
-#: Default number of depth-ordered Gaussians evaluated per tile chunk.  Small
-#: enough that early termination does not waste much work, large enough to
-#: amortise the Python dispatch overhead.
-TILE_CHUNK = 256
+#: Depth-ordered Gaussians evaluated per tile chunk: the first chunk takes
+#: the first entry, the next the second, ... and the last entry repeats.
+#: Small first chunks keep a tile that saturates early from paying for rows
+#: its early exit never consumes; the cap bounds the chunk temporaries.
+TILE_CHUNK_SCHEDULE: tuple[int, ...] = (64, 128)
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +139,65 @@ def tile_interval_slice(tile_ids: np.ndarray, lo: int, hi: int) -> slice:
     return slice(start, stop)
 
 
+def tile_cull_bounds(
+    means2d: np.ndarray,
+    conics: np.ndarray,
+    opacities: np.ndarray,
+    alpha_min: float,
+    width: int,
+    height: int,
+) -> np.ndarray:
+    """Conservative screen-space footprint box of every Gaussian, ``(M, 4)``.
+
+    Row ``i`` is ``(x_lo, x_hi, y_lo, y_hi)``: the axis-aligned bounding box
+    of the ellipse ``maha <= max(9, 2 ln(opacity / alpha_min))`` of the
+    quadratic form the kernels evaluate.  Outside that ellipse a Gaussian's
+    alpha is below ``alpha_min`` (zeroed, so transmittance and colour are
+    untouched) *and* its Mahalanobis^2 exceeds the 3-sigma subtile test, so
+    a ``(Gaussian, tile)`` pair whose tile rectangle misses the box changes
+    no pixel and no counter except the processed-pair position, which
+    :func:`live_tile_rows`' caller restores (see ``_render_tile_vectorized``).
+
+    The box is computed in float64 from the arrays the kernels will read
+    (the float32 views included), and the ellipse level is inflated by a
+    bound on the rounding error of evaluating the form in that dtype
+    anywhere on the ``width x height`` image, so "outside the box" holds for
+    the *computed* values, not only the exact ones.  A degenerate conic
+    yields NaN/inf bounds, which never compare as a miss.
+    """
+    eps = np.finfo(means2d.dtype).eps
+    mx, my = np.asarray(means2d, dtype=np.float64).T
+    a, b, c = np.asarray(conics, dtype=np.float64).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level = np.maximum(9.0, 2.0 * np.log(np.asarray(opacities, dtype=np.float64) / alpha_min))
+        # Largest value any partial sum of the form can take on the image.
+        far_x = np.maximum(np.abs(mx), np.abs(width - 1 - mx))
+        far_y = np.maximum(np.abs(my), np.abs(height - 1 - my))
+        magnitude = np.abs(a) * far_x**2 + 2.0 * np.abs(b) * far_x * far_y + np.abs(c) * far_y**2
+        level = level * (1.0 + 1.0e-6) + 16.0 * eps * magnitude
+        det = a * c - b * b
+        half_x = np.sqrt(level * c / det)
+        half_y = np.sqrt(level * a / det)
+    return np.stack([mx - half_x, mx + half_x, my - half_y, my + half_y], axis=1)
+
+
+def live_tile_rows(
+    bounds: np.ndarray, rows: np.ndarray, x0: int, y0: int, x1: int, y1: int
+) -> np.ndarray:
+    """Positions in ``rows`` whose footprint box meets the pixel tile.
+
+    ``bounds`` is :func:`tile_cull_bounds`' array, ``rows`` indexes into it
+    and the tile covers pixel centres ``[x0, x1) x [y0, y1)``.  Every
+    position *not* returned is a dead pair: all-zero alpha, no 3-sigma
+    subtile.
+    """
+    box = bounds[rows]
+    dead = (
+        (box[:, 1] < x0) | (box[:, 0] > x1 - 1) | (box[:, 3] < y0) | (box[:, 2] > y1 - 1)
+    )
+    return np.flatnonzero(~dead)
+
+
 def batched_tile_alpha(
     means2d: np.ndarray,
     conics: np.ndarray,
@@ -150,17 +213,37 @@ def batched_tile_alpha(
 
     Returns ``(alpha, maha)`` of shape ``(K, y1 - y0, x1 - x0)``.  The
     elementwise operations match :func:`repro.render.blending.compute_alpha`
-    exactly, so the values are bitwise-identical to the reference loop.
-    The pixel grid inherits the dtype of ``means2d``, keeping the float32
-    engine mode in single precision without a separate kernel.
+    exactly, so the values are bitwise-identical to the reference loop:
+    the three terms of the quadratic form are built per axis — ``a dx dx``
+    and ``2b dx`` only depend on the column, ``c dy dy`` on the row — and
+    combined over the tile in the reference's association, which leaves
+    three full-size operations instead of nine.  This is the one place the
+    form of :func:`repro.gaussians.covariance.mahalanobis_sq` is restated;
+    the clamp and threshold are :func:`~repro.render.blending.alpha_from_maha`
+    itself, run in place.  The pixel grid inherits
+    the dtype of ``means2d``, keeping the float32 engine mode in single
+    precision without a separate kernel.
     """
-    xs = np.arange(x0, x1, dtype=means2d.dtype)
-    ys = np.arange(y0, y1, dtype=means2d.dtype)
-    dx = xs[None, None, :] - means2d[:, 0, None, None]
-    dy = ys[None, :, None] - means2d[:, 1, None, None]
-    maha = mahalanobis_sq(conics[:, None, None, :], dx, dy)
+    dtype = means2d.dtype
+    dx = np.arange(x0, x1, dtype=dtype) - means2d[:, 0, None]
+    dy = np.arange(y0, y1, dtype=dtype) - means2d[:, 1, None]
+    a_dx_dx = conics[:, 0, None] * dx
+    a_dx_dx *= dx
+    b2_dx = (2.0 * conics[:, 1, None]) * dx
+    c_dy_dy = conics[:, 2, None] * dy
+    c_dy_dy *= dy
+
+    maha = np.empty((means2d.shape[0], y1 - y0, x1 - x0), dtype=dtype)
+    np.multiply(b2_dx[:, None, :], dy[:, :, None], out=maha)
+    maha += a_dx_dx[:, None, :]
+    maha += c_dy_dy[:, :, None]
+
     alpha = alpha_from_maha(
-        maha, opacities[:, None, None], alpha_min=alpha_min, alpha_max=alpha_max
+        maha,
+        opacities[:, None, None],
+        alpha_min=alpha_min,
+        alpha_max=alpha_max,
+        out=np.empty_like(maha),
     )
     return alpha, maha
 
@@ -193,65 +276,88 @@ def sequential_blend(
     pixels Gaussian ``i`` contributed to (only the first ``num_processed``
     entries are meaningful).
 
-    The recurrence ``T <- T * (1 - alpha)`` is evaluated as a cumulative
-    product with the initial transmittance as the first factor, which is the
-    same left-to-right association as the reference loop; a pixel whose
+    The recurrence ``T <- T * (1 - alpha)`` is evaluated row by row with the
+    initial transmittance as the first factor, which is the same
+    left-to-right association as the reference loop; a pixel whose
     transmittance crosses ``transmittance_eps`` keeps its crossing value
     (the reference freezes saturated pixels), which is recovered exactly
-    because the sequence is non-increasing.
+    because the sequence is non-increasing.  Colour is accumulated as a left
+    fold over the Gaussians, seeded with ``tile_color``: the additions the
+    reference loop performs, in its order, so the result is bitwise the
+    reference's and does not depend on how the list was chunked.
     """
     num, pixels = alphas.shape
-    factors = np.empty((num + 1, pixels), dtype=tile_trans.dtype)
-    factors[0] = tile_trans
-    np.subtract(1.0, alphas, out=factors[1:])
-    trans_seq = np.cumprod(factors, axis=0)
-
     # trans_seq[i] is the transmittance before Gaussian i (ignoring the
-    # freeze); it is non-increasing, so the first crossing below eps is both
-    # the frozen value and the point after which nothing is active.
-    saturated_last = trans_seq[-1] <= transmittance_eps
-    first_sat = np.where(
-        saturated_last, np.argmax(trans_seq <= transmittance_eps, axis=0), num + 1
-    )
+    # freeze).  One in-place row product per Gaussian: each is a full-width
+    # vector operation, where an axis-0 ``cumprod`` walks the array column
+    # by column and needs a second array.
+    trans_seq = np.empty((num + 1, pixels), dtype=tile_trans.dtype)
+    trans_seq[0] = tile_trans
+    np.subtract(1.0, alphas, out=trans_seq[1:])
+    seq_rows = list(trans_seq)
+    for before, after in zip(seq_rows, seq_rows[1:]):
+        after *= before
+
+    # Each pixel's sequence is non-increasing, so its unsaturated entries
+    # are a prefix: their count is the first crossing below eps, which is
+    # both the frozen value and the point after which nothing is active.
+    unsaturated = trans_seq > transmittance_eps
+    first_sat = np.add.reduce(unsaturated, axis=0, dtype=np.intp)
     num_processed = int(min(num, first_sat.max())) if pixels else num
 
-    active = (alphas[:num_processed] > 0.0) & (
-        trans_seq[:num_processed] > transmittance_eps
-    )
-    weights = np.where(active, trans_seq[:num_processed] * alphas[:num_processed], 0.0)
-    tile_color += np.einsum("kp,kc->pc", weights, colors[:num_processed])
+    active = unsaturated[:num_processed] & (alphas[:num_processed] > 0.0)
+    weights = trans_seq[:num_processed] * alphas[:num_processed]
+    weights *= active
+    # Left fold seeded with the tile colour: row 0 is the colour so far and
+    # row i + 1 Gaussian i's contribution (exactly +0 where it is inactive),
+    # and a reduction over the leading axis adds the rows one after another
+    # — the reference loop's own sequence of additions, whatever the chunks.
+    contributions = np.empty((num_processed + 1, pixels, 3), dtype=tile_color.dtype)
+    contributions[0] = tile_color
+    np.multiply(weights[:, :, None], colors[:num_processed, None, :], out=contributions[1:])
+    np.add.reduce(contributions, axis=0, out=tile_color)
 
-    stop = np.minimum(first_sat, num_processed)
-    tile_trans[:] = trans_seq[stop, np.arange(pixels)]
-    counts = np.count_nonzero(active, axis=1)
+    tile_trans[:] = trans_seq[np.minimum(first_sat, num_processed), np.arange(pixels)]
+    counts = np.add.reduce(active, axis=1, dtype=np.intp)
     return num_processed, counts
+
+
+def _any_over_axis1(block: np.ndarray) -> np.ndarray:
+    """``block.any(axis=1)`` of a boolean array by repeated halving.
+
+    Each step ORs the leading and trailing halves (overlapping in the
+    middle element when the length is odd, which an OR does not mind), so
+    the work runs as a few wide vector operations instead of a reduction
+    with a short inner loop.
+    """
+    length = block.shape[1]
+    while length > 1:
+        half = (length + 1) // 2
+        block = block[:, :half] | block[:, length - half : length]
+        length = half
+    return block[:, 0]
 
 
 def subtile_evaluation_count(maha: np.ndarray, subtile: int) -> int:
     """GSCore subtile-skip alpha-evaluation count for a chunk of Gaussians.
 
     Mirrors the reference double loop: a subtile is evaluated when the
-    minimum Mahalanobis^2 inside it is within the 3-sigma footprint (<= 9),
-    and then contributes its full pixel count.
+    minimum Mahalanobis^2 inside it is within the 3-sigma footprint (<= 9)
+    — equivalently when any of its pixels is — and then contributes its
+    full pixel count (edge subtiles of a partial tile are smaller).
     """
     num, th, tw = maha.shape
     if num == 0:
         return 0
-    if th % subtile == 0 and tw % subtile == 0:
-        # Full tiles: every subtile has subtile**2 pixels, no padding needed.
-        mins = maha.reshape(num, th // subtile, subtile, tw // subtile, subtile).min(
-            axis=(2, 4)
-        )
-        return int(np.count_nonzero(mins <= 9.0)) * subtile * subtile
-    nby = -(-th // subtile)
-    nbx = -(-tw // subtile)
-    padded = np.full((num, nby * subtile, nbx * subtile), np.inf)
-    padded[:, :th, :tw] = maha
-    mins = padded.reshape(num, nby, subtile, nbx, subtile).min(axis=(2, 4))
-    rows = np.minimum(subtile, th - np.arange(nby) * subtile)
-    cols = np.minimum(subtile, tw - np.arange(nbx) * subtile)
-    sizes = rows[:, None] * cols[None, :]
-    return int(np.sum((mins <= 9.0) * sizes[None, :, :]))
+    inside = maha <= 9.0
+    evaluated = 0
+    for sy in range(0, th, subtile):
+        band = _any_over_axis1(inside[:, sy : sy + subtile])
+        band_height = min(subtile, th - sy)
+        for sx in range(0, tw, subtile):
+            hits = int(np.count_nonzero(_any_over_axis1(band[:, sx : sx + subtile])))
+            evaluated += hits * band_height * min(subtile, tw - sx)
+    return evaluated
 
 
 # ----------------------------------------------------------------------

@@ -20,15 +20,16 @@ used (Figure 2a), how many times each Gaussian is re-loaded across tiles
 Two execution backends are provided, selected by ``RenderConfig.backend``:
 
 * ``"vectorized"`` (default) — each tile's depth-ordered Gaussian list is
+  first culled to the rows whose footprint can reach the tile, then
   processed in batched chunks via :mod:`repro.render.kernels`, with the
-  early-termination point recovered exactly from a cumulative transmittance
-  product.
+  early-termination point recovered exactly from a running transmittance
+  product and mapped back to the un-culled list.
 * ``"reference"`` — the original per-pair Python loop, kept as the oracle
   the vectorized backend is validated against.
 
-Both backends produce identical statistics counters; images agree to
-``atol=1e-9`` (the vectorized backend accumulates colour with a batched sum
-instead of a left fold).
+Both backends produce identical statistics counters and bitwise-identical
+images (the vectorized kernels perform the reference's colour additions in
+the reference's order).
 
 Two orthogonal execution modes extend the pipeline without changing it:
 
@@ -51,6 +52,7 @@ Two orthogonal execution modes extend the pipeline without changing it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,13 +65,15 @@ from repro.render.blending import (
     compute_alpha,
     finalize_image,
 )
-from repro.render.common import RenderConfig
+from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import (
-    TILE_CHUNK,
+    TILE_CHUNK_SCHEDULE,
     batched_tile_alpha,
+    live_tile_rows,
     sequential_blend,
     stage_hook,
     subtile_evaluation_count,
+    tile_cull_bounds,
     tile_interval_slice,
 )
 from repro.render.preprocess import ProjectedGaussians, project_scene, tile_range
@@ -109,11 +113,11 @@ class TileWiseStats:
     #: Number of tiles containing at least one Gaussian.
     num_occupied_tiles: int = 0
     #: Gaussian indices (into the original scene) that were rendered.
-    rendered_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    rendered_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=INDEX_DTYPE))
     #: Gaussian indices (into the original scene) with at least one processed
     #: pair.  Kept as a sorted array (not just the ``num_distinct_processed``
     #: count) so shard compositing can take the exact union across shards.
-    processed_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    processed_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=INDEX_DTYPE))
 
     @property
     def avg_loads_per_gaussian(self) -> float:
@@ -295,6 +299,7 @@ def _render_tile_reference(
 def _render_tile_vectorized(
     rows: np.ndarray,
     projected: ProjectedGaussians,
+    cull_bounds: np.ndarray,
     x0: int,
     y0: int,
     x1: int,
@@ -308,15 +313,24 @@ def _render_tile_vectorized(
     processed_rows: np.ndarray,
     rendered_rows: np.ndarray,
 ) -> None:
-    """Chunked, batched processing of one tile's depth-ordered Gaussians."""
+    """Chunked, batched processing of one tile's depth-ordered Gaussians.
+
+    Only the *live* rows — those whose footprint box meets the tile — are
+    evaluated.  A dead row leaves every pixel and every counter alone
+    except that the reference loop still counts it as processed while the
+    tile is unsaturated, so the number of processed pairs is mapped back
+    from the live rows: one past the position of the live row the tile
+    saturated on, or every row when it never saturates.
+    """
     num_pixels = (y1 - y0) * (x1 - x0)
+    live = live_tile_rows(cull_bounds, rows, x0, y0, x1, y1)
+    live_rows = rows[live]
+    processed = rows.size
     pos = 0
-    while pos < rows.size:
-        # Saturation can land exactly on a chunk boundary (n_proc == chunk
-        # size); re-check before paying for another chunk of alpha work.
-        if pos and np.all(tile_trans <= config.transmittance_eps):
+    for size in chain(TILE_CHUNK_SCHEDULE, repeat(TILE_CHUNK_SCHEDULE[-1])):
+        if pos >= live_rows.size:
             break
-        chunk = rows[pos : pos + TILE_CHUNK]
+        chunk = live_rows[pos : pos + size]
         alpha, maha = batched_tile_alpha(
             projected.means2d[chunk],
             projected.conics[chunk],
@@ -335,17 +349,20 @@ def _render_tile_vectorized(
             projected.colors[chunk],
             config.transmittance_eps,
         )
-        stats.num_pairs_processed += n_proc
         if obb_subtile_skip:
             stats.alpha_evaluations += subtile_evaluation_count(maha[:n_proc], subtile)
-        else:
-            stats.alpha_evaluations += n_proc * num_pixels
         stats.pixels_blended += int(counts[:n_proc].sum())
-        processed_rows[chunk[:n_proc]] = True
         rendered_rows[chunk[:n_proc][counts[:n_proc] > 0]] = True
-        if n_proc < chunk.size:
+        # Saturation can land exactly on the chunk's last row (n_proc ==
+        # chunk size), so a full chunk re-checks before the next one.
+        if n_proc < chunk.size or np.all(tile_trans <= config.transmittance_eps):
+            processed = int(live[pos + n_proc - 1]) + 1
             break
         pos += chunk.size
+    stats.num_pairs_processed += processed
+    if not obb_subtile_skip:
+        stats.alpha_evaluations += processed * num_pixels
+    processed_rows[rows[:processed]] = True
 
 
 def frame_tile_count(width: int, height: int, tile_size: int) -> int:
@@ -459,6 +476,10 @@ def render_tilewise(
     stats.num_occupied_tiles = t_hi - t_lo
 
     with stage_hook().stage("blend", tiles=t_hi - t_lo):
+        if config.backend != "reference":
+            cull_bounds = tile_cull_bounds(
+                view.means2d, view.conics, view.opacities, config.alpha_min, width, height
+            )
         for t_index in range(t_lo, t_hi):
             tile_id = unique_tiles[t_index]
             start, stop = tile_bounds[t_index], tile_bounds[t_index + 1]
@@ -493,6 +514,7 @@ def render_tilewise(
                 _render_tile_vectorized(
                     rows,
                     view,
+                    cull_bounds,
                     x0,
                     y0,
                     x1,
@@ -513,11 +535,9 @@ def render_tilewise(
     stats.num_distinct_processed = int(np.count_nonzero(processed_rows))
     stats.num_rendered = int(np.count_nonzero(rendered_rows))
     if stats.num_distinct_processed:
-        stats.processed_indices = projected.source_indices[
-            np.nonzero(processed_rows)[0]
-        ]
+        stats.processed_indices = projected.source_indices[processed_rows].astype(INDEX_DTYPE)
     if stats.num_rendered:
-        stats.rendered_indices = projected.source_indices[np.nonzero(rendered_rows)[0]]
+        stats.rendered_indices = projected.source_indices[rendered_rows].astype(INDEX_DTYPE)
 
     image = finalize_image(color_accum, transmittance, config.background)
     return TileWiseResult(
@@ -555,11 +575,11 @@ def _union_indices(arrays: list[np.ndarray]) -> np.ndarray:
 
     Each input is sorted-unique (a subset of the ascending
     ``source_indices``), so the union reproduces the unsharded array
-    bitwise.
+    bitwise, dtype included.
     """
     nonempty = [a for a in arrays if a.size]
     if not nonempty:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=INDEX_DTYPE)
     out = nonempty[0]
     for arr in nonempty[1:]:
         out = np.union1d(out, arr)

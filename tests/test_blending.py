@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.render.blending import blend_pixels, compute_alpha, finalize_image
+from repro.render.blending import alpha_from_maha, blend_pixels, compute_alpha, finalize_image
 from repro.render.common import ALPHA_MAX, ALPHA_MIN
 
 
@@ -44,6 +44,22 @@ class TestComputeAlpha:
         conic = np.array([0.3, 0.05, 0.4])
         alpha = compute_alpha(conic, opacity, np.array([dx]), np.array([dy]))
         assert alpha[0] == 0.0 or ALPHA_MIN <= alpha[0] <= ALPHA_MAX
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_form_matches_the_allocating_form_bitwise(self, dtype):
+        # The vectorized tile kernel runs the clamp/threshold through
+        # ``out=``; the reference loop through the allocating form.
+        rng = np.random.default_rng(7)
+        maha = rng.uniform(0.0, 30.0, size=(40, 16, 16)).astype(dtype)
+        opacity = rng.uniform(0.0, 1.0, size=(40, 1, 1)).astype(dtype)
+        maha[0, 0, 0], opacity[0] = 0.0, 1.0  # clamped
+        expected = alpha_from_maha(maha, opacity)
+        out = np.empty_like(maha)
+        assert alpha_from_maha(maha, opacity, out=out) is out
+        assert out.dtype == expected.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert (out == 0).any() and (out == dtype(ALPHA_MAX)).any()
 
 
 class TestBlendPixels:

@@ -9,8 +9,10 @@ compatibility with the scheduler's historic ``EventLog`` entries.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing as mp
+import time
 
 import pytest
 
@@ -69,7 +71,28 @@ class TestTracer:
         inner, outer = sorted(tracer.spans, key=lambda s: s["name"])
         assert outer["clock"] == WALL
         assert outer["t0_ms"] <= inner["t0_ms"]
-        assert inner["t0_ms"] + inner["dur_ms"] <= outer["t0_ms"] + outer["dur_ms"] + 1e-6
+        # Epoch milliseconds in a float resolve ~0.25 us; allow one step.
+        assert inner["t0_ms"] + inner["dur_ms"] <= outer["t0_ms"] + outer["dur_ms"] + 1e-3
+
+    def test_spans_nest_under_a_backwards_stepping_wall_clock(self, monkeypatch):
+        # Span starts and durations come from one monotonic counter anchored
+        # to the epoch once per process, so a wall clock that is slewed or
+        # stepped back between two reads (seen on VMs) cannot make a child
+        # start before, or end after, its parent.
+        steps = itertools.count()
+        real_time_ns = time.time_ns
+        monkeypatch.setattr(time, "time_ns", lambda: real_time_ns() - next(steps) * 50_000_000)
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+            with tracer.span("inner"):
+                pass
+        first, second, outer = tracer.spans
+        assert outer["t0_ms"] <= first["t0_ms"] <= second["t0_ms"]
+        assert first["t0_ms"] + first["dur_ms"] <= second["t0_ms"] + 1e-3
+        assert second["t0_ms"] + second["dur_ms"] <= outer["t0_ms"] + outer["dur_ms"] + 1e-3
+        validate_chrome_trace(chrome_trace(tracer.spans))
 
     def test_exception_annotates_span_and_propagates(self):
         tracer = Tracer()

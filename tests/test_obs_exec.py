@@ -102,6 +102,26 @@ class TestPoolTracing:
         )
         assert info["spans"]["shard"] == 4
 
+    def test_spawned_worker_stamps_on_the_parents_timeline(self, monkeypatch):
+        # A spawned worker imports the span clock afresh; if it read its own
+        # epoch anchor, a wall clock that stepped since the parent's import
+        # (modelled here as an hour's offset) would throw every one of its
+        # spans out of the parent's dispatch window for its whole lifetime.
+        from repro.obs import trace
+
+        monkeypatch.setattr(trace, "_EPOCH_ANCHOR_NS", trace._EPOCH_ANCHOR_NS + 3_600 * 10**9)
+        obs = ObsContext.create()
+        with RenderExecutor(num_workers=2, obs=obs, mp_context="spawn") as executor:
+            executor.submit(quick_job(2)).result(timeout=300)
+        units = {s["id"]: s for s in spans_by_name(obs.tracer)["request"]}
+        jobs = [s for s in obs.tracer.spans if s["name"] == "job" and s["parent"] in units]
+        assert len(jobs) == 2
+        for job in jobs:
+            unit = units[job["parent"]]
+            assert unit["t0_ms"] <= job["t0_ms"]
+            assert job["t0_ms"] + job["dur_ms"] <= unit["t0_ms"] + unit["dur_ms"] + 1e-3
+        validate_chrome_trace(chrome_trace(obs.tracer.spans))
+
     def test_worker_metrics_collected_into_parent(self):
         obs = ObsContext.create()
         with RenderExecutor(num_workers=2, obs=obs) as executor:

@@ -35,7 +35,7 @@ from repro.exec.frames import (
     plan_shards,
     render_frame,
 )
-from repro.render.common import RenderConfig
+from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import shard_intervals, tile_interval_slice
 from repro.render.tile_raster import (
     compose_tile_shards,
@@ -51,10 +51,15 @@ def _scene_camera(scene: str):
 
 
 def assert_stats_equal(expected, actual) -> None:
-    """Every stats field — counters and index arrays — must match exactly."""
+    """Every stats field — counters and index arrays — must match exactly.
+
+    The index arrays travel the worker pipe with every frame, so their
+    dtype is part of the contract: int32, composed shards included.
+    """
     for field in dataclasses.fields(expected):
         a, b = getattr(expected, field.name), getattr(actual, field.name)
         if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype == INDEX_DTYPE == np.int32, f"{field.name} dtype"
             assert np.array_equal(a, b), f"stats array {field.name} differs"
         else:
             assert a == b, f"stats counter {field.name}: {a} != {b}"
