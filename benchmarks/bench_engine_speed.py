@@ -4,17 +4,18 @@ Not a paper figure: this benchmark guards the vectorized engine's two
 contracts at the default evaluation scale (the ``train`` preset rendered by
 every experiment):
 
-1. *Equivalence* — identical statistics counters and images within
-   ``atol=1e-9`` against the reference per-Gaussian/per-block loops, for
-   both dataflows.
+1. *Equivalence* — identical statistics counters and bitwise identical
+   images against the reference per-Gaussian/per-block loops, for both
+   dataflows.
 2. *Speed* — an end-to-end frame (one tile-wise render for the GSCore
    baseline plus one Gaussian-wise render for the GCC dataflow) is at least
    5x faster than the reference backend.
 
-It also records where a vectorized tile-wise frame spends its time
-(``project`` / ``pair_build`` / ``blend`` stage milliseconds) and the
-*dead-pair share*: of the ``(Gaussian, tile)`` pairs the frame counts as
-processed, the share the footprint cull never evaluates.
+It also records where a vectorized frame spends its time (tile-wise
+``project`` / ``pair_build`` / ``blend``, Gaussian-wise ``project`` /
+``boundary`` / ``sh`` / ``blend`` stage milliseconds) and the *dead-pair
+share*: of the ``(Gaussian, tile)`` pairs the frame counts as processed, the
+share the footprint cull never evaluates.
 
 Run with::
 
@@ -63,18 +64,22 @@ def _stats_identical(reference, vectorized) -> list[str]:
     return mismatches
 
 
-def tile_stage_ms(scene, camera, config, repeats: int = 3) -> dict[str, float]:
-    """Best-of-N milliseconds per kernel stage of one tile-wise frame."""
+def stage_ms(render, scene, camera, config, repeats: int = 3) -> dict[str, float]:
+    """Best-of-N milliseconds per kernel stage of one frame (a stage the
+    Gaussian-wise engine runs once per depth group is summed over the frame)."""
     best: dict[str, float] = {}
     for _ in range(repeats):
         tracer = Tracer()
         previous = kernels.set_stage_hook(TracerStageHook(tracer))
         try:
-            render_tilewise(scene, camera, config)
+            render(scene, camera, config)
         finally:
             kernels.set_stage_hook(previous)
+        frame: dict[str, float] = {}
         for span in tracer.spans:
-            best[span["name"]] = min(best.get(span["name"], float("inf")), span["dur_ms"])
+            frame[span["name"]] = frame.get(span["name"], 0.0) + span["dur_ms"]
+        for name, ms in frame.items():
+            best[name] = min(best.get(name, float("inf")), ms)
     return best
 
 
@@ -138,7 +143,8 @@ def measure_engine_speed(scene_name: str = "train") -> dict:
         "gauss_image_max_diff": float(np.abs(gauss_ref.image - gauss_vec.image).max()),
         "tile_stats_mismatches": _stats_identical(tile_ref.stats, tile_vec.stats),
         "gauss_stats_mismatches": _stats_identical(gauss_ref.stats, gauss_vec.stats),
-        "tile_stage_ms": tile_stage_ms(scene, camera, tile_cfg("vectorized")),
+        "tile_stage_ms": stage_ms(render_tilewise, scene, camera, tile_cfg("vectorized")),
+        "gauss_stage_ms": stage_ms(render_gaussianwise, scene, camera, gauss_cfg("vectorized")),
         "tile_dead_pair_share": dead_pair_share(scene, camera, tile_cfg("vectorized")),
     }
 
@@ -162,6 +168,8 @@ def _format_report(result: dict) -> str:
         "",
         "tile-wise stages (vectorized): "
         + "  ".join(f"{name} {ms:.1f} ms" for name, ms in result["tile_stage_ms"].items()),
+        "gaussian-wise stages (vectorized): "
+        + "  ".join(f"{name} {ms:.1f} ms" for name, ms in result["gauss_stage_ms"].items()),
         f"dead-pair share (processed pairs never evaluated): {result['tile_dead_pair_share']:.3f}",
     ]
     return "\n".join(lines)
@@ -172,14 +180,15 @@ def test_engine_speed_and_equivalence(benchmark, save_report, save_json):
     save_report("engine_speed", _format_report(result))
     save_json("engine_speed", result)
 
-    # Equivalence: exact statistics, images within 1e-9.
+    # Equivalence: exact statistics, bitwise images.
     assert result["tile_stats_mismatches"] == []
     assert result["gauss_stats_mismatches"] == []
-    assert result["tile_image_max_diff"] <= 1e-9
-    assert result["gauss_image_max_diff"] <= 1e-9
+    assert result["tile_image_max_diff"] == 0.0
+    assert result["gauss_image_max_diff"] == 0.0
 
     # Speed: the vectorized engine must carry the full frame at >= 5x; each
     # dataflow individually must not regress below a conservative floor.
     assert result["frame_speedup"] >= 5.0, result["frame_speedup"]
     assert result["tile_speedup"] >= 3.0, result["tile_speedup"]
-    assert result["gauss_speedup"] >= 3.0, result["gauss_speedup"]
+    # The group-batched Gaussian-wise engine reads 18-21x on the 2-CPU box.
+    assert result["gauss_speedup"] >= 10.0, result["gauss_speedup"]

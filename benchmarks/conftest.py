@@ -13,7 +13,7 @@ Run with::
 All experiments render through the vectorized engine
 (``RenderConfig(backend="vectorized")``, the default), which produces
 statistics counters identical to the reference per-Gaussian/per-block loops
-(``backend="reference"``) and images within ``atol=1e-9`` — so every figure
+(``backend="reference"``) and bitwise identical images — so every figure
 and table is backend-independent.  ``bench_engine_speed.py`` checks both the
 equivalence and the >= 5x end-to-end frame speedup of the vectorized engine::
 

@@ -16,7 +16,7 @@ The analyses:
   exactly to self time (the node minus its children) and child time.
 * :func:`stage_breakdown` — per-span-name latency aggregates plus the
   *frame attribution*: what fraction of total frame time the named
-  kernel stages (project/pair_build/blend) account for — the paper's
+  kernel stages (:data:`KERNEL_STAGES`) account for — the paper's
   per-stage cost story, read off a real trace.
 * :func:`lane_breakdown` — busy time and utilization per lane (worker
   slots, main, clients), from the union of that lane's span intervals.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.trace import VIRTUAL, WALL
+from repro.obs.trace import KERNEL_STAGES, VIRTUAL, WALL
 
 __all__ = [
     "KERNEL_STAGES",
@@ -60,9 +60,6 @@ __all__ = [
     "records_from_chrome_trace",
     "stage_breakdown",
 ]
-
-#: The render kernel's named stages — the paper's per-stage cost model.
-KERNEL_STAGES = ("project", "pair_build", "blend")
 
 #: Fixed rounding of every reported number: coarse enough to serialize
 #: identically, fine enough (nanoseconds) to lose nothing measurable.

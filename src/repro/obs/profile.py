@@ -41,6 +41,8 @@ import sys
 import threading
 import time
 
+from repro.obs.trace import KERNEL_STAGES
+
 __all__ = [
     "KERNEL_STAGES",
     "TRACKED_SPANS",
@@ -53,8 +55,6 @@ __all__ = [
     "collapse_text",
 ]
 
-#: The render-kernel stage spans CPU attribution is judged against.
-KERNEL_STAGES = ("project", "pair_build", "blend")
 #: Spans bracketed for attribution: kernel stages plus codec decode.
 TRACKED_SPANS = KERNEL_STAGES + ("decode",)
 
@@ -329,9 +329,9 @@ class MemoryAttributor:
     net allocation increase and the peak traced size reached inside it.
     ``stats()`` returns ``{span_name: {"count", "peak_bytes",
     "total_increase_bytes"}}``.  Tracked spans never nest within each
-    other in this codebase (project/pair_build/blend are siblings under
-    a frame; decode is a sibling of frame), so the reset-peak bracket is
-    exact per span.
+    other in this codebase (the kernel stages are siblings under a frame;
+    decode is a sibling of frame), so the reset-peak bracket is exact per
+    span.
 
     Does nothing (and charges nothing) unless :meth:`start` has engaged
     ``tracemalloc`` — so the attributor can sit installed permanently

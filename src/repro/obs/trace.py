@@ -42,6 +42,7 @@ import time
 from typing import Any, Iterable
 
 __all__ = [
+    "KERNEL_STAGES",
     "WALL",
     "VIRTUAL",
     "Tracer",
@@ -53,6 +54,11 @@ __all__ = [
 
 WALL = "wall"
 VIRTUAL = "virtual"
+
+#: The render engines' named stages — the paper's per-stage cost model:
+#: tile-wise project / pair_build / blend, Gaussian-wise project / boundary /
+#: sh / blend (once per depth group).
+KERNEL_STAGES = ("project", "pair_build", "boundary", "sh", "blend")
 
 
 #: Unix-epoch nanoseconds of the monotonic counter's zero, read once.

@@ -17,12 +17,12 @@ Each renderer runs on one of two engines selected by
 ``RenderConfig(backend=...)``:
 
 * ``"vectorized"`` (default) — batched kernels (:mod:`repro.render.kernels`)
-  process whole tiles/chunks of Gaussians and whole block sets at once.
+  process whole tiles/chunks of Gaussians and whole depth groups at once.
 * ``"reference"`` — the original per-Gaussian/per-block Python loops that
   mirror the hardware pipelines operation by operation.
 
 The backends are observationally equivalent: statistics counters are
-integer-identical and images agree to ``atol=1e-9`` (see
+integer-identical and float64 images bitwise identical (see
 ``tests/test_engine_equivalence.py`` and ``benchmarks/bench_engine_speed.py``).
 """
 

@@ -74,8 +74,8 @@ class RenderConfig:
         batches alpha evaluation, boundary identification and blending with
         the kernels in :mod:`repro.render.kernels`; ``"reference"`` runs the
         original per-Gaussian/per-block Python loops.  The two backends
-        produce identical statistics counters and images equal to
-        ``atol=1e-9`` (bitwise for the tile-wise rasteriser).
+        produce identical statistics counters and, in float64, bitwise
+        identical images, for both rasterisers.
     dtype:
         Floating-point mode of the tile-wise rendering stage, one of
         :data:`DTYPES`.  Projection, depth sorting and tile assignment

@@ -21,16 +21,16 @@ nothing under the standard dataflow either.
 
 Two execution backends are provided, selected by ``RenderConfig.backend``:
 
-* ``"vectorized"`` (default) — each Gaussian's footprint is evaluated once
-  over a block-aligned pixel region (:mod:`repro.render.kernels`); the
-  Algorithm 1 traversal replays over precomputed block-occupancy bits and
-  Stage IV blends every influence block in a single batched gather/scatter.
-* ``"reference"`` — the original per-block Python loops, kept as the oracle
-  the vectorized backend is validated against.
+* ``"vectorized"`` (default) — Stages III/IV run one whole depth group at a
+  time (:mod:`repro.render.kernels`): footprint bits of every (Gaussian,
+  candidate block) pair in one pass, Algorithm 1 as a reachability fixpoint
+  over them, one SH call, and blending per block in depth-rank layers.
+* ``"reference"`` — the original per-Gaussian/per-block Python loops, kept
+  as the oracle the vectorized backend is validated against.
 
-The Gaussian-level sequencing (and therefore the transmittance mask
-evolution) is identical in both backends, so images and every statistics
-counter match exactly.
+Per pixel the two backends perform the same operations in the same order
+and the transmittance mask evolves identically, so images are bitwise
+equal and every statistics counter matches exactly.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ from repro.render.boundary import identify_influence_blocks
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.grouping import group_by_depth
 from repro.render.kernels import (
-    blend_region_blocks,
-    compute_footprint_region,
-    traverse_region_blocks,
+    BlockFrame,
+    blend_group_layers,
+    identify_group_blocks,
+    radius_box_blocks,
+    stage_hook,
 )
 from repro.render.preprocess import frustum_cull_depths, project_geometry
 
@@ -198,15 +200,19 @@ def render_gaussianwise(
         num_total=scene.num_gaussians,
     )
 
-    color_accum = np.zeros((height, width, 3), dtype=np.float64)
-    transmittance = np.ones((height, width), dtype=np.float64)
-    # Flat views used by the batched Stage IV scatter (same memory).
-    color_flat = color_accum.reshape(-1, 3)
-    trans_flat = transmittance.reshape(-1)
-
     if scene.num_gaussians == 0:
-        image = finalize_image(color_accum, transmittance, config.background)
-        return GaussianWiseResult(image=image, stats=stats)
+        blank = np.zeros((height, width, 3)), np.ones((height, width))
+        return GaussianWiseResult(finalize_image(*blank, config.background), stats)
+
+    # Frame state: block-major on the vectorized backend; on the reference,
+    # image layout plus the per-block saturation mask (the hardware T_mask):
+    # True when every pixel in the block has terminated.
+    if vectorized:
+        frame = BlockFrame(width, height, block_size)
+    else:
+        color_accum = np.zeros((height, width, 3), dtype=np.float64)
+        transmittance = np.ones((height, width), dtype=np.float64)
+        saturated_blocks = np.zeros((blocks_y, blocks_x), dtype=bool)
 
     # ------------------------------------------------------------------
     # Stage I: depth computation, culling, grouping.
@@ -219,14 +225,57 @@ def render_gaussianwise(
     groups = group_by_depth(depths_all[visible_indices], capacity=config.group_capacity)
     stats.num_groups = len(groups)
 
-    # Per-block saturation mask (the hardware T_mask): True when every pixel
-    # in the block has terminated.  The vectorized backend keeps the same
-    # mask as a set of (by, bx) coordinates so per-block membership tests
-    # stay off numpy scalar indexing.
-    saturated_blocks = np.zeros((blocks_y, blocks_x), dtype=bool)
-    saturated_set: set[tuple[int, int]] = set()
     rendered_sources: list[int] = []
     camera_position = camera.position
+
+    def render_group_batched(geometry, order: np.ndarray) -> list[int]:
+        """Stages III/IV of one depth group on the vectorized backend; returns
+        the source indices of the Gaussians that contributed a pixel.  The
+        conditional *counters* come from per-Gaussian outcome counts after
+        the fact: colour values do not depend on the render state, only how
+        many of them were needed does."""
+        num = order.size
+        means2d, conics = geometry.means2d[order], geometry.conics[order]
+        opacities, sources = geometry.opacities[order], geometry.source_indices[order]
+        with stage_hook().stage("boundary"):
+            if boundary_mode == "alpha":
+                gaussian, block, visited = identify_group_blocks(
+                    frame, means2d, conics, geometry.cov2d[order], opacities, config.alpha_min
+                )
+                stats.blocks_visited += int(visited.sum())
+            else:
+                gaussian, block = radius_box_blocks(frame, means2d, geometry.radii[order])
+                stats.blocks_visited += gaussian.size
+            influence = np.bincount(gaussian, minlength=num)
+            if enable_cc:
+                # Blocks saturated when the group starts are skipped whatever
+                # happens in it: they need no colour and no rank.
+                live = ~frame.saturated[block]
+                gaussian, block = gaussian[live], block[live]
+        with stage_hook().stage("sh"):
+            owners = np.flatnonzero(np.bincount(gaussian, minlength=num))
+            colors = np.zeros((num, 3))
+            colors[owners] = evaluate_sh_colors(
+                scene.sh_coeffs[sources[owners]],
+                scene.means[sources[owners]] - camera_position,
+                degree=config.sh_degree,
+            )
+        with stage_hook().stage("blend"):
+            evaluated, pixels, alpha_evaluations = blend_group_layers(
+                frame, gaussian, block, means2d, conics, opacities, colors, config, enable_cc
+            )
+            skipped = influence - evaluated
+            stats.blocks_skipped_tmask += int(skipped.sum())
+            stats.blocks_evaluated += int(evaluated.sum())
+            stats.alpha_evaluations += alpha_evaluations
+            stats.pixels_blended += int(pixels.sum())
+            # Nothing left to render: a T_mask skip when the mask removed blocks,
+            # an empty footprint otherwise; under CC neither fetches SH data.
+            nothing_left = evaluated == 0
+            stats.num_skipped_tmask += int(np.count_nonzero(nothing_left & (skipped > 0)))
+            stats.num_empty_footprint += int(np.count_nonzero(nothing_left & (skipped == 0)))
+            stats.num_sh_evaluated += int(np.count_nonzero(~nothing_left)) if enable_cc else num
+        return sources[pixels > 0].tolist()
 
     def refresh_block_mask(block_coords: list[tuple[int, int]]) -> None:
         """Update the saturation mask for the given blocks after blending."""
@@ -249,7 +298,8 @@ def render_gaussianwise(
         # ------------------------------------------------------------------
         # Stage II: position/shape projection and screen culling.
         # ------------------------------------------------------------------
-        geometry = project_geometry(scene, camera, source_idx, config)
+        with stage_hook().stage("project"):
+            geometry = project_geometry(scene, camera, source_idx, config)
         stats.num_projected += geometry.num_input
         stats.num_screen_passed += geometry.num_visible
         if geometry.num_visible == 0:
@@ -257,7 +307,7 @@ def render_gaussianwise(
 
         # ------------------------------------------------------------------
         # Stage III: intra-group front-to-back sort (colour is evaluated
-        # lazily per Gaussian under CC).
+        # conditionally under CC).
         # ------------------------------------------------------------------
         order = np.argsort(geometry.depths, kind="stable")
         stats.sort_elements += geometry.num_visible
@@ -265,42 +315,28 @@ def render_gaussianwise(
         # ------------------------------------------------------------------
         # Stage IV: boundary identification, alpha computation, blending.
         # ------------------------------------------------------------------
+        if vectorized:
+            rendered_sources += render_group_batched(geometry, order)
+            # Cross-stage conditional check, as at the end of the loop body.
+            terminated = enable_cc and bool(frame.saturated.all())
+            continue
+
         for row in order:
             mean2d = geometry.means2d[row]
             conic = geometry.conics[row]
             opacity = float(geometry.opacities[row])
-            region = None
 
             if boundary_mode == "alpha":
-                if vectorized:
-                    region = compute_footprint_region(
-                        mean2d,
-                        conic,
-                        geometry.cov2d[row],
-                        opacity,
-                        width,
-                        height,
-                        block_size,
-                        config.alpha_min,
-                    )
-                    traversal = traverse_region_blocks(
-                        region,
-                        width,
-                        height,
-                        block_size,
-                        saturated_set=saturated_set if enable_cc else None,
-                    )
-                else:
-                    traversal = identify_influence_blocks(
-                        mean2d,
-                        conic,
-                        opacity,
-                        width,
-                        height,
-                        block_size=block_size,
-                        alpha_min=config.alpha_min,
-                        saturated_blocks=saturated_blocks if enable_cc else None,
-                    )
+                traversal = identify_influence_blocks(
+                    mean2d,
+                    conic,
+                    opacity,
+                    width,
+                    height,
+                    block_size=block_size,
+                    alpha_min=config.alpha_min,
+                    saturated_blocks=saturated_blocks if enable_cc else None,
+                )
                 blocks = traversal.blocks
                 stats.blocks_visited += traversal.blocks_visited
                 stats.blocks_skipped_tmask += traversal.blocks_skipped_tmask
@@ -312,10 +348,7 @@ def render_gaussianwise(
                 stats.blocks_visited += len(blocks)
                 skipped_here = 0
                 if enable_cc:
-                    if vectorized:
-                        kept = [b for b in blocks if b not in saturated_set]
-                    else:
-                        kept = [b for b in blocks if not saturated_blocks[b]]
+                    kept = [b for b in blocks if not saturated_blocks[b]]
                     skipped_here = len(blocks) - len(kept)
                     stats.blocks_skipped_tmask += skipped_here
                     blocks = kept
@@ -346,102 +379,58 @@ def render_gaussianwise(
             if not blocks:
                 continue
 
-            if vectorized:
-                if region is None:
-                    # "aabb" mode derives blocks from the bounding radius,
-                    # which can exceed the alpha ellipse; grow the region to
-                    # cover it.
-                    region = compute_footprint_region(
-                        mean2d,
-                        conic,
-                        geometry.cov2d[row],
-                        opacity,
-                        width,
-                        height,
-                        block_size,
-                        config.alpha_min,
-                        extra_radius=float(geometry.radii[row]),
-                    )
-                counts, pixel_evals, block_trans_max = blend_region_blocks(
-                    color_flat,
-                    trans_flat,
-                    region,
-                    blocks,
-                    color,
+            contributed_any = 0
+            touched_blocks: list[tuple[int, int]] = []
+            for by, bx in blocks:
+                y0, x0 = by * block_size, bx * block_size
+                y1, x1 = min(y0 + block_size, height), min(x0 + block_size, width)
+                xs = np.arange(x0, x1, dtype=np.float64)
+                ys = np.arange(y0, y1, dtype=np.float64)
+                grid_x, grid_y = np.meshgrid(xs, ys)
+                dx = grid_x - mean2d[0]
+                dy = grid_y - mean2d[1]
+
+                stats.alpha_evaluations += dx.size
+                stats.blocks_evaluated += 1
+                alpha = compute_alpha(
+                    conic,
                     opacity,
-                    width,
-                    height,
-                    block_size,
-                    config.alpha_min,
-                    config.alpha_max,
+                    dx,
+                    dy,
+                    alpha_min=config.alpha_min,
+                    alpha_max=config.alpha_max,
+                )
+
+                block_color = color_accum[y0:y1, x0:x1].reshape(-1, 3)
+                block_trans = transmittance[y0:y1, x0:x1].reshape(-1)
+                contributed = blend_pixels(
+                    block_color,
+                    block_trans,
+                    alpha.reshape(-1),
+                    color,
                     config.transmittance_eps,
                 )
-                stats.alpha_evaluations += pixel_evals
-                stats.blocks_evaluated += len(blocks)
-                contributed_any = int(counts.sum())
-                stats.pixels_blended += contributed_any
-                if contributed_any:
-                    touched = counts > 0
-                    newly_saturated = touched & (
-                        block_trans_max <= config.transmittance_eps
-                    )
-                    for b_index in np.nonzero(newly_saturated)[0]:
-                        saturated_set.add(blocks[b_index])
-            else:
-                contributed_any = 0
-                touched_blocks: list[tuple[int, int]] = []
-                for by, bx in blocks:
-                    y0, x0 = by * block_size, bx * block_size
-                    y1, x1 = min(y0 + block_size, height), min(x0 + block_size, width)
-                    xs = np.arange(x0, x1, dtype=np.float64)
-                    ys = np.arange(y0, y1, dtype=np.float64)
-                    grid_x, grid_y = np.meshgrid(xs, ys)
-                    dx = grid_x - mean2d[0]
-                    dy = grid_y - mean2d[1]
-
-                    stats.alpha_evaluations += dx.size
-                    stats.blocks_evaluated += 1
-                    alpha = compute_alpha(
-                        conic,
-                        opacity,
-                        dx,
-                        dy,
-                        alpha_min=config.alpha_min,
-                        alpha_max=config.alpha_max,
-                    )
-
-                    block_color = color_accum[y0:y1, x0:x1].reshape(-1, 3)
-                    block_trans = transmittance[y0:y1, x0:x1].reshape(-1)
-                    contributed = blend_pixels(
-                        block_color,
-                        block_trans,
-                        alpha.reshape(-1),
-                        color,
-                        config.transmittance_eps,
-                    )
-                    color_accum[y0:y1, x0:x1] = block_color.reshape(y1 - y0, x1 - x0, 3)
-                    transmittance[y0:y1, x0:x1] = block_trans.reshape(y1 - y0, x1 - x0)
-                    stats.pixels_blended += contributed
-                    contributed_any += contributed
-                    if contributed:
-                        touched_blocks.append((by, bx))
-                if contributed_any:
-                    refresh_block_mask(touched_blocks)
-
+                color_accum[y0:y1, x0:x1] = block_color.reshape(y1 - y0, x1 - x0, 3)
+                transmittance[y0:y1, x0:x1] = block_trans.reshape(y1 - y0, x1 - x0)
+                stats.pixels_blended += contributed
+                contributed_any += contributed
+                if contributed:
+                    touched_blocks.append((by, bx))
             if contributed_any:
+                refresh_block_mask(touched_blocks)
                 rendered_sources.append(int(geometry.source_indices[row]))
 
         # Cross-stage conditional check: if every block is saturated, the
         # remaining (deeper) groups are skipped entirely.
-        if enable_cc:
-            if vectorized:
-                terminated = terminated or len(saturated_set) == blocks_x * blocks_y
-            elif bool(np.all(saturated_blocks)):
-                terminated = True
+        if enable_cc and bool(np.all(saturated_blocks)):
+            terminated = True
 
     stats.num_rendered = len(rendered_sources)
     if rendered_sources:
         stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
 
+    if vectorized:
+        color_accum = frame.unblocked(frame.color)
+        transmittance = frame.unblocked(frame.transmittance)
     image = finalize_image(color_accum, transmittance, config.background)
     return GaussianWiseResult(image=image, stats=stats)

@@ -17,33 +17,27 @@ This module provides the batched equivalents used by
   product over the Gaussian axis.
 * :func:`subtile_evaluation_count` — the GSCore OBB subtile-skip statistic
   computed for a chunk of Gaussians in one reduction.
-* :func:`compute_footprint_region` / :func:`traverse_region_blocks` — the
-  Gaussian-wise footprint evaluated once per Gaussian over a pixel region,
-  with Algorithm 1's block traversal replayed over precomputed block/edge
-  occupancy bits instead of one PE-array pass per visited block.
-* :func:`blend_region_blocks` — Stage IV alpha computation and blending for
-  all influence blocks of one Gaussian in a single gather/scatter.
+* :class:`BlockFrame` / :func:`identify_group_blocks` /
+  :func:`blend_group_layers` — the Gaussian-wise engine, one depth group at
+  a time: footprint bits of every ``(Gaussian, candidate block)`` pair in
+  one pass, Algorithm 1's traversal as a reachability fixpoint over them,
+  and Stage IV blended per block in depth-rank layers on a block-major
+  frame.
 
 Every kernel is *observationally equivalent* to the reference loops: the
 per-pixel arithmetic uses identical elementwise operations in the same
-order, so all statistics counters (pairs processed, alpha evaluations,
-pixels blended, blocks visited/skipped, ...) are integer-identical and the
-transmittance state evolves bitwise-identically.  The tile-wise kernels also
-accumulate colour in the reference's order (a left fold), so their images
-are bitwise-identical too; the Gaussian-wise block kernels batch the colour
-sum, which keeps their images within ``atol=1e-9`` of the reference.
+order — colour included, which both engines accumulate in the reference's
+order — so all statistics counters (pairs processed, alpha evaluations,
+pixels blended, blocks visited/skipped, ...) are integer-identical and
+images, like the transmittance state behind them, are bitwise-identical.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.gaussians.covariance import mahalanobis_sq
 from repro.render.blending import alpha_from_maha
-from repro.render.boundary import BlockTraversalResult, _alpha_chi2, _clamp_to_bounds
 
 #: Depth-ordered Gaussians evaluated per tile chunk: the first chunk takes
 #: the first entry, the next the second, ... and the last entry repeats.
@@ -58,8 +52,9 @@ TILE_CHUNK_SCHEDULE: tuple[int, ...] = (64, 128)
 class NullStageHook:
     """Default no-op stage hook: ``stage()`` returns a shared null CM.
 
-    The render path calls ``stage_hook().stage("project"|"pair_build"|
-    "blend")`` around its pipeline stages.  By default that is this
+    The render path calls ``stage_hook().stage(name)`` around its pipeline
+    stages (tile-wise ``project`` / ``pair_build`` / ``blend``; Gaussian-wise
+    ``project`` / ``boundary`` / ``sh`` / ``blend``).  By default that is this
     do-nothing hook (one attribute lookup and a pre-built context
     manager — no timing, no allocation), so rendering pays essentially
     nothing when observability is off.  ``repro.obs.TracerStageHook``
@@ -361,275 +356,286 @@ def subtile_evaluation_count(maha: np.ndarray, subtile: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Gaussian-wise (GCC dataflow) kernels
+# Gaussian-wise (GCC dataflow) kernels: one depth group at a time
 # ----------------------------------------------------------------------
-@dataclass
-class FootprintRegion:
-    """Precomputed screen-space footprint of one Gaussian.
+#: ``(Gaussian, block)`` pairs evaluated per chunk: bounds the
+#: ``(pairs, bs, bs)`` temporaries (~1 MB each at 8x8 blocks) when a group
+#: of screen-filling Gaussians has tens of thousands of candidate blocks.
+GROUP_PAIR_CHUNK = 2048
 
-    The region is a block-aligned pixel rectangle that covers the alpha
-    (chi^2) ellipse plus a one-block ring, the clamped start block, and —
-    when requested — the bounding-radius box, clamped to the image.  All the
-    per-block quantities Algorithm 1 needs (occupancy and boundary-edge
-    bits) are reduced from one vectorized Mahalanobis evaluation instead of
-    one PE-array pass per visited block.
+
+class BlockFrame:
+    """Block-major frame state of the Gaussian-wise engine.
+
+    The image is padded to whole blocks and stored one block per row, so a
+    set of distinct blocks is gathered and scattered with a plain row index
+    and no validity mask.  Padding pixels start at transmittance 0: they are
+    never active, never counted and cannot hold a block's maximum above the
+    saturation threshold, so they are invisible to every result.
     """
 
-    #: Pixel origin (x, y) of the region; always block-aligned.
-    px0: int
-    py0: int
-    #: Mahalanobis^2 over the region pixels, shape ``(rh, rw)``.
-    maha: np.ndarray
-    #: chi^2 threshold for the alpha condition, or None when the opacity
-    #: cannot reach ``alpha_min`` anywhere.
-    chi2: float | None
-    #: Global block index (by, bx) of the region's top-left block.
-    block_origin: tuple[int, int]
-    #: Per-block any-influence bits as nested Python lists (None if no
-    #: chi2); plain lists keep the traversal's inner loop off numpy scalar
-    #: indexing, which dominates at this grain.
-    block_any: list[list[bool]] | None
-    #: Per-block boundary-edge any-influence bits keyed right/left/down/up.
-    edges: dict[str, list[list[bool]]] | None
-    #: Clamped start block (by, bx) in global block coordinates.
-    start_block: tuple[int, int]
+    def __init__(self, width: int, height: int, block_size: int) -> None:
+        self.width, self.height, self.block_size = width, height, block_size
+        self.blocks_x, self.blocks_y = -(-width // block_size), -(-height // block_size)
+        in_x = (np.arange(self.blocks_x * block_size) < width).reshape(-1, block_size)
+        in_y = (np.arange(self.blocks_y * block_size) < height).reshape(-1, block_size)
+        valid = in_y[:, None, :, None] & in_x[None, :, None, :]
+        valid = valid.reshape(self.blocks_x * self.blocks_y, block_size * block_size)
+        #: ``(num_blocks, bs * bs)`` transmittance and ``(..., 3)`` colour.
+        self.transmittance = valid.astype(np.float64)
+        self.color = np.zeros(valid.shape + (3,))
+        #: The T_mask: every image pixel of the block has terminated.
+        self.saturated = np.zeros(len(valid), dtype=bool)
+        #: Image pixels per block (fewer on partial edge blocks).
+        self.valid_pixels = np.count_nonzero(valid, axis=1)
+
+    def unblocked(self, blocked: np.ndarray) -> np.ndarray:
+        """Image-layout ``(H, W, ...)`` form of a ``(num_blocks, bs * bs, ...)`` array."""
+        bs, tail = self.block_size, blocked.shape[2:]
+        grid = blocked.reshape((self.blocks_y, self.blocks_x, bs, bs) + tail).swapaxes(1, 2)
+        grid = grid.reshape((self.blocks_y * bs, self.blocks_x * bs) + tail)
+        return grid[: self.height, : self.width]
 
 
-def compute_footprint_region(
-    mean2d: np.ndarray,
-    conic: np.ndarray,
+def _block_maha(frame: BlockFrame, means2d, conics, block_x, block_y, offsets) -> np.ndarray:
+    """Mahalanobis^2 of ``n`` (Gaussian, block) pairs at the block pixels
+    ``offsets x offsets``, ``(n, len(offsets), len(offsets))``.
+
+    ``means2d``/``conics`` hold one row per pair.  This is the reference's
+    own :func:`~repro.gaussians.covariance.mahalanobis_sq`; broadcasting
+    keeps its per-axis factors small, leaving three full-size operations.
+    On a partial edge block, pixels off the image repeat its last column
+    (row): an "any" over them is the reference's over the image pixels.
+    """
+    px = np.minimum(block_x[:, None] * frame.block_size + offsets, frame.width - 1)
+    py = np.minimum(block_y[:, None] * frame.block_size + offsets, frame.height - 1)
+    dx, dy = px - means2d[:, 0, None], py - means2d[:, 1, None]
+    return mahalanobis_sq(conics[:, None, None, :], dx[:, None, :], dy[:, :, None])
+
+
+def _block_range(centre, half, num_blocks: int, block_size: int):
+    """Inclusive range of blocks meeting ``centre +- half`` on a grid of
+    ``num_blocks`` (empty when ``hi < lo``)."""
+    lo = np.maximum(np.floor_divide(centre - half, block_size), 0).astype(np.intp)
+    hi = np.minimum(np.floor_divide(centre + half, block_size), num_blocks - 1).astype(np.intp)
+    return lo, hi
+
+
+def _locate(pair, ends, count, rect_w):
+    """``(gaussian, local_y, local_x)`` of flat pair indices: pairs are laid
+    out Gaussian-major (``g`` owns ``[ends[g] - count[g], ends[g])``) and
+    row-major inside each block rectangle of width ``rect_w[g]``."""
+    gaussian = np.searchsorted(ends, pair, side="right")
+    local_y, local_x = np.divmod(pair - (ends - count)[gaussian], rect_w[gaussian])
+    return gaussian, local_y, local_x
+
+
+def identify_group_blocks(
+    frame: BlockFrame,
+    means2d: np.ndarray,
+    conics: np.ndarray,
     cov2d: np.ndarray,
-    opacity: float,
-    width: int,
-    height: int,
-    block_size: int,
+    opacities: np.ndarray,
     alpha_min: float,
-    extra_radius: float = 0.0,
-) -> FootprintRegion:
-    """Evaluate one Gaussian's footprint over a block-aligned pixel region.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 1 for every Gaussian of a depth group at once.
 
-    ``extra_radius`` additionally grows the region to cover the
-    bounding-radius box (needed by the ``"aabb"`` boundary ablation, whose
-    block set is derived from the radius rather than the alpha ellipse).
+    Returns ``(gaussian, block, visited)``: the influence pairs —
+    ``gaussian`` indexes the input rows and is non-decreasing, ``block`` is
+    the row-major block id — and, per input row, how many blocks the
+    traversal visits: what :func:`~repro.render.boundary.identify_influence_blocks`
+    finds without a saturation mask (the mask never steers the traversal, it
+    only relabels influence blocks as skipped), as a set — nothing observes
+    the breadth-first order.
+
+    Candidates are the blocks meeting the bounding box of the chi^2 ellipse
+    (plus the clamped start block); outside it every pixel fails the alpha
+    condition.  Each candidate's per-pixel condition is reduced to five bits
+    — any pixel inside, and any inside on its right / left / bottom / top
+    pixel column or row — and the traversal is a reachability fixpoint over
+    them: a block is *visited* when it is the start or the in-grid neighbour
+    of an *enqueued* block across an edge whose bit is set, and *enqueued*
+    when visited with a pixel inside.
     """
-    blocks_x = (width + block_size - 1) // block_size
-    blocks_y = (height + block_size - 1) // block_size
-    mx, my = float(mean2d[0]), float(mean2d[1])
-    # Same containing-pixel clamp as boundary._clamp_to_bounds, inlined with
-    # math.floor to avoid per-Gaussian numpy scalar overhead.
-    cx = int(min(max(math.floor(mx), 0), width - 1))
-    cy = int(min(max(math.floor(my), 0), height - 1))
-    start = (cy // block_size, cx // block_size)
+    num, bs = means2d.shape[0], frame.block_size
+    mx, my = means2d[:, 0], means2d[:, 1]
+    start_x = np.clip(np.floor(mx), 0, frame.width - 1).astype(np.intp) // bs
+    start_y = np.clip(np.floor(my), 0, frame.height - 1).astype(np.intp) // bs
+    # boundary._alpha_chi2, vectorized (bit-equal; pinned by a test).
+    present = ~(opacities < alpha_min)
+    chi2 = np.full(num, -1.0)
+    chi2[present] = 2.0 * np.log(opacities[present] / alpha_min)
+    # Largest |dx| (|dy|) on the ellipse is sqrt(chi2 * Sigma_xx (Sigma_yy));
+    # the hair of slack keeps a pixel the *computed* form puts inside from
+    # landing outside the box through rounding.
+    reach = np.maximum(chi2, 0.0) * (1.0 + 1.0e-6)
+    half_x = np.sqrt(reach * np.maximum(cov2d[:, 0, 0], 0.0))
+    half_y = np.sqrt(reach * np.maximum(cov2d[:, 1, 1], 0.0))
+    bx_lo, bx_hi = _block_range(mx, half_x, frame.blocks_x, bs)
+    by_lo, by_hi = _block_range(my, half_y, frame.blocks_y, bs)
+    bx_lo, bx_hi = np.minimum(bx_lo, start_x), np.maximum(bx_hi, start_x)
+    by_lo, by_hi = np.minimum(by_lo, start_y), np.maximum(by_hi, start_y)
+    rect_w, rect_h = bx_hi - bx_lo + 1, by_hi - by_lo + 1
+    count = rect_w * rect_h * present
+    ends = np.cumsum(count)
+    total = int(count.sum())
 
-    chi2 = _alpha_chi2(opacity, alpha_min)
-    chi2_span = max(chi2, 0.0) if chi2 is not None else 0.0
-    # Maximum |dx| (|dy|) over the chi^2 ellipse is sqrt(chi2 * Sigma_xx).
-    half_x = max(float(np.sqrt(chi2_span * max(cov2d[0, 0], 0.0))), extra_radius)
-    half_y = max(float(np.sqrt(chi2_span * max(cov2d[1, 1], 0.0))), extra_radius)
+    # (1) Footprint bits of every candidate: any / right / left / down / up.
+    # A block with its four corner pixels inside has all five (the corners
+    # lie on the edges); the others are evaluated pixel by pixel.
+    bits = np.empty((5, total), dtype=bool)
+    offsets = np.arange(bs)
+    for lo in range(0, total, GROUP_PAIR_CHUNK):
+        pair = np.arange(lo, min(lo + GROUP_PAIR_CHUNK, total))
+        gaussian, local_y, local_x = _locate(pair, ends, count, rect_w)
+        block_x, block_y = bx_lo[gaussian] + local_x, by_lo[gaussian] + local_y
+        mean, conic, limit = means2d[gaussian], conics[gaussian], chi2[gaussian, None, None]
+        corners = _block_maha(frame, mean, conic, block_x, block_y, offsets[[0, -1]]) <= limit
+        bits[:, pair] = full = corners.all(axis=(1, 2))
+        pair, rest = pair[~full], np.flatnonzero(~full)
+        inside = _block_maha(frame, mean[rest], conic[rest], block_x[rest], block_y[rest], offsets)
+        inside = inside <= limit[rest]
+        in_col = _any_over_axis1(inside)
+        bits[0, pair] = _any_over_axis1(in_col)
+        bits[1, pair], bits[2, pair] = in_col[:, -1], in_col[:, 0]
+        bits[3, pair] = _any_over_axis1(inside[:, -1])
+        bits[4, pair] = _any_over_axis1(inside[:, 0])
+    block_any = bits[0]
 
-    # The pixel region covers exactly the blocks intersecting the ellipse
-    # bounding box (plus the clamped start block).  Any pixel outside that
-    # box is outside the ellipse, so the one-block traversal ring around it
-    # carries all-False occupancy bits and needs no pixel evaluation; it is
-    # synthesised below by list padding.
-    bx_lo = min(max(int(math.floor((mx - half_x) / block_size)), 0), start[1])
-    bx_hi = max(min(int(math.floor((mx + half_x) / block_size)), blocks_x - 1), start[1])
-    by_lo = min(max(int(math.floor((my - half_y) / block_size)), 0), start[0])
-    by_hi = max(min(int(math.floor((my + half_y) / block_size)), blocks_y - 1), start[0])
-
-    px0, py0 = bx_lo * block_size, by_lo * block_size
-    px1 = min((bx_hi + 1) * block_size, width)
-    py1 = min((by_hi + 1) * block_size, height)
-    dx = np.arange(px0, px1, dtype=np.float64) - mx
-    dy = np.arange(py0, py1, dtype=np.float64) - my
-    dx, dy = dx[None, :], dy[:, None]
-    # Inlined mahalanobis_sq with scalar coefficients: identical elementwise
-    # operations and order, without per-Gaussian array-wrapping overhead.
-    a, b, c = float(conic[0]), float(conic[1]), float(conic[2])
-    maha = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
-
-    block_any = None
-    edges = None
-    if chi2 is not None:
-        nby, nbx = by_hi - by_lo + 1, bx_hi - bx_lo + 1
-        padded = np.zeros((nby * block_size, nbx * block_size), dtype=bool)
-        padded[: maha.shape[0], : maha.shape[1]] = maha <= chi2
-        blocks = padded.reshape(nby, block_size, nbx, block_size)
-        # Padded rows/columns are all-False; an edge facing the padding is
-        # only ever consulted for an in-grid neighbour, in which case the
-        # block is full in that direction and the padding does not alias.
-        # The down/up (right/left) edge bits are slices of the per-row
-        # (per-column) occupancy reduction, so three reductions cover all
-        # five bit planes.
-        row_hits = blocks.any(axis=3)  # (nby, bs, nbx)
-        col_hits = blocks.any(axis=1)  # (nby, nbx, bs)
-
-        def ring_pad(rows: list[list[bool]]) -> list[list[bool]]:
-            false_row = [False] * (nbx + 2)
-            return (
-                [false_row]
-                + [[False] + row + [False] for row in rows]
-                + [false_row]
-            )
-
-        block_any = ring_pad(row_hits.any(axis=1).tolist())
-        edges = {
-            "right": ring_pad(col_hits[:, :, -1].tolist()),
-            "left": ring_pad(col_hits[:, :, 0].tolist()),
-            "down": ring_pad(row_hits[:, -1, :].tolist()),
-            "up": ring_pad(row_hits[:, 0, :].tolist()),
-        }
-    return FootprintRegion(
-        px0=px0,
-        py0=py0,
-        maha=maha,
-        chi2=chi2,
-        block_origin=(by_lo - 1, bx_lo - 1),
-        block_any=block_any,
-        edges=edges,
-        start_block=start,
-    )
-
-
-def traverse_region_blocks(
-    region: FootprintRegion,
-    width: int,
-    height: int,
-    block_size: int,
-    saturated_set: set[tuple[int, int]] | None = None,
-) -> BlockTraversalResult:
-    """Replay Algorithm 1's block traversal over a precomputed region.
-
-    Produces a :class:`BlockTraversalResult` identical (including the block
-    order and the visited/skipped counters) to
-    :func:`repro.render.boundary.identify_influence_blocks`; the per-block
-    PE-array passes are replaced by reads of the precomputed occupancy bits.
-
-    Parameters
-    ----------
-    saturated_set:
-        Set of saturated ``(by, bx)`` blocks in global block coordinates —
-        the T_mask kept as a Python set so membership tests stay cheap at
-        per-block grain.  ``None`` disables the mask (CC off).
-    """
-    if region.chi2 is None:
-        return BlockTraversalResult([], 0, 0)
-    blocks_x = (width + block_size - 1) // block_size
-    blocks_y = (height + block_size - 1) // block_size
-    if blocks_x <= 0 or blocks_y <= 0:
-        return BlockTraversalResult([], 0, 0)
-
-    by0, bx0 = region.block_origin
-    block_any = region.block_any
-    edges = region.edges
-    nby = len(block_any)
-    nbx = len(block_any[0])
-    visited = [[False] * nbx for _ in range(nby)]
-
-    result_blocks: list[tuple[int, int]] = []
-    skipped_tmask = 0
-    start = region.start_block
-    ly, lx = start[0] - by0, start[1] - bx0
-    visited[ly][lx] = True
-    blocks_visited = 1
-    queue: deque[tuple[int, int]] = deque()
-    if block_any[ly][lx]:
-        queue.append((ly, lx))
-        if saturated_set is not None and start in saturated_set:
-            skipped_tmask += 1
-        else:
-            result_blocks.append(start)
-
-    edge_right, edge_left = edges["right"], edges["left"]
-    edge_down, edge_up = edges["down"], edges["up"]
-    # Probe order matches identify_influence_blocks: right, left, down, up.
-    # The region already clamps to the block grid, so a local index is
-    # in-bounds iff the global one is.
-    while queue:
-        ly, lx = queue.popleft()
-        gy, gx = ly + by0, lx + bx0
-        for ny, nx, gny, gnx, edge_hit in (
-            (ly, lx + 1, gy, gx + 1, edge_right[ly][lx]),
-            (ly, lx - 1, gy, gx - 1, edge_left[ly][lx]),
-            (ly + 1, lx, gy + 1, gx, edge_down[ly][lx]),
-            (ly - 1, lx, gy - 1, gx, edge_up[ly][lx]),
+    # (2) Reachability fixpoint.  Within one direction distinct frontier
+    # blocks have distinct neighbours, and ``visited`` is updated between
+    # directions, so a frontier never holds a block twice.
+    visited = np.zeros(total, dtype=bool)
+    enqueued = np.zeros(total, dtype=bool)
+    frontier = (ends - count + (start_y - by_lo) * rect_w + start_x - bx_lo)[present]
+    visited[frontier] = True
+    frontier = frontier[block_any[frontier]]
+    while frontier.size:
+        enqueued[frontier] = True
+        gaussian, local_y, local_x = _locate(frontier, ends, count, rect_w)
+        width = rect_w[gaussian]
+        reached = []
+        for edge, step, in_rect in (
+            (bits[1], 1, local_x + 1 < width),
+            (bits[2], -1, local_x > 0),
+            (bits[3], width, local_y + 1 < rect_h[gaussian]),
+            (bits[4], -width, local_y > 0),
         ):
-            if not (0 <= gny < blocks_y and 0 <= gnx < blocks_x):
-                continue
-            if visited[ny][nx] or not edge_hit:
-                continue
-            visited[ny][nx] = True
-            blocks_visited += 1
-            if not block_any[ny][nx]:
-                continue
-            queue.append((ny, nx))
-            if saturated_set is not None and (gny, gnx) in saturated_set:
-                skipped_tmask += 1
-            else:
-                result_blocks.append((gny, gnx))
-    return BlockTraversalResult(result_blocks, blocks_visited, skipped_tmask)
+            neighbour = (frontier + step)[edge[frontier] & in_rect]
+            neighbour = neighbour[~visited[neighbour]]
+            visited[neighbour] = True
+            reached.append(neighbour[block_any[neighbour]])
+        frontier = np.concatenate(reached)
+
+    seen = np.bincount(_locate(np.flatnonzero(visited), ends, count, rect_w)[0], minlength=num)
+    pair = np.flatnonzero(enqueued)
+    gaussian, local_y, local_x = _locate(pair, ends, count, rect_w)
+    block_x, block_y = bx_lo[gaussian] + local_x, by_lo[gaussian] + local_y
+    # A probe from an enqueued block that leaves the rectangle but stays on
+    # the grid lands on a block with no pixel inside: visited, never
+    # enqueued, and reachable from that one block only (it has no other
+    # neighbour inside the rectangle), so each such probe is one more visit.
+    for edge, leaves_rect, in_grid in (
+        (bits[1], local_x + 1 == rect_w[gaussian], block_x + 1 < frame.blocks_x),
+        (bits[2], local_x == 0, block_x > 0),
+        (bits[3], local_y + 1 == rect_h[gaussian], block_y + 1 < frame.blocks_y),
+        (bits[4], local_y == 0, block_y > 0),
+    ):
+        seen += np.bincount(gaussian[edge[pair] & leaves_rect & in_grid], minlength=num)
+    return gaussian, block_y * frame.blocks_x + block_x, seen
 
 
-def blend_region_blocks(
-    color_flat: np.ndarray,
-    trans_flat: np.ndarray,
-    region: FootprintRegion,
-    blocks: list[tuple[int, int]],
-    color: np.ndarray,
-    opacity: float,
-    width: int,
-    height: int,
-    block_size: int,
-    alpha_min: float,
-    alpha_max: float,
-    transmittance_eps: float,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Alpha-evaluate and blend all influence blocks of one Gaussian at once.
+def radius_box_blocks(
+    frame: BlockFrame, means2d: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every block under each Gaussian's bounding-radius box (the ``"aabb"``
+    boundary ablation), as ``(gaussian, block)`` pairs like
+    :func:`identify_group_blocks`'s."""
+    bx_lo, bx_hi = _block_range(means2d[:, 0], radii, frame.blocks_x, frame.block_size)
+    by_lo, by_hi = _block_range(means2d[:, 1], radii, frame.blocks_y, frame.block_size)
+    rect_w = np.maximum(bx_hi - bx_lo + 1, 0)
+    count = rect_w * np.maximum(by_hi - by_lo + 1, 0)
+    gaussian, local_y, local_x = _locate(np.arange(count.sum()), np.cumsum(count), count, rect_w)
+    return gaussian, (by_lo[gaussian] + local_y) * frame.blocks_x + bx_lo[gaussian] + local_x
 
-    Parameters
-    ----------
-    color_flat, trans_flat:
-        ``(H * W, 3)`` and ``(H * W,)`` flattened image state (modified in
-        place).  Blocks are disjoint pixel sets, so a single gather/scatter
-        is equivalent to the reference per-block loop.
 
-    Returns
-    -------
-    ``(counts, pixel_evaluations, block_trans_max)`` where ``counts[i]`` is
-    the number of pixels block ``i`` contributed, ``pixel_evaluations`` is
-    the total per-pixel alpha evaluations (the sum of valid block pixels)
-    and ``block_trans_max[i]`` is the post-blend maximum transmittance of
-    block ``i`` (used to update the T_mask exactly as the reference does).
+def blend_group_layers(
+    frame: BlockFrame,
+    gaussian: np.ndarray,
+    block: np.ndarray,
+    means2d: np.ndarray,
+    conics: np.ndarray,
+    opacities: np.ndarray,
+    colors: np.ndarray,
+    config,
+    use_tmask: bool,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stage IV for the influence pairs of one depth group, in rank layers.
+
+    ``gaussian`` (non-decreasing depth positions) and ``block`` list the
+    pairs; the per-Gaussian arrays are in depth order; ``config`` is the
+    :class:`~repro.render.common.RenderConfig`.  A block's pixels are touched
+    only by the pairs on that block, and its T_mask bit depends only on its
+    own pixels, so the group factorises per block: pairs are ranked by depth
+    within their block, and rank ``r`` of every block — pairwise distinct
+    blocks — is blended in one gather/scatter.  Each pixel receives the
+    reference's operations in the reference's order; an inactive pixel adds
+    ``+0.0`` to accumulators that are never ``-0.0`` and keeps its
+    transmittance.  With ``use_tmask`` a pair whose block has saturated by
+    its turn is skipped, exactly when the reference skips it.
+
+    Returns, per Gaussian, how many of its pairs were blended rather than
+    skipped and how many pixels they contributed to, and the total number of
+    alpha evaluations performed.
     """
-    barr = np.asarray(blocks, dtype=np.int64)
-    offsets = np.arange(block_size, dtype=np.int64)
-    ys = barr[:, 0, None] * block_size + offsets[None, :]
-    xs = barr[:, 1, None] * block_size + offsets[None, :]
-    valid = (ys < height)[:, :, None] & (xs < width)[:, None, :]
-    ys = np.minimum(ys, height - 1)
-    xs = np.minimum(xs, width - 1)
+    bs, eps = frame.block_size, config.transmittance_eps
+    num_pairs = gaussian.size
+    # Stable sort on the block keeps depth order inside each block's run.
+    by_block = np.argsort(block, kind="stable")
+    per_block = np.bincount(block)
+    rank = np.arange(num_pairs) - (np.cumsum(per_block) - per_block)[block[by_block]]
+    order = by_block[np.argsort(rank, kind="stable")]
+    layer_ends = np.cumsum(np.bincount(rank))
 
-    row_idx = (ys - region.py0)[:, :, None]
-    col_idx = (xs - region.px0)[:, None, :]
-    maha = region.maha[row_idx, col_idx]
-    alpha = alpha_from_maha(maha, opacity, alpha_min=alpha_min, alpha_max=alpha_max)
+    gaussian, block = gaussian[order], block[order]
+    block_y, block_x = np.divmod(block, frame.blocks_x)
+    color = colors[gaussian, None, :]
+    span = np.arange(bs)
+    #: Pixels each pair contributed to; -1 while (or if) it is not evaluated.
+    pixels = np.full(num_pairs, -1)
 
-    flat_idx = (ys[:, :, None] * width + xs[:, None, :])[valid]
-    alpha_v = alpha[valid]
-    trans_v = trans_flat[flat_idx]
-    active = (alpha_v > 0.0) & (trans_v > transmittance_eps)
+    # Alpha does not depend on the frame state, so it is evaluated for a
+    # chunk of pairs at once (a layer split by a chunk edge is two layers).
+    for lo in range(0, num_pairs, GROUP_PAIR_CHUNK):
+        hi = min(lo + GROUP_PAIR_CHUNK, num_pairs)
+        rows = gaussian[lo:hi]
+        maha = _block_maha(frame, means2d[rows], conics[rows], block_x[lo:hi], block_y[lo:hi], span)
+        maha = maha.reshape(hi - lo, bs * bs)
+        alphas = alpha_from_maha(
+            maha, opacities[rows, None], config.alpha_min, config.alpha_max, out=maha
+        )
+        cuts = [lo, *layer_ends[(layer_ends > lo) & (layer_ends < hi)].tolist(), hi]
+        for start, stop in zip(cuts, cuts[1:]):
+            layer = np.arange(start, stop)
+            if use_tmask:
+                layer = layer[~frame.saturated[block[layer]]]
+            rows = block[layer]
+            alpha, trans = alphas[layer - lo], frame.transmittance[rows]
+            # Zero alpha where the pixel has terminated: what is left
+            # non-zero is exactly the reference's active set.
+            alpha *= trans > eps
+            frame.color[rows] += (trans * alpha)[:, :, None] * color[layer]
+            count = np.count_nonzero(alpha, axis=1)
+            np.subtract(1.0, alpha, out=alpha)
+            trans *= alpha
+            frame.transmittance[rows] = trans
+            frame.saturated[rows[(count > 0) & (trans.max(axis=1) <= eps)]] = True
+            pixels[layer] = count
 
-    active_idx = flat_idx[active]
-    weight = trans_v[active] * alpha_v[active]
-    color_flat[active_idx] += weight[:, None] * color[None, :]
-    trans_after = np.where(active, trans_v * (1.0 - alpha_v), trans_v)
-    trans_flat[flat_idx] = trans_after
-
-    active_grid = np.zeros(valid.shape, dtype=bool)
-    active_grid[valid] = active
-    counts = np.count_nonzero(active_grid, axis=(1, 2))
-
-    trans_grid = np.full(valid.shape, -np.inf)
-    trans_grid[valid] = trans_after
-    block_trans_max = trans_grid.max(axis=(1, 2))
-    return counts, int(np.count_nonzero(valid)), block_trans_max
+    num = means2d.shape[0]
+    evaluated = pixels >= 0
+    return (
+        np.bincount(gaussian[evaluated], minlength=num),
+        np.bincount(gaussian[evaluated], weights=pixels[evaluated], minlength=num).astype(np.intp),
+        int(frame.valid_pixels[block[evaluated]].sum()),
+    )

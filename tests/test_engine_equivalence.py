@@ -1,10 +1,10 @@
 """Golden-equivalence tests between the vectorized and reference backends.
 
 The vectorized engine must be observationally indistinguishable from the
-reference loops: identical statistics counters (integer-exact) and images
-within ``atol=1e-9`` — bitwise for the tile-wise rasteriser, whose kernels
-add colour in the reference's order — for every dataflow, configuration and
-edge case.
+reference loops: identical statistics counters (integer-exact) and bitwise
+identical images — both engines perform the reference's operations on every
+pixel in the reference's order — for every dataflow, configuration and edge
+case.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class TestGaussianwiseEquivalence:
             enable_cc=enable_cc,
             boundary_mode=boundary_mode,
         )
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     @pytest.mark.parametrize("block_size", [4, 8, 16])
@@ -171,7 +171,7 @@ class TestGaussianwiseEquivalence:
         vec = render_gaussianwise(
             smoke_scene, smoke_camera, RenderConfig(backend="vectorized", **kwargs)
         )
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_3sigma_radius_rule(self, smoke_scene, smoke_camera):
@@ -184,7 +184,7 @@ class TestGaussianwiseEquivalence:
         vec = render_gaussianwise(
             smoke_scene, smoke_camera, RenderConfig(backend="vectorized", radius_rule="3sigma")
         )
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_empty_scene(self, front_camera):
@@ -194,7 +194,7 @@ class TestGaussianwiseEquivalence:
         vec = render_gaussianwise(
             GaussianScene.empty(), front_camera, RenderConfig(backend="vectorized")
         )
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     @pytest.mark.parametrize("boundary_mode", ["alpha", "aabb"])
@@ -213,7 +213,7 @@ class TestGaussianwiseEquivalence:
             RenderConfig(backend="vectorized", **kwargs),
             boundary_mode=boundary_mode,
         )
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_occlusion_wall_saturates_tmask(self, front_camera):
@@ -239,8 +239,73 @@ class TestGaussianwiseEquivalence:
             scene, front_camera, RenderConfig(backend="vectorized", **config_kwargs)
         )
         assert vec.stats.num_skipped_tmask + vec.stats.num_skipped_by_termination > 0
-        assert np.allclose(ref.image, vec.image, atol=1e-9)
+        assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
+
+    @staticmethod
+    def _both(scene, camera, boundary_mode="alpha", enable_cc=True, **config):
+        """The same frame on the reference and the vectorized backend."""
+        config.setdefault("radius_rule", "omega-sigma")
+        return [
+            render_gaussianwise(
+                scene,
+                camera,
+                RenderConfig(backend=backend, **config),
+                enable_cc=enable_cc,
+                boundary_mode=boundary_mode,
+            )
+            for backend in ("reference", "vectorized")
+        ]
+
+    @pytest.mark.parametrize("boundary_mode", ["aabb", "alpha"])
+    def test_3sigma_radius_rule_below_alpha_min(self, smoke_scene, smoke_camera, boundary_mode):
+        # Under the 3-sigma rule a Gaussian below alpha_min still has a
+        # radius box (blocks evaluated, nothing blended) but no alpha
+        # footprint at all.
+        dim = GaussianScene.from_flat_colors(
+            means=np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.2]]),
+            scales=np.full((2, 3), 0.3),
+            quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+            opacities=np.array([0.003, 0.0039]),
+            rgb=np.tile([0.9, 0.1, 0.1], (2, 1)),
+        )
+        cases = [(dim, True), (dim, False)]
+        if boundary_mode == "aabb":  # "alpha" on this scene is test_3sigma_radius_rule
+            cases.insert(0, (smoke_scene, True))
+        for scene, enable_cc in cases:
+            ref, vec = self._both(
+                scene, smoke_camera, boundary_mode, enable_cc, radius_rule="3sigma"
+            )
+            assert np.array_equal(ref.image, vec.image)
+            assert_stats_equal(ref.stats, vec.stats)
+        assert vec.stats.num_screen_passed == 2 and vec.stats.num_rendered == 0
+        if boundary_mode == "aabb":
+            assert vec.stats.blocks_evaluated > 0 and vec.stats.num_empty_footprint == 0
+        else:
+            assert vec.stats.blocks_visited == 0 and vec.stats.num_empty_footprint == 2
+
+    @pytest.mark.parametrize("group_capacity", [1, 7, 256])
+    def test_group_capacities(self, small_lego_scene, small_lego_camera, group_capacity):
+        ref, vec = self._both(small_lego_scene, small_lego_camera, group_capacity=group_capacity)
+        assert vec.stats.num_groups >= vec.stats.num_stage1_passed / group_capacity
+        assert np.array_equal(ref.image, vec.image)
+        assert_stats_equal(ref.stats, vec.stats)
+
+    @pytest.mark.parametrize("size", [(61, 45), (5, 37), (37, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_image_not_a_multiple_of_the_block(self, smoke_scene, size):
+        # Partial edge blocks on both axes; then an image narrower (lower)
+        # than one block, where every block is partial.
+        camera = Camera.from_fov(
+            width=size[0],
+            height=size[1],
+            fov_y_degrees=50.0,
+            world_to_camera=look_at(np.array([0.0, 0.0, -4.0]), np.array([0.0, 0.0, 0.0])),
+        )
+        for boundary_mode, enable_cc in [("alpha", True), ("alpha", False), ("aabb", True)]:
+            ref, vec = self._both(smoke_scene, camera, boundary_mode, enable_cc)
+            assert vec.stats.num_rendered > 0
+            assert np.array_equal(ref.image, vec.image)
+            assert_stats_equal(ref.stats, vec.stats)
 
 
 class TestBackendConfig:

@@ -133,7 +133,7 @@ class TestStageBreakdown:
         assert attribution["frame_ms"] == 90.0
         assert attribution["kernel_stage_ms"] == 38.0
         assert attribution["per_stage"] == {
-            "project": 2.0, "pair_build": 1.0, "blend": 35.0,
+            "project": 2.0, "pair_build": 1.0, "boundary": 0.0, "sh": 0.0, "blend": 35.0,
         }
         assert attribution["attributed_fraction"] == round(38.0 / 90.0, 6)
 

@@ -56,6 +56,31 @@ class TestSequentialTracing:
         assert request["attrs"]["request"] == "r1"
         assert all(s["lane"] == "main" for s in obs.tracer.spans)
 
+    def test_gaussianwise_stages_cover_the_frame(self):
+        # The Gaussian-wise engine brackets its stages once per processed
+        # depth group; together they must account for the frame (what is
+        # left is Stage I grouping, the sort and the final composite).
+        obs = ObsContext.create()
+        with RenderExecutor(num_workers=0, obs=obs) as executor:
+            result = executor.submit(quick_job(1, dataflow="gaussianwise")).result()
+        named = spans_by_name(obs.tracer)
+        (frame,) = named["frame"]
+        groups = result.frames[0].stats.num_groups_processed
+        assert groups > 1 and "pair_build" not in named
+        assert len(named["project"]) == groups
+        stages = [s for name in ("project", "boundary", "sh", "blend") for s in named[name]]
+        assert len(named["boundary"]) == len(named["sh"]) == len(named["blend"]) <= groups
+        # Valid nesting: every stage is a child of the frame, inside its
+        # interval, and stages never overlap one another.
+        assert all(s["parent"] == frame["id"] for s in stages)
+        stages.sort(key=lambda s: s["t0_ms"])
+        assert stages[0]["t0_ms"] >= frame["t0_ms"]
+        assert stages[-1]["t0_ms"] + stages[-1]["dur_ms"] <= frame["t0_ms"] + frame["dur_ms"]
+        for before, after in zip(stages, stages[1:]):
+            assert before["t0_ms"] + before["dur_ms"] <= after["t0_ms"]
+        assert sum(s["dur_ms"] for s in stages) >= 0.90 * frame["dur_ms"]
+        validate_chrome_trace(chrome_trace(obs.tracer.spans))
+
     def test_stage_hook_restored_after_job(self):
         from repro.render.kernels import NullStageHook, stage_hook
 

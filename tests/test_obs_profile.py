@@ -227,7 +227,9 @@ class TestAttributeStages:
         assert result["total"] == 500
         assert result["idle"] == 400
         assert result["active"] == 100
-        assert result["stages"] == {"blend": 60, "project": 20, "pair_build": 10}
+        assert result["stages"] == {
+            "blend": 60, "project": 20, "pair_build": 10, "boundary": 0, "sh": 0,
+        }
         assert result["attributed_fraction"] == pytest.approx(0.9)
 
     def test_wait_leaves_only_match_at_the_leaf(self):

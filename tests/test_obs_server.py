@@ -222,6 +222,10 @@ class TestLiveSchedRun:
                 def tail():
                     cursor = 0
                     while True:
+                        # Read the flag before the fetch: the last fetch
+                        # must start after the run has recorded its last
+                        # span, or spans closed in between are never seen.
+                        finished = done.is_set()
                         status, headers, body = _get(
                             f"{base}/trace.jsonl?cursor={cursor}"
                         )
@@ -229,7 +233,7 @@ class TestLiveSchedRun:
                         for line in body.splitlines():
                             collected.append(json.loads(line))
                         cursor = int(headers["X-Trace-Cursor"])
-                        if done.is_set():
+                        if finished:
                             return
                         statuses.append(_get(base + "/metrics")[0])
 

@@ -77,6 +77,15 @@ class TestRenderPathUnperturbed:
         traced = _run(2, ObsContext.create(), **preset)
         _assert_results_identical(plain, traced)
 
+    def test_gaussianwise_bitwise_identical(self):
+        # The Gaussian-wise engine brackets four stages per depth group;
+        # image and counters must not notice whether anything records them.
+        plain = _run(0, None, dataflow="gaussianwise")
+        obs = ObsContext.create()
+        traced = _run(0, obs, dataflow="gaussianwise")
+        assert {"boundary", "sh"} <= {span["name"] for span in obs.tracer.spans}
+        _assert_results_identical(plain, traced)
+
     def test_sharded_bitwise_identical(self):
         plain = _run(2, None, shards=2)
         traced = _run(2, ObsContext.create(), shards=2)
