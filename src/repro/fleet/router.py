@@ -25,6 +25,8 @@ Routing policies:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro.fleet.autoscaler import AutoscalePolicy
@@ -74,8 +76,18 @@ class FleetPolicy:
         if self.vnodes <= 0:
             raise ValueError("vnodes must be positive")
         for event in self.failures:
+            # Failure specs arrive from the command line: a NaN or infinite
+            # time would sit in the event heap with no defined order, and
+            # a negative id names no executor.
             if len(event) != 2:
                 raise ValueError("failures entries must be (t_ms, executor_id)")
+            t_ms, executor_id = event
+            if not (isinstance(t_ms, numbers.Real) and math.isfinite(t_ms) and t_ms >= 0):
+                raise ValueError(f"failure time must be a finite number >= 0, got {t_ms!r}")
+            if not (isinstance(executor_id, numbers.Integral) and executor_id >= 0):
+                raise ValueError(
+                    f"failure executor id must be an integer >= 0, got {executor_id!r}"
+                )
 
 
 @dataclass
@@ -92,7 +104,6 @@ class ExecutorLane:
     touched: set = field(default_factory=set)
     #: Cumulative modeled service time (the least-loaded signal).
     worker_ms: float = 0.0
-    jobs: int = 0
     #: Request currently in flight (decision plane), for failure requeue.
     inflight: object | None = None
     #: Monotonic id of the in-flight dispatch (voids stale completions).
@@ -112,8 +123,13 @@ class FleetRouter:
 
     def __init__(self, policy: FleetPolicy) -> None:
         self.policy = policy
+        #: Lanes by executor id.  Ids are handed out monotonically and a
+        #: dict keeps insertion order, so iteration is already id order.
         self.lanes: dict[int, ExecutorLane] = {}
         self.ring = ConsistentHashRing(vnodes=policy.vnodes)
+        #: Ring owner per residency key since the last membership change
+        #: (a lookup hashes the key with sha256; placements repeat keys).
+        self._homes: dict = {}
         self._next_id = 0
         self.peak_executors = 0
         for _ in range(policy.num_executors):
@@ -128,6 +144,7 @@ class FleetRouter:
         self._next_id += 1
         self.lanes[lane.executor_id] = lane
         self.ring.add(lane.executor_id)
+        self._homes.clear()
         self.peak_executors = max(self.peak_executors, len(self.lanes))
         return lane
 
@@ -136,26 +153,26 @@ class FleetRouter:
         lane = self.lanes.pop(executor_id, None)
         if lane is not None:
             self.ring.remove(executor_id)
+            self._homes.clear()
         return lane
 
     def active(self) -> list[ExecutorLane]:
-        """Current lanes, id-sorted (deterministic iteration order)."""
-        return [self.lanes[key] for key in sorted(self.lanes)]
+        """Current lanes in id order (deterministic iteration order)."""
+        return list(self.lanes.values())
 
     def free_lanes(self, now: float) -> list[ExecutorLane]:
         """Lanes able to start a job *now* (idle and past cold start)."""
         return [
             lane
-            for lane in self.active()
+            for lane in self.lanes.values()
             if not lane.busy and lane.available_at <= now
         ]
 
     def earliest_free_ms(self, now: float) -> float:
         """Soonest virtual time any lane can accept a job (``now`` if one can)."""
-        lanes = self.active()
-        if not lanes:
+        if not self.lanes:
             return now
-        return min(max(lane.free_at(), now) for lane in lanes)
+        return min(max(lane.free_at(), now) for lane in self.lanes.values())
 
     # ------------------------------------------------------------------
     def place(
@@ -165,17 +182,20 @@ class FleetRouter:
         now: float,
         slack_ms: float,
         cost,
+        free: list[ExecutorLane] | None = None,
     ) -> ExecutorLane | None:
         """Choose a lane for ``request``, or ``None`` to leave it queued.
 
         ``key`` is the residency key the affinity ring hashes; ``cost``
         maps a lane to the request's modeled service time *on that lane*
-        (warm on lanes that already touched the key, cold elsewhere).
-        ``None`` means defer: either no lane is free, or affinity decided
-        waiting for the warm preferred executor beats a cold fallback and
-        still fits ``slack_ms``.
+        (warm on lanes that already touched the key, cold elsewhere);
+        ``free`` is :meth:`free_lanes` at ``now`` when the caller already
+        holds it.  ``None`` means defer: either no lane is free, or
+        affinity decided waiting for the warm preferred executor beats a
+        cold fallback and still fits ``slack_ms``.
         """
-        free = self.free_lanes(now)
+        if free is None:
+            free = self.free_lanes(now)
         if not free:
             return None
         routing = self.policy.routing
@@ -187,7 +207,10 @@ class FleetRouter:
         if routing == "least-loaded":
             return min(free, key=lambda lane: (lane.worker_ms, lane.executor_id))
         # affinity
-        preferred = self.lanes[self.ring.lookup(key)]
+        home = self._homes.get(key)
+        if home is None:
+            home = self._homes[key] = self.ring.lookup(key)
+        preferred = self.lanes[home]
         if not preferred.busy and preferred.available_at <= now:
             return preferred
         fallback = min(

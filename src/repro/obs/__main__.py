@@ -28,14 +28,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.alerts import AlertEngine, firing_rules, load_rules, samples_from_schedule_log
+from repro.obs.alerts import samples_from_schedule_log
 from repro.obs.analysis import analyze, diff_analyses, events_from_trace, load_trace
+from repro.obs.cli import EXIT_ALERTS_FIRING, evaluate_alerts
 from repro.obs.exporters import export_html, parse_prometheus_snapshot
 from repro.obs.resources import diff_resources, resources_from_snapshot
-
-#: Exit code when at least one alert rule is firing — distinct from
-#: argparse's 2 so scripts can tell "SLO violated" from "bad usage".
-EXIT_ALERTS_FIRING = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,13 +253,8 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     if args.alerts:
-        with open(args.alerts, "r", encoding="utf-8") as fh:
-            rules = load_rules(json.load(fh))
-        samples = _alert_samples(records, metrics_snapshot)
-        log = AlertEngine(rules).evaluate(samples)
-        firing = firing_rules(log)
-        report["alerts"] = {"rules": len(rules), "log": log, "firing": firing}
-        if firing:
+        report["alerts"] = evaluate_alerts(args.alerts, _alert_samples(records, metrics_snapshot))
+        if report["alerts"]["firing"]:
             exit_code = EXIT_ALERTS_FIRING
 
     if args.analyze_out:

@@ -9,12 +9,13 @@ the policy that connect them:
   Poisson / bursty (Markov-modulated) arrivals, Zipf scene popularity,
   per-client trajectory and frame-count mixes.  Deterministic per seed.
 * :mod:`repro.sched.scheduler` — the admission-controlled
-  :class:`~repro.sched.scheduler.RequestScheduler`: priority/deadline
-  queues, a deterministic virtual-clock decision plane
-  (:class:`~repro.sched.scheduler.ServiceModel`, which models the
-  executor's warm/cold dispatch split), and an optional real data plane
-  submitting overlapping :class:`~repro.serve.trajectories.RenderJob`\\ s
-  to a persistent :class:`~repro.exec.executor.RenderExecutor`.
+  :class:`~repro.sched.scheduler.RequestScheduler` and its optional real
+  data plane (overlapping :class:`~repro.serve.trajectories.RenderJob`\\ s
+  on persistent :class:`~repro.exec.executor.RenderExecutor`\\ s);
+  :mod:`repro.sched.run` is its deterministic virtual-clock decision
+  plane, one handler per event, :mod:`repro.sched.model` the
+  :class:`~repro.sched.model.ServiceModel` pricing it (warm/cold
+  dispatch split included), :mod:`repro.sched.report` what a run returns.
 * :mod:`repro.sched.qos` — the
   :class:`~repro.sched.qos.SLOController`: windowed-p95 monitoring, the
   quality tier ladder, hysteresis, load shedding, and the structured

@@ -37,16 +37,12 @@ import sys
 from repro.eval.reporting import format_table
 from repro.eval.scenes import EVAL_SCENES
 from repro.gaussians.synthetic import BENCHMARK_SCENES
-from repro.obs import (
-    CompositeObserver,
-    MemoryAttributor,
-    ObsContext,
-    SpanStackTracker,
-    StackSampler,
-    TelemetryServer,
-    export_metrics,
-    export_trace,
-    parse_listen,
+from repro.obs.cli import (
+    EXIT_ALERTS_FIRING,
+    TelemetrySession,
+    add_telemetry_arguments,
+    alerts_line,
+    evaluate_alerts,
 )
 from repro.render.common import BACKENDS
 from repro.sched.qos import (
@@ -104,15 +100,19 @@ def build_fleet_policy(args, parser) -> FleetPolicy | None:
         autoscale = AutoscalePolicy(
             min_executors=args.executors, max_executors=args.autoscale_max
         )
-    return FleetPolicy(
-        num_executors=args.executors,
-        routing=args.routing,
-        autoscale=autoscale,
-        fair=args.fair,
-        tenant_quota=args.tenant_quota,
-        failures=_parse_failures(args.fail_executor, parser),
-        seed=args.seed,
-    )
+    try:
+        return FleetPolicy(
+            num_executors=args.executors,
+            routing=args.routing,
+            autoscale=autoscale,
+            fair=args.fair,
+            tenant_quota=args.tenant_quota,
+            failures=_parse_failures(args.fail_executor, parser),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # What argparse's types cannot see, e.g. --fail-executor nan:0.
+        parser.error(str(exc))
 
 
 def _positive_float(text: str) -> float:
@@ -153,15 +153,8 @@ def _frame_choices(text: str) -> tuple[int, ...]:
     return frames
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-sched",
-        description=(
-            "Serve a seeded synthetic workload through the multi-tenant "
-            "SLO-aware request scheduler."
-        ),
-    )
-    workload = parser.add_argument_group("workload")
+def _add_workload_arguments(workload) -> None:
+    """The synthetic request stream."""
     workload.add_argument(
         "--arrival",
         default="poisson",
@@ -219,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="workload seed (same seed = same stream and decision log)",
     )
-    serving = parser.add_argument_group("serving")
+
+
+def _add_serving_arguments(serving) -> None:
+    """Tiering policy, capacity and engine of the serving side."""
     serving.add_argument(
         "--policy",
         default="adaptive",
@@ -301,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="really render every dispatched job through the farm",
     )
-    fleet = parser.add_argument_group("fleet")
+
+
+def _add_fleet_arguments(fleet) -> None:
+    """Fleet size, placement, scaling, fairness and failure injection."""
     fleet.add_argument(
         "--executors",
         type=_positive_int,
@@ -309,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "serve over a fleet of N executors with cache-aware routing "
-            "(default: the historical single-executor scheduler; with "
-            "--execute each fleet member gets its own named render "
-            "executor)"
+            "(default: one executor, reported without the fleet and tenant "
+            "tables; with --execute each fleet member gets its own named "
+            "render executor)"
         ),
     )
     fleet.add_argument(
@@ -368,6 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
             "is lost (repeatable; requires --executors)"
         ),
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-sched",
+        description=(
+            "Serve a seeded synthetic workload through the multi-tenant "
+            "SLO-aware request scheduler."
+        ),
+    )
+    _add_workload_arguments(parser.add_argument_group("workload"))
+    _add_serving_arguments(parser.add_argument_group("serving"))
+    _add_fleet_arguments(parser.add_argument_group("fleet"))
     output = parser.add_argument_group("output")
     output.add_argument(
         "--json",
@@ -379,57 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the full decision event log in the report (implies --json)",
     )
-    output.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help=(
+    add_telemetry_arguments(
+        output,
+        parser.add_argument_group("telemetry"),
+        trace_help=(
             "write a trace of the run to PATH: Chrome trace_event JSON "
             "(open in Perfetto / chrome://tracing) or raw span JSON-lines "
             "when PATH ends in .jsonl; decision-plane spans use the virtual "
             "clock, data-plane spans (with --execute) the wall clock"
         ),
-    )
-    output.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write run metrics to PATH in Prometheus text exposition format",
-    )
-    output.add_argument(
-        "--analyze-out",
-        metavar="PATH",
-        help=(
-            "write the trace analysis (critical path, stage/lane breakdowns, "
-            "timelines) of this run to PATH as JSON"
-        ),
-    )
-    output.add_argument(
-        "--alerts",
-        metavar="PATH",
-        help=(
+        alerts_help=(
             "evaluate the JSON alert rules at PATH against this run's "
             "decision log (deterministic on the virtual clock); exit 3 "
             "if any rule is firing at the end of the run"
-        ),
-    )
-    telemetry = parser.add_argument_group("telemetry")
-    telemetry.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        help=(
-            "serve live telemetry over HTTP while the run executes: "
-            "/metrics (Prometheus), /health (JSON), /trace.jsonl "
-            "(incremental span tail), /profile?seconds=N (collapsed-stack "
-            "CPU capture), / (timeline HTML); port 0 binds an ephemeral "
-            "port (printed to stderr); implies an obs context"
-        ),
-    )
-    telemetry.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help=(
-            "additionally attribute allocations per kernel stage / decode "
-            "span via tracemalloc (adds tracing overhead; surfaces in "
-            "/profile?format=json; requires --listen)"
         ),
     )
     return parser
@@ -556,33 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         slo_ms=args.slo_ms,
         seed=args.seed,
     )
-    if args.profile_memory and not args.listen:
-        parser.error("--profile-memory requires --listen")
-    listen_addr = None
-    if args.listen:
-        try:
-            listen_addr = parse_listen(args.listen)
-        except ValueError as exc:
-            parser.error(str(exc))
-    needs_obs = args.trace_out or args.metrics_out or args.analyze_out or args.listen
-    obs = ObsContext.create() if needs_obs else None
-    sampler = memory = None
-    if listen_addr is not None:
-        # The live profiling plane rides the tracer's observer slot: the
-        # span tracker tags CPU samples with the innermost kernel-stage
-        # span, and (opt-in) the memory attributor brackets the same
-        # spans with tracemalloc readings.  All of it reads measured
-        # values only — the zero-perturbation suite pins that attaching
-        # it changes no rendered bit and no scheduler decision.
-        tracker = SpanStackTracker()
-        sampler = StackSampler(tracker=tracker)
-        if args.profile_memory:
-            memory = MemoryAttributor()
-            memory.start()
-            obs.tracer.observer = CompositeObserver(tracker, memory)
-        else:
-            obs.tracer.observer = tracker
-        sampler.start()
+    telemetry = TelemetrySession(args, parser)
     with RequestScheduler(
         policy=SchedulerPolicy(
             num_workers=args.workers,
@@ -594,55 +542,20 @@ def main(argv: list[str] | None = None) -> int:
         qos=build_controller(args),
         quick=args.quick,
         execute=args.execute,
-        obs=obs,
+        obs=telemetry.obs,
         fleet=build_fleet_policy(args, parser),
     ) as scheduler:
-        server = None
-        try:
-            if listen_addr is not None:
-                server = TelemetryServer(
-                    *listen_addr,
-                    tracer=obs.tracer,
-                    metrics_fn=scheduler.live_metrics,
-                    health_fn=scheduler.health,
-                    sampler=sampler,
-                    memory=memory,
-                ).start()
-                print(
-                    f"telemetry: listening on http://{server.address}/",
-                    file=sys.stderr,
-                    flush=True,
-                )
+        with telemetry.live(scheduler.live_metrics, scheduler.health):
             report = run_workload(spec, scheduler)
             # Health must be read while the pool is alive (close() empties it).
             health = scheduler.health()
-        finally:
-            if server is not None:
-                server.stop()
-            if sampler is not None:
-                sampler.stop()
-            if memory is not None:
-                memory.stop()
-    if obs is not None:
-        if args.trace_out:
-            export_trace(args.trace_out, obs.tracer)
-        if args.metrics_out:
-            export_metrics(args.metrics_out, obs.metrics)
-        if args.analyze_out:
-            from repro.obs.analysis import analyze
-
-            with open(args.analyze_out, "w", encoding="utf-8") as fh:
-                json.dump(analyze(obs.tracer.spans), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    telemetry.export()
 
     alerts = None
     if args.alerts:
-        from repro.obs.alerts import AlertEngine, firing_rules, load_rules, samples_from_schedule_log
+        from repro.obs.alerts import samples_from_schedule_log
 
-        with open(args.alerts, "r", encoding="utf-8") as fh:
-            rules = load_rules(json.load(fh))
-        log = AlertEngine(rules).evaluate(samples_from_schedule_log(report.log.events))
-        alerts = {"rules": len(rules), "log": log, "firing": firing_rules(log)}
+        alerts = evaluate_alerts(args.alerts, samples_from_schedule_log(report.log.events))
 
     if args.json or args.events:
         summary = report.summary(include_events=args.events)
@@ -662,11 +575,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{health['workers_replaced']} replaced"
             )
         if alerts is not None:
-            if alerts["firing"]:
-                print(f"  alerts FIRING: {', '.join(alerts['firing'])}")
-            else:
-                print("  alerts: none firing")
-    return 3 if alerts is not None and alerts["firing"] else 0
+            print(alerts_line(alerts))
+    return EXIT_ALERTS_FIRING if alerts is not None and alerts["firing"] else 0
 
 
 if __name__ == "__main__":

@@ -1,287 +1,87 @@
 """Multi-tenant request scheduler: admission, queueing, dispatch, accounting.
 
 :class:`RequestScheduler` consumes a :mod:`repro.sched.workload` request
-stream and serves it through the render farm under an SLO controller.  The
-design splits two planes:
+stream and serves it over a fleet of executors under an SLO controller.
+The design splits two planes:
 
 * **Decision plane (virtual clock, deterministic).**  Arrivals, admission
-  control, queueing, dispatch order and the QoS controller all run on an
-  event-driven simulation whose service durations come from a deterministic
-  analytic :class:`ServiceModel` (per-frame cost from the preset's Gaussian
-  count at the request's LOD, pixel count, and the quant tier's shipping
-  bytes).  Every decision is therefore a pure function of the workload seed
-  and the configuration — identical seeds replay identical event logs,
-  which is what makes SLO experiments comparable across machines and runs.
+  control, queueing, placement, dispatch order and the QoS controller all
+  run on an event-driven simulation whose service durations come from a
+  deterministic analytic :class:`~repro.sched.model.ServiceModel`
+  (per-frame cost from the preset's Gaussian count at the request's LOD,
+  pixel count, and the quant tier's shipping bytes).  Every decision is
+  therefore a pure function of the workload seed and the configuration —
+  identical seeds replay identical event logs, which is what makes SLO
+  experiments comparable across machines and runs.
 * **Data plane (optional, real).**  With ``execute=True`` every dispatched
-  request is additionally *submitted* to a persistent
-  :class:`~repro.exec.executor.RenderExecutor` at exactly the
-  ``(lod, quant)`` tier the decision plane chose — jobs overlap across the
-  executor's worker slots instead of blocking the loop on a per-job farm
-  pool, scenes stay resident in the long-lived workers, and per-frame
-  completions stream back through ``on_frame``.  Measured wall/frame times
-  are drained after the virtual loop and recorded alongside the modeled
-  ones (they never feed back into decisions — that would trade
-  replayability for machine-local noise).
+  request is additionally *submitted* to the persistent
+  :class:`~repro.exec.executor.RenderExecutor` mirroring the lane the
+  decision plane placed it on, at exactly the ``(lod, quant)`` tier it
+  chose — jobs overlap across the executor's worker slots, scenes stay
+  resident in the long-lived workers, and per-frame completions stream
+  back through ``on_frame``.  Measured wall/frame times are drained after
+  the virtual loop and recorded alongside the modeled ones (they never
+  feed back into decisions — that would trade replayability for
+  machine-local noise).
+
+The decision plane is :class:`~repro.sched.run.ScheduleRun` — one object
+per run, one method per event kind — and it has **one dispatch path**: the
+fleet dispatcher.  A scheduler built without a
+:class:`~repro.fleet.FleetPolicy` runs it over a fleet of one executor
+(with one lane every routing policy picks the same lane) and merely
+reports in the pre-fleet shape; ``tests/test_sched_golden.py`` pins those
+decision logs.  This module is what callers configure and call: the
+policy, the scheduler, and its data-plane executors.
 
 The service model mirrors the executor's residency: the *first* dispatch
-of a ``(scene, lod, quant)`` tier is costed cold (``dispatch_cold_ms`` plus
-encoded-payload shipping), every later dispatch of that tier is warm
-(``dispatch_warm_ms``, nothing shipped).  Warmth is a pure function of the
-decision sequence, so identical seeds still replay identical logs.
+of a ``(scene, lod, quant)`` tier onto an executor is costed cold
+(``dispatch_cold_ms`` plus encoded-payload shipping), every later dispatch
+of that tier there is warm (``dispatch_warm_ms``, nothing shipped).  Warmth
+is a pure function of the decision sequence, so identical seeds still
+replay identical logs.
 
 Scheduling discipline: admitted requests wait in a priority/deadline queue
 — strict priority classes (premium tenants first), earliest absolute
-deadline within a class — and the farm serves one job at a time with its
+deadline within a class, or weighted-fair across tenants when the fleet
+policy asks for it — and each executor serves one job at a time with its
 ``num_workers`` frame-parallel lanes, which is exactly the contention that
 makes admission control and adaptive tiering necessary.
 
-Admission control at arrival time:
-
-1. **queue bound** — reject (``reject`` event) when ``max_queue`` requests
-   are already waiting;
-2. **deadline feasibility** — project the request's end-to-end latency if
-   served at the *cheapest* ladder tier behind the current backlog (the
-   backlog itself costed at the controller's *current* tier — the tier the
-   queue will actually drain at), and shed (``shed`` event) when even that
-   projection misses the deadline — the load-shedding half of the QoS
-   story.
-
-At dispatch the tier is chosen **per request**: the controller's current
-rung, demoted down the ladder only as far as the request's remaining
-deadline slack requires (see :meth:`RequestScheduler._dispatch_tier`); a
-request whose slack no longer fits even the cheapest rung is shed at the
-head of the queue (``shed`` event, ``deadline_expired_in_queue``) instead
-of burning capacity on a guaranteed miss.  Both behaviours belong to the
-*adaptive* controller — the fixed-tier baseline serves blindly at its
-pinned rung.
+Admission control (:meth:`~repro.sched.run.ScheduleRun.arrive`) rejects
+an arrival beyond ``max_queue`` waiting requests and sheds one whose
+projected latency, even at the *cheapest* ladder tier behind the current
+backlog, misses its deadline — the load-shedding half of the QoS story.
+At dispatch the tier is chosen **per request**
+(:meth:`~repro.sched.run.ScheduleRun.plan`): the controller's current
+rung, sharded and then demoted only as far as the remaining deadline slack
+requires; a request that no longer fits even the cheapest rung is shed at
+the head of the queue (:meth:`~repro.sched.run.ScheduleRun.offer`).
+Demotion and the late shed belong to the *adaptive* controller — the
+fixed-tier baseline serves blindly at its pinned rung.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.eval.scenes import eval_preset
 from repro.exec.executor import RenderExecutor
-from repro.fleet import Autoscaler, FairQueue, FleetPolicy, FleetRouter, UsageMeter
-from repro.gaussians.synthetic import scaled_image_size, scene_spec
-from repro.obs import VIRTUAL, MetricsRegistry, ObsContext
+from repro.fleet import FleetPolicy
+from repro.obs import MetricsRegistry, ObsContext
 from repro.render.common import BACKENDS
-from repro.sched.qos import (
-    EventLog,
-    QoSPolicy,
-    SLOController,
-    Tier,
-    tier_dtype,
-    tier_name,
-)
+from repro.sched.model import ServiceModel
+from repro.sched.qos import EventLog, SLOController, Tier, tier_dtype
+from repro.sched.report import OUTCOME_STATUSES, RequestOutcome, ScheduleReport
+from repro.sched.run import ScheduleRun
 from repro.sched.workload import Request, WorkloadSpec
-from repro.serve.farm import DATAFLOWS, RenderFarm
+from repro.serve.farm import DATAFLOWS
 from repro.serve.trajectories import RenderJob, make_trajectory
-from repro.store.codec import quant_spec
-from repro.store.lod import DEFAULT_RATIO, lod_keep_count
 
 
-# ----------------------------------------------------------------------
-# Deterministic service-time model
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServiceModel:
-    """Analytic per-job cost model driving the virtual clock.
-
-    Costs are linear in the work the renderer actually does — Gaussians
-    preprocessed per frame and pixels blended — plus a per-job dispatch
-    overhead that scales with the *encoded* scene bytes the job's quant
-    tier would ship to the farm.  The coefficients are fixed constants (not
-    measured), which is deliberate: the model's job is to give the decision
-    plane a replayable notion of time whose *shape* matches the real system
-    (LOD halves render cost per level, quantization shrinks shipping), not
-    to predict any one machine's milliseconds.
-
-    Scene sizes are derived analytically from the preset tables
-    (``base_num_gaussians x scale``, then the LOD keep-count rule), so
-    costing a request against a built-in preset never builds a scene; the
-    one exception is a store-backed preset (``preset.store`` set), whose
-    size only the store knows — resolving it may build the base scene once,
-    after which the store's cache and this model's memo both hold it.
-
-    Per-(scene, quick, lod) results are memoised on the instance — the
-    admission path costs the whole queue against the model on every
-    arrival, and the underlying preset tables are stable for the model's
-    lifetime, so the arithmetic is paid once per distinct tier.
-    """
-
-    #: Fixed per-frame overhead (projection setup, sorting, traversal).
-    frame_base_ms: float = 1.0
-    #: Per-frame cost per thousand Gaussians at the request's LOD.
-    ms_per_kgaussian: float = 1.0
-    #: Per-frame cost per thousand rendered pixels.
-    ms_per_kpixel: float = 0.05
-    #: Per-job dispatch overhead on a *cold* tier: the first time a
-    #: ``(scene, lod, quant)`` tier is dispatched the executor must encode
-    #: the payload and the workers must decode it (plus the per-megabyte
-    #: shipping term below) — the cost the seed farm paid on *every* job
-    #: when it rebuilt its pool per dispatch.
-    dispatch_cold_ms: float = 4.0
-    #: Per-job dispatch overhead on a *warm* tier: queue pop and job build
-    #: against already-resident worker scenes.  No shipping term applies.
-    dispatch_warm_ms: float = 0.75
-    #: Scene-shipping cost per megabyte of the quant tier's encoded payload
-    #: (cold dispatches only — a warm tier is already resident).
-    ship_ms_per_mb: float = 4.0
-    #: Fixed overhead each *extra* tile-range shard of a frame adds on top
-    #: of the frame base (every shard re-runs projection and pair building;
-    #: the compositor merges the partials).  Zero-cost at ``shards=1``, so
-    #: the pre-sharding model is reproduced exactly by default.
-    shard_overhead_ms: float = 0.25
-    #: Multiplier on the per-Gaussian and per-pixel *work* terms when a
-    #: tier renders in float32 (the tile-wise fast path).  The frame base
-    #: and dispatch overheads are dtype-independent.
-    float32_work_factor: float = 0.6
-    #: LOD keep ratio (level k retains ``lod_ratio**k`` of the scene).
-    lod_ratio: float = DEFAULT_RATIO
-
-    def __post_init__(self) -> None:
-        # Instance-local memo (not a dataclass field: excluded from eq/hash
-        # and from repr, and legal to mutate on a frozen instance).
-        object.__setattr__(self, "_memo", {})
-
-    def num_gaussians(self, scene: str, quick: bool, lod: int) -> int:
-        """Gaussian count of ``scene``'s preset at detail level ``lod``."""
-        key = ("gaussians", scene, quick, lod)
-        cached = self._memo.get(key)
-        if cached is None:
-            preset = eval_preset(scene, quick=quick)
-            if preset.store is not None:
-                # Store-backed presets fix their own size; resolve through
-                # the (cached) store rather than guessing from the scale
-                # field.  This may build the base scene once.
-                from repro.store.store import default_store
-
-                base = default_store().get(preset.store).num_gaussians
-            else:
-                spec = scene_spec(preset.name)
-                base = max(16, int(round(spec.base_num_gaussians * preset.scale)))
-            cached = lod_keep_count(base, lod, self.lod_ratio)
-            self._memo[key] = cached
-        return cached
-
-    def num_pixels(self, scene: str, quick: bool) -> int:
-        """Pixels per frame of ``scene``'s preset."""
-        key = ("pixels", scene, quick)
-        cached = self._memo.get(key)
-        if cached is None:
-            preset = eval_preset(scene, quick=quick)
-            width, height = scaled_image_size(
-                scene_spec(preset.name), preset.image_scale
-            )
-            cached = width * height
-            self._memo[key] = cached
-        return cached
-
-    def frame_ms(
-        self,
-        scene: str,
-        quick: bool,
-        lod: int,
-        dtype: str = "float64",
-        shards: int = 1,
-    ) -> float:
-        """Modeled render time of one frame work unit at detail ``lod``.
-
-        With ``shards=1`` (the default) this is the whole frame, exactly as
-        the pre-sharding model costed it.  With ``shards=s > 1`` it is the
-        time of *one of the frame's s tile-range shards*: every shard pays
-        the frame base (projection and pair building re-run per shard) plus
-        a per-extra-shard coordination overhead, and does ``1/s`` of the
-        blending work.  ``dtype="float32"`` scales the work terms by
-        :attr:`float32_work_factor` (the fast path speeds up blending, not
-        the fixed overheads).
-        """
-        shards = max(1, shards)
-        key = ("frame_ms", scene, quick, lod, dtype, shards)
-        cached = self._memo.get(key)
-        if cached is None:
-            work = (
-                self.ms_per_kgaussian * self.num_gaussians(scene, quick, lod) / 1000.0
-                + self.ms_per_kpixel * self.num_pixels(scene, quick) / 1000.0
-            )
-            if dtype == "float32":
-                work *= self.float32_work_factor
-            cached = (
-                self.frame_base_ms
-                + self.shard_overhead_ms * (shards - 1)
-                + work / shards
-            )
-            self._memo[key] = cached
-        return cached
-
-    def dispatch_ms(self, request: Request, tier: Tier, quick: bool, warm: bool) -> float:
-        """Modeled per-job dispatch overhead at ``tier``.
-
-        A *cold* dispatch — the first touch of a ``(scene, lod, quant)``
-        tier since the serving process started — pays the fixed cold
-        overhead plus the tier's encoded-payload shipping cost; a *warm*
-        dispatch runs against resident worker scenes and pays only the
-        (much smaller) warm constant.
-        """
-        if warm:
-            return self.dispatch_warm_ms
-        ship_mb = self.ship_bytes(request.scene, quick, tier) / 1e6
-        return self.dispatch_cold_ms + self.ship_ms_per_mb * ship_mb
-
-    def ship_bytes(self, scene: str, quick: bool, tier: Tier) -> float:
-        """Encoded payload bytes a *cold* dispatch of ``tier`` ships.
-
-        This is the quantity cache-aware fleet routing minimises (and the
-        per-tenant usage meter tallies): every first touch of a
-        ``(scene, lod, quant)`` tier on an executor ships the tier's
-        encoded scene; warm dispatches ship nothing.
-        """
-        lod, quant = tier[0], tier[1]
-        gaussians = self.num_gaussians(scene, quick, lod)
-        return quant_spec(quant).bytes_per_gaussian() * gaussians
-
-    def job_ms(
-        self,
-        request: Request,
-        tier: Tier,
-        workers: int,
-        quick: bool,
-        warm: bool = False,
-        shards: int = 1,
-    ) -> float:
-        """Modeled service time of ``request`` rendered at ``tier``.
-
-        ``workers`` frame-parallel lanes render the job's work units —
-        frames, or ``num_frames x shards`` tile-range shards when the
-        dispatcher splits frames — in ``ceil(units / workers)`` waves on
-        top of the warm/cold dispatch overhead (see :meth:`dispatch_ms`;
-        ``warm=False`` is the conservative default and matches the
-        pre-executor model, whose every dispatch was cold).  Sharding cuts
-        the critical path of a job with fewer frames than lanes (the idle
-        lanes take shards) at the cost of the per-shard overhead; at
-        ``shards=1`` the pre-sharding cost is reproduced exactly.
-        """
-        shards = max(1, shards)
-        units = request.num_frames * shards
-        waves = math.ceil(units / max(1, workers))
-        return self.dispatch_ms(request, tier, quick, warm) + waves * self.frame_ms(
-            request.scene, quick, tier[0], dtype=tier_dtype(tier), shards=shards
-        )
-
-
-# ----------------------------------------------------------------------
-# Policy and outcomes
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SchedulerPolicy:
     """Capacity and queueing knobs of the scheduler."""
 
-    #: Frame-parallel lanes of the serving farm (0/1 = sequential farm; the
+    #: Frame-parallel lanes of each executor (0/1 = sequential; the
     #: virtual clock models ``max(1, num_workers)`` lanes either way).
     num_workers: int = 1
     #: Admission bound on waiting requests (beyond it arrivals are rejected).
@@ -314,221 +114,15 @@ class SchedulerPolicy:
 
     @property
     def model_workers(self) -> int:
-        """Lanes the virtual clock models (the sequential farm is one lane)."""
+        """Lanes the virtual clock models (a sequential executor is one lane)."""
         return max(1, self.num_workers)
-
-
-#: Terminal status of a request in a schedule.
-OUTCOME_STATUSES: tuple[str, ...] = ("completed", "shed", "rejected")
-
-
-@dataclass
-class RequestOutcome:
-    """What happened to one request, on both planes."""
-
-    request: Request
-    status: str
-    #: Tier the request was served at (``None`` when never dispatched).
-    tier: Tier | None = None
-    #: Tile-range shards each frame was split into (1 = whole frames).
-    shards: int = 1
-    queue_wait_ms: float | None = None
-    service_ms: float | None = None
-    e2e_ms: float | None = None
-    slo_met: bool = False
-    #: Real farm wall time when the data plane executed (else ``None``).
-    measured_wall_ms: float | None = None
-    measured_frames: int = 0
-
-
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-def _percentile(values: list[float], q: float) -> float:
-    return float(np.percentile(np.array(values), q)) if values else 0.0
-
-
-@dataclass
-class ScheduleReport:
-    """Aggregated result of one scheduler run over one workload."""
-
-    spec: WorkloadSpec
-    policy: SchedulerPolicy
-    qos_policy: QoSPolicy
-    ladder: tuple[Tier, ...]
-    outcomes: list[RequestOutcome]
-    log: EventLog
-    executed: bool
-    #: Real per-frame render latencies streamed off the executor (execute
-    #: runs; completion order, frames of overlapping jobs interleaved).
-    measured_frame_ms: list[float] = field(default_factory=list)
-    #: Decision-plane dispatch warmth: how many dispatched jobs the service
-    #: model costed cold (first touch of a ``(scene, lod, quant)`` tier)
-    #: vs warm (tier already resident from an earlier dispatch).
-    dispatch_counts: dict[str, int] = field(
-        default_factory=lambda: {"cold": 0, "warm": 0}
-    )
-    #: Data-plane residency accounting aggregated off the executor
-    #: (``None`` on virtual-only runs).
-    data_plane: dict | None = None
-    #: Per-run metrics registry (decision-plane counters/histograms:
-    #: requests by status, dispatch warmth, per-tier served counts,
-    #: queue-wait/service/e2e histograms).  ``None`` only for reports
-    #: constructed by hand without a run.
-    metrics: MetricsRegistry | None = None
-    #: Fleet-mode accounting (placements, scale/failure/requeue counts,
-    #: modeled ship bytes).  ``None`` on single-executor runs — the
-    #: summary only grows fleet keys when a fleet actually ran, so the
-    #: historical payload shape is byte-identically preserved.
-    fleet: dict | None = None
-    #: Per-tenant usage metering (fleet mode only; ``None`` otherwise).
-    tenant_usage: dict | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def completed(self) -> list[RequestOutcome]:
-        return [o for o in self.outcomes if o.status == "completed"]
-
-    @property
-    def num_slo_met(self) -> int:
-        return sum(1 for o in self.completed if o.slo_met)
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of completed requests that met their deadline."""
-        done = self.completed
-        return self.num_slo_met / len(done) if done else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered requests dropped rather than completed.
-
-        Counts queue-full rejects, admission-time feasibility sheds *and*
-        head-of-queue ``deadline_expired_in_queue`` sheds — every offered
-        request that did not complete.
-        """
-        if not self.outcomes:
-            return 0.0
-        dropped = sum(1 for o in self.outcomes if o.status != "completed")
-        return dropped / len(self.outcomes)
-
-    @property
-    def makespan_ms(self) -> float:
-        """Virtual time from t=0 to the last completion (or last arrival)."""
-        finish = [o.request.arrival_ms + (o.e2e_ms or 0.0) for o in self.outcomes]
-        return max(finish) if finish else 0.0
-
-    @property
-    def goodput_rps(self) -> float:
-        """SLO-met completions per second of virtual makespan."""
-        span_s = self.makespan_ms / 1000.0
-        return self.num_slo_met / span_s if span_s > 0 else 0.0
-
-    def tier_histogram(self) -> dict[str, int]:
-        """Dispatched requests per served tier (tier-name keyed, sorted).
-
-        Served from the run's metrics registry (the per-tier counter the
-        scheduler increments at each completion); reports built without a
-        registry fall back to recounting the outcomes — both paths produce
-        identical dicts.
-        """
-        if self.metrics is not None:
-            return dict(
-                sorted(
-                    (labels["tier"], value)
-                    for labels, value in self.metrics.labeled_values(
-                        "repro_sched_tier_served_total"
-                    )
-                )
-            )
-        totals: dict[str, int] = {}
-        for outcome in self.completed:
-            key = tier_name(outcome.tier)
-            totals[key] = totals.get(key, 0) + 1
-        return dict(sorted(totals.items()))
-
-    # ------------------------------------------------------------------
-    def summary(self, include_events: bool = False) -> dict:
-        """A JSON-serialisable report (the ``repro-sched`` CLI's payload)."""
-        completed = self.completed
-        e2e = [o.e2e_ms for o in completed]
-        waits = [o.queue_wait_ms for o in completed]
-        counts = {status: 0 for status in OUTCOME_STATUSES}
-        for outcome in self.outcomes:
-            counts[outcome.status] += 1
-        payload = {
-            "workload": {
-                "arrival": self.spec.arrival,
-                "rate_rps": self.spec.rate_rps,
-                "duration_s": self.spec.duration_s,
-                "num_clients": self.spec.num_clients,
-                "scenes": list(self.spec.scenes),
-                "zipf_s": self.spec.zipf_s,
-                "frame_choices": list(self.spec.frame_choices),
-                "slo_ms": self.spec.slo_ms,
-                "seed": self.spec.seed,
-            },
-            "policy": {
-                "num_workers": self.policy.num_workers,
-                "max_queue": self.policy.max_queue,
-                "shed_slack": self.policy.shed_slack,
-                "dataflow": self.policy.dataflow,
-                "backend": self.policy.backend,
-                "max_shards": self.policy.max_shards,
-                "adaptive": self.qos_policy.adaptive,
-                "window": self.qos_policy.window,
-                "ladder": [tier_name(tier) for tier in self.ladder],
-            },
-            "requests": {
-                "offered": len(self.outcomes),
-                "completed": counts["completed"],
-                "shed": counts["shed"],
-                "rejected": counts["rejected"],
-            },
-            "offered_rps": len(self.outcomes) / self.spec.duration_s,
-            "goodput_rps": self.goodput_rps,
-            "slo_attainment": self.slo_attainment,
-            "shed_rate": self.shed_rate,
-            "latency_ms": {
-                "queue_wait_p50": _percentile(waits, 50),
-                "queue_wait_p95": _percentile(waits, 95),
-                "e2e_p50": _percentile(e2e, 50),
-                "e2e_p95": _percentile(e2e, 95),
-                "e2e_max": max(e2e) if e2e else 0.0,
-            },
-            "tier_histogram": self.tier_histogram(),
-            "dispatch": dict(self.dispatch_counts),
-            "decisions": self.log.counts(),
-            "num_events": len(self.log),
-            "makespan_s": self.makespan_ms / 1000.0,
-            "executed": self.executed,
-            "measured": (
-                {
-                    "frames": len(self.measured_frame_ms),
-                    "frame_p50_ms": _percentile(self.measured_frame_ms, 50),
-                    "frame_p95_ms": _percentile(self.measured_frame_ms, 95),
-                    "data_plane": self.data_plane,
-                }
-                if self.executed
-                else None
-            ),
-        }
-        if self.fleet is not None:
-            # Fleet keys appear only when a fleet ran: default
-            # single-executor summaries (and their committed BENCH_*.json
-            # baselines) keep the historical key set byte-for-byte.
-            payload["fleet"] = dict(self.fleet)
-            payload["tenant_usage"] = self.tenant_usage
-        if include_events:
-            payload["events"] = list(self.log.events)
-        return payload
 
 
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
 class RequestScheduler:
-    """Admission-controlled multi-tenant scheduler over the render farm.
+    """Admission-controlled multi-tenant scheduler over a fleet of executors.
 
     Parameters
     ----------
@@ -544,34 +138,29 @@ class RequestScheduler:
     quick:
         Serve the reduced quick presets (tests, smoke runs).
     execute:
-        Also render every dispatched job for real through the executor.
-    farm:
-        Legacy data-plane configuration: a
-        :class:`~repro.serve.farm.RenderFarm` whose worker count, start
-        method and scene format size the default executor.  Superseded by
-        ``executor``.
-    executor:
-        The :class:`~repro.exec.executor.RenderExecutor` of the data
-        plane.  Defaults (when ``execute=True``) to one sized by ``farm``
-        if given, else by ``policy.num_workers``.  The scheduler keeps the
-        executor across runs — that is the warm-pool point — and shuts an
-        *owned* (default-built) executor down in :meth:`close`; a shared
-        one is left to its owner.
-
+        Also render every dispatched job for real: one
+        :class:`~repro.exec.executor.RenderExecutor` of
+        ``policy.num_workers`` workers per fleet lane, built by the
+        scheduler, kept across runs — that is the warm-pool point — and
+        shut down in :meth:`close`.
+    obs:
+        Optional :class:`~repro.obs.ObsContext`: decision events are teed
+        into its tracer as virtual-clock instants, completed requests
+        become virtual request/queue_wait/service spans per client lane,
+        and the data-plane executors inherit it for wall-clock tracing.  A
+        pure side-channel — decisions and logs are unchanged by it.
     fleet:
-        Optional :class:`~repro.fleet.FleetPolicy` generalising the
-        control plane to N executors: cache-aware (or random /
-        least-loaded) placement over per-executor warm state, optional
-        autoscaling, weighted-fair tenant dispatch with quotas, and
-        injected executor failures.  ``None`` (the default) runs the
-        historical single-executor scheduler bitwise-identically; with a
-        fleet, ``execute=True`` builds one named data-plane executor per
-        fleet lane instead of a single shared one.
-
-    Dispatched jobs are **submitted, not awaited**: the virtual-clock loop
-    keeps scheduling while the executor overlaps jobs across its worker
-    slots, and the measured results are drained after the loop.  Decisions
-    never depend on data-plane timing, so replayability is untouched.
+        The :class:`~repro.fleet.FleetPolicy` shaping the control plane:
+        cache-aware (or random / least-loaded) placement over per-executor
+        warm state, optional autoscaling, weighted-fair tenant dispatch
+        with quotas, and injected executor failures.  ``None`` (the
+        default) means ``FleetPolicy()`` — one executor, same decisions —
+        *reported in the pre-fleet shape*: no ``executor`` field on
+        ``dispatch``/``complete`` events, no ``fleet``/``tenant_usage``
+        summary keys, no ``repro_sched_fleet_*`` series, no per-executor
+        virtual span, and an unnamed data-plane executor; every log,
+        summary, metrics export and trace recorded before fleets existed
+        therefore still replays byte for byte.
     """
 
     def __init__(
@@ -581,32 +170,15 @@ class RequestScheduler:
         service_model: ServiceModel | None = None,
         quick: bool = False,
         execute: bool = False,
-        farm: RenderFarm | None = None,
-        executor: RenderExecutor | None = None,
         obs: ObsContext | None = None,
         fleet: FleetPolicy | None = None,
     ) -> None:
         self.policy = policy or SchedulerPolicy()
-        #: Fleet shape/placement policy; ``None`` (the default) keeps the
-        #: historical single-executor scheduler bitwise-identical.
-        self.fleet_policy = fleet
-        if fleet is not None and executor is not None:
-            raise ValueError(
-                "fleet mode builds one data-plane executor per fleet member; "
-                "a shared single executor cannot be routed over"
-            )
-        #: Data-plane executors by fleet lane id (fleet + execute only);
-        #: kept across runs — same warm-pool point as the single executor.
-        self._data_executors: dict[int, RenderExecutor] = {}
-        #: Fleet lane ids whose real executor was failure-injected down.
-        self._killed_executors: set[int] = set()
-        #: The latest run's router (fleet introspection/tests).
-        self._router: FleetRouter | None = None
-        #: Optional observability context: decision events are teed into
-        #: the tracer as virtual-clock instants, completed requests become
-        #: virtual request/queue_wait/service spans per client lane, and an
-        #: owned executor inherits it for wall-clock data-plane tracing.
-        #: Pure side-channel — decisions and logs are unchanged by it.
+        #: Fleet shape/placement policy of every run.
+        self.fleet_policy = fleet if fleet is not None else FleetPolicy()
+        #: The one thing ``fleet=None`` still selects: whether reports,
+        #: events, series and lane names carry the fleet's vocabulary.
+        self._fleet_shape = fleet is not None
         self._obs = obs
         self.qos = qos if qos is not None else SLOController()
         if self.policy.dataflow != "tilewise" and any(
@@ -620,25 +192,23 @@ class RequestScheduler:
         self.model = service_model or ServiceModel()
         self.quick = quick
         self.execute = execute
-        self._owns_executor = False
-        if execute and executor is None and fleet is None:
-            executor = RenderExecutor(
-                num_workers=farm.num_workers if farm is not None else self.policy.num_workers,
-                mp_context=farm.mp_context if farm is not None else None,
-                scene_format=farm.scene_format if farm is not None else "npz",
-                obs=obs,
-            )
-            self._owns_executor = True
-        self.executor = executor
+        #: Data-plane executors by fleet lane id (``execute=True`` only),
+        #: kept across runs.  The starting fleet's are built here (their
+        #: worker pools start lazily); autoscaled lanes get theirs at
+        #: their first dispatch.
+        self._data_executors: dict[int, RenderExecutor] = {}
+        #: Fleet lane ids whose real executor was failure-injected down.
+        self._killed_executors: set[int] = set()
+        if execute:
+            for lane_id in range(self.fleet_policy.num_executors):
+                self._data_executor(lane_id)
         #: The active run's per-run registry (set by :meth:`run`); read by
         #: :meth:`live_metrics` so a scraper sees decision-plane counters
         #: while the run is still executing.
         self._run_metrics: MetricsRegistry | None = None
 
     def close(self) -> None:
-        """Shut down executors this scheduler built for itself."""
-        if self._owns_executor and self.executor is not None:
-            self.executor.shutdown(wait=True)
+        """Shut down the data-plane executors."""
         for lane_id, data_executor in sorted(self._data_executors.items()):
             if lane_id not in self._killed_executors:
                 data_executor.shutdown(wait=True)
@@ -646,19 +216,19 @@ class RequestScheduler:
     def health(self) -> dict | None:
         """Live health of the data plane (None on virtual-only runs).
 
-        Single-executor mode delegates to :meth:`RenderExecutor.health`
-        — worker states from the report-only watchdog plus queue depth —
-        unchanged.  Fleet mode aggregates *every* data-plane executor:
-        summed pending tasks, worker states and replacements across the
-        fleet, plus each member's full per-executor report under its
-        ``executor-N`` name, so the telemetry server reports the whole
-        fleet rather than assuming exactly one data plane.  Call before
-        :meth:`close` (the pools' slots empty at shutdown).
+        In the pre-fleet report shape this is the one executor's own
+        :meth:`RenderExecutor.health` — worker states from the report-only
+        watchdog plus queue depth.  Otherwise it aggregates *every*
+        data-plane executor: summed pending tasks, worker states and
+        replacements across the fleet, plus each member's full report
+        under its ``executor-N`` name, so the telemetry server reports the
+        whole fleet.  Call before :meth:`close` (the pools' slots empty at
+        shutdown).
         """
-        if self.fleet_policy is None:
-            return None if self.executor is None else self.executor.health()
         if not self._data_executors:
             return None
+        if not self._fleet_shape:
+            return self._data_executors[0].health()
         members = {
             f"executor-{lane_id}": data_executor.health()
             for lane_id, data_executor in sorted(self._data_executors.items())
@@ -681,32 +251,24 @@ class RequestScheduler:
     def live_metrics(self) -> MetricsRegistry:
         """One merged registry of everything this scheduler can see *now*.
 
-        Combines every data-plane executor's live merge (parent registry
-        + latest per-worker snapshots + derived ratios) — all fleet
-        members, not just one — the obs context's own registry on
-        executor-less runs, and the active run's decision-plane counters.
+        Combines the obs context's registry (every data-plane executor
+        shares it, so it is merged once), each executor's latest
+        per-worker snapshots (disjoint series — worker labels carry the
+        executor name — so nothing double-counts), the cache hit ratio
+        derived from them, and the active run's decision-plane counters.
         Built fresh per call into a throwaway registry — a pure read,
         safe to call from the telemetry server's scrape threads mid-run.
         """
         registry = MetricsRegistry()
-        if self.executor is not None:
-            registry.merge(self.executor.collect_metrics().snapshot())
-        elif self._data_executors:
-            # All fleet members share one obs registry: merge it once,
-            # then fold in each member's per-worker snapshots (their
-            # series are disjoint — worker labels carry the executor
-            # name) so nothing double-counts.
-            if self._obs is not None:
-                registry.merge(self._obs.metrics.snapshot())
-            for _, data_executor in sorted(self._data_executors.items()):
-                for snapshot in data_executor.worker_metrics():
-                    registry.merge(snapshot)
-            hits = registry.value("repro_scene_cache_hits_total") or 0
-            misses = registry.value("repro_scene_cache_misses_total") or 0
-            if hits + misses:
-                registry.gauge("repro_cache_hit_ratio").set(hits / (hits + misses))
-        elif self._obs is not None:
+        if self._obs is not None:
             registry.merge(self._obs.metrics.snapshot())
+        for _, data_executor in sorted(self._data_executors.items()):
+            for snapshot in data_executor.worker_metrics():
+                registry.merge(snapshot)
+        hits = registry.value("repro_scene_cache_hits_total") or 0
+        misses = registry.value("repro_scene_cache_misses_total") or 0
+        if hits + misses:
+            registry.gauge("repro_cache_hit_ratio").set(hits / (hits + misses))
         run_metrics = self._run_metrics
         if run_metrics is not None:
             registry.merge(run_metrics.snapshot())
@@ -722,944 +284,26 @@ class RequestScheduler:
     def run(self, requests: list[Request], spec: WorkloadSpec) -> ScheduleReport:
         """Serve ``requests`` (a stream generated from ``spec``) to completion.
 
-        Runs the event-driven virtual-clock loop: arrivals pass admission
-        control into the priority/deadline queue, the (single-job-at-a-time,
-        ``num_workers``-lane) farm serves them in EDF-within-priority order,
-        and every completion feeds the SLO controller.  Returns the full
-        :class:`ScheduleReport`; the decision log is
-        ``report.log`` and is identical across same-seed runs.
+        Runs the event-driven virtual-clock loop (:class:`ScheduleRun`):
+        arrivals pass admission control into the priority/deadline queue,
+        the fleet's executors (one job at a time each, ``num_workers``
+        lanes) serve them in EDF-within-priority order, and every
+        completion feeds the SLO controller.  Returns the full
+        :class:`ScheduleReport`; the decision log is ``report.log`` and is
+        identical across same-seed runs.
         """
-        # Every run starts from a clean controller (rung 0, empty window)
-        # and a fresh decision log, so a reused scheduler instance replays
-        # identical seeds into identical logs; read the run's events via
-        # ``report.log``.
+        # Every run starts from a clean controller (rung 0, empty window),
+        # a fresh decision log and a fresh router, so a reused scheduler
+        # instance replays identical seeds into identical logs; read the
+        # run's events via ``report.log``.
         self.qos.reset(EventLog())
-        log = self.qos.log
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        # Per-run metrics registry: the report path (dispatch warmth split,
-        # per-tier histogram, latency histograms) reads these series rather
-        # than hand-rolled dicts.  Recording is a pure function of the
-        # decision sequence, so replayability is untouched.
-        run_metrics = MetricsRegistry()
-        self._run_metrics = run_metrics
-        if tracer is not None:
-            # Tee every decision event into the trace as a virtual-clock
-            # instant on the scheduler lane.  The sink sees the exact entry
-            # the log appends — the log itself (and its replay) unchanged.
-            log.add_sink(
-                lambda entry: tracer.instant(
-                    entry["event"],
-                    lane="scheduler",
-                    t_ms=entry["t_ms"],
-                    clock=VIRTUAL,
-                    attrs={k: v for k, v in entry.items() if k not in ("t_ms", "event")},
-                )
-            )
-        outcomes: dict[int, RequestOutcome] = {}
-        measured_frame_ms: list[float] = []
-        #: Data-plane job handles awaiting drain (submit order).
-        pending_handles: list[tuple[RequestOutcome, object]] = []
-        # Warm/cold state of the virtual clock: the (scene, lod, quant)
-        # tiers dispatched at least once since this run started.  Purely a
-        # function of the decision sequence, so replayability is preserved.
-        # (In fleet mode this stays the *union* across executors — the
-        # optimistic admission view — while each lane keeps its own
-        # first-touch set for placement and service costing.)
-        self._touched = set()
-
-        # Fleet mode: a fresh router per run (same reset discipline as the
-        # QoS controller, so a reused scheduler replays identically), plus
-        # the autoscaler, fairness and metering state that ride on it.
-        fleet_policy = self.fleet_policy
-        router: FleetRouter | None = None
-        autoscaler: Autoscaler | None = None
-        fair: FairQueue | None = None
-        usage: UsageMeter | None = None
-        if fleet_policy is not None:
-            router = FleetRouter(fleet_policy)
-            self._router = router
-            if fleet_policy.autoscale is not None:
-                autoscaler = Autoscaler(fleet_policy.autoscale)
-            if fleet_policy.fair:
-                fair = FairQueue(fleet_policy.tenant_weights)
-            usage = UsageMeter()
-        #: WFQ system virtual time: the served tenant's tag at the last
-        #: fair dispatch; re-activating tenants are floored to it.
-        fair_floor = 0.0
-        #: Monotonic dispatch ids; an executor failure voids the id its
-        #: in-flight request was dispatched under, which cancels the
-        #: already-heaped completion event (heap entries can't be removed).
-        dispatch_seq = 0
-        voided: set[int] = set()
-        fleet_stats = {
-            "placements": {},
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "failures": 0,
-            "requeues": 0,
-        }
-
-        # Event heap: (time, sequence, kind, payload).  Sequence breaks
-        # ties deterministically: arrivals are pre-pushed with the lowest
-        # sequence numbers, so at an exact time tie an arrival is handled
-        # *before* a completion — the conservative order (the arrival sees
-        # the server still busy and the queue still full).
-        events: list[tuple[float, int, str, object]] = []
-        seq = 0
-        for request in requests:
-            heapq.heappush(events, (request.arrival_ms, seq, "arrive", request))
-            seq += 1
-        arrivals_remaining = len(requests)
-        if fleet_policy is not None:
-            # Injected executor failures and the first autoscaler tick are
-            # pre-seeded virtual-clock events like the arrivals — pure
-            # functions of the configuration, replayable by construction.
-            for fail_ms, fail_executor in fleet_policy.failures:
-                heapq.heappush(
-                    events, (float(fail_ms), seq, "fail", int(fail_executor))
-                )
-                seq += 1
-            if autoscaler is not None:
-                heapq.heappush(
-                    events,
-                    (fleet_policy.autoscale.interval_ms, seq, "autoscale", None),
-                )
-                seq += 1
-
-        # Waiting queue: (priority, absolute deadline, sequence, request) —
-        # strict priority classes, EDF within a class.
-        queue: list[tuple[int, float, int, Request]] = []
-        busy = False
-        running_until = 0.0
-
-        def queued_backlog_ms(request: Request) -> float:
-            """Drain cost of the queued work that outranks ``request``.
-
-            Two choices keep the admission projection honest.  First, only
-            the queue entries that would actually be served *before* the
-            arriving request count — higher priority class, or same class
-            with an earlier-or-equal deadline; the whole-queue sum would
-            shed a premium request behind a deep standard-tenant queue the
-            dispatcher is about to jump it over.  Second, the backlog is
-            costed at the tier jobs will actually be served at (the
-            controller's *current* tier, not the cheapest one): early in an
-            overload episode the controller is still on an expensive rung,
-            and a cheapest-tier estimate would admit requests whose real
-            wait already dooms them.
-            """
-            tier = self.qos.current_tier
-            return sum(
-                self._job_cost(r, tier)
-                for priority, deadline, _, r in queue
-                if priority < request.priority
-                or (priority == request.priority and deadline <= request.deadline_ms)
-            )
-
-        def service_order() -> list[int]:
-            """Queue indices in the order the fleet would serve them.
-
-            Without fairness this is the heap's own (priority, deadline,
-            sequence) order — index 0 first, exactly the entry the legacy
-            loop would pop.  Weighted-fair mode puts the tenant with the
-            smallest WFQ virtual tag first, EDF within a tenant.
-            """
-            if fair is not None:
-                return sorted(
-                    range(len(queue)),
-                    key=lambda i: (
-                        fair.tag(queue[i][3].client_id),
-                        queue[i][0],
-                        queue[i][1],
-                        queue[i][2],
-                    ),
-                )
-            return sorted(
-                range(len(queue)),
-                key=lambda i: (queue[i][0], queue[i][1], queue[i][2]),
-            )
-
-        def remove_queue_entry(pos: int) -> None:
-            """Remove the queue entry at ``pos`` keeping the heap valid.
-
-            The head (the common case — and the *only* case on a one-
-            executor, non-fair fleet) pops exactly like the legacy loop;
-            a mid-heap removal swaps the tail in and re-heapifies.
-            """
-            if pos == 0:
-                heapq.heappop(queue)
-            else:
-                queue[pos] = queue[-1]
-                queue.pop()
-                heapq.heapify(queue)
-
-        def shed_queued(now: float, pos: int, reason: str, **extra) -> None:
-            """Shed the queued request at ``pos`` (hopeless or over quota)."""
-            request = queue[pos][3]
-            remove_queue_entry(pos)
-            outcome = outcomes[request.request_id]
-            outcome.status = "shed"
-            outcome.queue_wait_ms = now - request.arrival_ms
-            log.emit(
-                now,
-                "shed",
-                request=request.request_id,
-                client=request.client_id,
-                reason=reason,
-                queue_wait_ms=round(outcome.queue_wait_ms, 3),
-                **extra,
-            )
-            run_metrics.counter(
-                "repro_sched_requests_total", {"status": "shed"}
-            ).inc()
-
-        def serve_on_lane(
-            now: float, pos: int, lane, tier, shards: int, demoted_from
-        ) -> None:
-            """Dispatch the queued request at ``pos`` onto ``lane``.
-
-            The fleet twin of :meth:`_serve_or_shed`'s serve half: the
-            same event shape and accounting, plus the ``executor`` field,
-            per-lane warmth (service is costed against *this* executor's
-            first-touch set, not the fleet union) and tenant metering.
-            """
-            nonlocal seq, dispatch_seq, fair_floor
-            request = queue[pos][3]
-            remove_queue_entry(pos)
-            key = (request.scene, self._scene_tier(tier))
-            warm = key in lane.touched
-            service_ms = self._job_cost(request, tier, shards, warm=warm)
-            wait_ms = now - request.arrival_ms
-            outcome = outcomes[request.request_id]
-            entry = {
-                "request": request.request_id,
-                "client": request.client_id,
-                "scene": request.scene,
-                "tier": tier_name(tier),
-                "warm": warm,
-                "queue_wait_ms": round(wait_ms, 3),
-                "service_ms": round(service_ms, 3),
-            }
-            if shards > 1:
-                entry["shards"] = shards
-            if demoted_from is not None:
-                entry["demoted_from"] = tier_name(demoted_from)
-            entry["executor"] = lane.name
-            log.emit(now, "dispatch", **entry)
-            run_metrics.counter(
-                "repro_sched_dispatch_total", {"warmth": "warm" if warm else "cold"}
-            ).inc()
-            run_metrics.counter(
-                "repro_sched_fleet_dispatch_total", {"executor": lane.name}
-            ).inc()
-            self._touched.add(key)
-            lane.touched.add(key)
-            outcome.tier = tier
-            outcome.shards = shards
-            outcome.queue_wait_ms = wait_ms
-            outcome.service_ms = service_ms
-            ship_bytes = (
-                0 if warm else int(round(self.model.ship_bytes(request.scene, self.quick, tier)))
-            )
-            usage.record_dispatch(
-                request.client_id,
-                service_ms * self.policy.model_workers,
-                ship_bytes,
-            )
-            if fair is not None:
-                fair_floor = fair.tag(request.client_id)
-                fair.charge(request.client_id, service_ms)
-            fleet_stats["placements"][lane.name] = (
-                fleet_stats["placements"].get(lane.name, 0) + 1
-            )
-            lane.busy = True
-            lane.busy_until = now + service_ms
-            lane.jobs += 1
-            lane.worker_ms += service_ms
-            lane.inflight = request
-            lane.dispatch_id = dispatch_seq
-            heapq.heappush(
-                events,
-                (lane.busy_until, seq, "complete", (request, dispatch_seq, lane)),
-            )
-            seq += 1
-            dispatch_seq += 1
-            if self.execute:
-                self._execute(
-                    request,
-                    tier,
-                    shards,
-                    outcome,
-                    measured_frame_ms,
-                    pending_handles,
-                    executor_id=lane.executor_id,
-                )
-
-        def fleet_dispatch(now: float) -> None:
-            """One placement pass: match free lanes against the queue.
-
-            Walks the queue in service order and, per entry: late-sheds
-            the hopeless, quota-sheds over-budget tenants, then asks the
-            router for a lane.  A ``None`` placement is a *deferral* —
-            affinity judged waiting for the warm preferred executor
-            cheaper than dispatching cold now — and the scan moves on, so
-            a later request may still take the free lane.  Every action
-            restarts the pass (the queue and lane set changed); a full
-            scan with no action ends dispatch until the next event.
-            """
-            while queue:
-                if not router.free_lanes(now):
-                    return
-                acted = False
-                for pos in service_order():
-                    request = queue[pos][3]
-                    tier, shards, demoted_from = self._dispatch_tier(request, now)
-                    plan_ms = self._job_cost(request, tier, shards)
-                    slack_ms = request.deadline_ms - now
-                    if self.qos.policy.adaptive and plan_ms > slack_ms:
-                        shed_queued(
-                            now,
-                            pos,
-                            "deadline_expired_in_queue",
-                            cheapest_service_ms=round(plan_ms, 3),
-                            slo_ms=request.slo_ms,
-                        )
-                        acted = True
-                        break
-                    if fleet_policy.tenant_quota is not None and usage.over_quota(
-                        request.client_id,
-                        plan_ms * self.policy.model_workers,
-                        fleet_policy.tenant_quota,
-                    ):
-                        shed_queued(
-                            now,
-                            pos,
-                            "quota_exceeded",
-                            quota=fleet_policy.tenant_quota,
-                            slo_ms=request.slo_ms,
-                        )
-                        acted = True
-                        break
-                    key = (request.scene, self._scene_tier(tier))
-                    lane = router.place(
-                        key,
-                        request,
-                        now,
-                        slack_ms,
-                        cost=lambda l, _k=key, _r=request, _t=tier, _s=shards: (
-                            self.model.job_ms(
-                                _r,
-                                _t,
-                                self.policy.model_workers,
-                                self.quick,
-                                warm=_k in l.touched,
-                                shards=_s,
-                            )
-                        ),
-                    )
-                    if lane is None:
-                        continue
-                    serve_on_lane(now, pos, lane, tier, shards, demoted_from)
-                    acted = True
-                    break
-                if not acted:
-                    return
-
-        def dispatch(now: float) -> None:
-            nonlocal busy, seq, running_until
-            if router is not None:
-                fleet_dispatch(now)
-                return
-            while not busy and queue:
-                _, _, _, request = heapq.heappop(queue)
-                if self._serve_or_shed(
-                    now, request, outcomes, measured_frame_ms, pending_handles, log
-                ):
-                    busy = True
-                    running_until = now + outcomes[request.request_id].service_ms
-                    heapq.heappush(events, (running_until, seq, "complete", request))
-                    seq += 1
-
-        def complete_request(now: float, request: Request, fleet_lane=None) -> None:
-            """Shared completion bookkeeping of both planes' loops.
-
-            Identical to the historical single-executor sequence; a fleet
-            completion additionally stamps the serving executor on the
-            event, meters the tenant's frames, and records a virtual
-            service span on the executor's decision-plane lane.
-            """
-            outcome = outcomes[request.request_id]
-            outcome.status = "completed"
-            outcome.e2e_ms = now - request.arrival_ms
-            outcome.slo_met = outcome.e2e_ms <= request.slo_ms
-            fields = {
-                "request": request.request_id,
-                "client": request.client_id,
-                "tier": tier_name(outcome.tier),
-                "e2e_ms": round(outcome.e2e_ms, 3),
-                "slo_met": outcome.slo_met,
-            }
-            if fleet_lane is not None:
-                fields["executor"] = fleet_lane.name
-            log.emit(now, "complete", **fields)
-            run_metrics.counter(
-                "repro_sched_requests_total", {"status": "completed"}
-            ).inc()
-            run_metrics.counter(
-                "repro_sched_tier_served_total", {"tier": tier_name(outcome.tier)}
-            ).inc()
-            run_metrics.histogram("repro_sched_queue_wait_ms").observe(
-                outcome.queue_wait_ms
-            )
-            run_metrics.histogram("repro_sched_service_ms").observe(
-                outcome.service_ms
-            )
-            run_metrics.histogram("repro_sched_e2e_ms").observe(outcome.e2e_ms)
-            if fleet_lane is not None:
-                usage.record_frames(request.client_id, request.num_frames)
-            if tracer is not None:
-                # Virtual-clock span chain per client lane, recorded
-                # *from* already-decided quantities at completion time.
-                lane = f"client-{request.client_id}"
-                span_id = tracer.record(
-                    "request",
-                    lane=lane,
-                    clock=VIRTUAL,
-                    t0_ms=request.arrival_ms,
-                    dur_ms=outcome.e2e_ms,
-                    attrs={
-                        "request": request.request_id,
-                        "scene": request.scene,
-                        "tier": tier_name(outcome.tier),
-                        "slo_met": outcome.slo_met,
-                    },
-                )
-                tracer.record(
-                    "queue_wait",
-                    lane=lane,
-                    clock=VIRTUAL,
-                    t0_ms=request.arrival_ms,
-                    dur_ms=outcome.queue_wait_ms,
-                    parent=span_id,
-                )
-                tracer.record(
-                    "service",
-                    lane=lane,
-                    clock=VIRTUAL,
-                    t0_ms=request.arrival_ms + outcome.queue_wait_ms,
-                    dur_ms=outcome.service_ms,
-                    parent=span_id,
-                )
-                if fleet_lane is not None:
-                    # Mirror the service window onto the executor's own
-                    # virtual lane — the fleet-placement view of the trace
-                    # (`repro-obs` reconciles the routing headline off it).
-                    tracer.record(
-                        "service",
-                        lane=fleet_lane.name,
-                        clock=VIRTUAL,
-                        t0_ms=now - outcome.service_ms,
-                        dur_ms=outcome.service_ms,
-                        attrs={
-                            "request": request.request_id,
-                            "scene": request.scene,
-                            "tier": tier_name(outcome.tier),
-                        },
-                    )
-            self.qos.observe(now, outcome.e2e_ms, request.slo_ms)
-            dispatch(now)
-
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            if kind == "arrive":
-                request = payload
-                arrivals_remaining -= 1
-                outcome = RequestOutcome(request=request, status="rejected")
-                outcomes[request.request_id] = outcome
-                if len(queue) >= self.policy.max_queue:
-                    log.emit(
-                        now,
-                        "reject",
-                        request=request.request_id,
-                        client=request.client_id,
-                        reason="queue_full",
-                        queue_depth=len(queue),
-                    )
-                    run_metrics.counter(
-                        "repro_sched_requests_total", {"status": "rejected"}
-                    ).inc()
-                    dispatch(now)
-                    continue
-                # Feasibility projects the cheapest rung at its best shard
-                # count — with max_shards=1 exactly the unsharded cost.
-                _, cheapest_ms = self._best_shards(request, self.qos.cheapest_tier)
-                if router is None:
-                    pending_ms = (running_until - now) if busy else 0.0
-                    projected_ms = (
-                        pending_ms + queued_backlog_ms(request) + cheapest_ms
-                    )
-                else:
-                    # Fleet projection: the soonest any lane frees, plus the
-                    # out-ranking backlog spread over the fleet.  On a
-                    # one-executor fleet both terms reduce float-exactly to
-                    # the single-server arithmetic above.
-                    pending_ms = max(0.0, router.earliest_free_ms(now) - now)
-                    projected_ms = (
-                        pending_ms
-                        + queued_backlog_ms(request) / max(1, len(router.lanes))
-                        + cheapest_ms
-                    )
-                if self.qos.should_shed(
-                    projected_ms, request.slo_ms * self.policy.shed_slack
-                ):
-                    outcome.status = "shed"
-                    log.emit(
-                        now,
-                        "shed",
-                        request=request.request_id,
-                        client=request.client_id,
-                        reason="deadline_infeasible",
-                        projected_ms=round(projected_ms, 3),
-                        slo_ms=request.slo_ms,
-                        cheapest_tier=tier_name(self.qos.cheapest_tier),
-                    )
-                    run_metrics.counter(
-                        "repro_sched_requests_total", {"status": "shed"}
-                    ).inc()
-                    dispatch(now)
-                    continue
-                outcome.status = "admitted"
-                log.emit(
-                    now,
-                    "admit",
-                    request=request.request_id,
-                    client=request.client_id,
-                    priority=request.priority,
-                    queue_depth=len(queue),
-                )
-                if fair is not None:
-                    # WFQ re-activation: floor the tenant's tag to the
-                    # system virtual time so idle tenants can't bank credit.
-                    fair.activate(request.client_id, fair_floor)
-                heapq.heappush(
-                    queue, (request.priority, request.deadline_ms, seq, request)
-                )
-                seq += 1
-                dispatch(now)
-            elif kind == "complete":
-                if router is None:
-                    request = payload
-                    busy = False
-                    complete_request(now, request)
-                    continue
-                request, completed_dispatch, lane = payload
-                if completed_dispatch in voided:
-                    # The executor serving this dispatch failed mid-flight;
-                    # the request was requeued then.  Drop the stale event.
-                    voided.discard(completed_dispatch)
-                    continue
-                lane.busy = False
-                lane.inflight = None
-                lane.dispatch_id = None
-                complete_request(now, request, fleet_lane=lane)
-            elif kind == "autoscale":
-                work_left = (
-                    arrivals_remaining > 0
-                    or bool(queue)
-                    or any(l.busy for l in router.active())
-                )
-                if not work_left:
-                    continue  # workload drained: let the event heap empty
-                current_tier = self.qos.current_tier
-                backlog_ms = sum(
-                    self._job_cost(r, current_tier) for _, _, _, r in queue
-                ) / max(1, len(router.lanes))
-                actions = autoscaler.evaluate(
-                    now, len(queue), backlog_ms, spec.slo_ms, router
-                )
-                for action, executor_id, reason in actions:
-                    if action == "scale_up":
-                        fleet_stats["scale_ups"] += 1
-                        new_lane = router.lanes[executor_id]
-                        log.emit(
-                            now,
-                            "scale_up",
-                            executor=new_lane.name,
-                            reason=reason,
-                            available_at_ms=round(new_lane.available_at, 3),
-                            executors=len(router.lanes),
-                            queue_depth=len(queue),
-                        )
-                        # Wake the dispatcher the instant the cold start
-                        # finishes — a completion may not coincide with it.
-                        heapq.heappush(
-                            events, (new_lane.available_at, seq, "wake", None)
-                        )
-                        seq += 1
-                    else:
-                        fleet_stats["scale_downs"] += 1
-                        log.emit(
-                            now,
-                            "scale_down",
-                            executor=f"executor-{executor_id}",
-                            reason=reason,
-                            executors=len(router.lanes),
-                            queue_depth=len(queue),
-                        )
-                    run_metrics.counter(
-                        "repro_sched_fleet_scale_total",
-                        {"direction": "up" if action == "scale_up" else "down"},
-                    ).inc()
-                run_metrics.gauge("repro_sched_fleet_executors").set(
-                    len(router.lanes)
-                )
-                dispatch(now)
-                heapq.heappush(
-                    events,
-                    (
-                        now + fleet_policy.autoscale.interval_ms,
-                        seq,
-                        "autoscale",
-                        None,
-                    ),
-                )
-                seq += 1
-            elif kind == "wake":
-                dispatch(now)
-            else:  # fail — injected executor failure
-                executor_id = payload
-                lane = router.lanes.get(executor_id)
-                if lane is None:
-                    # Already drained/failed (or never existed) — record the
-                    # no-op so the injected scenario stays visible in the log.
-                    log.emit(
-                        now,
-                        "executor_fail",
-                        executor=f"executor-{executor_id}",
-                        known=False,
-                    )
-                    continue
-                router.remove_lane(executor_id)
-                fleet_stats["failures"] += 1
-                inflight = lane.inflight if lane.busy else None
-                if inflight is not None:
-                    voided.add(lane.dispatch_id)
-                log.emit(
-                    now,
-                    "executor_fail",
-                    executor=lane.name,
-                    in_flight=None if inflight is None else inflight.request_id,
-                    executors=len(router.lanes),
-                )
-                if inflight is not None:
-                    # Reuse the crash-recovery discipline: the in-flight
-                    # request goes back to the queue and is re-routed to a
-                    # surviving executor; the dead lane's warm set is lost.
-                    heapq.heappush(
-                        queue,
-                        (inflight.priority, inflight.deadline_ms, seq, inflight),
-                    )
-                    seq += 1
-                    log.emit(
-                        now,
-                        "requeue",
-                        request=inflight.request_id,
-                        client=inflight.client_id,
-                        executor=lane.name,
-                        reason="executor_failed",
-                    )
-                    fleet_stats["requeues"] += 1
-                    run_metrics.counter("repro_sched_fleet_requeue_total").inc()
-                run_metrics.counter("repro_sched_fleet_failures_total").inc()
-                run_metrics.gauge("repro_sched_fleet_executors").set(
-                    len(router.lanes)
-                )
-                if self.execute:
-                    dead = self._data_executors.get(executor_id)
-                    if dead is not None:
-                        # Abort, don't drain: unfinished handles fail and
-                        # the measured drain below skips them.
-                        dead.shutdown(wait=False)
-                    self._killed_executors.add(executor_id)
-                if not router.lanes and autoscaler is None:
-                    raise RuntimeError(
-                        "executor failure emptied the fleet and no autoscaler "
-                        "is configured to replace it"
-                    )
-                dispatch(now)
-
-        # Drain the data plane: the virtual loop submitted jobs without
-        # waiting (they overlap across the executor's worker slots); their
-        # measured results land on the outcomes only now, after every
-        # decision has been made, so timing noise cannot leak into replays.
-        data_plane = None
-        if pending_handles:
-            residency = {"cache_hits": 0, "cache_misses": 0, "ship_bytes": 0, "loaded_bytes": 0}
-            for outcome, handle, handle_executor in pending_handles:
-                if (
-                    handle_executor is not None
-                    and handle_executor in self._killed_executors
-                ):
-                    # The failure injection aborted this executor; its
-                    # unfinished handles fail by design.  Finished ones
-                    # still count (the work really rendered).
-                    try:
-                        result = handle.result()
-                    except Exception:
-                        continue
-                else:
-                    result = handle.result()
-                outcome.measured_wall_ms = result.wall_seconds * 1000.0
-                outcome.measured_frames = result.num_frames
-                residency["cache_hits"] += result.cache_hits
-                residency["cache_misses"] += result.cache_misses
-                residency["ship_bytes"] += result.ship_bytes
-                residency["loaded_bytes"] += result.loaded_bytes
-            data_plane = residency
-        elif self.execute:
-            data_plane = {"cache_hits": 0, "cache_misses": 0, "ship_bytes": 0, "loaded_bytes": 0}
-
-        ordered = [outcomes[r.request_id] for r in requests]
-        assert all(o.status in OUTCOME_STATUSES for o in ordered)
-        # The report's warmth split materialises from the registry (same
-        # {"cold": .., "warm": ..} shape as the historical hand-rolled
-        # dict, so summaries and their JSON stay byte-identical).
-        dispatch_counts = {
-            "cold": run_metrics.value("repro_sched_dispatch_total", {"warmth": "cold"})
-            or 0,
-            "warm": run_metrics.value("repro_sched_dispatch_total", {"warmth": "warm"})
-            or 0,
-        }
-        if obs is not None:
-            obs.metrics.merge(run_metrics.snapshot())
-        fleet_summary = None
-        tenant_usage = None
-        if router is not None:
-            fleet_summary = {
-                "routing": fleet_policy.routing,
-                "executors_initial": fleet_policy.num_executors,
-                "executors_final": len(router.lanes),
-                "executors_peak": router.peak_executors,
-                "autoscale": fleet_policy.autoscale is not None,
-                "fair": fleet_policy.fair,
-                "scale_ups": fleet_stats["scale_ups"],
-                "scale_downs": fleet_stats["scale_downs"],
-                "failures": fleet_stats["failures"],
-                "requeues": fleet_stats["requeues"],
-                #: Modeled cold-dispatch payload bytes across the fleet —
-                #: the quantity cache-aware routing minimises.
-                "ship_bytes": usage.total_ship_bytes,
-                "placements": dict(sorted(fleet_stats["placements"].items())),
-            }
-            tenant_usage = usage.summary()
-        return ScheduleReport(
-            spec=spec,
-            policy=self.policy,
-            qos_policy=self.qos.policy,
-            ladder=self.qos.ladder,
-            outcomes=ordered,
-            log=log,
-            executed=self.execute,
-            measured_frame_ms=measured_frame_ms,
-            dispatch_counts=dispatch_counts,
-            data_plane=data_plane,
-            metrics=run_metrics,
-            fleet=fleet_summary,
-            tenant_usage=tenant_usage,
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _scene_tier(tier: Tier) -> tuple:
-        """The residency key of a tier: its ``(lod, quant)`` scene tier.
-
-        Warmth (and the executor's worker caches) key on the *scene* tier
-        only — a float32 dispatch renders the same resident scene the
-        float64 tier shipped, so it must not be costed cold again.  For the
-        historical two-element tiers this is the tier itself.
-        """
-        return (tier[0], tier[1])
-
-    def _job_cost(
-        self,
-        request: Request,
-        tier: Tier,
-        shards: int = 1,
-        warm: bool | None = None,
-    ) -> float:
-        """Modeled service time of ``request`` at ``tier``, warmth-aware.
-
-        A tier dispatched earlier in this run is *warm* — its payload is
-        already encoded, shipped and decoded in the (modeled) executor — so
-        the virtual clock charges only the warm dispatch constant.  The
-        warmth state is a pure function of the decision sequence, keeping
-        the clock replayable.  (The model tracks first-touch per
-        deployment, not per worker slot — the conservative simplification
-        of the executor's per-worker residency.)  Fleet mode passes
-        ``warm`` explicitly: service is costed against the *routed
-        executor's* first-touch set, while the default (union) warmth
-        keeps serving admission and tier planning.
-        """
-        if warm is None:
-            warm = (request.scene, self._scene_tier(tier)) in self._touched
-        return self.model.job_ms(
-            request,
-            tier,
-            self.policy.model_workers,
-            self.quick,
-            warm=warm,
-            shards=shards,
-        )
-
-    def _best_shards(self, request: Request, tier: Tier) -> tuple[int, float]:
-        """The shard count minimising ``request``'s modeled cost at ``tier``.
-
-        Walks shard counts upward from 1 while the model keeps improving
-        (sharding stops paying once the per-shard overhead outweighs the
-        spread across idle lanes) and never exceeds ``policy.max_shards``.
-        Returns ``(shards, cost)``; with ``max_shards=1`` this is always
-        ``(1, unsharded cost)``.
-        """
-        best_shards, best_cost = 1, self._job_cost(request, tier)
-        for shards in range(2, self.policy.max_shards + 1):
-            cost = self._job_cost(request, tier, shards)
-            if cost >= best_cost:
-                break
-            best_shards, best_cost = shards, cost
-        return best_shards, best_cost
-
-    def _serve_or_shed(
-        self,
-        now: float,
-        request: Request,
-        outcomes: dict[int, RequestOutcome],
-        measured_frame_ms: list[float],
-        pending_handles: list,
-        log: EventLog,
-    ) -> bool:
-        """Serve one popped request, or late-shed it when it became hopeless.
-
-        Returns ``True`` when the request occupies the server (a
-        ``dispatch`` event was emitted and the outcome holds the service
-        time), ``False`` when it was shed at the head of the queue: an
-        *adaptive* controller consults the cost model here and drops a
-        request whose remaining slack no longer fits even the cheapest
-        ladder rung — serving it would spend capacity on a guaranteed SLO
-        miss while everything behind it waits.  The fixed-tier baseline
-        serves blindly (no demotion, no late shed); its misses are the
-        point of the comparison.
-        """
-        tier, shards, demoted_from = self._dispatch_tier(request, now)
-        warm = (request.scene, self._scene_tier(tier)) in self._touched
-        service_ms = self._job_cost(request, tier, shards)
-        wait_ms = now - request.arrival_ms
-        outcome = outcomes[request.request_id]
-        slack_ms = request.deadline_ms - now
-        if self.qos.policy.adaptive and service_ms > slack_ms:
-            outcome.status = "shed"
-            outcome.queue_wait_ms = wait_ms
-            log.emit(
-                now,
-                "shed",
-                request=request.request_id,
-                client=request.client_id,
-                reason="deadline_expired_in_queue",
-                queue_wait_ms=round(wait_ms, 3),
-                cheapest_service_ms=round(service_ms, 3),
-                slo_ms=request.slo_ms,
-            )
-            self._run_metrics.counter(
-                "repro_sched_requests_total", {"status": "shed"}
-            ).inc()
-            return False
-        entry = {
-            "request": request.request_id,
-            "client": request.client_id,
-            "scene": request.scene,
-            "tier": tier_name(tier),
-            "warm": warm,
-            "queue_wait_ms": round(wait_ms, 3),
-            "service_ms": round(service_ms, 3),
-        }
-        if shards > 1:
-            # Whole-frame dispatches keep their historical event shape —
-            # the field appears only when the dispatcher actually sharded,
-            # so pre-sharding decision logs replay byte-identically.
-            entry["shards"] = shards
-        if demoted_from is not None:
-            entry["demoted_from"] = tier_name(demoted_from)
-        log.emit(now, "dispatch", **entry)
-        self._run_metrics.counter(
-            "repro_sched_dispatch_total", {"warmth": "warm" if warm else "cold"}
-        ).inc()
-        self._touched.add((request.scene, self._scene_tier(tier)))
-        outcome.tier = tier
-        outcome.shards = shards
-        outcome.queue_wait_ms = wait_ms
-        outcome.service_ms = service_ms
-        if self.execute:
-            self._execute(
-                request, tier, shards, outcome, measured_frame_ms, pending_handles
-            )
-        return True
-
-    def _dispatch_tier(
-        self, request: Request, now: float
-    ) -> tuple[Tier, int, Tier | None]:
-        """The (tier, shards) plan ``request`` is served with.
-
-        Serving starts from the controller's current rung and walks a
-        two-dimensional plan only as far as the request's remaining
-        deadline slack requires.  At each rung the dispatcher first tries
-        *sharding* — splitting frames into tile-range shards spreads one
-        request over idle lanes at **zero quality cost** (shard outputs
-        merge bitwise-exactly) — and only when even the best shard count
-        cannot make the deadline does it *demote* to the next (cheaper,
-        lower-fidelity) rung, unsharded first.  A request whose wait ate
-        most of its budget therefore renders sharded-but-full-quality when
-        lanes can save it, and cheap only when they cannot.  With
-        ``max_shards=1`` the walk degenerates to the historical
-        rung-demotion loop.
-
-        If even the cheapest rung at its best shard count cannot make the
-        deadline this method still returns that plan — the caller,
-        :meth:`_serve_or_shed`, decides the request's fate (an adaptive
-        controller sheds it there; the fixed baseline serves blindly and
-        records the miss).
-
-        Returns ``(tier, shards, demoted_from)`` where ``demoted_from`` is
-        the controller's rung when demotion happened, else ``None``.
-
-        Demotion and sharding are *adaptive* behaviours: a
-        ``QoSPolicy(adaptive=False)`` controller serves every request
-        whole-frame at its pinned rung no matter the slack (that is what
-        makes it the fixed-tier baseline), exactly as a one-rung ladder
-        would.
-        """
-        if not self.qos.policy.adaptive:
-            return self.qos.current_tier, 1, None
-        ladder = self.qos.ladder
-        slack_ms = request.deadline_ms - now
-        start = ladder[self.qos.rung]
-        plan: tuple[Tier, int] | None = None
-        for rung in range(self.qos.rung, len(ladder)):
-            tier = ladder[rung]
-            if self._job_cost(request, tier) <= slack_ms:
-                plan = (tier, 1)
-                break
-            best_shards, best_cost = self._best_shards(request, tier)
-            if best_cost <= slack_ms:
-                plan = (tier, best_shards)
-                break
-        if plan is None:
-            # Nothing fits: hand back the cheapest plan the ladder has and
-            # let the caller shed (adaptive) or serve blindly (fixed).
-            plan = (ladder[-1], self._best_shards(request, ladder[-1])[0])
-        tier, shards = plan
-        return tier, shards, (start if tier != start else None)
+        run = ScheduleRun(self, requests, spec)
+        self._run_metrics = run.metrics
+        run.loop()
+        return run.report()
 
     def build_job(self, request: Request, tier: Tier, shards: int = 1) -> RenderJob:
-        """The concrete farm job serving ``request`` at ``tier``.
+        """The concrete render job serving ``request`` at ``tier``.
 
         The decision plane's whole plan crosses into the data plane here:
         the tier's scene ``(lod, quant)``, its engine ``dtype`` and the
@@ -1685,60 +329,35 @@ class RequestScheduler:
             dtype=tier_dtype(tier),
         )
 
-    def _fleet_data_executor(self, lane_id: int) -> RenderExecutor:
+    def _data_executor(self, lane_id: int) -> RenderExecutor:
         """The real executor mirroring fleet lane ``lane_id`` (lazy).
 
-        One named :class:`RenderExecutor` per decision-plane lane, kept
-        across runs (the warm-pool point) and rebuilt fresh if a failure
+        One :class:`RenderExecutor` per decision-plane lane, kept across
+        runs (the warm-pool point) and rebuilt fresh if a failure
         injection killed the previous incumbent — the data-plane analogue
-        of the executor's own worker replacement.
+        of the executor's own worker replacement.  Named after its lane
+        (trace lanes ``executor-N/worker-K``, an ``executor`` label on
+        per-worker series) unless the pre-fleet report shape is asked for.
         """
         data_executor = self._data_executors.get(lane_id)
         if data_executor is None or lane_id in self._killed_executors:
             data_executor = RenderExecutor(
                 num_workers=self.policy.num_workers,
-                name=f"executor-{lane_id}",
+                name=f"executor-{lane_id}" if self._fleet_shape else None,
                 obs=self._obs,
             )
             self._data_executors[lane_id] = data_executor
             self._killed_executors.discard(lane_id)
         return data_executor
 
-    def _execute(
-        self,
-        request: Request,
-        tier: Tier,
-        shards: int,
-        outcome: RequestOutcome,
-        measured_frame_ms: list[float],
-        pending_handles: list,
-        executor_id: int | None = None,
-    ) -> None:
-        """Data plane: submit the dispatched job to the executor.
-
-        The handle is queued, not awaited — the executor overlaps frames
-        of every in-flight job across its worker slots (a sequential
-        executor simply completes the handle synchronously), and the run
-        loop drains all handles after the last virtual-clock event.
-        Per-frame latencies stream back through ``on_frame`` as frames
-        really complete.  In fleet mode ``executor_id`` routes the job to
-        the lane's own named executor instead of the single shared one.
-        """
-        target = (
-            self.executor
-            if executor_id is None
-            else self._fleet_data_executor(executor_id)
-        )
-        handle = target.submit(
-            self.build_job(request, tier, shards),
-            on_frame=lambda record: measured_frame_ms.append(record.render_ms),
-            trace={
-                "request": request.request_id,
-                "client": request.client_id,
-                "tier": tier_name(tier),
-            },
-        )
-        pending_handles.append((outcome, handle, executor_id))
+    def _kill_data_executor(self, lane_id: int) -> None:
+        """An injected failure of lane ``lane_id`` reaches the data plane."""
+        dead = self._data_executors.get(lane_id)
+        if dead is not None:
+            # Abort, don't drain: unfinished handles fail and the run's
+            # measured drain skips them.
+            dead.shutdown(wait=False)
+        self._killed_executors.add(lane_id)
 
 
 def run_workload(

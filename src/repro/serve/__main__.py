@@ -39,6 +39,13 @@ from pathlib import Path
 from repro.eval.reporting import format_table
 from repro.eval.scenes import EVAL_SCENES, EvalScenePreset, register_preset
 from repro.gaussians.synthetic import register_scene_spec
+from repro.obs.cli import (
+    EXIT_ALERTS_FIRING,
+    TelemetrySession,
+    add_telemetry_arguments,
+    alerts_line,
+    evaluate_alerts,
+)
 from repro.render.common import BACKENDS, DTYPES
 from repro.serve.farm import DATAFLOWS, JobResult, RenderFarm
 from repro.serve.trajectories import TRAJECTORY_KINDS, RenderJob, make_trajectory
@@ -189,55 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
             "(completion order on the worker pool)"
         ),
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help=(
+    add_telemetry_arguments(
+        parser,
+        parser,
+        trace_help=(
             "write a trace of the run to PATH: Chrome trace_event JSON "
             "(open in Perfetto / chrome://tracing; one lane per worker, "
             "spans nest request > job > frame > shard down to kernel "
             "stages) or raw span JSON-lines when PATH ends in .jsonl"
         ),
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write run metrics to PATH in Prometheus text exposition format",
-    )
-    parser.add_argument(
-        "--analyze-out",
-        metavar="PATH",
-        help=(
-            "write the trace analysis (critical path, stage/lane breakdowns, "
-            "worker-occupancy timeline) of this run to PATH as JSON"
-        ),
-    )
-    parser.add_argument(
-        "--alerts",
-        metavar="PATH",
-        help=(
+        alerts_help=(
             "evaluate the JSON alert rules at PATH against the run's final "
             "metrics; exit 3 if any rule is firing"
-        ),
-    )
-    parser.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        help=(
-            "serve live telemetry over HTTP while the job renders: "
-            "/metrics (Prometheus), /health (JSON), /trace.jsonl "
-            "(incremental span tail), /profile?seconds=N (collapsed-stack "
-            "CPU capture), / (timeline HTML); port 0 binds an ephemeral "
-            "port (printed to stderr); implies an obs context"
-        ),
-    )
-    parser.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help=(
-            "additionally attribute allocations per kernel stage / decode "
-            "span via tracemalloc (adds tracing overhead; surfaces in "
-            "/profile?format=json; requires --listen)"
         ),
     )
     return parser
@@ -404,62 +374,19 @@ def main(argv: list[str] | None = None) -> int:
         shards=args.shards,
         dtype=args.dtype,
     )
-    if args.profile_memory and not args.listen:
-        parser.error("--profile-memory requires --listen")
-    listen_addr = None
-    if args.listen:
-        from repro.obs import parse_listen
-
-        try:
-            listen_addr = parse_listen(args.listen)
-        except ValueError as exc:
-            parser.error(str(exc))
-    obs = None
-    if args.trace_out or args.metrics_out or args.analyze_out or args.alerts or args.listen:
-        from repro.obs import ObsContext
-
-        obs = ObsContext.create()
-    server = sampler = memory = shared_executor = None
-    if listen_addr is not None:
+    # The farm's alert rules read the obs metrics, so --alerts alone
+    # already needs an obs context.
+    telemetry = TelemetrySession(args, parser, obs_for_alerts=True)
+    obs = telemetry.obs
+    shared_executor = None
+    if telemetry.listen_addr is not None:
         # Live telemetry needs views onto a *live* executor, so the
         # --listen path builds one shared executor up front (instead of
-        # the farm's per-job transient) and serves scrapes off it.  The
-        # profiling plane rides the tracer's observer slot — span-stack
-        # tags for the CPU sampler, opt-in tracemalloc brackets — all
-        # read-only by construction (zero-perturbation contract).
+        # the farm's per-job transient) and serves scrapes off it.
         from repro.exec import RenderExecutor
-        from repro.obs import (
-            CompositeObserver,
-            MemoryAttributor,
-            SpanStackTracker,
-            StackSampler,
-            TelemetryServer,
-        )
 
-        tracker = SpanStackTracker()
-        sampler = StackSampler(tracker=tracker)
-        if args.profile_memory:
-            memory = MemoryAttributor()
-            memory.start()
-            obs.tracer.observer = CompositeObserver(tracker, memory)
-        else:
-            obs.tracer.observer = tracker
-        sampler.start()
         shared_executor = RenderExecutor(
             num_workers=args.workers, mp_context=args.mp_context, obs=obs
-        )
-        server = TelemetryServer(
-            *listen_addr,
-            tracer=obs.tracer,
-            metrics_fn=shared_executor.collect_metrics,
-            health_fn=shared_executor.health,
-            sampler=sampler,
-            memory=memory,
-        ).start()
-        print(
-            f"telemetry: listening on http://{server.address}/",
-            file=sys.stderr,
-            flush=True,
         )
     farm = RenderFarm(
         num_workers=args.workers,
@@ -478,7 +405,14 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     health = None
-    try:
+    with contextlib.ExitStack() as stack:
+        if shared_executor is not None:
+            # Entered in this order so the scrape server stops before the
+            # executor it reads from shuts down.
+            stack.enter_context(shared_executor)
+            stack.enter_context(
+                telemetry.live(shared_executor.collect_metrics, shared_executor.health)
+            )
         if args.repeat > 1:
             results, stats, health = run_repeated(
                 job, args, on_frame, obs=obs, executor=shared_executor
@@ -491,39 +425,13 @@ def main(argv: list[str] | None = None) -> int:
             if shared_executor is not None:
                 health = shared_executor.health()
             repeat = None
-    finally:
-        if server is not None:
-            server.stop()
-        if sampler is not None:
-            sampler.stop()
-        if memory is not None:
-            memory.stop()
-        if shared_executor is not None:
-            shared_executor.shutdown(wait=True)
-    if obs is not None:
-        from repro.obs import export_metrics, export_trace
-
-        if args.trace_out:
-            export_trace(args.trace_out, obs.tracer)
-        if args.metrics_out:
-            export_metrics(args.metrics_out, obs.metrics)
-        if args.analyze_out:
-            from repro.obs.analysis import analyze
-
-            with open(args.analyze_out, "w", encoding="utf-8") as fh:
-                json.dump(analyze(obs.tracer.spans), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    telemetry.export()
 
     alerts = None
     if args.alerts:
-        from repro.obs.alerts import AlertEngine, firing_rules, load_rules
-
-        with open(args.alerts, "r", encoding="utf-8") as fh:
-            rules = load_rules(json.load(fh))
         # One cumulative sample: the run's end state (executor shutdown
         # already folded the worker-side tallies into obs.metrics).
-        log = AlertEngine(rules).evaluate([(0.0, obs.metrics.snapshot())])
-        alerts = {"rules": len(rules), "log": log, "firing": firing_rules(log)}
+        alerts = evaluate_alerts(args.alerts, [(0.0, obs.metrics.snapshot())])
 
     if args.json:
         summary = result.summary()
@@ -537,12 +445,9 @@ def main(argv: list[str] | None = None) -> int:
         if repeat is not None:
             text += "\n" + format_repeat_report(repeat)
         if alerts is not None:
-            firing = alerts["firing"]
-            text += "\n" + (
-                f"  alerts FIRING: {', '.join(firing)}" if firing else "  alerts: none firing"
-            )
+            text += "\n" + alerts_line(alerts)
         print(text)
-    return 3 if alerts is not None and alerts["firing"] else 0
+    return EXIT_ALERTS_FIRING if alerts is not None and alerts["firing"] else 0
 
 
 if __name__ == "__main__":

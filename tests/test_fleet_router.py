@@ -44,6 +44,12 @@ class TestFleetPolicy:
             {"fair": True, "tenant_quota": 1.5},
             {"vnodes": 0},
             {"failures": ((100.0,),)},
+            {"failures": ((float("nan"), 0),)},
+            {"failures": ((float("inf"), 0),)},
+            {"failures": ((-1.0, 0),)},
+            {"failures": (("100", 0),)},
+            {"failures": ((100.0, -1),)},
+            {"failures": ((100.0, 0.5),)},
         ],
     )
     def test_rejects_bad_policies(self, kwargs):

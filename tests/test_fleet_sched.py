@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.fleet import AutoscalePolicy, FleetPolicy
 from repro.sched.qos import SLOController
 from repro.sched.scheduler import (
@@ -43,7 +41,8 @@ def events_json(report, strip=()):
 
 
 class TestSingleExecutorIdentity:
-    """fleet=None and fleet@N=1 must make byte-identical decisions."""
+    """fleet=None is FleetPolicy() reported in the pre-fleet shape: the same
+    decisions, minus the ``executor`` field and the two fleet summary keys."""
 
     def test_fleet_of_one_matches_legacy_decisions(self):
         legacy = fleet_report(fleet=None)
@@ -72,10 +71,6 @@ class TestSingleExecutorIdentity:
         legacy = set(fleet_report(fleet=None).summary())
         fleet = set(fleet_report(fleet=FleetPolicy(num_executors=1)).summary())
         assert fleet - legacy == {"fleet", "tenant_usage"}
-
-    def test_fleet_executor_arg_conflict_rejected(self):
-        with pytest.raises(ValueError):
-            RequestScheduler(fleet=FleetPolicy(), executor=object())
 
 
 class TestFleetRoutingRuns:

@@ -188,6 +188,10 @@ class TestFleetCli:
             ["--executors", "4", "--autoscale", "--autoscale-max", "2"],
             ["--executors", "2", "--fail-executor", "oops"],
             ["--executors", "2", "--fail-executor", "1000"],
+            ["--executors", "2", "--fail-executor", "nan:0"],
+            ["--executors", "2", "--fail-executor", "inf:0"],
+            ["--executors", "2", "--fail-executor", "-5:0"],
+            ["--executors", "2", "--fail-executor", "100:-1"],
         ],
     )
     def test_bad_fleet_arguments_exit_2(self, argv):

@@ -16,7 +16,6 @@ from repro.sched.scheduler import (
     run_workload,
 )
 from repro.sched.workload import Request, WorkloadSpec
-from repro.serve.farm import RenderFarm
 from repro.store.lod import select_lod
 
 
@@ -353,7 +352,6 @@ class TestExecutedDataPlane:
             policy=SchedulerPolicy(num_workers=0),
             quick=True,
             execute=True,
-            farm=RenderFarm(num_workers=0),
         )
         report = run_workload(spec, scheduler)
         completed = report.completed

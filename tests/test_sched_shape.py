@@ -1,0 +1,24 @@
+"""Keep the scheduler legible: no function in ``sched/`` or ``fleet/`` may
+grow past 100 lines again (``RequestScheduler.run`` once reached 750)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+MAX_LINES = 100
+FILES = sorted(path for package in ("sched", "fleet") for path in (SRC / package).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_function_over_100_lines(path):
+    too_long = [
+        f"{node.name} ({node.end_lineno - node.lineno + 1} lines, line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.end_lineno - node.lineno + 1 > MAX_LINES
+    ]
+    assert not too_long, f"{path.name}: split these up: {too_long}"
