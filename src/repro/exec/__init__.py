@@ -14,8 +14,9 @@ ends (``engine -> store -> exec -> serve -> sched``):
   bounded resident scene cache (a tier is shipped and decoded at most once
   per worker while resident);
 * :mod:`repro.exec.executor` — :class:`RenderExecutor`: persistent
-  workers, ``submit(job) -> JobHandle`` concurrent dispatch, crash
-  recovery, and hit/miss/ship-byte accounting.
+  workers (or, with ``num_workers <= 1``, the same task loop run by one
+  in-process worker), ``submit(job) -> JobHandle`` concurrent dispatch,
+  crash recovery, and hit/miss/ship-byte accounting.
 
 Quickstart::
 
@@ -29,12 +30,7 @@ Quickstart::
     print(first.frames_per_second, again.frames_per_second, again.warm)
 """
 
-from repro.exec.executor import (
-    DEFAULT_RESIDENT_CACHE_SIZE,
-    ExecutorStats,
-    JobHandle,
-    RenderExecutor,
-)
+from repro.exec.executor import ExecutorStats, JobHandle, RenderExecutor
 from repro.exec.frames import (
     DATAFLOWS,
     FrameCallback,
@@ -51,7 +47,6 @@ from repro.exec.worker import DEFAULT_WORKER_CACHE_SIZE
 
 __all__ = [
     "DATAFLOWS",
-    "DEFAULT_RESIDENT_CACHE_SIZE",
     "DEFAULT_WORKER_CACHE_SIZE",
     "ExecutorStats",
     "FrameCallback",

@@ -1,11 +1,8 @@
 """Persistent render executor: long-lived workers, concurrent job dispatch.
 
-The seed farm built a fresh ``multiprocessing.Pool`` per job and re-shipped
-the scene through the pool initialiser every time, so a serving process
-paid pool spin-up, scene encoding and worker-side decoding on *every* job,
-and two requests could never overlap on the data plane.
-:class:`RenderExecutor` extracts the execution layer out from under the
-farm:
+:class:`RenderExecutor` is the execution layer under the farm and the
+scheduler (the seed farm built a fresh ``multiprocessing.Pool`` per job and
+re-shipped the scene every time):
 
 * **Long-lived workers.**  ``num_workers`` processes are spawned once
   (lazily, on the first pooled submit) and reused by every subsequent job;
@@ -13,34 +10,37 @@ farm:
   so a ``(scene, lod, quant)`` tier is shipped encoded and decoded *at most
   once per worker* while resident.
 * **Concurrent job dispatch.**  :meth:`submit` returns a
-  :class:`JobHandle` immediately; frames from every in-flight job sit in
-  one FIFO and dispatch onto free worker slots as they open, so two jobs'
-  frames interleave across the pool instead of serialising job-by-job.
-  Per-frame streaming (``on_frame``) is preserved on both paths.
+  :class:`JobHandle` immediately; work units from every in-flight job sit
+  in one FIFO and dispatch onto free worker slots as they open, so two
+  jobs' frames interleave across the pool.  ``on_frame`` streams frames.
 * **Crash containment.**  A worker that raises surfaces the frame as a
   :class:`~repro.exec.frames.FrameRenderError` (index + scene + worker
   traceback) and keeps serving; a worker that *dies* (OOM kill, segfault)
-  is detected by liveness, its in-flight frame fails the owning job the
-  same way, and a replacement worker is spawned so the executor keeps its
-  capacity.  Other jobs are never affected.
-* **Accounting.**  Worker cache hits/misses and shipped/loaded bytes are
-  aggregated to the parent, per job (:class:`~repro.exec.frames.JobResult`)
-  and executor-wide (:class:`ExecutorStats`) — the numbers behind the
-  warm/cold reporting in the ``repro-serve``/``repro-sched`` CLIs and the
-  ``bench_exec_residency`` guard.
+  fails its in-flight frame's job the same way and is replaced, so the
+  executor keeps its capacity.  Other jobs are never affected.
+* **One execution of a job.**  :meth:`RenderExecutor.submit` plans the
+  work units — ``(frame index, camera, shard)`` — once, then queues them
+  for the pool or, with ``num_workers <= 1``, runs them in the caller's
+  thread as an **in-process worker**: the pool worker's own task body
+  (:func:`repro.exec.worker._run_task`) against a parent-side LRU of
+  ``worker_cache_size`` tiers, with no process, pipe or thread.  Either
+  way a finished unit goes through :meth:`RenderExecutor._deliver`, so
+  residency, hit/miss accounting (per work unit), shard compositing, spans
+  and failure wrapping exist once.  The in-process mode reports
+  ``ship_bytes = loaded_bytes = 0``: nothing crosses a process boundary.
 
 Determinism: rendering is a pure function of (scene, camera, spec), the
 encoded payload decodes deterministically, and frames are re-sorted by
-index in the aggregate — so executor output (images *and* statistics
-counters) is bitwise identical to the sequential path at every tier, with
-any number of concurrent jobs.  ``num_workers <= 1`` selects an in-process
-sequential mode with no processes or threads at all, which keeps a parent
-LRU of decoded tiers so warm/cold accounting works there too.
+index in the aggregate — so pool output (images *and* statistics counters)
+is bitwise identical to the in-process mode at every tier, with any number
+of concurrent jobs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import itertools
 import tempfile
 import threading
@@ -58,7 +58,6 @@ from repro.exec.frames import (
     JobResult,
     ShardRecord,
     ShardSpec,
-    _render_frame_task,
     merge_shard_records,
     plan_shards,
     usable_cpu_count,
@@ -71,7 +70,7 @@ from repro.exec.payload import (
     resolve_render_scene,
     scene_key,
 )
-from repro.exec.worker import DEFAULT_WORKER_CACHE_SIZE, worker_main
+from repro.exec.worker import DEFAULT_WORKER_CACHE_SIZE, _run_task, worker_main
 from repro.gaussians.model import GaussianScene
 from repro.obs import DEFAULT_BYTE_BUCKETS, MetricsRegistry, ObsContext, TracerStageHook
 from repro.obs.health import HEARTBEAT_GAUGE, REPLIES_COUNTER, Watchdog, summarize_states
@@ -81,24 +80,24 @@ from repro.render.kernels import set_stage_hook
 from repro.store.codec import quant_spec
 
 # Layering invariant: this package sits *below* repro.serve (the farm is a
-# facade over the executor), so nothing under repro.exec may import
-# repro.serve — importing repro.exec first would then re-enter the
-# half-initialised package chain.  The resident cache below is therefore a
-# local OrderedDict LRU rather than repro.serve.cache.LRUCache.
-
-#: Decoded scene tiers the sequential path keeps resident in the parent.
-DEFAULT_RESIDENT_CACHE_SIZE = 16
+# shorthand for a transient executor), so nothing under repro.exec may
+# import repro.serve — importing repro.exec first would then re-enter the
+# half-initialised package chain.  The in-process worker's cache is
+# therefore the same local OrderedDict LRU a pool worker keeps, not
+# repro.serve.cache.LRUCache.
 
 #: Dispatcher poll interval (seconds): bounds result latency and the
 #: worker-liveness detection delay without busy-spinning.
 _POLL_S = 0.02
 
 
-def _maybe_span(tracer, name: str, lane: str | None = None, attrs: dict | None = None):
-    """A tracer span, or a no-op context manager when tracing is off."""
-    if tracer is None:
-        return contextlib.nullcontext()
-    return tracer.span(name, lane=lane, attrs=attrs)
+def _unit_attrs(handle, job_id: int, index: int, key: tuple, shard) -> dict:
+    """Attributes of one work unit's ``request`` span, in both modes."""
+    attrs = dict(handle.trace_attrs) if handle is not None else {}
+    attrs.update(job=job_id, frame=index, scene=key[0])
+    if shard is not None:
+        attrs["shard"] = shard.index
+    return attrs
 
 
 @dataclass
@@ -109,7 +108,8 @@ class ExecutorStats:
     jobs_completed: int = 0
     jobs_failed: int = 0
     frames_rendered: int = 0
-    #: Worker resident-cache events (sequential mode counts its parent LRU).
+    #: Resident-cache events, one per work unit (the in-process worker
+    #: counts its parent-side LRU exactly as a pool worker counts its own).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Encoded payloads written by the parent (once per distinct tier).
@@ -120,18 +120,7 @@ class ExecutorStats:
     workers_replaced: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "frames_rendered": self.frames_rendered,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "published_payloads": self.published_payloads,
-            "published_bytes": self.published_bytes,
-            "loaded_bytes": self.loaded_bytes,
-            "workers_replaced": self.workers_replaced,
-        }
+        return dataclasses.asdict(self)
 
 
 class JobHandle:
@@ -149,14 +138,13 @@ class JobHandle:
         self,
         job,
         spec: FrameSpec,
-        num_frames: int,
         num_workers: int,
         on_frame: Optional[FrameCallback],
         trace: dict | None = None,
     ) -> None:
         self.job = job
         self.spec = spec
-        self.num_frames = num_frames
+        self.num_frames = job.num_frames
         self.num_workers = num_workers
         #: Caller-supplied span attributes (request/client ids) stamped on
         #: every dispatch span of this job when tracing is enabled.
@@ -166,10 +154,10 @@ class JobHandle:
         self.cache_hits = 0
         self.cache_misses = 0
         self.loaded_bytes = 0
-        #: Payload of a caller-supplied scene (unique per submission);
-        #: deleted by the executor when the job finishes so long-lived
-        #: executors do not accumulate one file per custom-scene submit.
-        self._custom_ref = None
+        #: Residency key of a caller-supplied scene (unique per submission);
+        #: its payload and in-process cache entry are dropped when the job
+        #: ends, so long-lived executors do not accumulate one per submit.
+        self._custom_key = None
         self._on_frame = on_frame
         self._frames: list[FrameRecord] = []
         self._error: BaseException | None = None
@@ -279,8 +267,9 @@ class RenderExecutor:
     ----------
     num_workers:
         Worker processes to keep alive.  ``0`` or ``1`` selects the
-        in-process sequential mode (no processes, no threads); ``None``
-        uses the number of CPUs actually usable by this process.
+        in-process mode (one worker running in the caller's thread; no
+        processes, no threads); ``None`` uses the number of CPUs actually
+        usable by this process.
     mp_context:
         ``multiprocessing`` start-method name (``"fork"``, ``"spawn"``,
         ``"forkserver"``) or ``None`` for the platform default.  Spawned
@@ -291,9 +280,8 @@ class RenderExecutor:
         bit-exact) or ``"text"`` (9-significant-digit debug format).
         Quantized tiers always ship the compressed store container.
     worker_cache_size:
-        Scene tiers each worker keeps decoded (LRU).
-    resident_cache_size:
-        Decoded tiers the sequential mode keeps in the parent (LRU).
+        Scene tiers each worker keeps decoded (LRU) — the in-process
+        worker's parent-side cache included.
     obs:
         Optional :class:`repro.obs.ObsContext`.  When given, the executor
         records dispatch/render spans with per-worker lane attribution
@@ -315,7 +303,6 @@ class RenderExecutor:
         mp_context: str | None = None,
         scene_format: str = "npz",
         worker_cache_size: int = DEFAULT_WORKER_CACHE_SIZE,
-        resident_cache_size: int = DEFAULT_RESIDENT_CACHE_SIZE,
         obs: ObsContext | None = None,
         watchdog: Watchdog | None = None,
         name: str | None = None,
@@ -334,8 +321,6 @@ class RenderExecutor:
             raise ValueError(f"scene_format must be one of {sorted(SCENE_FORMATS)}")
         if worker_cache_size <= 0:
             raise ValueError("worker_cache_size must be positive")
-        if resident_cache_size <= 0:
-            raise ValueError("resident_cache_size must be positive")
         self.num_workers = num_workers
         self.mp_context = mp_context
         self.scene_format = scene_format
@@ -355,8 +340,10 @@ class RenderExecutor:
         self._resources = ResourceSampler()
 
         self._lock = threading.RLock()
-        self._resident: "OrderedDict[tuple, GaussianScene]" = OrderedDict()
-        self._resident_cache_size = resident_cache_size
+        #: The in-process worker: its resident cache, and a lock that makes
+        #: it one worker (units of concurrent submitters run one at a time).
+        self._inprocess_cache: "OrderedDict[tuple, GaussianScene]" = OrderedDict()
+        self._inprocess_lock = threading.Lock()
         self._payloads: dict[tuple, SceneRef] = {}
         self._pending: deque[_FrameTask] = deque()
         #: Shard partials awaiting siblings, keyed by (job_id, frame index).
@@ -378,7 +365,7 @@ class RenderExecutor:
     # ------------------------------------------------------------------
     @property
     def sequential(self) -> bool:
-        """True when jobs render in-process (no worker pool)."""
+        """True when jobs run on the in-process worker (no worker pool)."""
         return self.num_workers <= 1
 
     def _lane(self, base: str) -> str:
@@ -405,49 +392,59 @@ class RenderExecutor:
         on_frame: Optional[FrameCallback] = None,
         trace: dict | None = None,
     ) -> JobHandle:
-        """Queue every frame of ``job`` for rendering; return its handle.
+        """Plan every work unit of ``job`` and run it; return its handle.
 
-        ``scene`` optionally overrides the job's preset scene (it is
-        LOD-pruned and tier-encoded exactly like a resolved one, but never
-        shares residency with other submissions).  ``on_frame`` fires in
-        the parent as each frame completes — in index order on the
-        sequential path, in completion order on the pool path, serialised
-        by the executor's single dispatcher thread; an exception it raises
-        fails the job (surfaced by :meth:`JobHandle.result`).  ``trace``
-        optionally carries caller span attributes (e.g. the scheduler's
-        request/client ids) onto every dispatch span of this job; it is
-        ignored without an :class:`~repro.obs.ObsContext`.
+        The units (one per frame, or per tile-range shard) are queued for
+        the pool or, with ``num_workers <= 1``, rendered in the caller's
+        thread (the handle is finished on return).  ``scene`` optionally
+        overrides the job's preset scene (LOD-pruned and tier-encoded like
+        a resolved one, but never sharing residency with other
+        submissions).  ``on_frame`` fires in the parent as each frame
+        completes — in index order in-process, in completion order on the
+        pool path, serialised by the single dispatcher thread; an exception
+        it raises fails the job (surfaced by :meth:`JobHandle.result`).
+        ``trace`` optionally carries caller span attributes (e.g. the
+        scheduler's request/client ids) onto every dispatch span of this
+        job; it is ignored without an :class:`~repro.obs.ObsContext`.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is shut down")
-            self.stats.jobs_submitted += 1
+        spec = FrameSpec.for_job(job)
+        num_shards = getattr(job, "shards", 1)
+        units = [
+            (index, camera, shard)
+            for index, camera in enumerate(job.cameras())
+            for shard in (plan_shards(camera, spec, num_shards) if num_shards > 1 else (None,))
+        ]
+        if scene is None:
+            key = scene_key(job)
+        else:
+            key = ("custom", next(self._custom_seq), job.lod, quant_spec(job.quant).name)
         if self.sequential:
-            return self._submit_sequential(job, scene, on_frame, trace)
-        return self._submit_pool(job, scene, on_frame, trace)
+            return self._run_in_process(job, scene, spec, key, units, on_frame, trace)
+        return self._enqueue(job, scene, spec, key, units, on_frame, trace)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the executor: drain (or abort) jobs, stop workers, clean up.
 
         With ``wait=True`` (default) every submitted job is allowed to
         finish first; with ``wait=False`` unfinished jobs fail with
-        ``RuntimeError``.  Idempotent.
+        ``RuntimeError`` and count as failed.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             handles = list(self._handles.values())
+            if not wait:
+                self._pending.clear()
+                for job_id in list(self._handles):
+                    self._fail_job(job_id, RuntimeError("executor shut down"))
         if self._started:
             if wait:
                 for handle in handles:
                     handle._finished.wait()
-            else:
-                with self._lock:
-                    self._pending.clear()
-                    for handle in handles:
-                        handle._fail(RuntimeError("executor shut down"))
-                    self._handles.clear()
             self._stop.set()
             if self._dispatcher is not None:
                 self._dispatcher.join(timeout=10.0)
@@ -523,8 +520,9 @@ class RenderExecutor:
         with or without an obs context — and never intervenes: a
         ``stalled`` verdict is a report, not a kill.
 
-        Sequential mode returns the same shape with an empty worker
-        list, so callers can surface the report unconditionally.
+        The in-process mode (reported as ``"sequential"``) returns the same
+        shape with an empty worker list, so callers can surface the report
+        unconditionally.
         """
         now_ns = wall_now_ns()
         with self._lock:
@@ -591,113 +589,68 @@ class RenderExecutor:
         self.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # Sequential mode
+    # Execution: the in-process worker, or the pool's queue
     # ------------------------------------------------------------------
-    def _submit_sequential(self, job, scene, on_frame, trace=None) -> JobHandle:
-        """Render in-process immediately; return an already-finished handle.
+    def _register(self, handle: JobHandle, custom_key) -> int:
+        """Admit a job (caller holds the lock): count it, give it an id."""
+        self.stats.jobs_submitted += 1
+        handle._custom_key = custom_key
+        job_id = next(self._job_seq)
+        self._handles[job_id] = handle
+        return job_id
 
-        The parent keeps an LRU of decoded tiers, so repeated jobs on one
-        tier skip scene preparation (the sequential analogue of worker
-        residency); hits and misses feed the same accounting.  With an
-        :class:`~repro.obs.ObsContext` the same request→job→frame span
-        chain as the pool path is recorded on the ``main`` lane, with the
-        kernel stage hook installed for the duration of the job.
+    def _run_in_process(self, job, scene, spec, key, units, on_frame, trace) -> JobHandle:
+        """Run every unit in the caller's thread; return the finished handle.
+
+        A miss resolves the scene in the parent (0 bytes loaded).  Each unit
+        gets a ``request`` span on the ``main`` lane with the pool's
+        attributes; the kernel stage hook is installed for the whole job.
         """
-        spec = FrameSpec.for_job(job)
-        handle = JobHandle(job, spec, job.num_frames, 0, on_frame, trace)
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        previous_hook = (
-            set_stage_hook(TracerStageHook(tracer)) if tracer is not None else None
-        )
+        handle = JobHandle(job, spec, 0, on_frame, trace)
+        with self._lock:
+            job_id = self._register(handle, key if scene is not None else None)
+        load = functools.partial(resolve_render_scene, job, scene)
+        tracer = self._obs.tracer if self._obs is not None else None
+        metrics = self._obs.metrics if self._obs is not None else None
+        previous_hook = set_stage_hook(TracerStageHook(tracer)) if tracer is not None else None
+        error: BaseException = RuntimeError("in-process job interrupted")
         try:
-            with _maybe_span(
-                tracer,
-                "request",
-                lane=self._lane("main"),
-                attrs={**handle.trace_attrs, "scene": job.scene},
-            ), _maybe_span(tracer, "job", attrs={"frames": job.num_frames}):
-                if scene is None:
-                    key = scene_key(job)
-                    with self._lock:
-                        hit = key in self._resident
-                        if hit:
-                            self._resident.move_to_end(key)
-                            render_scene = self._resident[key]
-                        else:
-                            with _maybe_span(
-                                tracer, "decode", attrs={"tier": "/".join(map(str, key[1:]))}
-                            ) as decode_span:
-                                render_scene = resolve_render_scene(job)
-                            if obs is not None:
-                                obs.metrics.histogram("repro_decode_ms").observe(
-                                    decode_span.dur_ms
-                                )
-                            self._resident[key] = render_scene
-                            if len(self._resident) > self._resident_cache_size:
-                                self._resident.popitem(last=False)
-                else:
-                    hit = False
-                    with _maybe_span(tracer, "decode", attrs={"tier": "custom"}):
-                        render_scene = resolve_render_scene(job, scene)
-                handle.num_gaussians = render_scene.num_gaussians
-                with self._lock:
-                    if hit:
-                        handle.cache_hits += 1
-                        self.stats.cache_hits += 1
-                    else:
-                        handle.cache_misses += 1
-                        self.stats.cache_misses += 1
-                    if obs is not None:
-                        kind = "hits" if hit else "misses"
-                        obs.metrics.counter(f"repro_scene_cache_{kind}_total").inc()
-                # A sharded job renders each frame as shard partials merged by
-                # the same compositor as the pool path, so sequential output is
-                # the bitwise oracle at every shard count, not just shards=1.
-                num_shards = getattr(job, "shards", 1)
-                for task in enumerate(job.cameras()):
-                    try:
-                        with _maybe_span(tracer, "frame", attrs={"frame": task[0]}):
-                            record = _render_frame_task(
-                                render_scene, task, spec, num_shards
-                            )
-                    except Exception as exc:
-                        error = FrameRenderError(job.scene, task[0], repr(exc))
-                        error.__cause__ = exc
-                        raise error
-                    handle._add_frame(record)
-                    with self._lock:
-                        self.stats.frames_rendered += 1
-                        if obs is not None:
-                            obs.metrics.counter("repro_frames_rendered_total").inc()
-                            obs.metrics.histogram("repro_render_ms").observe(
-                                record.render_ms
-                            )
-        except Exception as exc:
-            # Recorded on the handle, not raised: result() re-raises, so
-            # sequential and pooled failures reach callers the same way.
-            handle._fail(exc)
-            with self._lock:
-                self.stats.jobs_failed += 1
-            return handle
+            for index, camera, shard in units:
+                if job_id not in self._handles:  # failed by on_frame, or aborted
+                    break
+                span = (
+                    contextlib.nullcontext()
+                    if tracer is None
+                    else tracer.span(
+                        "request",
+                        lane=self._lane("main"),
+                        attrs=_unit_attrs(handle, job_id, index, key, shard),
+                    )
+                )
+                try:
+                    with self._inprocess_lock, span:
+                        record, hit, loaded = _run_task(
+                            self._inprocess_cache, self.worker_cache_size, job_id, index,
+                            camera, spec, key, 0, load, shard, tracer, metrics,
+                        )
+                except Exception as exc:
+                    error = FrameRenderError(job.scene, index, repr(exc))
+                    error.__cause__ = exc
+                    break
+                handle.num_gaussians = record.stats.num_total
+                self._deliver(job_id, record, hit, loaded)
         finally:
             if tracer is not None:
                 set_stage_hook(previous_hook)
-        with self._lock:
-            self.stats.jobs_completed += 1
+            with self._lock:
+                # A no-op for a job that ended; a frame failure (or an
+                # interrupt escaping the loop) ends the job here.
+                self._fail_job(job_id, error)
         return handle
 
-    # ------------------------------------------------------------------
-    # Pool mode
-    # ------------------------------------------------------------------
-    def _submit_pool(self, job, scene, on_frame, trace=None) -> JobHandle:
-        spec = FrameSpec.for_job(job)
-        cameras = job.cameras()
-        num_shards = getattr(job, "shards", 1)
-        work_units = len(cameras) * max(num_shards, 1)
-        handle = JobHandle(
-            job, spec, len(cameras), min(self.num_workers, work_units), on_frame, trace
-        )
+    def _enqueue(self, job, scene, spec, key, units, on_frame, trace) -> JobHandle:
+        """Publish the job's tier once and queue its units for the pool."""
+        handle = JobHandle(job, spec, min(self.num_workers, len(units)), on_frame, trace)
         lod_scene = resolve_lod_scene(job, scene)
         handle.num_gaussians = lod_scene.num_gaussians
         with self._lock:
@@ -707,36 +660,23 @@ class RenderExecutor:
             if self._closed:
                 raise RuntimeError("executor is shut down")
             self._ensure_started()
-            ref, published = self._publish(job, lod_scene, custom=scene is not None)
+            ref, published = self._publish(key, lod_scene, quant_spec(job.quant))
             if published:
                 handle.ship_bytes = ref.nbytes
-            if scene is not None:
-                handle._custom_ref = ref
-            job_id = next(self._job_seq)
-            self._handles[job_id] = handle
-            for index, camera in enumerate(cameras):
-                if num_shards > 1:
-                    # One task per tile-range shard; partials reassemble in
-                    # _handle_message before the frame is delivered, so the
-                    # shards of one frame spread across free worker slots.
-                    for shard in plan_shards(camera, spec, num_shards):
-                        self._pending.append(
-                            _FrameTask(job_id, index, camera, spec, ref, shard)
-                        )
-                else:
-                    self._pending.append(_FrameTask(job_id, index, camera, spec, ref))
+            job_id = self._register(handle, key if scene is not None else None)
+            # The shards of one frame spread across free worker slots; their
+            # partials reassemble in _deliver before the frame is delivered.
+            self._pending.extend(
+                _FrameTask(job_id, index, camera, spec, ref, shard)
+                for index, camera, shard in units
+            )
         return handle
 
-    def _publish(self, job, lod_scene, custom: bool) -> tuple[SceneRef, bool]:
-        """Encode ``job``'s tier once; reuse the payload for later jobs."""
-        tier = quant_spec(job.quant)
-        if custom:
-            key = ("custom", next(self._custom_seq), job.lod, tier.name)
-        else:
-            key = scene_key(job)
-            existing = self._payloads.get(key)
-            if existing is not None:
-                return existing, False
+    def _publish(self, key, lod_scene, tier) -> tuple[SceneRef, bool]:
+        """Encode tier ``key`` once; reuse the payload for later jobs."""
+        existing = self._payloads.get(key)
+        if existing is not None:
+            return existing, False
         ref = publish_payload(
             lod_scene,
             key,
@@ -819,9 +759,11 @@ class RenderExecutor:
             for slot in list(self._workers.values()):
                 if slot.inflight is not None:
                     continue
-                task = self._next_task()
-                if task is None:
+                if not self._pending:
                     return
+                # Every queued unit belongs to a live job: _fail_job drops a
+                # failed job's units and an aborting shutdown clears them all.
+                task = self._pending.popleft()
                 slot.inflight = task
                 slot.sent_ns = wall_now_ns()
                 try:
@@ -844,14 +786,6 @@ class RenderExecutor:
                     self._pending.appendleft(task)
                     self._on_worker_death(slot, requeue_inflight=False)
 
-    def _next_task(self) -> _FrameTask | None:
-        """Pop the next live pending frame (skipping frames of failed jobs)."""
-        while self._pending:
-            task = self._pending.popleft()
-            if task.job_id in self._handles:
-                return task
-        return None
-
     def _handle_message(self, slot: _WorkerSlot, message) -> None:
         # Heartbeat: every reply (ok or err) proves the worker alive.
         slot.last_reply_ns = wall_now_ns()
@@ -862,48 +796,7 @@ class RenderExecutor:
             self._ingest_worker_obs(slot, obs_payload)
             with self._lock:
                 slot.inflight = None
-                if hit:
-                    self.stats.cache_hits += 1
-                else:
-                    self.stats.cache_misses += 1
-                    self.stats.loaded_bytes += loaded
-                handle = self._handles.get(job_id)
-                if handle is not None:
-                    if hit:
-                        handle.cache_hits += 1
-                    else:
-                        handle.cache_misses += 1
-                        handle.loaded_bytes += loaded
-                if isinstance(record, ShardRecord):
-                    if handle is None:  # job already failed; drop the partial
-                        return
-                    # Bank the shard partial; the frame is delivered only
-                    # once every sibling has arrived and the compositor has
-                    # reassembled the whole-frame record.
-                    parts_key = (job_id, record.index)
-                    parts = self._shard_parts.setdefault(parts_key, [])
-                    parts.append(record)
-                    if len(parts) < record.shard.num_shards:
-                        return
-                    del self._shard_parts[parts_key]
-                    record = merge_shard_records(parts)
-                self.stats.frames_rendered += 1
-            if handle is None:  # job already failed; drop the late frame
-                return
-            # Deliver outside the lock: on_frame is user code — run under
-            # the lock it would stall every assignment and deadlock any
-            # callback that synchronises with a thread calling submit().
-            try:
-                handle._add_frame(record)
-            except Exception as exc:  # on_frame callback raised
-                with self._lock:
-                    self._fail_job(job_id, exc)
-                return
-            if handle.done():
-                with self._lock:
-                    self._handles.pop(job_id, None)
-                    self.stats.jobs_completed += 1
-                    self._release_custom_payload(handle)
+            self._deliver(job_id, record, hit, loaded)
         else:  # "err"
             _, _, job_id, index, error, tb, obs_payload = message
             self._ingest_worker_obs(slot, obs_payload, error=error)
@@ -919,6 +812,49 @@ class RenderExecutor:
                         f"{error}\n--- worker traceback ---\n{tb}",
                     ),
                 )
+
+    def _deliver(self, job_id: int, record, hit: bool, loaded: int) -> None:
+        """End one work unit in either mode: account it (hit/miss/loaded),
+        composite shards, deliver the frame once whole, complete the job."""
+        with self._lock:
+            handle = self._handles.get(job_id)
+            for tally in (self.stats, handle) if handle is not None else (self.stats,):
+                if hit:
+                    tally.cache_hits += 1
+                else:
+                    tally.cache_misses += 1
+                    tally.loaded_bytes += loaded
+            if isinstance(record, ShardRecord):
+                if handle is None:  # job already failed; drop the partial
+                    return
+                # Bank the shard partial; the frame is delivered only once
+                # every sibling has arrived and the compositor has
+                # reassembled the whole-frame record.
+                parts_key = (job_id, record.index)
+                parts = self._shard_parts.setdefault(parts_key, [])
+                parts.append(record)
+                if len(parts) < record.shard.num_shards:
+                    return
+                del self._shard_parts[parts_key]
+                record = merge_shard_records(parts)
+            self.stats.frames_rendered += 1
+        if handle is None:  # job already failed; drop the late frame
+            return
+        # Deliver outside the lock: on_frame is user code — run under the
+        # lock it would stall every assignment and deadlock any callback
+        # that synchronises with a thread calling submit().
+        try:
+            handle._add_frame(record)
+        except Exception as exc:  # on_frame callback raised
+            with self._lock:
+                self._fail_job(job_id, exc)
+            return
+        if handle.done():
+            with self._lock:
+                # Popped here or by an aborting shutdown, never both.
+                if self._handles.pop(job_id, None) is not None:
+                    self.stats.jobs_completed += 1
+                    self._release_custom_payload(handle)
 
     def _ingest_worker_obs(self, slot: _WorkerSlot, obs_payload, error=None) -> None:
         """Adopt one reply's piggybacked spans/metrics into the parent trace.
@@ -940,11 +876,7 @@ class RenderExecutor:
         if task is not None:
             with self._lock:
                 handle = self._handles.get(task.job_id)
-            if handle is not None:
-                attrs.update(handle.trace_attrs)
-            attrs.update(job=task.job_id, frame=task.index, scene=task.ref.key[0])
-            if task.shard is not None:
-                attrs["shard"] = task.shard.index
+            attrs.update(_unit_attrs(handle, task.job_id, task.index, task.ref.key, task.shard))
         if error is not None:
             attrs["error"] = error
         unit = tracer.record(
@@ -982,19 +914,22 @@ class RenderExecutor:
         self._release_custom_payload(handle)
 
     def _release_custom_payload(self, handle: JobHandle) -> None:
-        """Delete a finished job's caller-supplied payload (never reused).
+        """Drop a finished job's caller-supplied scene (never reused).
 
-        Named-preset payloads stay resident for reuse; custom-scene keys
-        are unique per submission, so keeping them would leak one on-disk
-        file per submit for the executor's lifetime.  A worker still
-        holding an in-flight frame of a *failed* custom job may lose the
-        race and find the file gone — its error lands on the already-dead
-        job and is dropped.
+        Named-preset tiers stay resident for reuse; custom-scene keys are
+        unique per submission, so keeping their payload file (pool) or
+        decoded scene (in-process cache) would leak one per submit for the
+        executor's lifetime.  A worker still holding an in-flight frame of
+        a *failed* custom job may lose the race and find the file gone —
+        its error lands on the already-dead job and is dropped.
         """
-        ref = handle._custom_ref
+        key = handle._custom_key
+        if key is None:
+            return
+        self._inprocess_cache.pop(key, None)
+        ref = self._payloads.pop(key, None)
         if ref is None:
             return
-        self._payloads.pop(ref.key, None)
         try:
             Path(ref.path).unlink()
         except OSError:  # pragma: no cover - already gone

@@ -262,15 +262,6 @@ class FrameRenderError(RuntimeError):
 
 
 @dataclass
-class _WorkerFailure:
-    """Pickle-safe record of a worker-side frame failure."""
-
-    index: int
-    error: str
-    traceback: str
-
-
-@dataclass
 class JobResult:
     """Aggregated output of one render job (farm or executor)."""
 
@@ -289,13 +280,15 @@ class JobResult:
     #: job's LOD level was applied).
     num_gaussians: int = 0
     #: On-disk bytes of the encoded scene payload this job had to publish
-    #: for its worker pool (0 on the sequential path — nothing crosses a
+    #: for its worker pool (0 in the in-process mode — nothing crosses a
     #: process boundary — and 0 for a job whose ``(scene, lod, quant)``
     #: tier was already published by an earlier job on the same executor).
     ship_bytes: int = 0
-    #: Worker-resident scene-cache accounting, aggregated to the parent:
-    #: frames served from a worker's resident scene vs frames that had to
-    #: load (decode) the payload first, plus the bytes those loads read.
+    #: Resident scene-cache accounting, aggregated to the parent, counted
+    #: per work unit (a frame, or one shard of a sharded frame) in both
+    #: modes: units served from a resident scene vs units that had to load
+    #: (decode) it first, plus the payload bytes those loads read (0 in the
+    #: in-process mode, whose loads resolve the scene in the parent).
     cache_hits: int = 0
     cache_misses: int = 0
     loaded_bytes: int = 0
@@ -467,23 +460,3 @@ def merge_shard_records(records: list[ShardRecord]) -> FrameRecord:
         stats=merged.stats,
         render_ms=max(r.render_ms for r in records),
     )
-
-
-def _render_frame_task(
-    scene: GaussianScene,
-    task: tuple[int, Camera],
-    spec: FrameSpec,
-    num_shards: int = 1,
-) -> FrameRecord:
-    """Render one frame, sharded in-process when ``num_shards > 1``.
-
-    The sequential executor path uses this so that a sharded job exercises
-    exactly the same shard render + compositor code as the worker pool —
-    which is what keeps pool output bitwise comparable to the sequential
-    oracle at any shard count.
-    """
-    if num_shards <= 1:
-        return _render_one(scene, task, spec)
-    shards = plan_shards(task[1], spec, num_shards)
-    records = [_render_one_shard(scene, task, spec, shard) for shard in shards]
-    return merge_shard_records(records)

@@ -1,6 +1,6 @@
 """Scene resolution and encoded-payload publication for the executor.
 
-Two concerns live here, both shared by the sequential path and the worker
+Two concerns live here, both shared by the in-process mode and the worker
 pool so that their outputs stay *bitwise identical*:
 
 * **Resolution** — turning a :class:`~repro.serve.trajectories.RenderJob`
@@ -15,7 +15,7 @@ pool so that their outputs stay *bitwise identical*:
   bit-exact ``.npz`` archive (or the debug text format), lossy tiers ship
   the quantized store container, so the bytes crossing the process boundary
   shrink with the tier.  Decoding is deterministic, which is what keeps the
-  concurrent path bitwise identical to the sequential one at every tier.
+  pool bitwise identical to the in-process mode at every tier.
 
 Import-cycle invariant: ``repro.store.store`` pulls ``repro.serve.cache``
 back in, so it is imported lazily inside the resolution helpers — this
@@ -82,7 +82,7 @@ def resolve_lod_scene(job, scene: GaussianScene | None = None) -> GaussianScene:
 def resolve_render_scene(job, scene: GaussianScene | None = None) -> GaussianScene:
     """The decoded, render-ready scene of ``job``'s full ``(lod, quant)`` tier.
 
-    This is what the sequential path renders in-process; the worker pool
+    This is the in-process worker's loader (a cache miss calls it); the pool
     arrives at the *same bits* by decoding the published payload (the codec
     round-trip and the save/load trip are the same deterministic transform).
     """

@@ -26,7 +26,10 @@ The first frame of a tier pays the load and reports ``loaded_bytes``; every
 later frame of the same tier reports a cache hit and renders immediately.
 The cache is a small LRU (:data:`DEFAULT_WORKER_CACHE_SIZE` tiers) so a
 worker serving many tenants cannot grow without bound; an evicted tier is
-simply re-loaded on next touch (and counted as a fresh miss).
+simply re-loaded on next touch (and counted as a fresh miss).  Hits and
+misses are counted per work unit (a frame, or one shard of a frame).  The
+executor's in-process mode (``num_workers <= 1``) is this worker's task
+body, :func:`_run_task`, called in the parent against a parent-side cache.
 
 Messages (all plain tuples, pickle-friendly):
 
@@ -55,6 +58,7 @@ the worker.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import time
 import traceback
@@ -115,24 +119,28 @@ def _span(tracer, name: str, attrs: dict | None = None):
     return contextlib.nullcontext() if tracer is None else tracer.span(name, attrs=attrs)
 
 
-def _tier_label(ref) -> str:
-    # key is (scene, lod, quant) or ("custom", n, lod, quant).
-    return "/".join(str(part) for part in ref.key[1:])
+def _run_task(
+    cache, cache_size, job_id, index, camera, spec, key, nbytes, load, shard, tracer, metrics
+):
+    """Render one work unit against ``cache``; record spans/metrics when on.
 
-
-def _run_task(cache, cache_size, job_id, index, camera, spec, ref, shard, tracer, metrics):
-    """Render one task; record spans/metrics when observability is on."""
-    with _span(tracer, "job", {"job": job_id, "frame": index, "scene": ref.key[0]}):
-        scene = cache.get(ref.key)
+    ``key`` is the residency key — ``(scene, lod, quant)`` or
+    ``("custom", n, lod, quant)`` — and ``load()`` produces the decoded
+    scene on a miss, which is charged ``nbytes`` loaded bytes.  A pool
+    worker passes its payload reader and the payload size; the executor's
+    in-process mode calls this same function with a scene resolver and
+    ``0`` bytes, so residency is defined once for both modes.
+    """
+    with _span(tracer, "job", {"job": job_id, "frame": index, "scene": key[0]}):
+        scene = cache.get(key)
         hit = scene is not None
         loaded = 0
         if not hit:
-            with _span(
-                tracer, "decode", {"tier": _tier_label(ref), "bytes": ref.nbytes}
-            ) as decode_span:
-                scene = _SCENE_LOADERS[ref.fmt](ref.path)
-            loaded = ref.nbytes
-            cache[ref.key] = scene
+            tier = "/".join(str(part) for part in key[1:])
+            with _span(tracer, "decode", {"tier": tier, "bytes": nbytes}) as decode_span:
+                scene = load()
+            loaded = nbytes
+            cache[key] = scene
             if len(cache) > cache_size:
                 cache.popitem(last=False)
             if metrics is not None:
@@ -140,7 +148,7 @@ def _run_task(cache, cache_size, job_id, index, camera, spec, ref, shard, tracer
                 metrics.counter("repro_loaded_bytes_total").inc(loaded)
                 metrics.histogram("repro_decode_ms").observe(decode_span.dur_ms)
         else:
-            cache.move_to_end(ref.key)
+            cache.move_to_end(key)
             if metrics is not None:
                 metrics.counter("repro_scene_cache_hits_total").inc()
         with _span(tracer, "frame", {"frame": index}):
@@ -209,8 +217,10 @@ def worker_main(
         if stall_s > 0.0:
             time.sleep(stall_s)
         try:
+            load = functools.partial(_SCENE_LOADERS[ref.fmt], ref.path)
             record, hit, loaded = _run_task(
-                cache, cache_size, job_id, index, camera, spec, ref, shard, tracer, metrics
+                cache, cache_size, job_id, index, camera, spec,
+                ref.key, ref.nbytes, load, shard, tracer, metrics,
             )
         except Exception as exc:
             if metrics is not None:

@@ -88,7 +88,7 @@ def set_stage_hook(hook):
     """Install ``hook`` (``None`` restores the no-op); returns the previous.
 
     Process-global by design: worker processes install their own hook
-    bound to their private tracer, and the executor's sequential path
+    bound to their private tracer, and the executor's in-process mode
     installs/restores one around each job.
     """
     global _stage_hook

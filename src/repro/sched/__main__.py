@@ -60,6 +60,7 @@ from repro.sched.scheduler import (
 )
 from repro.fleet import AutoscalePolicy, FleetPolicy, ROUTINGS
 from repro.sched.workload import ARRIVAL_KINDS, WorkloadSpec
+from repro.serve.__main__ import _nonnegative_int, _positive_int
 from repro.serve.farm import DATAFLOWS
 from repro.store.codec import QUANT_SPECS
 
@@ -124,20 +125,6 @@ def _positive_float(text: str) -> float:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value

@@ -6,13 +6,12 @@ render service:
 * :mod:`repro.serve.trajectories` — parameterised camera paths (orbit,
   dolly, walkthrough, random-jitter) that expand any evaluation preset into
   an N-frame :class:`~repro.serve.trajectories.RenderJob`;
-* :mod:`repro.serve.farm` — the :class:`~repro.serve.farm.RenderFarm`, a
-  one-job-at-a-time facade over the execution subsystem
-  (:mod:`repro.exec`): a transient per-job worker pool by default, a
-  shared persistent :class:`~repro.exec.executor.RenderExecutor` (warm
-  workers, resident scene tiers) when one is passed, or an in-process
-  sequential path — aggregating images, statistics counters and
-  throughput/latency figures into a :class:`~repro.serve.farm.JobResult`;
+* :mod:`repro.serve.farm` — the :class:`~repro.serve.farm.RenderFarm`,
+  shorthand for one job on a transient
+  :class:`~repro.exec.executor.RenderExecutor` (a per-job worker pool, or
+  the executor's in-process worker) — aggregating images, statistics
+  counters and throughput/latency figures into a
+  :class:`~repro.serve.farm.JobResult`;
 * :mod:`repro.serve.cache` — the bounded :class:`~repro.serve.cache.LRUCache`
   backing the evaluation runner's artifact memos;
 * ``python -m repro.serve`` (also installed as ``repro-serve``) — the

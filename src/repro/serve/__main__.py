@@ -67,11 +67,8 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Render a scene trajectory on the render farm.",
-    )
+def _add_scene_arguments(parser) -> None:
+    """What is rendered: the scene and its quality tier."""
     parser.add_argument(
         "--scene",
         default="train",
@@ -100,6 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(QUANT_SPECS),
         help="scene quantization tier (lossless ships/renders bit-exactly)",
     )
+
+
+def _add_run_arguments(parser) -> None:
+    """How much is rendered, on how many workers, how many times."""
     parser.add_argument(
         "--trajectory",
         default="orbit",
@@ -129,6 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
             "scene encode, worker decode; the rest hit resident scenes)"
         ),
     )
+
+
+def _add_engine_arguments(parser) -> None:
+    """How each frame renders."""
     parser.add_argument(
         "--dataflow",
         default="tilewise",
@@ -165,6 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the reduced quick preset (smoke runs)",
     )
+
+
+def _add_misc_arguments(parser) -> None:
+    """Trajectory anchors, process start method and reporting."""
     parser.add_argument(
         "--view-index",
         type=int,
@@ -210,6 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
             "metrics; exit 3 if any rule is firing"
         ),
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # Helpers add to the parser itself, not to argparse groups, so the
+    # usage line and --help keep one flat option list in this order.
+    parser = argparse.ArgumentParser(
+        prog="repro-serve",
+        description="Render a scene trajectory on the render farm.",
+    )
+    _add_scene_arguments(parser)
+    _add_run_arguments(parser)
+    _add_engine_arguments(parser)
+    _add_misc_arguments(parser)
     return parser
 
 
@@ -344,9 +366,8 @@ def format_report(result: JobResult) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def build_job(args: argparse.Namespace, parser) -> RenderJob:
+    """The :class:`RenderJob` the parsed arguments describe."""
     scene_name = args.scene
     if args.scene_file is not None:
         try:
@@ -363,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shards > 1 requires --dataflow tilewise")
     if args.dtype != "float64" and args.dataflow != "tilewise":
         parser.error("--dtype float32 requires --dataflow tilewise")
-    job = RenderJob(
+    return RenderJob(
         scene=scene_name,
         trajectory=trajectory,
         quick=args.quick,
@@ -374,42 +395,36 @@ def main(argv: list[str] | None = None) -> int:
         shards=args.shards,
         dtype=args.dtype,
     )
-    # The farm's alert rules read the obs metrics, so --alerts alone
-    # already needs an obs context.
-    telemetry = TelemetrySession(args, parser, obs_for_alerts=True)
-    obs = telemetry.obs
-    shared_executor = None
-    if telemetry.listen_addr is not None:
-        # Live telemetry needs views onto a *live* executor, so the
-        # --listen path builds one shared executor up front (instead of
-        # the farm's per-job transient) and serves scrapes off it.
-        from repro.exec import RenderExecutor
 
-        shared_executor = RenderExecutor(
-            num_workers=args.workers, mp_context=args.mp_context, obs=obs
-        )
-    farm = RenderFarm(
-        num_workers=args.workers,
-        mp_context=args.mp_context,
-        obs=obs,
-        executor=shared_executor,
+
+def _print_progress(record) -> None:
+    print(
+        f"  frame {record.index:>4} done in {record.render_ms:8.1f} ms",
+        file=sys.stderr,
+        flush=True,
     )
-    on_frame = None
-    if args.progress:
 
-        def on_frame(record):
-            print(
-                f"  frame {record.index:>4} done in {record.render_ms:8.1f} ms",
-                file=sys.stderr,
-                flush=True,
-            )
 
-    health = None
+def run_job(
+    job: RenderJob, args: argparse.Namespace, telemetry: TelemetrySession
+) -> tuple[JobResult, dict | None]:
+    """Render ``job`` as the arguments ask; return the last result and the
+    ``--repeat`` summary (``None`` for a single run)."""
+    obs = telemetry.obs
+    on_frame = _print_progress if args.progress else None
     with contextlib.ExitStack() as stack:
-        if shared_executor is not None:
+        shared_executor = None
+        if telemetry.listen_addr is not None:
+            # Live telemetry needs views onto a *live* executor, so the
+            # --listen path builds one shared executor up front (instead of
+            # the farm's per-job transient) and serves scrapes off it.
             # Entered in this order so the scrape server stops before the
             # executor it reads from shuts down.
-            stack.enter_context(shared_executor)
+            from repro.exec import RenderExecutor
+
+            shared_executor = stack.enter_context(
+                RenderExecutor(num_workers=args.workers, mp_context=args.mp_context, obs=obs)
+            )
             stack.enter_context(
                 telemetry.live(shared_executor.collect_metrics, shared_executor.health)
             )
@@ -417,21 +432,30 @@ def main(argv: list[str] | None = None) -> int:
             results, stats, health = run_repeated(
                 job, args, on_frame, obs=obs, executor=shared_executor
             )
-            result = results[-1]
             repeat = repeat_summary(results, stats)
             repeat["health"] = health
-        else:
-            result = farm.run(job, on_frame=on_frame)
-            if shared_executor is not None:
-                health = shared_executor.health()
-            repeat = None
+            return results[-1], repeat
+        if shared_executor is not None:
+            return shared_executor.submit(job, on_frame=on_frame).result(), None
+        farm = RenderFarm(num_workers=args.workers, mp_context=args.mp_context, obs=obs)
+        return farm.run(job, on_frame=on_frame), None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    job = build_job(args, parser)
+    # The farm's alert rules read the obs metrics, so --alerts alone
+    # already needs an obs context.
+    telemetry = TelemetrySession(args, parser, obs_for_alerts=True)
+    result, repeat = run_job(job, args, telemetry)
     telemetry.export()
 
     alerts = None
     if args.alerts:
         # One cumulative sample: the run's end state (executor shutdown
         # already folded the worker-side tallies into obs.metrics).
-        alerts = evaluate_alerts(args.alerts, [(0.0, obs.metrics.snapshot())])
+        alerts = evaluate_alerts(args.alerts, [(0.0, telemetry.obs.metrics.snapshot())])
 
     if args.json:
         summary = result.summary()

@@ -1,27 +1,23 @@
-"""Render farm: the one-job-at-a-time facade over the render executor.
+"""Render farm: one job on a transient executor.
 
 A :class:`RenderFarm` takes a :class:`~repro.serve.trajectories.RenderJob`
 (scene preset x camera trajectory x dataflow), renders every frame and
 aggregates the images, statistics counters and latencies into a
-:class:`~repro.exec.frames.JobResult`.  Since the persistent-executor
-refactor the farm no longer owns any execution machinery: it is a thin
-facade over :class:`repro.exec.RenderExecutor`.
+:class:`~repro.exec.frames.JobResult`.  It owns no execution machinery:
+``RenderFarm(num_workers=4).run(job)`` is shorthand for::
 
-* **Standalone farm (default).**  ``RenderFarm(num_workers=4).run(job)``
-  spins up a transient executor for that one job and tears it down after —
-  the original per-job-pool behaviour, preserved for scripts and
-  benchmarks that measure exactly that cold path.  ``num_workers <= 1`` (or
-  a single-frame job) renders in-process with no pool at all.
-* **Shared executor.**  ``RenderFarm(executor=executor)`` routes ``run``
-  through a long-lived :class:`~repro.exec.executor.RenderExecutor`, so
-  repeated jobs reuse warm workers and resident scenes, and several farms
-  (or any other caller) can share one pool.  This is what a serving
-  process wants; the ``repro-serve --repeat`` CLI and the request
-  scheduler's data plane both use it.
+    with RenderExecutor(num_workers=min(4, work_units), ...) as executor:
+        return executor.submit(job).result()
 
-All behavioural contracts of the pre-refactor farm hold structurally,
-because both paths run the same :mod:`repro.exec` primitives: pool output
-is bitwise identical to the sequential fallback (images *and* statistics
+— a transient executor sized to the job's work units (frames x shards),
+started for that one job and shut down after it: the per-job-pool cold
+path that scripts and benchmarks measure.  A value of ``<= 1`` (one worker
+asked for, or a single work unit) selects the executor's in-process mode.
+Anything long-lived — repeated jobs on warm workers, overlapping
+submissions — uses a :class:`~repro.exec.executor.RenderExecutor` directly.
+
+The executor's contracts therefore hold here unchanged: pool output is
+bitwise identical to the in-process mode (images *and* statistics
 counters) at every ``(lod, quant)`` tier, quantized tiers ship the encoded
 payload, frames stream through ``on_frame``, and failures surface as
 :class:`~repro.exec.frames.FrameRenderError` with the frame index and
@@ -34,11 +30,10 @@ This module re-exports the execution primitives (``FrameSpec``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.exec.frames import (  # noqa: F401 - re-exported compatibility names
     DATAFLOWS,
-    _NON_COUNTER_FIELDS,
     SCENE_FORMATS,
     FrameCallback,
     FrameRecord,
@@ -46,15 +41,10 @@ from repro.exec.frames import (  # noqa: F401 - re-exported compatibility names
     FrameResult,
     FrameSpec,
     JobResult,
-    _render_one,
-    _WorkerFailure,
     render_frame,
     usable_cpu_count,
 )
 from repro.gaussians.model import GaussianScene
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.exec.executor import JobHandle, RenderExecutor
 
 # Import-cycle invariant: repro.exec.executor is imported lazily (inside
 # methods) because importing this module can happen *while* repro.exec is
@@ -63,16 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 class RenderFarm:
-    """Frame-parallel scheduler for trajectory render jobs.
+    """One job at a time, each on a transient :class:`RenderExecutor`.
 
     Parameters
     ----------
     num_workers:
-        Worker processes to shard frames across.  ``0`` or ``1`` selects
-        the in-process sequential fallback; ``None`` uses the number of
-        CPUs actually usable by this process (scheduler affinity / cgroup
-        limits respected, not the host core count).  Ignored when a shared
-        ``executor`` is supplied (the executor's pool serves the job).
+        Most worker processes a job's transient executor may start (it
+        never starts more than the job has work units); ``<= 1`` renders
+        in-process.  ``None`` uses the number of CPUs actually usable by
+        this process (scheduler affinity / cgroup limits respected, not
+        the host core count).
     mp_context:
         ``multiprocessing`` start-method name (``"fork"``, ``"spawn"``,
         ``"forkserver"``) or ``None`` for the platform default.  Spawned
@@ -83,19 +73,11 @@ class RenderFarm:
         ``"npz"`` (default, bit-exact) or ``"text"`` (9-significant-digit
         debug format; worker renders then match an in-process render of the
         round-tripped scene, not of the original).
-    executor:
-        Optional shared :class:`~repro.exec.executor.RenderExecutor`.
-        When given, every ``run`` submits to it (warm workers, resident
-        scenes, concurrent with other submitters) and the farm does not
-        own — and never shuts down — the pool.  When omitted, each ``run``
-        uses a private transient executor (cold per-job pool).
     obs:
         Optional :class:`~repro.obs.ObsContext` handed to every transient
-        executor this farm creates, so standalone-farm runs trace and
-        meter like shared-executor runs.  Ignored when a shared
-        ``executor`` is supplied — the executor's own context (set at its
-        construction) governs.  Observability is a pure side channel:
-        rendered output is bitwise identical with or without it.
+        executor, so farm runs trace and meter like executor runs.
+        Observability is a pure side channel: rendered output is bitwise
+        identical with or without it.
     """
 
     def __init__(
@@ -103,13 +85,8 @@ class RenderFarm:
         num_workers: int | None = None,
         mp_context: str | None = None,
         scene_format: str = "npz",
-        executor: RenderExecutor | None = None,
         obs=None,
     ) -> None:
-        if executor is not None:
-            num_workers = executor.num_workers
-            mp_context = executor.mp_context
-            scene_format = executor.scene_format
         if num_workers is None:
             num_workers = usable_cpu_count()
         if num_workers < 0:
@@ -119,7 +96,6 @@ class RenderFarm:
         self.num_workers = num_workers
         self.mp_context = mp_context
         self.scene_format = scene_format
-        self.executor = executor
         self.obs = obs
 
     # ------------------------------------------------------------------
@@ -143,11 +119,11 @@ class RenderFarm:
             (``make_scene(preset.name, scale=preset.scale)``).
         on_frame:
             Optional per-frame completion callback, invoked in the parent
-            process as each frame finishes — in index order on the
-            sequential path, in completion order on the pool path.  This is
-            how a caller observes latency mid-job instead of waiting for
-            the aggregate :class:`~repro.exec.frames.JobResult`; exceptions
-            it raises abort the job.
+            process as each frame finishes — in index order in-process, in
+            completion order on the pool path.  This is how a caller
+            observes latency mid-job instead of waiting for the aggregate
+            :class:`~repro.exec.frames.JobResult`; exceptions it raises
+            abort the job.
 
         Raises
         ------
@@ -162,46 +138,18 @@ class RenderFarm:
         quantized codec.  On the pool path the *encoded* payload is what
         ships to the workers (``ship_bytes`` in the result records its
         on-disk size); decoding is deterministic, so pool frames stay
-        bitwise identical to the sequential fallback at every tier, and
-        the lossless tier stays bitwise identical to the legacy pipeline.
+        bitwise identical to the in-process mode at every tier, and the
+        lossless tier stays bitwise identical to the legacy pipeline.
         """
         from repro.exec.executor import RenderExecutor
 
-        if self.executor is not None:
-            return self.executor.submit(job, scene=scene, on_frame=on_frame).result()
-        # Work units, not frames, decide whether a pool pays off: a sharded
-        # single-frame job still spreads its tile-range shards over workers.
+        # Work units, not frames, size the pool: a sharded single-frame job
+        # still spreads its tile-range shards over workers.
         work_units = job.num_frames * max(getattr(job, "shards", 1), 1)
-        if self.num_workers <= 1 or work_units <= 1:
-            transient = RenderExecutor(
-                num_workers=0, scene_format=self.scene_format, obs=self.obs
-            )
-            return transient.submit(job, scene=scene, on_frame=on_frame).result()
         with RenderExecutor(
-            # A transient pool serves exactly this job, so never spawn more
-            # workers than it has work units (matching the pre-executor farm).
             num_workers=min(self.num_workers, work_units),
             mp_context=self.mp_context,
             scene_format=self.scene_format,
             obs=self.obs,
         ) as transient:
             return transient.submit(job, scene=scene, on_frame=on_frame).result()
-
-    def submit(
-        self,
-        job,
-        scene: GaussianScene | None = None,
-        on_frame: Optional[FrameCallback] = None,
-    ) -> JobHandle:
-        """Submit ``job`` to the shared executor without blocking.
-
-        Only available on a farm constructed with a shared ``executor``
-        (a transient per-job pool has nobody to keep it alive across a
-        non-blocking call).
-        """
-        if self.executor is None:
-            raise RuntimeError(
-                "submit() needs a shared executor; construct the farm with "
-                "RenderFarm(executor=...) or call run() for blocking execution"
-            )
-        return self.executor.submit(job, scene=scene, on_frame=on_frame)

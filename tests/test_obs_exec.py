@@ -42,18 +42,17 @@ class TestSequentialTracing:
         with RenderExecutor(num_workers=0, obs=obs) as executor:
             executor.submit(quick_job(2), trace={"request": "r1"}).result()
         named = spans_by_name(obs.tracer)
-        assert len(named["request"]) == 1 and len(named["job"]) == 1
-        assert len(named["frame"]) == 2
-        # Kernel stage spans recorded through the hook, one set per frame.
-        for stage in ("project", "pair_build", "blend"):
-            assert len(named[stage]) == 2, stage
-        # Chain: frame -> job -> request, stages under their frame.
-        request, job = named["request"][0], named["job"][0]
-        assert job["parent"] == request["id"]
-        assert all(f["parent"] == job["id"] for f in named["frame"])
-        frame_ids = {f["id"] for f in named["frame"]}
-        assert all(s["parent"] in frame_ids for s in named["blend"])
-        assert request["attrs"]["request"] == "r1"
+        # The pool's shape: one request > job > frame > render chain per
+        # work unit, kernel stages under render.
+        for name in ("request", "job", "frame", "render", "project", "pair_build", "blend"):
+            assert len(named[name]) == 2, name
+        ids = {name: {s["id"] for s in named[name]} for name in ("request", "job", "frame", "render")}
+        assert all(s["parent"] in ids["request"] for s in named["job"])
+        assert all(s["parent"] in ids["job"] for s in named["frame"])
+        assert all(s["parent"] in ids["frame"] for s in named["render"])
+        assert all(s["parent"] in ids["render"] for s in named["blend"])
+        assert [s["attrs"]["frame"] for s in named["request"]] == [0, 1]
+        assert all(s["attrs"]["request"] == "r1" for s in named["request"])
         assert all(s["lane"] == "main" for s in obs.tracer.spans)
 
     def test_gaussianwise_stages_cover_the_frame(self):
@@ -65,14 +64,16 @@ class TestSequentialTracing:
             result = executor.submit(quick_job(1, dataflow="gaussianwise")).result()
         named = spans_by_name(obs.tracer)
         (frame,) = named["frame"]
+        (render,) = named["render"]
+        assert render["parent"] == frame["id"]
         groups = result.frames[0].stats.num_groups_processed
         assert groups > 1 and "pair_build" not in named
         assert len(named["project"]) == groups
         stages = [s for name in ("project", "boundary", "sh", "blend") for s in named[name]]
         assert len(named["boundary"]) == len(named["sh"]) == len(named["blend"]) <= groups
-        # Valid nesting: every stage is a child of the frame, inside its
-        # interval, and stages never overlap one another.
-        assert all(s["parent"] == frame["id"] for s in stages)
+        # Valid nesting: every stage is a child of the render span, inside
+        # the frame's interval, and stages never overlap one another.
+        assert all(s["parent"] == render["id"] for s in stages)
         stages.sort(key=lambda s: s["t0_ms"])
         assert stages[0]["t0_ms"] >= frame["t0_ms"]
         assert stages[-1]["t0_ms"] + stages[-1]["dur_ms"] <= frame["t0_ms"] + frame["dur_ms"]

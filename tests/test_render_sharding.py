@@ -29,7 +29,6 @@ from repro.exec import RenderExecutor
 from repro.exec.frames import (
     FrameSpec,
     ShardSpec,
-    _render_frame_task,
     _render_one,
     merge_shard_records,
     plan_shards,
@@ -258,14 +257,20 @@ class TestShardSpecPlanning:
             )
 
     def test_sequential_task_path_matches_whole_frame(self):
-        # _render_frame_task with shards > 1 runs the same compositor the
-        # pool uses — its record must equal the plain whole-frame record.
-        scene_obj, camera = _scene_camera("train")
-        spec = FrameSpec()
-        whole = _render_one(scene_obj, (0, camera), spec)
-        sharded = _render_frame_task(scene_obj, (0, camera), spec, num_shards=3)
-        assert np.array_equal(whole.image, sharded.image)
-        assert_stats_equal(whole.stats, sharded.stats)
+        # The in-process worker renders a shards=3 frame as three shard
+        # tasks merged by the pool's compositor — its record must equal the
+        # plain whole-frame record, and each shard is one work unit.
+        def job(shards):
+            return RenderJob(
+                "train", make_trajectory("orbit", num_frames=1), quick=True, shards=shards
+            )
+
+        with RenderExecutor(num_workers=0) as executor:
+            whole = executor.submit(job(1)).result()
+            sharded = executor.submit(job(3)).result()
+        assert np.array_equal(whole.frames[0].image, sharded.frames[0].image)
+        assert_stats_equal(whole.frames[0].stats, sharded.frames[0].stats)
+        assert sharded.cache_hits + sharded.cache_misses == 3
 
     def test_merge_rejects_mixed_frames(self):
         scene_obj, camera = _scene_camera("train")
