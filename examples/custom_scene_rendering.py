@@ -4,8 +4,10 @@
 This example shows the library as a general 3DGS toolkit rather than a
 benchmark harness: it constructs a small scene programmatically (a coloured
 "traffic light" of three blobs plus a translucent fog layer), saves and
-reloads it, renders a short orbit, and then steps through the GCC dataflow
-stage by stage (Figure 3) for one frame.
+reloads it, renders a short orbit, and then reports the work each stage of
+the GCC dataflow (Figure 3) did on one frame.  The stage-by-stage view of
+Figure 3 is the reference loop in ``repro/render/gaussian_raster.py``, with
+each stage commented there.
 
 Run with::
 
@@ -19,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dataflow import GccDataflow
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.io import load_scene_npz, save_scene_npz
 from repro.gaussians.model import GaussianScene
@@ -88,15 +89,14 @@ def main() -> None:
         width=160, height=160, fov_y_degrees=45.0,
         world_to_camera=look_at(np.array([0.0, 0.3, 3.0]), np.zeros(3)),
     )
-    dataflow = GccDataflow(RenderConfig(radius_rule="omega-sigma"))
-    result = dataflow.run(scene, camera)
-    print(f"  Stage I   : {result.num_groups} depth groups "
-          f"({result.num_groups_processed} processed, {result.num_groups_skipped} skipped)")
-    print(f"  Stage II  : {result.num_projected} Gaussians projected, "
-          f"{result.num_screen_passed} survived screen culling")
-    print(f"  Stage III : {result.num_sh_evaluated} SH colour evaluations")
-    print(f"  Stage IV  : {result.num_rendered} Gaussians blended, "
-          f"{result.pixels_blended} pixel contributions")
+    stats = render_gaussianwise(scene, camera, RenderConfig(radius_rule="omega-sigma")).stats
+    print(f"  Stage I   : {stats.num_groups} depth groups "
+          f"({stats.num_groups_processed} processed, {stats.num_groups_skipped} skipped)")
+    print(f"  Stage II  : {stats.num_projected} Gaussians projected, "
+          f"{stats.num_screen_passed} survived screen culling")
+    print(f"  Stage III : {stats.num_sh_evaluated} SH colour evaluations")
+    print(f"  Stage IV  : {stats.num_rendered} Gaussians blended, "
+          f"{stats.pixels_blended} pixel contributions")
 
 
 if __name__ == "__main__":

@@ -1,19 +1,16 @@
 """Reproduction of *GCC: A 3DGS Inference Architecture with Gaussian-Wise and
 Cross-Stage Conditional Processing* (MICRO 2025).
 
-The package is organised in four layers:
-
-* :mod:`repro.gaussians` — the 3D Gaussian Splatting substrate (scenes,
-  cameras, spherical harmonics, covariance projection, synthetic benchmark
-  scenes).
-* :mod:`repro.render` / :mod:`repro.dataflow` — functionally-correct
-  renderers for the standard (tile-wise) dataflow and the paper's
-  Gaussian-wise, cross-stage-conditional dataflow, plus the alpha-based
-  boundary identification algorithm.
-* :mod:`repro.arch` — cycle-level models of the GCC accelerator, the GSCore
-  baseline, and GPU platforms, with DRAM/SRAM/energy accounting.
-* :mod:`repro.eval` — the experiment harness reproducing every table and
-  figure of the paper's evaluation.
+The package follows the README's layers, each a client of the one below:
+the engine (:mod:`repro.gaussians` and :mod:`repro.render`, the tile-wise
+and the paper's Gaussian-wise, cross-stage-conditional renderers) →
+:mod:`repro.store` (quality-tiered scene assets) → :mod:`repro.exec`
+(persistent render workers) → :mod:`repro.serve` (trajectories, farm
+facade, CLI) → :mod:`repro.fleet` (multi-executor routing) →
+:mod:`repro.sched` (SLO-aware request scheduling).  Beside the stack sit
+:mod:`repro.arch` (cycle-level models of GCC, the GSCore baseline and GPUs,
+with DRAM/SRAM/energy accounting), :mod:`repro.eval` (the paper's tables
+and figures) and :mod:`repro.obs` (tracing, metrics, trace analysis).
 
 Quickstart::
 

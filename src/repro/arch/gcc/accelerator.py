@@ -78,9 +78,7 @@ class GccAccelerator:
     def _render(self, scene: GaussianScene, camera: Camera) -> GaussianWiseResult:
         """Run the functional Gaussian-wise renderer with this configuration."""
         render_config = RenderConfig(
-            radius_rule="omega-sigma",
-            block_size=self.config.alpha_array_size,
-            group_capacity=self.config.group_capacity,
+            radius_rule="omega-sigma", block_size=self.config.alpha_array_size
         )
         boundary = "alpha" if self.config.enable_alpha_boundary else "aabb"
         return render_gaussianwise(

@@ -46,8 +46,6 @@ class GccConfig:
     bytes_per_pixel: int = 16
     #: Sub-view edge length used when Compatibility Mode engages.
     cmode_subview: int = 128
-    #: Depth-group capacity (N = 256 in the paper).
-    group_capacity: int = 256
     #: DRAM preset name (see :data:`repro.arch.params.DRAM_PRESETS`).
     dram: str = DEFAULT_DRAM
     #: Enable cross-stage conditional processing (disable for the GW-only

@@ -54,9 +54,7 @@ def grouping_cycles(
     mvm = make_depth_mvm(config)
     rca = make_rca(config)
     mvm_cycles = mvm.process(num_total)
-    comparisons = grouping_comparison_count(
-        num_passed, num_coarse_bins=num_coarse_bins, capacity=config.group_capacity
-    )
+    comparisons = grouping_comparison_count(num_passed, num_coarse_bins=num_coarse_bins)
     rca_cycles = rca.process(comparisons)
     detail = {
         "depth_mvm": mvm_cycles,

@@ -13,6 +13,7 @@ import math
 
 from repro.arch.gcc.config import GccConfig
 from repro.arch.units import PipelinedUnit
+from repro.render.common import GROUP_CAPACITY
 
 
 def bitonic_passes(group_size: int, width: int) -> float:
@@ -27,9 +28,7 @@ def bitonic_passes(group_size: int, width: int) -> float:
 
 def make_sort_unit(config: GccConfig) -> PipelinedUnit:
     """The bitonic sorter modelled as per-element throughput for full groups."""
-    per_element_cycles = bitonic_passes(config.group_capacity, config.sort_width) / max(
-        config.group_capacity, 1
-    )
+    per_element_cycles = bitonic_passes(GROUP_CAPACITY, config.sort_width) / GROUP_CAPACITY
     return PipelinedUnit(
         name="sort",
         items_per_cycle=1.0 / max(per_element_cycles, 1e-9),

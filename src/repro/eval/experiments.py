@@ -180,16 +180,11 @@ def table2(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list[d
     skipping (exact per-pixel evaluation); GSCore adds OBB subtile skipping;
     GCC is the Gaussian-wise pipeline.  Paper: all three are within 0.1 dB.
     """
-    from repro.render.tile_raster import render_tilewise
-
     scenes = scenes or all_benchmark_scenes()
     rows = []
     for scene in scenes:
         setup = EvalSetup(scene, quick=quick)
-        scene_obj, camera = load_scene_and_camera(setup)
-        reference = render_tilewise(
-            scene_obj, camera, RenderConfig(radius_rule="3sigma"), obb_subtile_skip=False
-        ).image
+        reference = run_tilewise(setup, obb_subtile_skip=False).image
         gscore_img = run_tilewise(setup).image
         gcc_img = run_gaussianwise(setup).image
         rows.append(

@@ -191,8 +191,10 @@ def render_frame(
     """Render one frame (or one tile-range shard) under ``spec``.
 
     This is the single-frame primitive shared by the evaluation runner, the
-    render farm and the executor workers; both dataflows construct their
-    :class:`RenderConfig` here and nowhere else.  ``tile_shard`` restricts
+    render farm and the executor workers, so every frame they produce gets
+    its :class:`RenderConfig` here.  The accelerator models in
+    ``repro.arch`` build the same configurations in their own ``_render``
+    when simulated without a ``render_result``.  ``tile_shard`` restricts
     the tile-wise pipeline to a half-open tile-id interval (see
     :func:`repro.render.tile_raster.render_tilewise`).
     """

@@ -101,107 +101,111 @@ def _alert_samples(records: list[dict], metrics_snapshot: list | None) -> list[t
     return samples
 
 
+def _format_analysis(analysis: dict) -> list[str]:
+    cp = analysis["critical_path"]
+    lines = [
+        f"critical path  root={cp['root_name']} total={cp['total_ms']:.3f} ms "
+        f"({len(cp['steps'])} steps, leaf={cp.get('leaf')})"
+    ]
+    for step in cp["steps"]:
+        lines.append(
+            f"  {step['name']:<12} {step['dur_ms']:>10.3f} ms  "
+            f"self {step['self_ms']:>10.3f} ms  [{step['lane']}]"
+            + (f"  ERROR: {step['error']}" if step.get("error") else "")
+        )
+    attribution = analysis["stages"]["frame_attribution"]
+    lines.append(
+        f"frame time     {attribution['frame_ms']:.3f} ms, "
+        f"{100.0 * attribution['attributed_fraction']:.1f}% in kernel stages "
+        + " ".join(f"{k}={v:.3f}" for k, v in attribution["per_stage"].items())
+    )
+    lanes = analysis["lanes"]
+    lines.append(f"lanes          window {lanes['window_ms']:.3f} ms")
+    for lane, info in lanes["lanes"].items():
+        lines.append(
+            f"  {lane:<12} busy {info['busy_ms']:>10.3f} ms  "
+            f"util {100.0 * info['utilization']:>5.1f}%  ({info['spans']} spans)"
+        )
+    occupancy = analysis["worker_occupancy"]
+    queue = analysis["queue_depth"]
+    lines.append(
+        f"occupancy      max {occupancy['max']} mean {occupancy['mean']:.3f}; "
+        f"queue depth max {queue['max']} mean {queue['mean']:.3f}"
+    )
+    if analysis["lanes_closed"]:
+        lines.append(f"lanes closed   {', '.join(analysis['lanes_closed'])}")
+    return lines
+
+
+def _format_diff(diff: dict) -> list[str]:
+    cp = diff["critical_path_ms"]
+    lines = [
+        f"diff           critical path {cp['base']:.3f} -> {cp['current']:.3f} ms "
+        f"({cp['delta']:+.3f} ms)"
+    ]
+    for name in diff["regressions"]:
+        d = diff["stages"][name]
+        lines.append(
+            f"  regressed    {name:<12} {d['base_ms']:.3f} -> "
+            f"{d['current_ms']:.3f} ms ({d['delta_ms']:+.3f} ms)"
+        )
+    if not diff["regressions"]:
+        lines.append("  no stage regressed")
+    if diff["attribution"]:
+        lines.append(f"  attribution  {diff['attribution']}")
+    return lines
+
+
+def _format_resources(resources: dict) -> list[str]:
+    lines = ["worker resources"]
+    for worker, info in resources["workers"].items():
+        cpu = "?" if info["cpu_percent"] is None else f"{info['cpu_percent']:.1f}%"
+        rss = "?" if info["rss_bytes"] is None else f"{info['rss_bytes'] / (1 << 20):.1f} MiB"
+        ctx = info.get("ctx_switches", {})
+        lines.append(
+            f"  worker {worker:<4} cpu {cpu:>7}  rss {rss:>10}  "
+            f"ctx v={ctx.get('voluntary', 0):.0f} i={ctx.get('involuntary', 0):.0f}"
+        )
+    return lines
+
+
+def _format_resources_diff(resources_diff: dict) -> list[str]:
+    lines = ["worker resources diff"]
+    for worker, entry in resources_diff["workers"].items():
+        if entry.get("base") is None or entry.get("current") is None:
+            side = "base" if entry.get("base") is not None else "current"
+            lines.append(f"  worker {worker:<4} only in {side} run")
+            continue
+        rss_delta = entry.get("rss_delta_bytes")
+        cpu_delta = entry.get("cpu_delta_percent")
+        rss = "n/a" if rss_delta is None else f"{rss_delta / (1 << 20):+.1f} MiB"
+        cpu = "n/a" if cpu_delta is None else f"{cpu_delta:+.1f}%"
+        lines.append(f"  worker {worker:<4} rss {rss}  cpu {cpu}")
+    return lines
+
+
+def _format_alerts(alerts: dict) -> list[str]:
+    if alerts["firing"]:
+        lines = [f"alerts FIRING  {', '.join(alerts['firing'])}"]
+    else:
+        lines = ["alerts         none firing"]
+    for entry in alerts["log"]:
+        lines.append(f"  {entry['t_ms']:>10.1f} ms  {entry['event']:<15} {entry['rule']}")
+    return lines
+
+
 def _format_text(report: dict) -> str:
     lines = []
-    analysis = report.get("analysis")
-    if analysis:
-        cp = analysis["critical_path"]
-        lines.append(
-            f"critical path  root={cp['root_name']} total={cp['total_ms']:.3f} ms "
-            f"({len(cp['steps'])} steps, leaf={cp.get('leaf')})"
-        )
-        for step in cp["steps"]:
-            lines.append(
-                f"  {step['name']:<12} {step['dur_ms']:>10.3f} ms  "
-                f"self {step['self_ms']:>10.3f} ms  [{step['lane']}]"
-                + (f"  ERROR: {step['error']}" if step.get("error") else "")
-            )
-        attribution = analysis["stages"]["frame_attribution"]
-        lines.append(
-            f"frame time     {attribution['frame_ms']:.3f} ms, "
-            f"{100.0 * attribution['attributed_fraction']:.1f}% in kernel stages "
-            + " ".join(
-                f"{k}={v:.3f}" for k, v in attribution["per_stage"].items()
-            )
-        )
-        lanes = analysis["lanes"]
-        lines.append(f"lanes          window {lanes['window_ms']:.3f} ms")
-        for lane, info in lanes["lanes"].items():
-            lines.append(
-                f"  {lane:<12} busy {info['busy_ms']:>10.3f} ms  "
-                f"util {100.0 * info['utilization']:>5.1f}%  ({info['spans']} spans)"
-            )
-        occupancy = analysis["worker_occupancy"]
-        queue = analysis["queue_depth"]
-        lines.append(
-            f"occupancy      max {occupancy['max']} mean {occupancy['mean']:.3f}; "
-            f"queue depth max {queue['max']} mean {queue['mean']:.3f}"
-        )
-        if analysis["lanes_closed"]:
-            lines.append(f"lanes closed   {', '.join(analysis['lanes_closed'])}")
-    diff = report.get("diff")
-    if diff:
-        cp = diff["critical_path_ms"]
-        lines.append(
-            f"diff           critical path {cp['base']:.3f} -> {cp['current']:.3f} ms "
-            f"({cp['delta']:+.3f} ms)"
-        )
-        for name in diff["regressions"]:
-            d = diff["stages"][name]
-            lines.append(
-                f"  regressed    {name:<12} {d['base_ms']:.3f} -> "
-                f"{d['current_ms']:.3f} ms ({d['delta_ms']:+.3f} ms)"
-            )
-        if not diff["regressions"]:
-            lines.append("  no stage regressed")
-        if diff["attribution"]:
-            lines.append(f"  attribution  {diff['attribution']}")
-    resources = report.get("resources")
-    if resources:
-        lines.append("worker resources")
-        for worker, info in resources["workers"].items():
-            cpu = "?" if info["cpu_percent"] is None else f"{info['cpu_percent']:.1f}%"
-            rss = (
-                "?"
-                if info["rss_bytes"] is None
-                else f"{info['rss_bytes'] / (1 << 20):.1f} MiB"
-            )
-            ctx = info.get("ctx_switches", {})
-            lines.append(
-                f"  worker {worker:<4} cpu {cpu:>7}  rss {rss:>10}  "
-                f"ctx v={ctx.get('voluntary', 0):.0f} i={ctx.get('involuntary', 0):.0f}"
-            )
-    resources_diff = report.get("resources_diff")
-    if resources_diff:
-        lines.append("worker resources diff")
-        for worker, entry in resources_diff["workers"].items():
-            if entry.get("base") is None or entry.get("current") is None:
-                side = "base" if entry.get("base") is not None else "current"
-                lines.append(f"  worker {worker:<4} only in {side} run")
-                continue
-            rss_delta = entry.get("rss_delta_bytes")
-            cpu_delta = entry.get("cpu_delta_percent")
-            lines.append(
-                f"  worker {worker:<4} "
-                + (
-                    f"rss {rss_delta / (1 << 20):+.1f} MiB"
-                    if rss_delta is not None
-                    else "rss n/a"
-                )
-                + (
-                    f"  cpu {cpu_delta:+.1f}%"
-                    if cpu_delta is not None
-                    else "  cpu n/a"
-                )
-            )
-    alerts = report.get("alerts")
-    if alerts is not None:
-        if alerts["firing"]:
-            lines.append(f"alerts FIRING  {', '.join(alerts['firing'])}")
-        else:
-            lines.append("alerts         none firing")
-        for entry in alerts["log"]:
-            lines.append(f"  {entry['t_ms']:>10.1f} ms  {entry['event']:<15} {entry['rule']}")
+    if report.get("analysis"):
+        lines += _format_analysis(report["analysis"])
+    if report.get("diff"):
+        lines += _format_diff(report["diff"])
+    if report.get("resources"):
+        lines += _format_resources(report["resources"])
+    if report.get("resources_diff"):
+        lines += _format_resources_diff(report["resources_diff"])
+    if report.get("alerts") is not None:
+        lines += _format_alerts(report["alerts"])
     return "\n".join(lines)
 
 

@@ -25,6 +25,10 @@ TILE_SIZE = 16
 #: Pixel-block edge length used by GCC's Alpha Unit (an 8x8 PE array).
 BLOCK_SIZE = 8
 
+#: Maximum Gaussians per depth group (the paper's N = 256): the renderer's
+#: default and the capacity GCC's Stage I grouping and Sort Unit are sized for.
+GROUP_CAPACITY = 256
+
 #: dtype of the Gaussian index arrays a frame's statistics carry
 #: (``rendered_indices`` / ``processed_indices``).  They travel the worker
 #: result pipe with every frame; scene sizes are far below 2**31.
@@ -94,7 +98,7 @@ class RenderConfig:
     depth_near: float = DEPTH_NEAR
     radius_rule: str = "3sigma"
     sh_degree: int = 3
-    group_capacity: int = 256
+    group_capacity: int = GROUP_CAPACITY
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     backend: str = "vectorized"
     dtype: str = "float64"

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.render.common import GROUP_CAPACITY
+
 
 @dataclass(frozen=True)
 class DepthGroup:
@@ -31,7 +33,7 @@ class DepthGroup:
 
 def group_by_depth(
     depths: np.ndarray,
-    capacity: int = 256,
+    capacity: int = GROUP_CAPACITY,
     num_coarse_bins: int = 64,
 ) -> list[DepthGroup]:
     """Partition Gaussians into front-to-back depth groups of at most ``capacity``.
@@ -99,7 +101,7 @@ def group_by_depth(
 
 
 def grouping_comparison_count(
-    num_gaussians: int, num_coarse_bins: int = 64, capacity: int = 256
+    num_gaussians: int, num_coarse_bins: int = 64, capacity: int = GROUP_CAPACITY
 ) -> int:
     """Approximate comparator operations the RCA performs for grouping.
 

@@ -1,7 +1,11 @@
-"""Keep the control and execution layers legible: no function in ``sched/``,
-``fleet/``, ``exec/`` or ``serve/`` may grow past 100 lines again
-(``RequestScheduler.run`` once reached 750, and the executor once ran each
-job twice, in two ~100-line submit paths)."""
+"""Keep the layers legible: no function in ``sched/``, ``fleet/``, ``exec/``,
+``serve/``, ``obs/``, ``store/``, ``eval/`` or ``gaussians/`` may grow past
+100 lines again (``RequestScheduler.run`` once reached 750, and the executor
+once ran each job twice, in two ~100-line submit paths).
+
+``render/`` and ``arch/`` stay out of the cap: the engines' reference loops
+and the accelerator models are long by design (``render_gaussianwise`` is
+276 lines, ``GScoreAccelerator.simulate`` 156)."""
 
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_LINES = 100
-FILES = sorted(path for package in ("sched", "fleet", "exec", "serve") for path in (SRC / package).glob("*.py"))
+PACKAGES = ("sched", "fleet", "exec", "serve", "obs", "store", "eval", "gaussians")
+FILES = sorted(path for package in PACKAGES for path in (SRC / package).glob("*.py"))
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
