@@ -30,14 +30,11 @@ from repro.obs.analysis import analyze, critical_path, diff_analyses, load_trace
 from repro.obs.events import StructuredEventLog
 from repro.obs.exporters import (
     chrome_trace,
-    export_html,
     export_metrics,
     export_trace,
     parse_prometheus_snapshot,
     parse_prometheus_text,
     prometheus_text,
-    spans_jsonl,
-    timeline_html,
     validate_chrome_trace,
 )
 from repro.obs.health import Watchdog
@@ -52,8 +49,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     KERNEL_STAGES,
-    CompositeObserver,
-    MemoryAttributor,
     SpanStackTracker,
     StackSampler,
     attribute_stages,
@@ -77,15 +72,12 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "DEFAULT_BYTE_BUCKETS",
     "chrome_trace",
-    "spans_jsonl",
     "prometheus_text",
     "parse_prometheus_text",
     "parse_prometheus_snapshot",
     "validate_chrome_trace",
     "export_trace",
     "export_metrics",
-    "export_html",
-    "timeline_html",
     "AlertEngine",
     "AlertRule",
     "Watchdog",
@@ -97,8 +89,6 @@ __all__ = [
     "load_trace",
     "monotonic_ms",
     "KERNEL_STAGES",
-    "CompositeObserver",
-    "MemoryAttributor",
     "SpanStackTracker",
     "StackSampler",
     "attribute_stages",

@@ -13,10 +13,13 @@ Examples::
     repro-sched --rate 6 --duration 2 --execute --quick \\
         --trace-out trace.json --metrics-out metrics.prom
     repro-obs --trace trace.json --metrics metrics.prom \\
-        --alerts rules.json --analyze-out analysis.json --html-out trace.html
+        --alerts rules.json --analyze-out analysis.json
+
+Open ``trace.json`` itself in Perfetto for the timeline view.
 
 Exit codes: 0 = OK (analysis ran, no alert firing), 3 = at least one
-alert rule firing at the end of the evaluated timeline, 2 = usage error.
+alert rule firing at the end of the evaluated timeline, 2 = usage error
+— bad flags, or an input file that cannot be read or parsed.
 The non-zero alert exit is the CI contract: a smoke job can run a
 tight burn-rate rule against a fresh trace and fail the build on it.
 """
@@ -30,9 +33,9 @@ from pathlib import Path
 
 from repro.obs.alerts import samples_from_schedule_log
 from repro.obs.analysis import analyze, diff_analyses, events_from_trace, load_trace
-from repro.obs.cli import EXIT_ALERTS_FIRING, evaluate_alerts
-from repro.obs.exporters import export_html, parse_prometheus_snapshot
-from repro.obs.resources import diff_resources, resources_from_snapshot
+from repro.obs.cli import EXIT_ALERTS_FIRING, alerts_report, read_alert_rules
+from repro.obs.exporters import parse_prometheus_snapshot
+from repro.obs.resources import resources_from_snapshot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,15 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-obs",
         description="Analyze repro traces/metrics and evaluate SLO alert rules.",
     )
-    parser.add_argument("--trace", help="trace file (Chrome JSON or spans .jsonl)")
+    parser.add_argument("--trace", help="Chrome trace JSON file (what --trace-out writes)")
     parser.add_argument("--metrics", help="Prometheus text metrics file")
     parser.add_argument(
         "--diff-trace", help="baseline trace file to diff the fresh analysis against"
-    )
-    parser.add_argument(
-        "--diff-metrics",
-        help="baseline Prometheus metrics file to diff per-worker resources "
-        "(CPU%%, RSS, ctx switches) against",
     )
     parser.add_argument(
         "--baseline",
@@ -58,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alerts", help="JSON file with a list of alert rules")
     parser.add_argument(
         "--analyze-out", help="write the full analysis report (JSON) here"
-    )
-    parser.add_argument(
-        "--html-out", help="write a self-contained HTML timeline report here"
     )
     parser.add_argument(
         "--json", action="store_true", help="print the report as JSON instead of text"
@@ -79,6 +74,24 @@ def _resolve_baseline(spec: str) -> str:
         if candidate.exists():
             return str(candidate)
     return spec  # let open() raise with the original spelling
+
+
+def _read_baseline_analysis(spec: str) -> dict:
+    with open(_resolve_baseline(spec), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("analysis") is None:
+        raise ValueError("no embedded 'analysis' (re-snapshot with perf_trajectory.py)")
+    return doc["analysis"]
+
+
+#: Each input flag's ``args`` attribute and the loader of its file.
+_INPUTS = (
+    ("trace", load_trace),
+    ("metrics", lambda path: parse_prometheus_snapshot(Path(path).read_text(encoding="utf-8"))),
+    ("diff_trace", load_trace),
+    ("baseline", _read_baseline_analysis),
+    ("alerts", read_alert_rules),
+)
 
 
 def _alert_samples(records: list[dict], metrics_snapshot: list | None) -> list[tuple]:
@@ -169,21 +182,6 @@ def _format_resources(resources: dict) -> list[str]:
     return lines
 
 
-def _format_resources_diff(resources_diff: dict) -> list[str]:
-    lines = ["worker resources diff"]
-    for worker, entry in resources_diff["workers"].items():
-        if entry.get("base") is None or entry.get("current") is None:
-            side = "base" if entry.get("base") is not None else "current"
-            lines.append(f"  worker {worker:<4} only in {side} run")
-            continue
-        rss_delta = entry.get("rss_delta_bytes")
-        cpu_delta = entry.get("cpu_delta_percent")
-        rss = "n/a" if rss_delta is None else f"{rss_delta / (1 << 20):+.1f} MiB"
-        cpu = "n/a" if cpu_delta is None else f"{cpu_delta:+.1f}%"
-        lines.append(f"  worker {worker:<4} rss {rss}  cpu {cpu}")
-    return lines
-
-
 def _format_alerts(alerts: dict) -> list[str]:
     if alerts["firing"]:
         lines = [f"alerts FIRING  {', '.join(alerts['firing'])}"]
@@ -202,62 +200,51 @@ def _format_text(report: dict) -> str:
         lines += _format_diff(report["diff"])
     if report.get("resources"):
         lines += _format_resources(report["resources"])
-    if report.get("resources_diff"):
-        lines += _format_resources_diff(report["resources_diff"])
     if report.get("alerts") is not None:
         lines += _format_alerts(report["alerts"])
     return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if not args.trace and not args.metrics:
-        build_parser().error("need --trace and/or --metrics")
+        parser.error("need --trace and/or --metrics")
+    if (args.diff_trace or args.baseline) and not args.trace:
+        parser.error("--diff-trace/--baseline require --trace")
+
+    # A file that cannot be read or parsed is a usage error (exit 2).  Only
+    # loading is guarded: a fault in the analysis below still raises.
+    inputs = {}
+    for dest, loader in _INPUTS:
+        path = getattr(args, dest)
+        if path:
+            try:
+                inputs[dest] = loader(path)
+            except (OSError, ValueError) as exc:
+                parser.error(f"--{dest.replace('_', '-')} {path}: {exc}")
 
     report: dict = {}
-    records: list[dict] = []
+    records = inputs.get("trace", [])
     if args.trace:
-        records = load_trace(args.trace)
         report["analysis"] = analyze(records)
 
-    metrics_snapshot = None
-    if args.metrics:
-        with open(args.metrics, "r", encoding="utf-8") as fh:
-            metrics_snapshot = parse_prometheus_snapshot(fh.read())
+    metrics_snapshot = inputs.get("metrics")
+    if metrics_snapshot is not None:
         resources = resources_from_snapshot(metrics_snapshot)
         if resources:
             report["resources"] = resources
 
-    if args.diff_metrics:
-        if not args.metrics:
-            build_parser().error("--diff-metrics requires --metrics")
-        with open(args.diff_metrics, "r", encoding="utf-8") as fh:
-            base_resources = resources_from_snapshot(
-                parse_prometheus_snapshot(fh.read())
-            )
-        report["resources_diff"] = diff_resources(
-            base_resources, report.get("resources", {})
-        )
-
-    if args.diff_trace or args.baseline:
-        if not args.trace:
-            build_parser().error("--diff-trace/--baseline require --trace")
-        if args.diff_trace:
-            base_analysis = analyze(load_trace(args.diff_trace))
-        else:
-            with open(_resolve_baseline(args.baseline), "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            base_analysis = doc.get("analysis")
-            if base_analysis is None:
-                build_parser().error(
-                    f"{args.baseline} has no embedded 'analysis' "
-                    "(re-snapshot with perf_trajectory.py)"
-                )
-        report["diff"] = diff_analyses(base_analysis, report["analysis"])
+    if args.diff_trace:
+        report["diff"] = diff_analyses(analyze(inputs["diff_trace"]), report["analysis"])
+    elif args.baseline:
+        report["diff"] = diff_analyses(inputs["baseline"], report["analysis"])
 
     exit_code = 0
     if args.alerts:
-        report["alerts"] = evaluate_alerts(args.alerts, _alert_samples(records, metrics_snapshot))
+        report["alerts"] = alerts_report(
+            inputs["alerts"], _alert_samples(records, metrics_snapshot)
+        )
         if report["alerts"]["firing"]:
             exit_code = EXIT_ALERTS_FIRING
 
@@ -265,10 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.analyze_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.html_out:
-        if not records:
-            build_parser().error("--html-out requires --trace")
-        export_html(args.html_out, records, title=f"repro trace · {args.trace}")
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -54,11 +54,12 @@ _OPS = {
     "==": lambda a, b: a == b,
 }
 
+#: JSON keys every rule must carry (the fields without a default).
+_REQUIRED_FIELDS = ("name", "kind", "metric")
+
 #: JSON keys accepted by :func:`load_rules`, i.e. the rule file format.
 _RULE_FIELDS = {
-    "name",
-    "kind",
-    "metric",
+    *_REQUIRED_FIELDS,
     "labels",
     "objective_ms",
     "target",
@@ -112,6 +113,9 @@ def load_rules(raw_rules: list) -> tuple[AlertRule, ...]:
         unknown = set(raw) - _RULE_FIELDS
         if unknown:
             raise ValueError(f"rule #{i} has unknown fields: {sorted(unknown)}")
+        missing = [k for k in _REQUIRED_FIELDS if k not in raw]
+        if missing:
+            raise ValueError(f"rule #{i} is missing required fields: {missing}")
         kwargs = {k: v for k, v in raw.items() if k != "labels"}
         kwargs["labels"] = _label_key(raw.get("labels") or {})
         rules.append(AlertRule(**kwargs))

@@ -30,10 +30,10 @@ The analyses:
   so "which stage regressed" has a first-class answer.
 
 Input records are the tracer's plain span dicts; :func:`load_trace`
-also accepts the exported artifacts (Chrome ``trace_event`` JSON or the
-``.jsonl`` span dump) and :func:`records_from_chrome_trace` reverses the
-export — span ids and parent links ride in the event ``args``, so the
-tree survives the round trip.
+reads them back from an exported Chrome ``trace_event`` file, and
+:func:`records_from_chrome_trace` reverses the export — span ids and
+parent links ride in the event ``args``, so the tree survives the round
+trip.
 
 Partial traces are first-class inputs: a killed worker leaves an
 error-annotated ``request`` span with no children and a ``lane_closed``
@@ -123,21 +123,14 @@ def records_from_chrome_trace(payload: dict) -> list[dict]:
 
 
 def load_trace(path: str) -> list[dict]:
-    """Load span records from any trace artifact the repo writes.
-
-    ``.jsonl`` is the raw span dump (one record per line); anything else
-    is parsed as JSON — a Chrome ``trace_event`` payload (reversed via
-    :func:`records_from_chrome_trace`) or a bare list of span records.
+    """Load span records from a Chrome ``trace_event`` JSON file — the
+    format ``--trace-out`` writes — via :func:`records_from_chrome_trace`.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        if str(path).endswith(".jsonl"):
-            return [json.loads(line) for line in fh if line.strip()]
         payload = json.load(fh)
     if isinstance(payload, dict) and "traceEvents" in payload:
         return records_from_chrome_trace(payload)
-    if isinstance(payload, list):
-        return payload
-    raise ValueError(f"unrecognised trace payload in {path!r}")
+    raise ValueError(f"unrecognised trace payload in {path!r} (want Chrome trace JSON)")
 
 
 def events_from_trace(records: list[dict]) -> list[dict]:

@@ -1,8 +1,8 @@
 """The telemetry flags ``repro-serve`` and ``repro-sched`` share.
 
 Both CLIs take ``--trace-out`` / ``--metrics-out`` / ``--analyze-out`` /
-``--alerts`` / ``--listen`` / ``--profile-memory`` and do the same things
-with them; this is that one implementation.  What stays with each CLI is
+``--alerts`` / ``--listen`` and do the same things with them; this is
+that one implementation.  What stays with each CLI is
 what really differs: the sentences of help text that describe *its* run,
 which samples the alert rules replay over (the scheduler's decision log;
 the farm's final metrics), and what the scrape server reads from.
@@ -16,8 +16,6 @@ import sys
 
 from repro.obs import (
     AlertEngine,
-    CompositeObserver,
-    MemoryAttributor,
     ObsContext,
     SpanStackTracker,
     StackSampler,
@@ -37,8 +35,8 @@ EXIT_ALERTS_FIRING = 3
 
 
 def add_telemetry_arguments(output, telemetry, *, trace_help: str, alerts_help: str) -> None:
-    """Declare the four export flags on ``output`` and the two live-plane
-    flags on ``telemetry`` (parsers or argument groups; may be one object),
+    """Declare the four export flags on ``output`` and the live-plane
+    flag on ``telemetry`` (parsers or argument groups; may be one object),
     with the CLI's own help for ``--trace-out`` and ``--alerts``.
     """
     output.add_argument("--trace-out", metavar="PATH", help=trace_help)
@@ -63,17 +61,9 @@ def add_telemetry_arguments(output, telemetry, *, trace_help: str, alerts_help: 
             "serve live telemetry over HTTP while the run executes: "
             "/metrics (Prometheus), /health (JSON), /trace.jsonl "
             "(incremental span tail), /profile?seconds=N (collapsed-stack "
-            "CPU capture), / (timeline HTML); port 0 binds an ephemeral "
-            "port (printed to stderr); implies an obs context"
-        ),
-    )
-    telemetry.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help=(
-            "additionally attribute allocations per kernel stage / decode "
-            "span via tracemalloc (adds tracing overhead; surfaces in "
-            "/profile?format=json; requires --listen)"
+            "CPU capture); port 0 binds an ephemeral port (printed to "
+            "stderr); an address that cannot be bound is a usage error; "
+            "implies an obs context"
         ),
     )
 
@@ -88,8 +78,6 @@ class TelemetrySession:
     """
 
     def __init__(self, args, parser, obs_for_alerts: bool = False) -> None:
-        if args.profile_memory and not args.listen:
-            parser.error("--profile-memory requires --listen")
         #: ``(host, port)`` of ``--listen``, or ``None``.
         self.listen_addr = None
         if args.listen:
@@ -101,6 +89,7 @@ class TelemetrySession:
         needs_obs = exports or args.listen or (obs_for_alerts and args.alerts)
         self.obs = ObsContext.create() if needs_obs else None
         self._args = args
+        self._parser = parser
 
     @contextlib.contextmanager
     def live(self, metrics_fn, health_fn):
@@ -109,42 +98,35 @@ class TelemetrySession:
         ``metrics_fn`` / ``health_fn`` are what ``/metrics`` / ``/health``
         read.  The profiling plane rides the tracer's observer slot: the
         span tracker tags CPU samples with the innermost kernel-stage
-        span, and (``--profile-memory``) the memory attributor brackets
-        the same spans with tracemalloc readings.  All of it reads
-        measured values only — the zero-perturbation suite pins that
-        attaching it changes no rendered bit and no scheduler decision.
+        span.  All of it reads measured values only — the
+        zero-perturbation suite pins that attaching it changes no
+        rendered bit and no scheduler decision.  An address that cannot
+        be bound is a usage error (exit 2), raised before the block runs.
         """
         if self.listen_addr is None:
             yield
             return
         tracker = SpanStackTracker()
         sampler = StackSampler(tracker=tracker)
-        memory = None
-        if self._args.profile_memory:
-            memory = MemoryAttributor()
-            memory.start()
-            self.obs.tracer.observer = CompositeObserver(tracker, memory)
-        else:
-            self.obs.tracer.observer = tracker
-        sampler.start()
-        server = None
+        server = TelemetryServer(
+            *self.listen_addr,
+            tracer=self.obs.tracer,
+            metrics_fn=metrics_fn,
+            health_fn=health_fn,
+            sampler=sampler,
+        )
         try:
-            server = TelemetryServer(
-                *self.listen_addr,
-                tracer=self.obs.tracer,
-                metrics_fn=metrics_fn,
-                health_fn=health_fn,
-                sampler=sampler,
-                memory=memory,
-            ).start()
-            print(f"telemetry: listening on http://{server.address}/", file=sys.stderr, flush=True)
+            server.start()
+        except OSError as exc:
+            self._parser.error(f"--listen {self._args.listen}: {exc.strerror or exc}")
+        self.obs.tracer.observer = tracker
+        sampler.start()
+        print(f"telemetry: listening on http://{server.address}/", file=sys.stderr, flush=True)
+        try:
             yield
         finally:
-            if server is not None:
-                server.stop()
+            server.stop()
             sampler.stop()
-            if memory is not None:
-                memory.stop()
 
     def export(self) -> None:
         """Write ``--trace-out`` / ``--metrics-out`` / ``--analyze-out``."""
@@ -159,13 +141,23 @@ class TelemetrySession:
                 fh.write("\n")
 
 
-def evaluate_alerts(path: str, samples) -> dict:
-    """Replay the JSON alert rules at ``path`` over ``samples`` (``(t_ms,
-    metrics snapshot)`` pairs); the ``alerts`` block of the JSON reports."""
+def read_alert_rules(path: str) -> tuple:
+    """The JSON alert rules at ``path``; ``OSError``/``ValueError`` when the
+    file cannot be read or does not hold valid rules."""
     with open(path, "r", encoding="utf-8") as fh:
-        rules = load_rules(json.load(fh))
+        return load_rules(json.load(fh))
+
+
+def alerts_report(rules, samples) -> dict:
+    """Replay ``rules`` over ``samples`` (``(t_ms, metrics snapshot)``
+    pairs); the ``alerts`` block of the JSON reports."""
     log = AlertEngine(rules).evaluate(samples)
     return {"rules": len(rules), "log": log, "firing": firing_rules(log)}
+
+
+def evaluate_alerts(path: str, samples) -> dict:
+    """:func:`alerts_report` of the JSON alert rules at ``path``."""
+    return alerts_report(read_alert_rules(path), samples)
 
 
 def alerts_line(alerts: dict) -> str:
@@ -179,5 +171,7 @@ __all__ = [
     "TelemetrySession",
     "add_telemetry_arguments",
     "alerts_line",
+    "alerts_report",
     "evaluate_alerts",
+    "read_alert_rules",
 ]

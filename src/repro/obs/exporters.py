@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON, Prometheus text, JSON lines.
+"""Exporters: Chrome ``trace_event`` JSON and Prometheus text.
 
 Chrome trace layout (open in Perfetto or chrome://tracing):
 
@@ -10,6 +10,11 @@ Chrome trace layout (open in Perfetto or chrome://tracing):
   decision-log instants become ``"i"`` events and virtual request spans
   become ``"b"``/``"e"`` async pairs (requests of one client overlap, so
   they cannot be complete events on a single thread track).
+
+It is the one trace file format: :func:`export_trace` writes it whatever
+the path's suffix, and :func:`repro.obs.analysis.load_trace` reads it
+back.  The live ``/trace.jsonl`` tail of :mod:`repro.obs.server` is a
+cursor protocol over the same records, not a file format.
 
 ``validate_chrome_trace`` is the schema check CI's obs-smoke job runs:
 events well-formed, wall spans strictly nested per lane, expected worker
@@ -27,7 +32,6 @@ from repro.obs.trace import WALL, Tracer
 
 __all__ = [
     "chrome_trace",
-    "spans_jsonl",
     "prometheus_text",
     "parse_prometheus_text",
     "parse_prometheus_labels",
@@ -35,8 +39,6 @@ __all__ = [
     "validate_chrome_trace",
     "export_trace",
     "export_metrics",
-    "timeline_html",
-    "export_html",
 ]
 
 _WALL_PID = 1
@@ -124,21 +126,11 @@ def chrome_trace(records: list[dict]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def spans_jsonl(records: list[dict]) -> str:
-    """Span records as JSON lines (one raw record per line)."""
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-
-
 def export_trace(path: str, tracer: Tracer) -> None:
-    """Write a tracer's spans to ``path`` — ``.jsonl`` selects the raw
-    JSON-lines dump, anything else the Chrome trace JSON."""
-    records = tracer.spans
+    """Write a tracer's spans to ``path`` as Chrome trace JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        if str(path).endswith(".jsonl"):
-            fh.write(spans_jsonl(records))
-        else:
-            json.dump(chrome_trace(records), fh, indent=1)
-            fh.write("\n")
+        json.dump(chrome_trace(tracer.spans), fh, indent=1)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -495,123 +487,3 @@ def validate_chrome_trace(payload: dict, expect_lanes: Iterable[str] = ()) -> di
         "lanes": sorted(lane_names, key=_lane_sort_key),
         "spans": dict(sorted(span_names.items())),
     }
-
-
-# ---------------------------------------------------------------------------
-# Self-contained HTML timeline report
-# ---------------------------------------------------------------------------
-
-_HTML_PALETTE = (
-    "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
-    "#edc948", "#b07aa1", "#9c755f", "#bab0ac", "#ff9da7",
-)
-
-_HTML_HEAD = """<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>{title}</title>
-<style>
- body {{ font: 13px/1.5 system-ui, sans-serif; margin: 1.5em; color: #222; }}
- h1 {{ font-size: 1.3em; }} h2 {{ font-size: 1.05em; margin-top: 1.6em; }}
- .lane {{ display: flex; align-items: center; margin: 2px 0; }}
- .lane-name {{ flex: 0 0 9em; text-align: right; padding-right: .8em;
-              color: #555; font-family: monospace; font-size: 11px; }}
- .lane-track {{ position: relative; flex: 1; height: 22px;
-               background: #f4f4f4; border-radius: 3px; }}
- .span {{ position: absolute; top: 2px; height: 18px; border-radius: 2px;
-         overflow: hidden; font-size: 10px; line-height: 18px; color: #fff;
-         padding: 0 2px; box-sizing: border-box; white-space: nowrap;
-         min-width: 2px; }}
- .instant {{ position: absolute; top: 0; width: 2px; height: 22px;
-            background: #d62728; }}
- .axis {{ color: #888; font-size: 11px; margin: .3em 0 1em 9.8em; }}
- .legend span {{ display: inline-block; margin-right: 1em; }}
- .swatch {{ display: inline-block; width: 10px; height: 10px;
-           border-radius: 2px; margin-right: 4px; }}
-</style>
-</head>
-<body>
-<h1>{title}</h1>
-"""
-
-
-def _html_escape(text) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def timeline_html(records: list[dict], title: str = "repro trace timeline") -> str:
-    """Render span records as a self-contained HTML timeline.
-
-    One section per clock domain, one row per lane, spans as positioned
-    blocks scaled to duration with full details in the hover tooltip,
-    instants as red ticks.  Pure string templating — no scripts, no
-    external assets — so the report opens anywhere and diffs cleanly.
-    """
-    color_of: dict[str, str] = {}
-
-    def color(name: str) -> str:
-        if name not in color_of:
-            color_of[name] = _HTML_PALETTE[len(color_of) % len(_HTML_PALETTE)]
-        return color_of[name]
-
-    parts = [_HTML_HEAD.format(title=_html_escape(title))]
-    for clock, heading in ((WALL, "Wall clock"), ("virtual", "Virtual clock")):
-        group = [r for r in records if r.get("clock", WALL) == clock]
-        if not group:
-            continue
-        t0 = min(r["t0_ms"] for r in group)
-        t1 = max(r["t0_ms"] + (r["dur_ms"] or 0.0) for r in group)
-        window = max(t1 - t0, 1e-9)
-        parts.append(f"<h2>{heading} · {len(group)} spans · {window:.1f} ms</h2>\n")
-        lanes = sorted({r["lane"] for r in group}, key=_lane_sort_key)
-        for lane in lanes:
-            parts.append(
-                f'<div class="lane"><div class="lane-name">{_html_escape(lane)}</div>'
-                '<div class="lane-track">\n'
-            )
-            for r in sorted(
-                (r for r in group if r["lane"] == lane),
-                key=lambda r: (r["t0_ms"], -(r["dur_ms"] or 0.0)),
-            ):
-                left = 100.0 * (r["t0_ms"] - t0) / window
-                tip = _html_escape(
-                    f"{r['name']} [{r['id']}] t0={r['t0_ms'] - t0:.3f}ms "
-                    + (f"dur={r['dur_ms']:.3f}ms " if r["dur_ms"] is not None else "")
-                    + " ".join(f"{k}={v}" for k, v in (r.get("attrs") or {}).items())
-                )
-                if r["dur_ms"] is None:
-                    parts.append(
-                        f'<div class="instant" style="left:{left:.3f}%" title="{tip}"></div>\n'
-                    )
-                else:
-                    width = 100.0 * r["dur_ms"] / window
-                    parts.append(
-                        f'<div class="span" style="left:{left:.3f}%;'
-                        f'width:{width:.3f}%;background:{color(r["name"])}" '
-                        f'title="{tip}">{_html_escape(r["name"])}</div>\n'
-                    )
-            parts.append("</div></div>\n")
-        parts.append(f'<div class="axis">0 ms → {window:.1f} ms</div>\n')
-    if color_of:
-        parts.append('<div class="legend">')
-        for name, c in color_of.items():
-            parts.append(
-                f'<span><span class="swatch" style="background:{c}"></span>'
-                f"{_html_escape(name)}</span>"
-            )
-        parts.append("</div>\n")
-    parts.append("</body>\n</html>\n")
-    return "".join(parts)
-
-
-def export_html(path: str, records: list[dict], title: str = "repro trace timeline") -> None:
-    """Write the HTML timeline report for ``records`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(timeline_html(records, title=title))

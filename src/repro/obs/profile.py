@@ -1,35 +1,28 @@
-"""No-deps sampling profiler: flamegraph-grade CPU and memory attribution.
+"""No-deps sampling profiler: flamegraph-grade CPU attribution.
 
-Two attribution planes, both hung off :class:`~repro.obs.trace.Tracer`'s
-``observer`` extension point, both stdlib-only:
+Hung off :class:`~repro.obs.trace.Tracer`'s ``observer`` extension
+point, stdlib-only:
 
-* **CPU** — :class:`StackSampler` runs a daemon thread that snapshots
-  every other thread's Python stack via ``sys._current_frames()`` at a
-  fixed interval and folds each snapshot into a collapsed-stack counter
+* :class:`StackSampler` runs a daemon thread that snapshots every other
+  thread's Python stack via ``sys._current_frames()`` at a fixed
+  interval and folds each snapshot into a collapsed-stack counter
   (``frame;frame;...;span:<stage> count`` — the Brendan Gregg folded
-  format every flamegraph renderer eats).  A :class:`SpanStackTracker`
-  rides the span entry/exit stream so each sampled stack is tagged with
-  the innermost *tracked* span open on that thread at sample time —
-  that tag is what lets :func:`attribute_stages` say "93% of samples
-  landed inside ``blend``" without symbol-name guessing.
+  format every flamegraph renderer eats).
+* :class:`SpanStackTracker`, the tracer's observer, rides the span
+  entry/exit stream so each sampled stack is tagged with the innermost
+  *tracked* span open on that thread at sample time — that tag is what
+  lets :func:`attribute_stages` say "93% of samples landed inside
+  ``blend``" without symbol-name guessing.
 
-  A sampling thread (not a signal) is deliberate: ``signal``-based
-  profilers only interrupt the main thread, but render work here runs
-  on executor pool threads and under pytest workers.  The cost model is
-  the usual statistical one — at the default 5 ms interval a stage
-  needs ~10 ms of cumulative CPU to be visible at all, and fractions
-  converge as run time grows.
-
-* **Memory** — :class:`MemoryAttributor` brackets each tracked span
-  with ``tracemalloc`` readings: allocation increase across the span
-  and the traced-memory peak reached inside it, keyed by span name.
-  ``tracemalloc`` roughly doubles allocation cost while tracing, so
-  memory attribution is opt-in and independent of the (cheap) CPU
-  sampler; the zero-perturbation suite runs with both enabled to prove
-  neither changes a rendered bit.
+A sampling thread (not a signal) is deliberate: ``signal``-based
+profilers only interrupt the main thread, but render work here runs on
+executor pool threads and under pytest workers.  The cost model is the
+usual statistical one — at the default 5 ms interval a stage needs
+~10 ms of cumulative CPU to be visible at all, and fractions converge as
+run time grows.
 
 Workers are separate *processes*, invisible to this process's
-``sys._current_frames()`` — CPU/memory attribution therefore profiles
+``sys._current_frames()`` — CPU attribution therefore profiles
 sequential execution (``--workers 0``) or the parent's own threads.
 The per-worker resource plane (:mod:`repro.obs.resources`) covers the
 multiprocess case at process granularity.
@@ -47,8 +40,6 @@ __all__ = [
     "KERNEL_STAGES",
     "TRACKED_SPANS",
     "WAIT_LEAVES",
-    "CompositeObserver",
-    "MemoryAttributor",
     "SpanStackTracker",
     "StackSampler",
     "attribute_stages",
@@ -129,21 +120,6 @@ class SpanStackTracker:
         """The deepest tracked span open on ``thread_ident``, if any."""
         stack = self._stacks.get(thread_ident)
         return stack[-1] if stack else None
-
-
-class CompositeObserver:
-    """Fans the tracer's single observer slot out to several observers."""
-
-    def __init__(self, *observers):
-        self.observers = tuple(observers)
-
-    def span_enter(self, name: str):
-        return tuple(obs.span_enter(name) for obs in self.observers)
-
-    def span_exit(self, name: str, token) -> None:
-        tokens = token if token is not None else (None,) * len(self.observers)
-        for obs, tok in zip(self.observers, tokens):
-            obs.span_exit(name, tok)
 
 
 def _fold_frame(frame) -> str:
@@ -319,83 +295,3 @@ def attribute_stages(
         "stages": per_stage,
         "attributed_fraction": (attributed / active) if active else 0.0,
     }
-
-
-class MemoryAttributor:
-    """Per-span allocation accounting over ``tracemalloc``.
-
-    A tracer observer: each tracked span's entry records the current
-    traced size and resets the peak; its exit charges the span with the
-    net allocation increase and the peak traced size reached inside it.
-    ``stats()`` returns ``{span_name: {"count", "peak_bytes",
-    "total_increase_bytes"}}``.  Tracked spans never nest within each
-    other in this codebase (the kernel stages are siblings under a frame;
-    decode is a sibling of frame), so the reset-peak bracket is exact per
-    span.
-
-    Does nothing (and charges nothing) unless :meth:`start` has engaged
-    ``tracemalloc`` — so the attributor can sit installed permanently
-    while tracing stays opt-in.
-    """
-
-    def __init__(self, tracked: tuple[str, ...] = TRACKED_SPANS):
-        self.tracked = frozenset(tracked)
-        self._lock = threading.Lock()
-        self._stats: dict[str, dict] = {}
-        self._started_here = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_here = True
-
-    def stop(self) -> None:
-        import tracemalloc
-
-        if self._started_here and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._started_here = False
-
-    # -- tracer-observer protocol ------------------------------------------
-
-    def span_enter(self, name: str):
-        if name not in self.tracked:
-            return None
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return None
-        current, _ = tracemalloc.get_traced_memory()
-        if hasattr(tracemalloc, "reset_peak"):
-            tracemalloc.reset_peak()
-        return current
-
-    def span_exit(self, name: str, token) -> None:
-        if token is None:
-            return
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return
-        current, peak = tracemalloc.get_traced_memory()
-        with self._lock:
-            entry = self._stats.setdefault(
-                name, {"count": 0, "peak_bytes": 0, "total_increase_bytes": 0}
-            )
-            entry["count"] += 1
-            entry["peak_bytes"] = max(entry["peak_bytes"], peak)
-            entry["total_increase_bytes"] += max(0, current - token)
-
-    # -- reading -----------------------------------------------------------
-
-    def stats(self) -> dict[str, dict]:
-        with self._lock:
-            return {name: dict(entry) for name, entry in sorted(self._stats.items())}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stats.clear()

@@ -32,7 +32,6 @@ __all__ = [
     "RSS_GAUGE",
     "CTX_GAUGE",
     "ResourceSampler",
-    "diff_resources",
     "read_proc_sample",
     "record_resource_gauges",
     "resources_from_snapshot",
@@ -174,24 +173,3 @@ def resources_from_snapshot(entries: list[dict]) -> dict:
         if "sample_ms" in entry:
             target["sample_ms"] = max(target.get("sample_ms", 0), entry["sample_ms"])
     return {"workers": dict(sorted(workers.items()))} if workers else {}
-
-
-def diff_resources(base: dict, current: dict) -> dict:
-    """Per-worker deltas between two resource tables (``repro-obs`` diff).
-
-    Workers present on only one side keep their single reading with no
-    delta — a changed pool size is itself worth surfacing, not an error.
-    """
-    base_workers = base.get("workers", {})
-    current_workers = current.get("workers", {})
-    out: dict[str, dict] = {}
-    for worker in sorted(set(base_workers) | set(current_workers)):
-        b, c = base_workers.get(worker), current_workers.get(worker)
-        entry: dict = {"base": b, "current": c}
-        if b is not None and c is not None:
-            if b.get("rss_bytes") is not None and c.get("rss_bytes") is not None:
-                entry["rss_delta_bytes"] = c["rss_bytes"] - b["rss_bytes"]
-            if b.get("cpu_percent") is not None and c.get("cpu_percent") is not None:
-                entry["cpu_delta_percent"] = c["cpu_percent"] - b["cpu_percent"]
-        out[worker] = entry
-    return {"workers": out}

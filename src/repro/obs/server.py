@@ -14,9 +14,10 @@ files, no export step — and serves:
   next cursor in the ``X-Trace-Cursor`` response header.  Pass the
   header back as ``cursor`` to tail the trace without re-downloading.
 * ``GET /profile?seconds=N`` — an on-demand collapsed-stack CPU capture
-  (``&format=json`` adds stage attribution and memory stats).
-* ``GET /`` — the live trace rendered as the self-contained timeline
-  HTML.
+  (``&format=json`` adds stage attribution).
+
+Any other path, ``/`` included, answers 404: the trace *viewer* is
+Perfetto on the Chrome trace ``--trace-out`` writes.
 
 Zero-perturbation is load-bearing: every endpoint *reads* — snapshot
 copies of spans and metrics, ``/proc`` files, stack samples — and the
@@ -38,7 +39,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.exporters import prometheus_text, timeline_html
+from repro.obs.exporters import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import StackSampler, attribute_stages, collapse_text
 from repro.obs.resources import ResourceSampler
@@ -119,8 +120,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._get_trace(query)
             elif url.path == "/profile":
                 self._get_profile(query)
-            elif url.path == "/":
-                self._get_timeline()
             else:
                 self._send_json(404, {"error": f"no such endpoint: {url.path}"})
         except BrokenPipeError:
@@ -180,15 +179,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "collapsed": collapse_text(counts),
                 "seconds": seconds,
             }
-            memory = self.telemetry.memory
-            if memory is not None:
-                payload["memory"] = memory.stats()
             return self._send_json(200, payload)
         self._send(200, collapse_text(counts).encode(), "text/plain; charset=utf-8")
-
-    def _get_timeline(self):
-        html = timeline_html(self.telemetry.tracer.spans, title="repro live timeline")
-        self._send(200, html.encode(), "text/html; charset=utf-8")
 
 
 class _Server(ThreadingHTTPServer):
@@ -202,9 +194,9 @@ class TelemetryServer:
     ``metrics_fn`` returns the registry to expose (called per scrape —
     pass the executor's live ``collect_metrics`` or the scheduler's
     ``live_metrics``); ``health_fn`` returns the health snapshot dict.
-    ``sampler``/``memory`` are the CPU sampler and memory attributor to
-    expose on ``/profile`` — when no sampler is supplied, one without
-    span attribution is created so ``/profile`` always works.
+    ``sampler`` is the CPU sampler to expose on ``/profile`` — when none
+    is supplied, one without span attribution is created so ``/profile``
+    always works.
     """
 
     def __init__(
@@ -216,7 +208,6 @@ class TelemetryServer:
         metrics_fn=None,
         health_fn=None,
         sampler: StackSampler | None = None,
-        memory=None,
     ):
         self.host = host
         self.port = port
@@ -224,7 +215,6 @@ class TelemetryServer:
         self.metrics_fn = metrics_fn
         self.health_fn = health_fn
         self.sampler = sampler if sampler is not None else StackSampler()
-        self.memory = memory
         self._registry = MetricsRegistry()  # server-private: request counters
         self._resources = ResourceSampler()
         self._lock = threading.Lock()

@@ -156,7 +156,7 @@ class Tracer:
         #: Optional span observer — an object with ``span_enter(name) ->
         #: token`` / ``span_exit(name, token)`` called at ``with``-span
         #: entry and exit (the live profiling plane's hook: stage-stack
-        #: tracking for the CPU sampler, per-span memory attribution).
+        #: tracking for the CPU sampler, ``profile.SpanStackTracker``).
         #: ``None`` (default) costs one attribute read per span.
         self.observer = None
         self._lock = threading.Lock()

@@ -382,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         output,
         parser.add_argument_group("telemetry"),
         trace_help=(
-            "write a trace of the run to PATH: Chrome trace_event JSON "
-            "(open in Perfetto / chrome://tracing) or raw span JSON-lines "
-            "when PATH ends in .jsonl; decision-plane spans use the virtual "
-            "clock, data-plane spans (with --execute) the wall clock"
+            "write a trace of the run to PATH as Chrome trace_event JSON "
+            "(open in Perfetto / chrome://tracing, analyse with repro-obs); "
+            "decision-plane spans use the virtual clock, data-plane spans "
+            "(with --execute) the wall clock"
         ),
         alerts_help=(
             "evaluate the JSON alert rules at PATH against this run's "

@@ -209,10 +209,10 @@ def _add_misc_arguments(parser) -> None:
         parser,
         parser,
         trace_help=(
-            "write a trace of the run to PATH: Chrome trace_event JSON "
-            "(open in Perfetto / chrome://tracing; one lane per worker, "
-            "spans nest request > job > frame > shard down to kernel "
-            "stages) or raw span JSON-lines when PATH ends in .jsonl"
+            "write a trace of the run to PATH as Chrome trace_event JSON "
+            "(open in Perfetto / chrome://tracing, analyse with repro-obs; "
+            "one lane per worker, spans nest request > job > frame > shard "
+            "down to kernel stages)"
         ),
         alerts_help=(
             "evaluate the JSON alert rules at PATH against the run's final "

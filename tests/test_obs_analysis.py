@@ -192,14 +192,13 @@ class TestTimelines:
 
 class TestTraceLoading:
     def test_jsonl_and_bare_list_and_chrome(self, tmp_path):
+        # Chrome trace JSON is the one trace file format; a JSON-lines span
+        # dump is refused like any other unrecognised input.
         records = tree()
         jsonl = tmp_path / "spans.jsonl"
         jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert load_trace(str(jsonl)) == records
-
-        bare = tmp_path / "bare.json"
-        bare.write_text(json.dumps(records))
-        assert load_trace(str(bare)) == records
+        with pytest.raises(ValueError):
+            load_trace(str(jsonl))
 
         chrome = tmp_path / "chrome.json"
         chrome.write_text(json.dumps(chrome_trace(records)))
@@ -211,6 +210,10 @@ class TestTraceLoading:
         bad.write_text('"just a string"')
         with pytest.raises(ValueError):
             load_trace(str(bad))
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(tree()))
+        with pytest.raises(ValueError):
+            load_trace(str(bare))
 
     def test_chrome_round_trip_preserves_tree(self):
         records = tree()

@@ -1,14 +1,17 @@
-"""The telemetry flags the serve and sched CLIs share (``repro.obs.cli``)."""
+"""The telemetry flags the serve and sched CLIs share (``repro.obs.cli``),
+and ``repro-obs``'s usage-error contract for the files it reads."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import socket
 import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, ObsContext, export_trace, validate_chrome_trace
+from repro.obs.__main__ import main as obs_main
 from repro.obs.cli import (
     TelemetrySession,
     add_telemetry_arguments,
@@ -50,7 +53,7 @@ class TestSession:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--profile-memory"], "--profile-memory requires --listen"),
+            (["--listen", "127.0.0.1:65536"], "--listen port out of range"),
             (["--listen", "nonsense"], "--listen wants HOST:PORT"),
             (["--listen", "localhost:http"], "--listen port must be an integer"),
         ],
@@ -62,7 +65,7 @@ class TestSession:
         assert message in capsys.readouterr().err
 
     def test_live_serves_the_callers_views_then_stops(self, capsys):
-        telemetry = session(["--listen", "127.0.0.1:0", "--profile-memory"])
+        telemetry = session(["--listen", "127.0.0.1:0"])
         registry = MetricsRegistry()
         registry.counter("demo_total").inc(3)
         with telemetry.live(metrics_fn=lambda: registry, health_fn=lambda: {"mode": "demo"}):
@@ -79,12 +82,25 @@ class TestSession:
         with pytest.raises(OSError):
             urllib.request.urlopen(base + "/health", timeout=2)
 
+    def test_unbindable_listen_address_is_a_parser_error(self, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            telemetry = session(["--listen", f"127.0.0.1:{port}"])
+            with pytest.raises(SystemExit) as excinfo:
+                with telemetry.live(metrics_fn=None, health_fn=None):
+                    pytest.fail("the block must not run without a server")
+        assert excinfo.value.code == 2
+        assert f"--listen 127.0.0.1:{port}:" in capsys.readouterr().err
+        assert telemetry.obs.tracer.observer is None
+
     def test_export_writes_what_was_asked_for(self, tmp_path):
-        paths = {flag: tmp_path / flag for flag in ("trace.jsonl", "metrics.prom", "analysis.json")}
+        paths = {flag: tmp_path / flag for flag in ("trace.json", "metrics.prom", "analysis.json")}
         telemetry = session(
             [
                 "--trace-out",
-                str(paths["trace.jsonl"]),
+                str(paths["trace.json"]),
                 "--metrics-out",
                 str(paths["metrics.prom"]),
                 "--analyze-out",
@@ -94,7 +110,7 @@ class TestSession:
         telemetry.obs.tracer.instant("tick", t_ms=1.0)
         telemetry.obs.metrics.counter("demo_total").inc()
         telemetry.export()
-        assert json.loads(paths["trace.jsonl"].read_text().splitlines()[0])["name"] == "tick"
+        validate_chrome_trace(json.loads(paths["trace.json"].read_text()))
         assert "demo_total 1" in paths["metrics.prom"].read_text()
         assert "critical_path" in json.loads(paths["analysis.json"].read_text())
 
@@ -114,3 +130,40 @@ class TestAlerts:
         firing = evaluate_alerts(str(rules), [(0.0, registry.snapshot())])
         assert firing["firing"] == ["too-many"]
         assert alerts_line(firing) == "  alerts FIRING: too-many"
+
+
+class TestReproObsInputErrors:
+    """``repro-obs`` turns an input file it cannot read or parse into a
+    usage error (exit 2) naming the flag, never a traceback."""
+
+    @pytest.fixture
+    def trace(self, tmp_path) -> str:
+        obs = ObsContext.create()
+        obs.tracer.record("request", t0_ms=0.0, dur_ms=5.0)
+        path = tmp_path / "trace.json"
+        export_trace(str(path), obs.tracer)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--trace", '"just a string"'),
+            ("--trace", '{"id": "s1", "name": "request"}\n{"id": "s2", "name": "job"}\n'),
+            ("--metrics", "repro_demo_total not-a-number\n"),
+            ("--trace", None),
+            ("--alerts", '[{"name": "r", "kind": "threshold"}]'),
+        ],
+        ids=["unrecognised-trace", "jsonl-trace", "malformed-metrics", "missing-trace", "rule-without-metric"],
+    )
+    def test_bad_input_file_is_a_usage_error(self, flag, content, trace, tmp_path, capsys):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_text(content)
+        argv = [flag, str(path)] if flag == "--trace" else ["--trace", trace, flag, str(path)]
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {path}:" in err and "Traceback" not in err
+        if flag == "--alerts":
+            assert "missing required fields: ['metric']" in err

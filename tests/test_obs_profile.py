@@ -1,4 +1,4 @@
-"""The sampling profiler: span tracking, CPU sampling, memory attribution.
+"""The sampling profiler: span tracking and CPU sampling.
 
 The profiling plane is statistical by nature, so these tests avoid
 asserting on exact sample counts: synthetic workloads spin inside a
@@ -19,8 +19,6 @@ from repro.obs.profile import (
     KERNEL_STAGES,
     TRACKED_SPANS,
     WAIT_LEAVES,
-    CompositeObserver,
-    MemoryAttributor,
     SpanStackTracker,
     StackSampler,
     attribute_stages,
@@ -79,43 +77,6 @@ class TestSpanStackTracker:
     def test_kernel_stages_are_tracked(self):
         assert set(KERNEL_STAGES) <= set(TRACKED_SPANS)
         assert "decode" in TRACKED_SPANS
-
-
-class TestCompositeObserver:
-    def test_fans_out_in_order_with_per_observer_tokens(self):
-        calls = []
-
-        class Recorder:
-            def __init__(self, tag):
-                self.tag = tag
-
-            def span_enter(self, name):
-                calls.append(("enter", self.tag, name))
-                return f"{self.tag}-token"
-
-            def span_exit(self, name, token):
-                calls.append(("exit", self.tag, name, token))
-
-        composite = CompositeObserver(Recorder("a"), Recorder("b"))
-        token = composite.span_enter("blend")
-        composite.span_exit("blend", token)
-        assert calls == [
-            ("enter", "a", "blend"),
-            ("enter", "b", "blend"),
-            ("exit", "a", "blend", "a-token"),
-            ("exit", "b", "blend", "b-token"),
-        ]
-
-    def test_works_as_tracer_observer(self):
-        tracker_a, tracker_b = SpanStackTracker(), SpanStackTracker()
-        tracer = Tracer()
-        tracer.observer = CompositeObserver(tracker_a, tracker_b)
-        ident = threading.get_ident()
-        with tracer.span("blend"):
-            assert tracker_a.innermost(ident) == "blend"
-            assert tracker_b.innermost(ident) == "blend"
-        assert tracker_a.innermost(ident) is None
-        assert tracker_b.innermost(ident) is None
 
 
 def _spin_in_span(tracer, name, stop):
@@ -252,58 +213,3 @@ class TestAttributeStages:
     def test_wait_leaves_cover_the_obvious_parks(self):
         assert "threading.py:wait" in WAIT_LEAVES
         assert "selectors.py:select" in WAIT_LEAVES
-
-
-class TestMemoryAttributor:
-    def test_tracked_span_allocation_is_charged(self):
-        attributor = MemoryAttributor()
-        tracer = Tracer()
-        tracer.observer = attributor
-        attributor.start()
-        try:
-            with tracer.span("decode"):
-                block = [bytearray(1024) for _ in range(256)]
-            assert block is not None
-        finally:
-            attributor.stop()
-        stats = attributor.stats()
-        assert stats["decode"]["count"] == 1
-        assert stats["decode"]["peak_bytes"] >= 256 * 1024
-        assert stats["decode"]["total_increase_bytes"] >= 256 * 1024
-
-    def test_untracked_span_is_ignored(self):
-        attributor = MemoryAttributor()
-        tracer = Tracer()
-        tracer.observer = attributor
-        attributor.start()
-        try:
-            with tracer.span("frame"):
-                bytearray(4096)
-        finally:
-            attributor.stop()
-        assert attributor.stats() == {}
-
-    def test_noop_without_tracemalloc_engaged(self):
-        attributor = MemoryAttributor()
-        tracer = Tracer()
-        tracer.observer = attributor
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        with tracer.span("decode"):
-            bytearray(4096)
-        assert attributor.stats() == {}
-
-    def test_reset(self):
-        attributor = MemoryAttributor()
-        tracer = Tracer()
-        tracer.observer = attributor
-        attributor.start()
-        try:
-            with tracer.span("blend"):
-                bytearray(4096)
-        finally:
-            attributor.stop()
-        assert attributor.stats()
-        attributor.reset()
-        assert attributor.stats() == {}

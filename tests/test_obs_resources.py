@@ -8,7 +8,6 @@ recording, snapshot reassembly) is platform-independent and always runs.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -22,7 +21,6 @@ from repro.obs.resources import (
     CTX_GAUGE,
     RSS_GAUGE,
     ResourceSampler,
-    diff_resources,
     read_proc_sample,
     record_resource_gauges,
     resources_from_snapshot,
@@ -152,44 +150,6 @@ class TestResourcesFromSnapshot:
         assert resources_from_snapshot(registry.snapshot()) == {}
 
 
-def _table(**workers) -> dict:
-    return {"workers": workers}
-
-
-def _worker(cpu=None, rss=None) -> dict:
-    return {"cpu_percent": cpu, "rss_bytes": rss, "ctx_switches": {}}
-
-
-class TestDiffResources:
-    def test_deltas_for_shared_workers(self):
-        diff = diff_resources(
-            _table(w0=_worker(cpu=40.0, rss=1000)),
-            _table(w0=_worker(cpu=55.0, rss=1500)),
-        )
-        entry = diff["workers"]["w0"]
-        assert entry["rss_delta_bytes"] == 500
-        assert entry["cpu_delta_percent"] == 15.0
-
-    def test_one_sided_workers_keep_reading_without_delta(self):
-        diff = diff_resources(
-            _table(w0=_worker(rss=1000)),
-            _table(w1=_worker(rss=2000)),
-        )
-        assert diff["workers"]["w0"]["current"] is None
-        assert diff["workers"]["w1"]["base"] is None
-        assert "rss_delta_bytes" not in diff["workers"]["w0"]
-        assert "rss_delta_bytes" not in diff["workers"]["w1"]
-
-    def test_unknown_cpu_yields_no_cpu_delta(self):
-        diff = diff_resources(
-            _table(w0=_worker(cpu=None, rss=1000)),
-            _table(w0=_worker(cpu=80.0, rss=1000)),
-        )
-        entry = diff["workers"]["w0"]
-        assert entry["rss_delta_bytes"] == 0
-        assert "cpu_delta_percent" not in entry
-
-
 class TestObsCliResources:
     def _metrics_file(self, tmp_path, name, cpu, rss):
         registry = MetricsRegistry()
@@ -208,19 +168,3 @@ class TestObsCliResources:
         out = capsys.readouterr().out
         assert "worker resources" in out
         assert "62.5%" in out and "64.0 MiB" in out
-
-    def test_diff_metrics_reports_deltas(self, tmp_path, capsys):
-        base = self._metrics_file(tmp_path, "base.prom", 50.0, 64 << 20)
-        current = self._metrics_file(tmp_path, "cur.prom", 75.0, 96 << 20)
-        assert obs_main(
-            ["--metrics", current, "--diff-metrics", base, "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        entry = report["resources_diff"]["workers"]["0"]
-        assert entry["rss_delta_bytes"] == 32 << 20
-        assert entry["cpu_delta_percent"] == 25.0
-
-    def test_diff_metrics_requires_metrics(self, tmp_path):
-        base = self._metrics_file(tmp_path, "base.prom", 50.0, 1 << 20)
-        with pytest.raises(SystemExit):
-            obs_main(["--diff-metrics", base])

@@ -116,15 +116,6 @@ class TestEndpoints:
             assert [json.loads(l)["name"] for l in lines] == ["late"]
             assert int(headers3["X-Trace-Cursor"]) == cursor + 1
 
-    def test_timeline_html(self):
-        obs = ObsContext.create()
-        obs.tracer.record("request", t0_ms=0.0, dur_ms=5.0)
-        with self._server(tracer=obs.tracer) as server:
-            status, headers, body = _get(f"http://{server.address}/")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/html")
-        assert b"<html" in body or b"<!DOCTYPE" in body
-
     def test_profile_text_and_json(self):
         with self._server() as server:
             base = f"http://{server.address}/profile"

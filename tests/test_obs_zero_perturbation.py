@@ -19,8 +19,6 @@ import pytest
 
 from repro.exec import RenderExecutor
 from repro.obs import (
-    CompositeObserver,
-    MemoryAttributor,
     ObsContext,
     SpanStackTracker,
     StackSampler,
@@ -109,16 +107,14 @@ class TestRenderPathUnperturbed:
 
 
 def _live_plane(obs):
-    """Attach the full telemetry plane to ``obs``: span tracker + memory
-    attributor on the tracer's observer slot, a fast CPU sampler, and a
-    started attributor.  Returns (sampler, memory); caller stops both."""
+    """Attach the full telemetry plane to ``obs``: span tracker on the
+    tracer's observer slot and a fast, started CPU sampler.  Returns the
+    sampler; caller stops it."""
     tracker = SpanStackTracker()
-    memory = MemoryAttributor()
-    memory.start()
-    obs.tracer.observer = CompositeObserver(tracker, memory)
+    obs.tracer.observer = tracker
     sampler = StackSampler(interval_s=0.002, tracker=tracker)
     sampler.start()
-    return sampler, memory
+    return sampler
 
 
 def _hammer(base_url: str, stop: threading.Event, errors: list) -> None:
@@ -126,7 +122,7 @@ def _hammer(base_url: str, stop: threading.Event, errors: list) -> None:
     cursor = 0
     while not stop.is_set():
         try:
-            for path in ("/metrics", "/health", f"/trace.jsonl?cursor={cursor}", "/"):
+            for path in ("/metrics", "/health", f"/trace.jsonl?cursor={cursor}"):
                 with urllib.request.urlopen(base_url + path, timeout=30) as resp:
                     if path.startswith("/trace"):
                         cursor = int(resp.headers["X-Trace-Cursor"])
@@ -138,13 +134,13 @@ def _hammer(base_url: str, stop: threading.Event, errors: list) -> None:
 
 class TestLiveTelemetryUnperturbed:
     def test_server_sampler_and_memory_attached_bitwise_identical(self):
-        # The whole live plane at once — HTTP server, CPU sampler, memory
-        # attributor, per-worker /proc sampling on replies — with three
+        # The whole live plane at once — HTTP server, CPU sampler,
+        # per-worker /proc sampling on replies — with three
         # scraper threads hammering every endpoint mid-run.  The output
         # must still be the plain run's exact bytes.
         plain = _run(2, None)
         obs = ObsContext.create()
-        sampler, memory = _live_plane(obs)
+        sampler = _live_plane(obs)
         stop = threading.Event()
         errors: list = []
         try:
@@ -155,7 +151,6 @@ class TestLiveTelemetryUnperturbed:
                 metrics_fn=executor.collect_metrics,
                 health_fn=executor.health,
                 sampler=sampler,
-                memory=memory,
             ) as server:
                 base = f"http://{server.address}"
                 scrapers = [
@@ -171,7 +166,6 @@ class TestLiveTelemetryUnperturbed:
         finally:
             stop.set()
             sampler.stop()
-            memory.stop()
         assert not errors, errors
         _assert_results_identical(plain, traced)
 
@@ -181,7 +175,7 @@ class TestLiveTelemetryUnperturbed:
         )
         plain = run_workload(spec, RequestScheduler(quick=True))
         obs = ObsContext.create()
-        sampler, memory = _live_plane(obs)
+        sampler = _live_plane(obs)
         stop = threading.Event()
         errors: list = []
         try:
@@ -193,7 +187,6 @@ class TestLiveTelemetryUnperturbed:
                 metrics_fn=scheduler.live_metrics,
                 health_fn=scheduler.health,
                 sampler=sampler,
-                memory=memory,
             ) as server:
                 scraper = threading.Thread(
                     target=_hammer, args=(f"http://{server.address}", stop, errors)
@@ -205,7 +198,6 @@ class TestLiveTelemetryUnperturbed:
         finally:
             stop.set()
             sampler.stop()
-            memory.stop()
         assert not errors, errors
         assert json.dumps(plain.log.events) == json.dumps(traced.log.events)
         assert json.dumps(

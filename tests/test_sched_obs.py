@@ -102,14 +102,6 @@ class TestCliExportFlags:
         assert "scheduler" in info["lanes"]
         assert any(lane.startswith("client-") for lane in info["lanes"])
 
-    def test_trace_out_jsonl_writes_span_lines(self, capsys, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        main(CLI_ARGS + ["--json", "--trace-out", str(path)])
-        capsys.readouterr()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) > 0
-        assert all({"id", "name", "lane", "clock", "t0_ms"} <= set(l) for l in lines)
-
     def test_metrics_out_parses_and_reconciles(self, capsys, tmp_path):
         path = tmp_path / "metrics.prom"
         main(CLI_ARGS + ["--json", "--metrics-out", str(path)])
