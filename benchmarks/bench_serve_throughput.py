@@ -27,7 +27,8 @@ import numpy as np
 from conftest import run_once
 
 from repro.eval.runner import EvalSetup, run_tilewise
-from repro.serve.farm import RenderFarm, usable_cpu_count
+from repro.exec.frames import usable_cpu_count
+from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import RenderJob, make_trajectory
 
 NUM_FRAMES = 16

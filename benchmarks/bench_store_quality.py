@@ -31,10 +31,10 @@ import numpy as np
 from conftest import run_once
 
 from repro.eval.runner import EvalSetup, load_scene_and_camera, run_tilewise
-from repro.eval.scenes import EVAL_SCENES
+from repro.exec.frames import FrameSpec, render_frame
 from repro.gaussians.io import save_scene_npz
+from repro.gaussians.presets import EVAL_SCENES
 from repro.render.metrics import lpips_proxy, psnr
-from repro.serve.farm import FrameSpec, render_frame
 from repro.store import (
     QUANT_SPECS,
     load_scene_store,

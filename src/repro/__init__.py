@@ -1,16 +1,23 @@
 """Reproduction of *GCC: A 3DGS Inference Architecture with Gaussian-Wise and
 Cross-Stage Conditional Processing* (MICRO 2025).
 
-The package follows the README's layers, each a client of the one below:
-the engine (:mod:`repro.gaussians` and :mod:`repro.render`, the tile-wise
-and the paper's Gaussian-wise, cross-stage-conditional renderers) →
-:mod:`repro.store` (quality-tiered scene assets) → :mod:`repro.exec`
-(persistent render workers) → :mod:`repro.serve` (trajectories, farm
-facade, CLI) → :mod:`repro.fleet` (multi-executor routing) →
-:mod:`repro.sched` (SLO-aware request scheduling).  Beside the stack sit
-:mod:`repro.arch` (cycle-level models of GCC, the GSCore baseline and GPUs,
-with DRAM/SRAM/energy accounting), :mod:`repro.eval` (the paper's tables
-and figures) and :mod:`repro.obs` (tracing, metrics, trace analysis).
+The packages follow the README's layer order; each imports only itself,
+the layers below it and the leaf :mod:`repro.obs` (tracing, metrics, trace
+analysis):
+
+0. :mod:`repro.gaussians` — scene model, cameras, synthetic scenes and
+   the evaluation presets;
+1. :mod:`repro.render` — the tile-wise and the paper's Gaussian-wise,
+   cross-stage-conditional renderers;
+2. :mod:`repro.arch` (cycle-level models of GCC, the GSCore baseline and
+   GPUs, with DRAM/SRAM/energy accounting) and :mod:`repro.store`
+   (quality-tiered scene assets, the shared LRU cache), which do not
+   import each other;
+3. :mod:`repro.exec` — persistent render workers;
+4. :mod:`repro.eval` — the paper's tables and figures;
+5. :mod:`repro.serve` — trajectories, farm facade, CLI;
+6. :mod:`repro.fleet` — multi-executor routing;
+7. :mod:`repro.sched` — SLO-aware request scheduling.
 
 Quickstart::
 

@@ -4,7 +4,7 @@ Several experiments need the same underlying artefacts (e.g. the tile-wise
 render of Train feeds Figure 2, Table 1, Table 2, Figure 10 and Figure 12),
 so this module memoises them per evaluation setup.  All functions are pure
 with respect to their arguments; the memo store is a bounded
-:class:`repro.serve.cache.LRUCache` (so a long-lived process cannot grow it
+:class:`repro.store.cache.LRUCache` (so a long-lived process cannot grow it
 without limit) and can be cleared with :func:`clear_cache`.
 
 Single-frame rendering is delegated to :func:`repro.exec.frames.render_frame`
@@ -19,49 +19,21 @@ from dataclasses import dataclass
 from repro.arch.gcc import GccAccelerator, GccConfig
 from repro.arch.gscore import GScoreAccelerator, GScoreConfig
 from repro.arch.report import SimulationReport
-from repro.eval.scenes import eval_preset
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianScene
+from repro.gaussians.presets import eval_preset
 from repro.gaussians.synthetic import make_camera, make_scene
 from repro.render.gaussian_raster import GaussianWiseResult
 from repro.render.tile_raster import TileWiseResult
 from repro.exec.frames import FrameSpec, render_frame
-from repro.serve.cache import LRUCache
+from repro.store.cache import LRUCache
+from repro.store.store import default_store
 
-#: Default bound on resident memoised artefacts.  A full six-scene
-#: evaluation sweep keeps well under this; the bound exists so a
-#: long-running serving process that touches many (setup, config)
-#: combinations cannot grow without limit.
-DEFAULT_CACHE_MAXSIZE = 256
-
-#: Sentinel: "caller did not pass a capacity" (``None`` means unbounded).
-_UNSET = object()
-
-
-def _capacity_from_env(default: int | None = DEFAULT_CACHE_MAXSIZE) -> int | None:
-    """Resolve the cache bound from ``REPRO_CACHE_SIZE``.
-
-    Accepts a positive integer, or ``none``/``unbounded``/``0`` (any zero
-    spelling) to disable eviction; unset or empty falls back to ``default``.
-    Invalid values raise ``ValueError`` at import time rather than silently
-    running with a surprise bound.
-    """
-    import os
-
-    raw = os.environ.get("REPRO_CACHE_SIZE", "").strip()
-    if not raw:
-        return default
-    if raw.lower() in {"none", "unbounded"}:
-        return None
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"REPRO_CACHE_SIZE must be >= 0, got {value}")
-    return None if value == 0 else value
-
-
-#: The bound the cache was created with (``REPRO_CACHE_SIZE`` wins over the
-#: default); ``cache(capacity=...)`` can change it later at runtime.
-CACHE_MAXSIZE = _capacity_from_env()
+#: Bound on resident memoised artefacts.  A full six-scene evaluation
+#: sweep keeps well under this; the bound exists so a long-running serving
+#: process that touches many (setup, config) combinations cannot grow
+#: without limit.
+CACHE_MAXSIZE = 256
 
 _CACHE = LRUCache(maxsize=CACHE_MAXSIZE)
 
@@ -86,18 +58,8 @@ def clear_cache(reset_stats: bool = False) -> None:
     _CACHE.clear(reset_stats=reset_stats)
 
 
-def cache(capacity: int | None | object = _UNSET) -> LRUCache:
-    """The artifact cache itself (for inspection: size, hit rate, keys).
-
-    Passing ``capacity`` resizes the bound in place (``None`` = unbounded;
-    shrinking evicts least-recently-used artefacts immediately and counts
-    them in ``stats.evictions``): ``cache(capacity=16)``.  The startup bound
-    comes from the ``REPRO_CACHE_SIZE`` environment variable when set
-    (positive integer, or ``none``/``unbounded``/``0`` for no bound),
-    otherwise :data:`DEFAULT_CACHE_MAXSIZE`.
-    """
-    if capacity is not _UNSET:
-        _CACHE.resize(capacity)  # type: ignore[arg-type]
+def cache() -> LRUCache:
+    """The artifact cache itself (for inspection: size, hit rate, keys)."""
     return _CACHE
 
 
@@ -117,8 +79,6 @@ def load_scene_and_camera(setup: EvalSetup) -> tuple[GaussianScene, Camera]:
 
     def build():
         if preset.store is not None:
-            from repro.store.store import default_store
-
             scene = default_store().get(preset.store)
         else:
             scene = make_scene(preset.name, scale=preset.scale)

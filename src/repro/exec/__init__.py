@@ -1,7 +1,8 @@
 """Execution subsystem: the persistent, frame-concurrent render service.
 
 This package is the layer between the scene store and the serving front
-ends (``engine -> store -> exec -> serve -> sched``):
+ends (``gaussians -> render -> store -> exec -> eval -> serve -> fleet ->
+sched``):
 
 * :mod:`repro.exec.frames` — the single-frame primitives
   (:class:`FrameSpec`, :func:`render_frame`, :class:`FrameRecord`,
@@ -42,7 +43,7 @@ from repro.exec.frames import (
     render_frame,
     usable_cpu_count,
 )
-from repro.exec.payload import SCENE_FORMATS, SceneRef
+from repro.exec.payload import SceneRef
 from repro.exec.worker import DEFAULT_WORKER_CACHE_SIZE
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "JobHandle",
     "JobResult",
     "RenderExecutor",
-    "SCENE_FORMATS",
     "SceneRef",
     "render_frame",
     "usable_cpu_count",

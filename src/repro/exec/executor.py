@@ -45,7 +45,7 @@ import itertools
 import tempfile
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,7 +63,6 @@ from repro.exec.frames import (
     usable_cpu_count,
 )
 from repro.exec.payload import (
-    SCENE_FORMATS,
     SceneRef,
     publish_payload,
     resolve_lod_scene,
@@ -77,14 +76,8 @@ from repro.obs.health import HEARTBEAT_GAUGE, REPLIES_COUNTER, Watchdog, summari
 from repro.obs.resources import ResourceSampler, record_resource_gauges
 from repro.obs.trace import wall_anchor_ns, wall_now_ns
 from repro.render.kernels import set_stage_hook
+from repro.store.cache import LRUCache
 from repro.store.codec import quant_spec
-
-# Layering invariant: this package sits *below* repro.serve (the farm is a
-# shorthand for a transient executor), so nothing under repro.exec may
-# import repro.serve — importing repro.exec first would then re-enter the
-# half-initialised package chain.  The in-process worker's cache is
-# therefore the same local OrderedDict LRU a pool worker keeps, not
-# repro.serve.cache.LRUCache.
 
 #: Dispatcher poll interval (seconds): bounds result latency and the
 #: worker-liveness detection delay without busy-spinning.
@@ -275,10 +268,6 @@ class RenderExecutor:
         ``"forkserver"``) or ``None`` for the platform default.  Spawned
         workers re-import :mod:`repro`, so the package must be importable
         when using ``"spawn"``.
-    scene_format:
-        Serialisation of *lossless* scene payloads: ``"npz"`` (default,
-        bit-exact) or ``"text"`` (9-significant-digit debug format).
-        Quantized tiers always ship the compressed store container.
     worker_cache_size:
         Scene tiers each worker keeps decoded (LRU) — the in-process
         worker's parent-side cache included.
@@ -301,7 +290,6 @@ class RenderExecutor:
         self,
         num_workers: int | None = None,
         mp_context: str | None = None,
-        scene_format: str = "npz",
         worker_cache_size: int = DEFAULT_WORKER_CACHE_SIZE,
         obs: ObsContext | None = None,
         watchdog: Watchdog | None = None,
@@ -317,13 +305,10 @@ class RenderExecutor:
             num_workers = usable_cpu_count()
         if num_workers < 0:
             raise ValueError("num_workers must be non-negative")
-        if scene_format not in SCENE_FORMATS:
-            raise ValueError(f"scene_format must be one of {sorted(SCENE_FORMATS)}")
         if worker_cache_size <= 0:
             raise ValueError("worker_cache_size must be positive")
         self.num_workers = num_workers
         self.mp_context = mp_context
-        self.scene_format = scene_format
         self.worker_cache_size = worker_cache_size
         self.stats = ExecutorStats()
         #: Report-only stall classifier for :meth:`health`; never acts on
@@ -342,7 +327,7 @@ class RenderExecutor:
         self._lock = threading.RLock()
         #: The in-process worker: its resident cache, and a lock that makes
         #: it one worker (units of concurrent submitters run one at a time).
-        self._inprocess_cache: "OrderedDict[tuple, GaussianScene]" = OrderedDict()
+        self._inprocess_cache = LRUCache(maxsize=worker_cache_size)
         self._inprocess_lock = threading.Lock()
         self._payloads: dict[tuple, SceneRef] = {}
         self._pending: deque[_FrameTask] = deque()
@@ -630,8 +615,8 @@ class RenderExecutor:
                 try:
                     with self._inprocess_lock, span:
                         record, hit, loaded = _run_task(
-                            self._inprocess_cache, self.worker_cache_size, job_id, index,
-                            camera, spec, key, 0, load, shard, tracer, metrics,
+                            self._inprocess_cache, job_id, index, camera, spec,
+                            key, 0, load, shard, tracer, metrics,
                         )
                 except Exception as exc:
                     error = FrameRenderError(job.scene, index, repr(exc))
@@ -678,12 +663,7 @@ class RenderExecutor:
         if existing is not None:
             return existing, False
         ref = publish_payload(
-            lod_scene,
-            key,
-            self._tmpdir.name,
-            tier,
-            self.scene_format,
-            next(self._payload_seq),
+            lod_scene, key, self._tmpdir.name, tier, next(self._payload_seq)
         )
         self._payloads[key] = ref
         self.stats.published_payloads += 1

@@ -5,20 +5,6 @@ describing how one frame renders, :func:`render_frame` (the single-frame
 entry point the evaluation runner, the render farm and the executor workers
 all call), the :class:`FrameRecord` a finished frame becomes, and the
 :class:`JobResult` aggregate a whole trajectory job returns.
-
-History note: these types were born in :mod:`repro.serve.farm` (PR 2) and
-moved here when the persistent :class:`~repro.exec.executor.RenderExecutor`
-was extracted, because both the farm facade and the executor need them and
-the farm now sits *above* the executor.  :mod:`repro.serve.farm` re-exports
-every public name, so existing imports keep working.
-
-Import-cycle invariants (:mod:`repro.eval.runner` and
-:mod:`repro.serve.farm` import from here): this module must not import
-``repro.serve``, ``repro.eval`` or ``repro.store`` at module level — even
-:mod:`repro.store.codec` triggers ``repro.store.__init__``, which reaches
-back through ``repro.serve`` into ``repro.exec``.  Tier validation imports
-the codec lazily.  ``RenderJob`` appears in annotations only, which
-PEP 563 keeps as strings.
 """
 
 from __future__ import annotations
@@ -42,15 +28,9 @@ from repro.render.tile_raster import (
     frame_tile_count,
     render_tilewise,
 )
+from repro.store.codec import QUANT_SPECS
 
 FrameResult = Union[TileWiseResult, GaussianWiseResult]
-
-#: Shipping formats a caller may select for lossless scenes ("store" — the
-#: quantized codec container — is engaged automatically whenever a job
-#: requests a quantized tier).  Defined here rather than next to the
-#: payload code so the serving layer can import it without touching the
-#: store package (see the import-cycle note above).
-SCENE_FORMATS: tuple[str, ...] = ("npz", "text")
 
 #: The rendering dataflows a job can request (standard tile-wise pipeline or
 #: the paper's Gaussian-wise pipeline).
@@ -108,10 +88,6 @@ class FrameSpec:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        # Lazy tier lookup: importing repro.store at module level here would
-        # close the import cycle described in the module docstring.
-        from repro.store.codec import QUANT_SPECS
-
         if self.dataflow not in DATAFLOWS:
             raise ValueError(f"dataflow must be one of {DATAFLOWS}")
         if self.lod < 0:

@@ -12,15 +12,10 @@ pool so that their outputs stay *bitwise identical*:
   always did.
 * **Publication** — encoding the pruned scene once into an on-disk payload
   (:class:`SceneRef`) that workers load lazily: lossless tiers ship the
-  bit-exact ``.npz`` archive (or the debug text format), lossy tiers ship
-  the quantized store container, so the bytes crossing the process boundary
-  shrink with the tier.  Decoding is deterministic, which is what keeps the
-  pool bitwise identical to the in-process mode at every tier.
-
-Import-cycle invariant: ``repro.store.store`` pulls ``repro.serve.cache``
-back in, so it is imported lazily inside the resolution helpers — this
-module may only import ``repro.store.codec``/``repro.store.lod`` and
-``repro.gaussians`` at module level.
+  bit-exact ``.npz`` archive, lossy tiers ship the quantized store
+  container, so the bytes crossing the process boundary shrink with the
+  tier.  Decoding is deterministic, which is what keeps the pool bitwise
+  identical to the in-process mode at every tier.
 """
 
 from __future__ import annotations
@@ -28,14 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exec.frames import SCENE_FORMATS  # noqa: F401 - canonical home
-from repro.gaussians.io import save_scene_npz, save_scene_text
+from repro.gaussians.io import save_scene_npz
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.synthetic import make_scene
 from repro.store.codec import QuantSpec, quant_spec, roundtrip_scene, save_scene_store
 from repro.store.lod import select_lod
-
-_SCENE_SAVERS = {"npz": save_scene_npz, "text": save_scene_text}
+from repro.store.store import default_store
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,6 @@ def resolve_lod_scene(job, scene: GaussianScene | None = None) -> GaussianScene:
     if scene is not None:
         return select_lod(scene, job.lod)
     if preset.store is not None:
-        from repro.store.store import default_store
-
         return default_store().get(preset.store, lod=job.lod)
     return select_lod(make_scene(preset.name, scale=preset.scale), job.lod)
 
@@ -88,35 +79,24 @@ def resolve_render_scene(job, scene: GaussianScene | None = None) -> GaussianSce
     """
     preset = job.preset()
     if scene is None and preset.store is not None:
-        from repro.store.store import default_store
-
         return default_store().get(preset.store, lod=job.lod, quant=job.quant)
     return roundtrip_scene(resolve_lod_scene(job, scene), quant_spec(job.quant))
 
 
 def publish_payload(
-    lod_scene: GaussianScene,
-    key: tuple,
-    directory: str | Path,
-    tier: QuantSpec,
-    scene_format: str,
-    serial: int,
+    lod_scene: GaussianScene, key: tuple, directory: str | Path, tier: QuantSpec, serial: int
 ) -> SceneRef:
     """Encode ``lod_scene`` under ``key`` into ``directory`` and describe it.
 
-    Lossless tiers use ``scene_format`` (bit-exact ``.npz`` by default);
-    lossy tiers always ship the quantized store container so the payload
-    crosses the process boundary at its compressed size.
+    Lossless tiers ship the bit-exact ``.npz`` archive; lossy tiers ship the
+    quantized store container so the payload crosses the process boundary
+    at its compressed size.
     """
+    path = Path(directory) / f"payload-{serial}.npz"
     if tier.is_lossless:
-        fmt = scene_format
-        suffix = ".txt" if fmt == "text" else ".npz"
+        fmt = "npz"
+        save_scene_npz(lod_scene, path)
     else:
         fmt = "store"
-        suffix = ".npz"
-    path = Path(directory) / f"payload-{serial}{suffix}"
-    if fmt == "store":
         save_scene_store(lod_scene, path, tier)
-    else:
-        _SCENE_SAVERS[fmt](lod_scene, path)
     return SceneRef(key=key, path=str(path), fmt=fmt, nbytes=path.stat().st_size)

@@ -62,21 +62,17 @@ import functools
 import os
 import time
 import traceback
-from collections import OrderedDict
 
 from repro.exec.frames import _render_one, _render_one_shard
-from repro.gaussians.io import load_scene_npz, load_scene_text
+from repro.gaussians.io import load_scene_npz
+from repro.store.cache import LRUCache
 from repro.store.codec import load_scene_store
 
 #: Worker-side scene loaders per shipping format.  ``"store"`` is the
 #: quantized codec container: the parent ships the *encoded* payload and
 #: the worker's load decodes it, so quantized tiers cross the process
 #: boundary at their compressed size.
-_SCENE_LOADERS = {
-    "npz": load_scene_npz,
-    "text": load_scene_text,
-    "store": load_scene_store,
-}
+_SCENE_LOADERS = {"npz": load_scene_npz, "store": load_scene_store}
 
 #: Resident scene tiers each worker keeps decoded (LRU-bounded).
 DEFAULT_WORKER_CACHE_SIZE = 8
@@ -119,14 +115,14 @@ def _span(tracer, name: str, attrs: dict | None = None):
     return contextlib.nullcontext() if tracer is None else tracer.span(name, attrs=attrs)
 
 
-def _run_task(
-    cache, cache_size, job_id, index, camera, spec, key, nbytes, load, shard, tracer, metrics
-):
+def _run_task(cache, job_id, index, camera, spec, key, nbytes, load, shard, tracer, metrics):
     """Render one work unit against ``cache``; record spans/metrics when on.
 
-    ``key`` is the residency key — ``(scene, lod, quant)`` or
-    ``("custom", n, lod, quant)`` — and ``load()`` produces the decoded
-    scene on a miss, which is charged ``nbytes`` loaded bytes.  A pool
+    ``cache`` is the resident :class:`~repro.store.cache.LRUCache`, which
+    carries its own bound.  ``key`` is the residency key —
+    ``(scene, lod, quant)`` or ``("custom", n, lod, quant)`` — and
+    ``load()`` produces the decoded scene on a miss, which is charged
+    ``nbytes`` loaded bytes.  A pool
     worker passes its payload reader and the payload size; the executor's
     in-process mode calls this same function with a scene resolver and
     ``0`` bytes, so residency is defined once for both modes.
@@ -140,17 +136,13 @@ def _run_task(
             with _span(tracer, "decode", {"tier": tier, "bytes": nbytes}) as decode_span:
                 scene = load()
             loaded = nbytes
-            cache[key] = scene
-            if len(cache) > cache_size:
-                cache.popitem(last=False)
+            cache.put(key, scene)
             if metrics is not None:
                 metrics.counter("repro_scene_cache_misses_total").inc()
                 metrics.counter("repro_loaded_bytes_total").inc(loaded)
                 metrics.histogram("repro_decode_ms").observe(decode_span.dur_ms)
-        else:
-            cache.move_to_end(key)
-            if metrics is not None:
-                metrics.counter("repro_scene_cache_hits_total").inc()
+        elif metrics is not None:
+            metrics.counter("repro_scene_cache_hits_total").inc()
         with _span(tracer, "frame", {"frame": index}):
             if shard is None:
                 with _span(tracer, "render"):
@@ -187,7 +179,7 @@ def worker_main(
     worker's spans inside the parent's dispatch windows whatever the start
     method and whenever the worker was spawned.
     """
-    cache: OrderedDict[tuple, object] = OrderedDict()
+    cache = LRUCache(maxsize=cache_size)
     tracer = metrics = None
     if obs_enabled:
         # Private per-process collectors; drained spans and cumulative
@@ -219,7 +211,7 @@ def worker_main(
         try:
             load = functools.partial(_SCENE_LOADERS[ref.fmt], ref.path)
             record, hit, loaded = _run_task(
-                cache, cache_size, job_id, index, camera, spec,
+                cache, job_id, index, camera, spec,
                 ref.key, ref.nbytes, load, shard, tracer, metrics,
             )
         except Exception as exc:

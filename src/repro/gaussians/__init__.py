@@ -14,6 +14,8 @@ This subpackage implements the data model the GCC paper's pipeline consumes:
   ``Sigma = R S S^T R^T`` and EWA projection to 2D, Equation (1).
 * :mod:`~repro.gaussians.synthetic` — synthetic benchmark scenes standing in
   for the six pre-trained models the paper evaluates on.
+* :mod:`~repro.gaussians.presets` — the scale each benchmark scene is
+  evaluated at, which every layer above resolves scenes through.
 """
 
 from repro.gaussians.camera import Camera, look_at, orbit_cameras

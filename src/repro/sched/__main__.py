@@ -35,7 +35,8 @@ import json
 import sys
 
 from repro.eval.reporting import format_table
-from repro.eval.scenes import EVAL_SCENES
+from repro.exec.frames import DATAFLOWS
+from repro.gaussians.presets import EVAL_SCENES
 from repro.gaussians.synthetic import BENCHMARK_SCENES
 from repro.obs.cli import (
     EXIT_ALERTS_FIRING,
@@ -61,7 +62,6 @@ from repro.sched.scheduler import (
 from repro.fleet import AutoscalePolicy, FleetPolicy, ROUTINGS
 from repro.sched.workload import ARRIVAL_KINDS, WorkloadSpec
 from repro.serve.__main__ import _nonnegative_int, _positive_int
-from repro.serve.farm import DATAFLOWS
 from repro.store.codec import QUANT_SPECS
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.eval.scenes import eval_preset
+from repro.gaussians.presets import eval_preset
 from repro.gaussians.synthetic import scaled_image_size, scene_spec
 from repro.sched.qos import Tier, tier_dtype
 from repro.sched.workload import Request
 from repro.store.codec import quant_spec
 from repro.store.lod import DEFAULT_RATIO, lod_keep_count
+from repro.store.store import default_store
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,6 @@ class ServiceModel:
                 # Store-backed presets fix their own size; resolve through
                 # the (cached) store rather than guessing from the scale
                 # field.  This may build the base scene once.
-                from repro.store.store import default_store
-
                 base = default_store().get(preset.store).num_gaussians
             else:
                 spec = scene_spec(preset.name)

@@ -65,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exec.executor import RenderExecutor
+from repro.exec.frames import DATAFLOWS
 from repro.fleet import FleetPolicy
 from repro.obs import MetricsRegistry, ObsContext
 from repro.render.common import BACKENDS
@@ -73,7 +74,6 @@ from repro.sched.qos import EventLog, SLOController, Tier, tier_dtype
 from repro.sched.report import OUTCOME_STATUSES, RequestOutcome, ScheduleReport
 from repro.sched.run import ScheduleRun
 from repro.sched.workload import Request, WorkloadSpec
-from repro.serve.farm import DATAFLOWS
 from repro.serve.trajectories import RenderJob, make_trajectory
 
 

@@ -1,7 +1,8 @@
 """Render-farm serving subsystem: trajectory workloads over a worker pool.
 
 This package turns the single-frame evaluation stack into a frame-streaming
-render service:
+render service, one layer above :mod:`repro.exec` (the executor it drives)
+and :mod:`repro.eval` (whose table formatter its CLI prints with):
 
 * :mod:`repro.serve.trajectories` — parameterised camera paths (orbit,
   dolly, walkthrough, random-jitter) that expand any evaluation preset into
@@ -11,11 +12,12 @@ render service:
   :class:`~repro.exec.executor.RenderExecutor` (a per-job worker pool, or
   the executor's in-process worker) — aggregating images, statistics
   counters and throughput/latency figures into a
-  :class:`~repro.serve.farm.JobResult`;
-* :mod:`repro.serve.cache` — the bounded :class:`~repro.serve.cache.LRUCache`
-  backing the evaluation runner's artifact memos;
+  :class:`~repro.exec.frames.JobResult`;
 * ``python -m repro.serve`` (also installed as ``repro-serve``) — the
   command-line front end.
+
+The execution primitives (``FrameSpec``, ``render_frame``, ``JobResult``,
+...) live in :mod:`repro.exec.frames`.
 
 Quickstart::
 
@@ -26,16 +28,7 @@ Quickstart::
     print(result.frames_per_second, result.p95_ms)
 """
 
-from repro.serve.cache import CacheStats, LRUCache
-from repro.serve.farm import (
-    FrameCallback,
-    FrameRecord,
-    FrameRenderError,
-    FrameSpec,
-    JobResult,
-    RenderFarm,
-    render_frame,
-)
+from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import (
     TRAJECTORY_KINDS,
     RenderJob,
@@ -44,17 +37,9 @@ from repro.serve.trajectories import (
 )
 
 __all__ = [
-    "CacheStats",
-    "FrameCallback",
-    "FrameRecord",
-    "FrameRenderError",
-    "FrameSpec",
-    "JobResult",
-    "LRUCache",
     "RenderFarm",
     "RenderJob",
     "TRAJECTORY_KINDS",
     "Trajectory",
     "make_trajectory",
-    "render_frame",
 ]

@@ -37,7 +37,9 @@ import sys
 from pathlib import Path
 
 from repro.eval.reporting import format_table
-from repro.eval.scenes import EVAL_SCENES, EvalScenePreset, register_preset
+from repro.exec.executor import RenderExecutor
+from repro.exec.frames import DATAFLOWS, JobResult
+from repro.gaussians.presets import EVAL_SCENES, EvalScenePreset, register_preset
 from repro.gaussians.synthetic import register_scene_spec
 from repro.obs.cli import (
     EXIT_ALERTS_FIRING,
@@ -47,7 +49,7 @@ from repro.obs.cli import (
     evaluate_alerts,
 )
 from repro.render.common import BACKENDS, DTYPES
-from repro.serve.farm import DATAFLOWS, JobResult, RenderFarm
+from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import TRAJECTORY_KINDS, RenderJob, make_trajectory
 from repro.store.codec import QUANT_SPECS
 from repro.store.store import default_store, derive_scene_spec, load_scene_auto
@@ -268,8 +270,6 @@ def run_repeated(
     is used as-is and stays open; otherwise a private one is created and
     torn down here.
     """
-    from repro.exec import RenderExecutor
-
     results = []
     ctx = (
         contextlib.nullcontext(executor)
@@ -420,8 +420,6 @@ def run_job(
             # the farm's per-job transient) and serves scrapes off it.
             # Entered in this order so the scrape server stops before the
             # executor it reads from shuts down.
-            from repro.exec import RenderExecutor
-
             shared_executor = stack.enter_context(
                 RenderExecutor(num_workers=args.workers, mp_context=args.mp_context, obs=obs)
             )

@@ -22,34 +22,15 @@ counters) at every ``(lod, quant)`` tier, quantized tiers ship the encoded
 payload, frames stream through ``on_frame``, and failures surface as
 :class:`~repro.exec.frames.FrameRenderError` with the frame index and
 scene name.
-
-This module re-exports the execution primitives (``FrameSpec``,
-``render_frame``, ``JobResult``, ...) that historically lived here, so
-``from repro.serve.farm import render_frame`` keeps working.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.exec.frames import (  # noqa: F401 - re-exported compatibility names
-    DATAFLOWS,
-    SCENE_FORMATS,
-    FrameCallback,
-    FrameRecord,
-    FrameRenderError,
-    FrameResult,
-    FrameSpec,
-    JobResult,
-    render_frame,
-    usable_cpu_count,
-)
+from repro.exec.executor import RenderExecutor
+from repro.exec.frames import FrameCallback, JobResult, usable_cpu_count
 from repro.gaussians.model import GaussianScene
-
-# Import-cycle invariant: repro.exec.executor is imported lazily (inside
-# methods) because importing this module can happen *while* repro.exec is
-# still initialising (repro.exec -> repro.store -> repro.serve -> here);
-# repro.exec.frames is safe — it completes before anything re-enters.
 
 
 class RenderFarm:
@@ -68,11 +49,6 @@ class RenderFarm:
         ``"forkserver"``) or ``None`` for the platform default.  Spawned
         workers re-import :mod:`repro`, so the package must be importable
         (installed or on ``PYTHONPATH``) when using ``"spawn"``.
-    scene_format:
-        Serialisation used to ship the parent-built scene to workers:
-        ``"npz"`` (default, bit-exact) or ``"text"`` (9-significant-digit
-        debug format; worker renders then match an in-process render of the
-        round-tripped scene, not of the original).
     obs:
         Optional :class:`~repro.obs.ObsContext` handed to every transient
         executor, so farm runs trace and meter like executor runs.
@@ -84,18 +60,14 @@ class RenderFarm:
         self,
         num_workers: int | None = None,
         mp_context: str | None = None,
-        scene_format: str = "npz",
         obs=None,
     ) -> None:
         if num_workers is None:
             num_workers = usable_cpu_count()
         if num_workers < 0:
             raise ValueError("num_workers must be non-negative")
-        if scene_format not in SCENE_FORMATS:
-            raise ValueError(f"scene_format must be one of {sorted(SCENE_FORMATS)}")
         self.num_workers = num_workers
         self.mp_context = mp_context
-        self.scene_format = scene_format
         self.obs = obs
 
     # ------------------------------------------------------------------
@@ -141,15 +113,12 @@ class RenderFarm:
         bitwise identical to the in-process mode at every tier, and the
         lossless tier stays bitwise identical to the legacy pipeline.
         """
-        from repro.exec.executor import RenderExecutor
-
         # Work units, not frames, size the pool: a sharded single-frame job
         # still spreads its tile-range shards over workers.
         work_units = job.num_frames * max(getattr(job, "shards", 1), 1)
         with RenderExecutor(
             num_workers=min(self.num_workers, work_units),
             mp_context=self.mp_context,
-            scene_format=self.scene_format,
             obs=self.obs,
         ) as transient:
             return transient.submit(job, scene=scene, on_frame=on_frame).result()

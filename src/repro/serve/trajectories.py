@@ -40,11 +40,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.eval.scenes import EvalScenePreset, eval_preset
+from repro.exec.frames import DATAFLOWS
 from repro.gaussians.camera import Camera, look_at
+from repro.gaussians.presets import EvalScenePreset, eval_preset
 from repro.gaussians.synthetic import make_camera, scaled_image_size, scene_spec
 from repro.render.common import BACKENDS, DTYPES
-from repro.serve.farm import DATAFLOWS
 from repro.store.codec import QUANT_SPECS
 
 #: The camera-path kinds understood by :func:`make_trajectory`.

@@ -13,19 +13,15 @@ Three layers, each usable alone:
   registry resolving named scenes lazily at a ``(lod, quant)`` tier through
   a bounded LRU cache, plus on-disk format autodetection.
 
+:mod:`repro.store.cache` holds that cache, :class:`~repro.store.cache.LRUCache`,
+the one bounded memo shared by every layer above.
+
 Quickstart::
 
     from repro.store import QUANT_SPECS, build_lod_pyramid, default_store
 
     scene = default_store().get("train", lod=1, quant="compact")
     pyramid = build_lod_pyramid(default_store().get("train"))
-
-Import-order note: :mod:`~repro.store.codec` and :mod:`~repro.store.lod`
-depend only on :mod:`repro.gaussians`/:mod:`repro.render` and are imported
-first; :mod:`~repro.store.store` additionally pulls in
-:mod:`repro.serve.cache` (whose package ``__init__`` imports the farm, which
-imports the two codec/lod modules above) — keep that ordering or the cycle
-bites.
 """
 
 from repro.store.codec import (

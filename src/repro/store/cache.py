@@ -1,23 +1,19 @@
-"""Bounded artifact cache for renders, scenes and simulation reports.
+"""Bounded LRU cache: the one memo type every layer shares.
 
-The evaluation runner (:mod:`repro.eval.runner`) and the render farm both
-memoise expensive artefacts — synthetic scenes, rendered frames, accelerator
-reports — under hashable tuple keys.  The seed implementation used an
-unbounded module-level ``dict``, which is fine for a one-shot experiment
-sweep but not for a long-lived serving process that streams thousands of
-frames: every distinct (scene, camera, config) combination would stay
-resident forever.
+The evaluation runner (:mod:`repro.eval.runner`), the scene store
+(:class:`~repro.store.store.SceneStore`) and the executor's resident scene
+tiers (:mod:`repro.exec.worker`) all memoise expensive artefacts —
+synthetic scenes, decoded tiers, rendered frames, accelerator reports —
+under hashable tuple keys.  A long-lived serving process streams thousands
+of frames, so every such memo must be bounded: :class:`LRUCache` keeps a
+``key -> artifact`` mapping of at most ``maxsize`` entries and evicts the
+least-recently-used one once the bound is exceeded.
 
-:class:`LRUCache` keeps the same ``key -> artifact`` contract but bounds the
-number of resident entries, evicting the least-recently-used artifact once
-the bound is exceeded.  It is thread-safe (one reentrant lock around every
-operation), so the request scheduler, the runner and the scene store can
-share one cache across threads.  Hits refresh recency; overwriting an existing key
-refreshes recency too.  A ``maxsize`` of ``None`` disables eviction
-entirely, restoring the unbounded seed behaviour for callers that want it;
-the evaluation runner itself uses a 256-entry bound
-(:data:`repro.eval.runner.CACHE_MAXSIZE`), comfortably above what a full
-six-scene evaluation sweep keeps live.
+It is thread-safe (one reentrant lock around every operation), so the
+request scheduler, the runner and the scene store can share one cache
+across threads.  Hits refresh recency; overwriting an existing key
+refreshes recency too.  The module is standard-library only, which is what
+lets every layer above :mod:`repro.store` use it.
 """
 
 from __future__ import annotations
@@ -64,8 +60,7 @@ class LRUCache:
     Parameters
     ----------
     maxsize:
-        Maximum number of resident entries.  ``None`` means unbounded
-        (no eviction ever happens); otherwise must be positive.
+        Maximum number of resident entries; must be positive.
 
     Notes
     -----
@@ -82,9 +77,9 @@ class LRUCache:
     renders) exactly-once construction is worth more than lookup overlap.
     """
 
-    def __init__(self, maxsize: int | None = 128) -> None:
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError("maxsize must be positive or None (unbounded)")
+    def __init__(self, maxsize: int = 128) -> None:
+        if maxsize <= 0:
+            raise ValueError("maxsize must be positive")
         self._maxsize = maxsize
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.RLock()
@@ -94,8 +89,8 @@ class LRUCache:
     # Mapping interface
     # ------------------------------------------------------------------
     @property
-    def maxsize(self) -> int | None:
-        """The eviction bound (``None`` when unbounded)."""
+    def maxsize(self) -> int:
+        """The eviction bound."""
         return self._maxsize
 
     def __len__(self) -> int:
@@ -131,7 +126,7 @@ class LRUCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = value
-            if self._maxsize is not None and len(self._entries) > self._maxsize:
+            if len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
@@ -160,21 +155,6 @@ class LRUCache:
         """
         with self._lock:
             return self._entries.pop(key, default)
-
-    def resize(self, maxsize: int | None) -> None:
-        """Change the eviction bound, evicting LRU entries if now over it.
-
-        Shrinking below the resident count evicts oldest-first and counts
-        each removal in ``stats.evictions``; ``None`` removes the bound.
-        """
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError("maxsize must be positive or None (unbounded)")
-        with self._lock:
-            self._maxsize = maxsize
-            if maxsize is not None:
-                while len(self._entries) > maxsize:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
 
     def clear(self, reset_stats: bool = False) -> None:
         """Drop every entry.

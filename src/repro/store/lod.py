@@ -145,7 +145,7 @@ def pyramid_quality(
     """Render every level with ``render_fn`` and score it against level 0.
 
     ``render_fn`` maps a scene to an image (e.g. a closure over a fixed
-    camera and :func:`repro.serve.farm.render_frame`); level 0 scores PSNR
+    camera and :func:`repro.exec.frames.render_frame`); level 0 scores PSNR
     ``inf`` / LPIPS-proxy 0 by construction.
     """
     reference = render_fn(pyramid.level(0))

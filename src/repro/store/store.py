@@ -3,7 +3,7 @@
 A :class:`SceneStore` maps names to scene factories — the synthetic
 benchmark zoo, in-memory scenes, or on-disk files — and resolves
 ``get(name, lod, quant)`` requests through a bounded
-:class:`~repro.serve.cache.LRUCache` keyed ``(name, lod, quant)``.  The base
+:class:`~repro.store.cache.LRUCache` keyed ``(name, lod, quant)``.  The base
 scene is built at most once; each requested tier is derived from it (LOD
 pruning, then a codec round-trip) and cached independently, so a serving
 process that mixes quality tiers pays each preparation once.
@@ -31,10 +31,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.gaussians.io import load_scene_npz, load_scene_text
+from repro.gaussians.io import load_scene_npz, load_scene_text, scene_from_text
 from repro.gaussians.model import GaussianScene
+from repro.gaussians.presets import EVAL_SCENES
 from repro.gaussians.synthetic import SCENE_SPECS, SceneSpec, make_scene
-from repro.serve.cache import LRUCache
+from repro.store.cache import LRUCache
 from repro.store.codec import (
     QUANT_SPECS,
     is_store_file,
@@ -56,8 +57,8 @@ class SceneStore:
     Parameters
     ----------
     capacity:
-        Bound on resident prepared scenes (``None`` = unbounded), passed to
-        the backing :class:`LRUCache`.
+        Bound on resident prepared scenes, passed to the backing
+        :class:`LRUCache`.
     lod_ratio:
         Keep ratio of the LOD ladder served by :meth:`get` (level ``k``
         retains ``lod_ratio**k`` of the scene).
@@ -65,7 +66,7 @@ class SceneStore:
 
     def __init__(
         self,
-        capacity: int | None = DEFAULT_STORE_CAPACITY,
+        capacity: int = DEFAULT_STORE_CAPACITY,
         lod_ratio: float = DEFAULT_RATIO,
     ) -> None:
         if not 0.0 < lod_ratio < 1.0:
@@ -184,10 +185,6 @@ _DEFAULT_STORE_LOCK = threading.Lock()
 
 def _zoo_scale(name: str) -> float:
     """Generation scale of a zoo entry: the evaluation preset's scale."""
-    # Lazy import: repro.eval.scenes must stay importable before this
-    # module finishes loading (see the import-cycle note in repro.serve.farm).
-    from repro.eval.scenes import EVAL_SCENES
-
     if name in EVAL_SCENES:
         return EVAL_SCENES[name].scale
     return 1.0 if name == "smoke" else 0.05
@@ -265,8 +262,6 @@ def load_scene_auto(path: str | Path) -> GaussianScene:
         ) from exc
     first = text.lstrip().splitlines()[0] if text.strip() else ""
     if first[:1] in set("#+-.0123456789"):
-        from repro.gaussians.io import scene_from_text
-
         return scene_from_text(text)
     raise ValueError(
         f"unknown scene file format: {path}; known formats: lossless .npz "

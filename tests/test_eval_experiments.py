@@ -8,7 +8,7 @@ import pytest
 from repro.eval import experiments
 from repro.eval import reporting
 from repro.eval.runner import EvalSetup, clear_cache, load_scene_and_camera, run_tilewise
-from repro.eval.scenes import (
+from repro.gaussians.presets import (
     EVAL_SCENES,
     QUICK_SCENES,
     EvalScenePreset,

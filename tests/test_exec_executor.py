@@ -48,10 +48,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             RenderExecutor(num_workers=-1)
 
-    def test_unknown_scene_format_rejected(self):
-        with pytest.raises(ValueError):
-            RenderExecutor(scene_format="yaml")
-
     @pytest.mark.parametrize("kwargs", [dict(worker_cache_size=0)])
     def test_nonpositive_cache_sizes_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.eval.scenes import eval_preset
+from repro.gaussians.presets import eval_preset
 from repro.serve.trajectories import make_trajectory
 
 SEED = 1234

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.eval.runner import EvalSetup, load_scene_and_camera
-from repro.eval.scenes import EVAL_SCENES
+from repro.gaussians.presets import EVAL_SCENES
 from repro.exec import RenderExecutor
 from repro.exec.frames import (
     FrameSpec,

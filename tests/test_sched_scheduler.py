@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.eval.scenes import eval_preset
+from repro.gaussians.presets import eval_preset
 from repro.gaussians.synthetic import make_scene
 from repro.sched.qos import QoSPolicy, SLOController
 from repro.sched.scheduler import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.cache import LRUCache
+from repro.store.cache import LRUCache
 
 
 class TestLRUBasics:
@@ -25,13 +25,6 @@ class TestLRUBasics:
             LRUCache(maxsize=0)
         with pytest.raises(ValueError):
             LRUCache(maxsize=-3)
-
-    def test_unbounded_mode_never_evicts(self):
-        cache = LRUCache(maxsize=None)
-        for i in range(1000):
-            cache.put(i, i)
-        assert len(cache) == 1000
-        assert cache.stats.evictions == 0
 
     def test_clear_drops_entries(self):
         cache = LRUCache(maxsize=4)
@@ -151,30 +144,6 @@ class TestPopResizeClear:
         assert "a" not in cache
         assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == before
 
-    def test_resize_shrink_evicts_lru_first(self):
-        cache = LRUCache(maxsize=4)
-        for key in "abcd":
-            cache.put(key, key)
-        cache.get("a")  # refresh: "b" is now LRU
-        cache.resize(2)
-        assert cache.keys() == ["d", "a"]
-        assert cache.stats.evictions == 2
-        assert cache.maxsize == 2
-
-    def test_resize_to_unbounded(self):
-        cache = LRUCache(maxsize=1)
-        cache.resize(None)
-        for i in range(10):
-            cache.put(i, i)
-        assert len(cache) == 10
-        assert cache.stats.evictions == 0
-
-    def test_resize_invalid(self):
-        with pytest.raises(ValueError):
-            LRUCache().resize(0)
-        with pytest.raises(ValueError):
-            LRUCache().resize(-3)
-
     def test_clear_keeps_stats_by_default(self):
         cache = LRUCache(maxsize=2)
         cache.get_or_create("a", lambda: 1)
@@ -196,48 +165,6 @@ class TestPopResizeClear:
 
 
 class TestRunnerCacheConfiguration:
-    def test_capacity_from_env_default(self, monkeypatch):
-        from repro.eval.runner import DEFAULT_CACHE_MAXSIZE, _capacity_from_env
-
-        monkeypatch.delenv("REPRO_CACHE_SIZE", raising=False)
-        assert _capacity_from_env() == DEFAULT_CACHE_MAXSIZE
-
-    def test_capacity_from_env_value(self, monkeypatch):
-        from repro.eval.runner import _capacity_from_env
-
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "17")
-        assert _capacity_from_env() == 17
-
-    def test_capacity_from_env_unbounded_spellings(self, monkeypatch):
-        from repro.eval.runner import _capacity_from_env
-
-        # Every zero spelling must disable eviction, not build LRUCache(0).
-        for spelling in ("none", "NONE", "unbounded", "0", "+0", "00"):
-            monkeypatch.setenv("REPRO_CACHE_SIZE", spelling)
-            assert _capacity_from_env() is None
-
-    def test_capacity_from_env_invalid(self, monkeypatch):
-        from repro.eval.runner import _capacity_from_env
-
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "-2")
-        with pytest.raises(ValueError):
-            _capacity_from_env()
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "many")
-        with pytest.raises(ValueError):
-            _capacity_from_env()
-
-    def test_cache_accessor_resizes_in_place(self):
-        from repro.eval import runner
-
-        original = runner.cache().maxsize
-        try:
-            resized = runner.cache(capacity=8)
-            assert resized is runner.cache()
-            assert runner.cache().maxsize == 8
-        finally:
-            runner.cache(capacity=original)
-        assert runner.cache().maxsize == original
-
     def test_clear_cache_reset_stats(self):
         from repro.eval.runner import EvalSetup, cache, clear_cache, load_scene_and_camera
 
@@ -254,7 +181,7 @@ class TestThreadSafety:
     def test_get_or_create_is_single_flight(self):
         import threading
 
-        cache = LRUCache(maxsize=None)
+        cache = LRUCache(maxsize=24)
         built: list[int] = []  # appended under the cache lock
         barrier = threading.Barrier(8)
         keys = list(range(24))
@@ -277,7 +204,7 @@ class TestThreadSafety:
         assert all(cache.get(key) == key for key in keys)
 
     def test_recursive_factory_does_not_deadlock(self):
-        cache = LRUCache(maxsize=None)
+        cache = LRUCache(maxsize=2)
 
         def build_outer():
             return cache.get_or_create("inner", lambda: 1) + 1
@@ -301,8 +228,6 @@ class TestThreadSafety:
                     cache.get(key)
                     if i % 7 == 0:
                         cache.pop(key)
-                    if i % 50 == 0:
-                        cache.resize(16 if i % 100 == 0 else 32)
                     if i % 97 == 0:
                         cache.keys()
             except BaseException as exc:  # pragma: no cover - failure path

@@ -4,7 +4,7 @@ The heavyweight throughput claim (multi-worker >= 1.5x sequential on a
 16-frame job) lives in ``benchmarks/bench_serve_throughput.py``; here we
 verify correctness on tiny jobs: farm output is bitwise identical to the
 sequential fallback and to single-frame evaluation-runner renders, scenes
-survive the ``.npz``/text trip into spawned workers, and counters aggregate
+survive the ``.npz`` trip into spawned workers, and counters aggregate
 exactly.
 """
 
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from repro.eval.runner import EvalSetup, run_gaussianwise, run_tilewise
-from repro.gaussians.io import scene_from_text, scene_to_text
+from repro.exec.frames import FrameSpec, render_frame
 from repro.gaussians.synthetic import make_scene
-from repro.serve.farm import FrameSpec, RenderFarm, render_frame
+from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import RenderJob, make_trajectory
 
 
@@ -112,31 +112,11 @@ class TestWorkerSceneShipping:
     def test_npz_roundtrip_through_spawned_worker(self, orbit_job):
         scene = make_scene("smoke", scale=1.0)
         in_process = RenderFarm(num_workers=0).run(orbit_job, scene=scene)
-        spawned = RenderFarm(
-            num_workers=2, mp_context="spawn", scene_format="npz"
-        ).run(orbit_job, scene=scene)
+        spawned = RenderFarm(num_workers=2, mp_context="spawn").run(orbit_job, scene=scene)
         assert spawned.num_workers == 2
         for a, b in zip(in_process.frames, spawned.frames):
             assert np.array_equal(a.image, b.image)
             _assert_stats_equal(a.stats, b.stats)
-
-    def test_text_roundtrip_through_worker(self, orbit_job):
-        scene = make_scene("smoke", scale=1.0)
-        shipped = RenderFarm(num_workers=2, scene_format="text").run(
-            orbit_job, scene=scene
-        )
-        # The text format rounds to 9 significant digits, so workers render
-        # the round-tripped scene; the in-process reference must round-trip
-        # the same way to match bitwise.
-        roundtripped = scene_from_text(scene_to_text(scene))
-        reference = RenderFarm(num_workers=0).run(orbit_job, scene=roundtripped)
-        for a, b in zip(reference.frames, shipped.frames):
-            assert np.array_equal(a.image, b.image)
-            _assert_stats_equal(a.stats, b.stats)
-
-    def test_unknown_scene_format_rejected(self):
-        with pytest.raises(ValueError, match="scene_format"):
-            RenderFarm(scene_format="ply")
 
     def test_negative_worker_count_rejected(self):
         with pytest.raises(ValueError, match="num_workers"):
@@ -297,7 +277,7 @@ class TestWorkerFailureSurfacing:
     def test_sequential_failure_names_frame_and_scene(
         self, orbit_job, exploding_render
     ):
-        from repro.serve.farm import FrameRenderError
+        from repro.exec.frames import FrameRenderError
 
         with pytest.raises(FrameRenderError) as excinfo:
             RenderFarm(num_workers=0).run(orbit_job)
@@ -311,7 +291,7 @@ class TestWorkerFailureSurfacing:
     def test_pool_failure_names_frame_and_scene(self, orbit_job, exploding_render):
         import multiprocessing
 
-        from repro.serve.farm import FrameRenderError
+        from repro.exec.frames import FrameRenderError
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork so workers inherit the patched renderer")

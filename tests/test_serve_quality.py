@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.eval.runner import EvalSetup, run_tilewise
+from repro.exec.frames import FrameSpec
 from repro.serve.__main__ import build_parser, main
-from repro.serve.farm import FrameSpec, RenderFarm
+from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import RenderJob, make_trajectory
 from repro.store.codec import QUANT_SPECS, quant_spec, roundtrip_scene
 from repro.store.lod import select_lod
@@ -62,7 +63,7 @@ class TestSequentialTiers:
 
     def test_quantized_tier_renders_the_roundtripped_scene(self):
         from repro.eval.runner import load_scene_and_camera
-        from repro.serve.farm import render_frame
+        from repro.exec.frames import render_frame
 
         job = RenderJob(
             "train", make_trajectory("orbit", num_frames=1), quick=True,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.scenes import eval_preset
+from repro.gaussians.presets import eval_preset
 from repro.gaussians.synthetic import make_camera, scene_spec
 from repro.serve.trajectories import (
     TRAJECTORY_KINDS,

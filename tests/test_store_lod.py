@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec.frames import FrameSpec, render_frame
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.sh import SH_COEFFS_PER_CHANNEL
 from repro.gaussians.synthetic import make_camera, make_scene
-from repro.serve.farm import FrameSpec, render_frame
 from repro.store.lod import (
     LodPyramid,
     build_lod_pyramid,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.scenes import EVAL_SCENES, EvalScenePreset, eval_preset, register_preset
+from repro.gaussians.presets import EVAL_SCENES, EvalScenePreset, eval_preset, register_preset
 from repro.gaussians.io import save_scene_npz, save_scene_text
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.synthetic import (
