@@ -90,40 +90,38 @@ def load_scene_and_camera(setup: EvalSetup) -> tuple[GaussianScene, Camera]:
     return _cached(("scene", setup), build)
 
 
+def _run_frame(setup: EvalSetup, spec: FrameSpec):
+    """Render ``setup``'s frame under ``spec``, cached by the whole spec."""
+
+    def build():
+        scene, camera = load_scene_and_camera(setup)
+        return render_frame(scene, camera, spec)
+
+    return _cached(("frame", setup, spec), build)
+
+
 def run_tilewise(
     setup: EvalSetup,
     tile_size: int = 16,
-    backend: str = "vectorized",
     obb_subtile_skip: bool = True,
     dtype: str = "float64",
 ) -> TileWiseResult:
     """Standard-dataflow render of a setup (cached).
 
-    ``backend`` selects the rasterisation engine (``"vectorized"`` or
-    ``"reference"``); both yield identical statistics, so every experiment
-    built on this function is backend-independent.  ``obb_subtile_skip``
-    toggles GSCore's OBB subtile test in the alpha-evaluation accounting
-    (the image is unaffected) and is part of the cache key, so calls with
-    different settings never alias.  ``dtype`` selects the floating-point
-    engine mode (:data:`repro.render.common.DTYPES`) and is likewise part
-    of the cache key — a float32 fast-path render must never alias the
-    float64 artefact the accuracy experiments treat as the oracle.
+    ``obb_subtile_skip`` toggles GSCore's OBB subtile test in the
+    alpha-evaluation accounting (the image is unaffected).  ``dtype``
+    selects the floating-point engine mode
+    (:data:`repro.render.common.DTYPES`), so a float32 fast-path render
+    never aliases the float64 artefact the accuracy experiments treat as
+    the oracle.
     """
-
-    def build():
-        scene, camera = load_scene_and_camera(setup)
-        spec = FrameSpec(
-            dataflow="tilewise",
-            backend=backend,
-            tile_size=tile_size,
-            obb_subtile_skip=obb_subtile_skip,
-            dtype=dtype,
-        )
-        return render_frame(scene, camera, spec)
-
-    return _cached(
-        ("tilewise", setup, tile_size, backend, obb_subtile_skip, dtype), build
+    spec = FrameSpec(
+        dataflow="tilewise",
+        tile_size=tile_size,
+        obb_subtile_skip=obb_subtile_skip,
+        dtype=dtype,
     )
+    return _run_frame(setup, spec)
 
 
 def run_gaussianwise(
@@ -131,29 +129,15 @@ def run_gaussianwise(
     enable_cc: bool = True,
     block_size: int = 8,
     boundary_mode: str = "alpha",
-    backend: str = "vectorized",
 ) -> GaussianWiseResult:
-    """GCC-dataflow render of a setup (cached).
-
-    ``backend`` selects the rasterisation engine (``"vectorized"`` or
-    ``"reference"``); both yield identical statistics, so every experiment
-    built on this function is backend-independent.
-    """
-
-    def build():
-        scene, camera = load_scene_and_camera(setup)
-        spec = FrameSpec(
-            dataflow="gaussianwise",
-            backend=backend,
-            enable_cc=enable_cc,
-            block_size=block_size,
-            boundary_mode=boundary_mode,
-        )
-        return render_frame(scene, camera, spec)
-
-    return _cached(
-        ("gaussianwise", setup, enable_cc, block_size, boundary_mode, backend), build
+    """GCC-dataflow render of a setup (cached)."""
+    spec = FrameSpec(
+        dataflow="gaussianwise",
+        enable_cc=enable_cc,
+        block_size=block_size,
+        boundary_mode=boundary_mode,
     )
+    return _run_frame(setup, spec)
 
 
 def run_gscore_sim(setup: EvalSetup, config: GScoreConfig | None = None) -> SimulationReport:

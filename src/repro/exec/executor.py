@@ -396,11 +396,10 @@ class RenderExecutor:
             if self._closed:
                 raise RuntimeError("executor is shut down")
         spec = FrameSpec.for_job(job)
-        num_shards = getattr(job, "shards", 1)
         units = [
             (index, camera, shard)
             for index, camera in enumerate(job.cameras())
-            for shard in (plan_shards(camera, spec, num_shards) if num_shards > 1 else (None,))
+            for shard in (plan_shards(camera, spec, job.shards) if job.shards > 1 else (None,))
         ]
         if scene is None:
             key = scene_key(job)

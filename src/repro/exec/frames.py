@@ -19,8 +19,12 @@ import numpy as np
 
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianScene
-from repro.render.common import DTYPES, RenderConfig
-from repro.render.gaussian_raster import GaussianWiseResult, render_gaussianwise
+from repro.render.common import RenderConfig
+from repro.render.gaussian_raster import (
+    BOUNDARY_MODES,
+    GaussianWiseResult,
+    render_gaussianwise,
+)
 from repro.render.kernels import shard_intervals
 from repro.render.tile_raster import (
     TileWiseResult,
@@ -57,17 +61,20 @@ def usable_cpu_count() -> int:
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Render parameters of one frame, mirroring the evaluation runner.
+    """Render parameters of one frame, validated at construction.
 
+    The one declaration of how a frame renders above ``repro.render``: the
+    evaluation runner, :class:`~repro.serve.trajectories.RenderJob` and the
+    request scheduler all defer to it, so a spec that exists can render.
     ``tilewise`` frames use ``tile_size``/``obb_subtile_skip`` and the
     conventional 3-sigma radius rule; ``gaussianwise`` frames use
     ``enable_cc``/``block_size``/``boundary_mode`` and the paper's
-    omega-sigma rule — exactly the configurations
-    :func:`repro.eval.runner.run_tilewise` and
-    :func:`repro.eval.runner.run_gaussianwise` build.
+    omega-sigma rule (see :meth:`render_config`).
     """
 
     dataflow: str = "tilewise"
+    #: Rasterisation engine.  Both are bitwise equal, so nothing above the
+    #: executor sets it; it selects the ``"reference"`` oracle in checks.
     backend: str = "vectorized"
     tile_size: int = 16
     obb_subtile_skip: bool = True
@@ -83,8 +90,8 @@ class FrameSpec:
     quant: str = "lossless"
     #: Floating-point engine mode (``repro.render.common.DTYPES``).  Unlike
     #: ``lod``/``quant`` this *is* a render parameter — it changes the bits
-    #: of the output image — so it participates in every cache key that
-    #: distinguishes rendered results (see ``repro.eval.runner``).
+    #: of the output image — and the whole spec keys the evaluation
+    #: runner's frame caches.
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -94,8 +101,10 @@ class FrameSpec:
             raise ValueError("lod must be non-negative")
         if self.quant not in QUANT_SPECS:
             raise ValueError(f"quant must be one of {sorted(QUANT_SPECS)}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {DTYPES}")
+        if self.boundary_mode not in BOUNDARY_MODES:
+            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+        # Tile/block size, backend and dtype: the engine's own checks.
+        self.render_config()
         if self.dataflow == "gaussianwise" and self.dtype != "float64":
             raise ValueError(
                 "the gaussianwise dataflow only supports dtype='float64'; "
@@ -103,15 +112,21 @@ class FrameSpec:
             )
 
     @classmethod
-    def for_job(cls, job: RenderJob, **overrides) -> "FrameSpec":
+    def for_job(cls, job: RenderJob) -> "FrameSpec":
         """The spec a :class:`RenderJob` renders its frames with."""
-        return cls(
-            dataflow=job.dataflow,
-            backend=job.backend,
-            lod=job.lod,
-            quant=job.quant,
-            dtype=job.dtype,
-            **overrides,
+        return cls(dataflow=job.dataflow, lod=job.lod, quant=job.quant, dtype=job.dtype)
+
+    def render_config(self) -> RenderConfig:
+        """The engine configuration this spec's dataflow renders with."""
+        if self.dataflow == "tilewise":
+            return RenderConfig(
+                tile_size=self.tile_size,
+                radius_rule="3sigma",
+                backend=self.backend,
+                dtype=self.dtype,
+            )
+        return RenderConfig(
+            radius_rule="omega-sigma", block_size=self.block_size, backend=self.backend
         )
 
 
@@ -143,14 +158,19 @@ class ShardSpec:
         return (self.tile_lo, self.tile_hi)
 
 
-def plan_shards(camera: Camera, spec: FrameSpec, num_shards: int) -> list[ShardSpec]:
-    """Partition ``camera``'s tile grid into ``num_shards`` shard specs.
+def check_shards(dataflow: str, num_shards: int) -> None:
+    """Raise ``ValueError`` unless ``dataflow`` can split a frame into ``num_shards``.
 
     Only the tile-wise dataflow shards (Gaussian-wise blending is not
     per-tile, so no exact compositor exists for it).
     """
-    if spec.dataflow != "tilewise":
-        raise ValueError("only the tilewise dataflow supports tile-range sharding")
+    if num_shards > 1 and dataflow != "tilewise":
+        raise ValueError("shards > 1 requires the tilewise dataflow")
+
+
+def plan_shards(camera: Camera, spec: FrameSpec, num_shards: int) -> list[ShardSpec]:
+    """Partition ``camera``'s tile grid into ``num_shards`` shard specs."""
+    check_shards(spec.dataflow, num_shards)
     num_tiles = frame_tile_count(camera.width, camera.height, spec.tile_size)
     return [
         ShardSpec(index=i, num_shards=num_shards, tile_lo=lo, tile_hi=hi)
@@ -168,19 +188,14 @@ def render_frame(
 
     This is the single-frame primitive shared by the evaluation runner, the
     render farm and the executor workers, so every frame they produce gets
-    its :class:`RenderConfig` here.  The accelerator models in
-    ``repro.arch`` build the same configurations in their own ``_render``
-    when simulated without a ``render_result``.  ``tile_shard`` restricts
-    the tile-wise pipeline to a half-open tile-id interval (see
-    :func:`repro.render.tile_raster.render_tilewise`).
+    its :class:`RenderConfig` from :meth:`FrameSpec.render_config`.  The
+    accelerator models in ``repro.arch`` build the same configurations in
+    their own ``_render`` when simulated without a ``render_result``.
+    ``tile_shard`` restricts the tile-wise pipeline to a half-open tile-id
+    interval (see :func:`repro.render.tile_raster.render_tilewise`).
     """
+    config = spec.render_config()
     if spec.dataflow == "tilewise":
-        config = RenderConfig(
-            tile_size=spec.tile_size,
-            radius_rule="3sigma",
-            backend=spec.backend,
-            dtype=spec.dtype,
-        )
         return render_tilewise(
             scene,
             camera,
@@ -190,9 +205,6 @@ def render_frame(
         )
     if tile_shard is not None:
         raise ValueError("tile_shard is only supported by the tilewise dataflow")
-    config = RenderConfig(
-        radius_rule="omega-sigma", block_size=spec.block_size, backend=spec.backend
-    )
     return render_gaussianwise(
         scene,
         camera,
@@ -333,11 +345,10 @@ class JobResult:
             "quick": self.job.quick,
             "trajectory": self.job.trajectory.kind,
             "dataflow": self.job.dataflow,
-            "backend": self.spec.backend,
             "lod": self.spec.lod,
             "quant": self.spec.quant,
             "dtype": self.spec.dtype,
-            "shards": getattr(self.job, "shards", 1),
+            "shards": self.job.shards,
             "num_gaussians": self.num_gaussians,
             "ship_bytes": self.ship_bytes,
             "residency": {
@@ -360,19 +371,6 @@ class JobResult:
         }
 
 
-def _render_one(
-    scene: GaussianScene, task: tuple[int, Camera], spec: FrameSpec
-) -> FrameRecord:
-    """Render and time one frame — the unit of work on every scheduling path."""
-    index, camera = task
-    start = time.perf_counter()
-    result = render_frame(scene, camera, spec)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return FrameRecord(
-        index=index, image=result.image, stats=result.stats, render_ms=elapsed_ms
-    )
-
-
 @dataclass
 class ShardRecord:
     """One rendered tile-range shard of a frame — the pool's partial result.
@@ -390,24 +388,23 @@ class ShardRecord:
     render_ms: float
 
 
-def _render_one_shard(
+def render_unit(
     scene: GaussianScene,
     task: tuple[int, Camera],
     spec: FrameSpec,
-    shard: ShardSpec,
-) -> ShardRecord:
-    """Render and time one tile-range shard of a frame."""
+    shard: ShardSpec | None = None,
+) -> FrameRecord | ShardRecord:
+    """Render and time one work unit — a whole frame, or one tile-range
+    shard of it — on every scheduling path."""
     index, camera = task
     start = time.perf_counter()
-    result = render_frame(scene, camera, spec, tile_shard=shard.interval)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return ShardRecord(
-        index=index,
-        shard=shard,
-        image=result.image,
-        stats=result.stats,
-        render_ms=elapsed_ms,
+    result = render_frame(
+        scene, camera, spec, tile_shard=None if shard is None else shard.interval
     )
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if shard is None:
+        return FrameRecord(index, result.image, result.stats, elapsed_ms)
+    return ShardRecord(index, shard, result.image, result.stats, elapsed_ms)
 
 
 def merge_shard_records(records: list[ShardRecord]) -> FrameRecord:

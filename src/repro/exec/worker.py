@@ -63,7 +63,7 @@ import os
 import time
 import traceback
 
-from repro.exec.frames import _render_one, _render_one_shard
+from repro.exec.frames import render_unit
 from repro.gaussians.io import load_scene_npz
 from repro.store.cache import LRUCache
 from repro.store.codec import load_scene_store
@@ -143,21 +143,19 @@ def _run_task(cache, job_id, index, camera, spec, key, nbytes, load, shard, trac
                 metrics.histogram("repro_decode_ms").observe(decode_span.dur_ms)
         elif metrics is not None:
             metrics.counter("repro_scene_cache_hits_total").inc()
-        with _span(tracer, "frame", {"frame": index}):
-            if shard is None:
-                with _span(tracer, "render"):
-                    record = _render_one(scene, (index, camera), spec)
-            else:
-                with _span(
-                    tracer,
-                    "shard",
-                    {
-                        "shard": shard.index,
-                        "num_shards": shard.num_shards,
-                        "tiles": [shard.tile_lo, shard.tile_hi],
-                    },
-                ):
-                    record = _render_one_shard(scene, (index, camera), spec, shard)
+        if shard is None:
+            unit_span = ("render", None)
+        else:
+            unit_span = (
+                "shard",
+                {
+                    "shard": shard.index,
+                    "num_shards": shard.num_shards,
+                    "tiles": [shard.tile_lo, shard.tile_hi],
+                },
+            )
+        with _span(tracer, "frame", {"frame": index}), _span(tracer, *unit_span):
+            record = render_unit(scene, (index, camera), spec, shard)
         if metrics is not None:
             metrics.histogram("repro_render_ms").observe(record.render_ms)
             kind = "repro_frames_rendered_total" if shard is None else "repro_shards_rendered_total"

@@ -55,6 +55,9 @@ from repro.render.kernels import (
 )
 from repro.render.preprocess import frustum_cull_depths, project_geometry
 
+#: Boundary identifiers: Algorithm 1's alpha test, or the full radius box.
+BOUNDARY_MODES: tuple[str, ...] = ("alpha", "aabb")
+
 
 @dataclass
 class GaussianWiseStats:
@@ -184,8 +187,8 @@ def render_gaussianwise(
     :class:`GaussianWiseResult` with the ``(H, W, 3)`` image and statistics.
     """
     config = config or RenderConfig(radius_rule="omega-sigma")
-    if boundary_mode not in ("alpha", "aabb"):
-        raise ValueError("boundary_mode must be 'alpha' or 'aabb'")
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
     width, height = camera.width, camera.height
     block_size = config.block_size
     blocks_x = (width + block_size - 1) // block_size

@@ -45,7 +45,6 @@ from repro.obs.cli import (
     alerts_line,
     evaluate_alerts,
 )
-from repro.render.common import BACKENDS
 from repro.sched.qos import (
     DEFAULT_LADDER,
     FAST_LADDER,
@@ -57,6 +56,7 @@ from repro.sched.scheduler import (
     RequestScheduler,
     ScheduleReport,
     SchedulerPolicy,
+    check_ladder,
     run_workload,
 )
 from repro.fleet import AutoscalePolicy, FleetPolicy, ROUTINGS
@@ -230,7 +230,7 @@ def _add_serving_arguments(serving) -> None:
             "ladder; 'fast' interleaves float32 fast-path rungs that trade "
             "bitwise reproducibility (PSNR-floored vs the float64 oracle) "
             "for throughput before giving up fidelity (ignored with "
-            "--policy fixed; requires --dataflow tilewise)"
+            "--policy fixed; tilewise dataflow only)"
         ),
     )
     serving.add_argument(
@@ -247,7 +247,7 @@ def _add_serving_arguments(serving) -> None:
             "most tile-range shards the dispatcher may split one frame "
             "into to rescue a latency-critical request (1 = never shard; "
             "sharded output merges bitwise-exactly, so this costs no "
-            "quality; requires --dataflow tilewise)"
+            "quality; tilewise dataflow only)"
         ),
     )
     serving.add_argument(
@@ -267,12 +267,6 @@ def _add_serving_arguments(serving) -> None:
         default="tilewise",
         choices=DATAFLOWS,
         help="rendering dataflow of dispatched jobs",
-    )
-    serving.add_argument(
-        "--backend",
-        default="vectorized",
-        choices=BACKENDS,
-        help="rasterisation engine of dispatched jobs",
     )
     serving.add_argument(
         "--quick",
@@ -502,10 +496,6 @@ def format_report(report: ScheduleReport) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_shards > 1 and args.dataflow != "tilewise":
-        parser.error("--max-shards > 1 requires --dataflow tilewise")
-    if args.ladder == "fast" and args.dataflow != "tilewise":
-        parser.error("--ladder fast requires --dataflow tilewise")
     spec = WorkloadSpec(
         arrival=args.arrival,
         rate_rps=args.rate,
@@ -518,24 +508,29 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
     )
     telemetry = TelemetrySession(args, parser)
-    with RequestScheduler(
-        policy=SchedulerPolicy(
+    qos = build_controller(args)
+    fleet = build_fleet_policy(args, parser)
+    try:
+        policy = SchedulerPolicy(
             num_workers=args.workers,
             max_queue=args.max_queue,
             dataflow=args.dataflow,
-            backend=args.backend,
             max_shards=args.max_shards,
-        ),
-        qos=build_controller(args),
+        )
+        check_ladder(policy.dataflow, qos.ladder)
+    except ValueError as exc:
+        parser.error(str(exc))
+    with RequestScheduler(
+        policy=policy,
+        qos=qos,
         quick=args.quick,
         execute=args.execute,
         obs=telemetry.obs,
-        fleet=build_fleet_policy(args, parser),
-    ) as scheduler:
-        with telemetry.live(scheduler.live_metrics, scheduler.health):
-            report = run_workload(spec, scheduler)
-            # Health must be read while the pool is alive (close() empties it).
-            health = scheduler.health()
+        fleet=fleet,
+    ) as scheduler, telemetry.live(scheduler.live_metrics, scheduler.health):
+        report = run_workload(spec, scheduler)
+        # Health must be read while the pool is alive (close() empties it).
+        health = scheduler.health()
     telemetry.export()
 
     alerts = None

@@ -167,7 +167,6 @@ class ScheduleReport:
                 "max_queue": self.policy.max_queue,
                 "shed_slack": self.policy.shed_slack,
                 "dataflow": self.policy.dataflow,
-                "backend": self.policy.backend,
                 "max_shards": self.policy.max_shards,
                 "adaptive": self.qos_policy.adaptive,
                 "window": self.qos_policy.window,

@@ -65,12 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exec.executor import RenderExecutor
-from repro.exec.frames import DATAFLOWS
+from repro.exec.frames import DATAFLOWS, FrameSpec, check_shards
 from repro.fleet import FleetPolicy
 from repro.obs import MetricsRegistry, ObsContext
-from repro.render.common import BACKENDS
 from repro.sched.model import ServiceModel
-from repro.sched.qos import EventLog, SLOController, Tier, tier_dtype
+from repro.sched.qos import EventLog, SLOController, Tier, tier_dtype, tier_lod, tier_quant
 from repro.sched.report import OUTCOME_STATUSES, RequestOutcome, ScheduleReport
 from repro.sched.run import ScheduleRun
 from repro.sched.workload import Request, WorkloadSpec
@@ -89,7 +88,6 @@ class SchedulerPolicy:
     #: Shed when the cheapest-tier projection exceeds ``shed_slack x SLO``.
     shed_slack: float = 1.0
     dataflow: str = "tilewise"
-    backend: str = "vectorized"
     #: Most tile-range shards the dispatcher may split one frame into to
     #: rescue a latency-critical request (1 = never shard, the historical
     #: behaviour).  Sharding costs no quality — shard outputs merge
@@ -105,12 +103,9 @@ class SchedulerPolicy:
             raise ValueError("shed_slack must be positive")
         if self.dataflow not in DATAFLOWS:
             raise ValueError(f"dataflow must be one of {DATAFLOWS}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.max_shards < 1:
             raise ValueError("max_shards must be >= 1")
-        if self.max_shards > 1 and self.dataflow != "tilewise":
-            raise ValueError("max_shards > 1 requires the tilewise dataflow")
+        check_shards(self.dataflow, self.max_shards)
 
     @property
     def model_workers(self) -> int:
@@ -121,6 +116,17 @@ class SchedulerPolicy:
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
+def check_ladder(dataflow: str, ladder) -> None:
+    """Raise ``ValueError`` unless every ladder tier is a frame ``dataflow`` renders."""
+    for tier in ladder:
+        FrameSpec(
+            dataflow=dataflow,
+            lod=tier_lod(tier),
+            quant=tier_quant(tier),
+            dtype=tier_dtype(tier),
+        )
+
+
 class RequestScheduler:
     """Admission-controlled multi-tenant scheduler over a fleet of executors.
 
@@ -181,14 +187,8 @@ class RequestScheduler:
         self._fleet_shape = fleet is not None
         self._obs = obs
         self.qos = qos if qos is not None else SLOController()
-        if self.policy.dataflow != "tilewise" and any(
-            tier_dtype(tier) != "float64" for tier in self.qos.ladder
-        ):
-            # Fail at construction, not at the first execute-mode dispatch:
-            # the float32 fast path exists only in the tile-wise engine.
-            raise ValueError(
-                "float32 ladder tiers require the tilewise dataflow"
-            )
+        # Fail at construction, not at the first execute-mode dispatch.
+        check_ladder(self.policy.dataflow, self.qos.ladder)
         self.model = service_model or ServiceModel()
         self.quick = quick
         self.execute = execute
@@ -322,7 +322,6 @@ class RequestScheduler:
             trajectory=trajectory,
             quick=self.quick,
             dataflow=self.policy.dataflow,
-            backend=self.policy.backend,
             lod=tier[0],
             quant=tier[1],
             shards=max(1, shards),
@@ -378,5 +377,6 @@ __all__ = [
     "ScheduleReport",
     "SchedulerPolicy",
     "ServiceModel",
+    "check_ladder",
     "run_workload",
 ]

@@ -48,7 +48,7 @@ from repro.obs.cli import (
     alerts_line,
     evaluate_alerts,
 )
-from repro.render.common import BACKENDS, DTYPES
+from repro.render.common import DTYPES
 from repro.serve.farm import RenderFarm
 from repro.serve.trajectories import TRAJECTORY_KINDS, RenderJob, make_trajectory
 from repro.store.codec import QUANT_SPECS
@@ -141,12 +141,6 @@ def _add_engine_arguments(parser) -> None:
         default="tilewise",
         choices=DATAFLOWS,
         help="rendering dataflow (standard tile-wise or GCC Gaussian-wise)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="vectorized",
-        choices=BACKENDS,
-        help="rasterisation engine",
     )
     parser.add_argument(
         "--shards",
@@ -347,9 +341,8 @@ def format_report(result: JobResult) -> str:
     )
     lines = [
         f"Render-farm job: scene={job.scene} trajectory={job.trajectory.kind} "
-        f"dataflow={job.dataflow} backend={result.spec.backend} "
-        f"quick={job.quick} lod={job.lod} quant={job.quant}"
-        f" dtype={result.spec.dtype} shards={getattr(job, 'shards', 1)}",
+        f"dataflow={job.dataflow} quick={job.quick} lod={job.lod} quant={job.quant}"
+        f" dtype={job.dtype} shards={job.shards}",
         f"  frames: {result.num_frames}   scheduling: {mode}"
         f"   gaussians: {result.num_gaussians}{shipped}",
         f"  wall time: {result.wall_seconds:.3f} s   "
@@ -380,21 +373,19 @@ def build_job(args: argparse.Namespace, parser) -> RenderJob:
         view_index=args.view_index,
         seed=args.seed,
     )
-    if args.shards > 1 and args.dataflow != "tilewise":
-        parser.error("--shards > 1 requires --dataflow tilewise")
-    if args.dtype != "float64" and args.dataflow != "tilewise":
-        parser.error("--dtype float32 requires --dataflow tilewise")
-    return RenderJob(
-        scene=scene_name,
-        trajectory=trajectory,
-        quick=args.quick,
-        dataflow=args.dataflow,
-        backend=args.backend,
-        lod=args.lod,
-        quant=args.quant,
-        shards=args.shards,
-        dtype=args.dtype,
-    )
+    try:
+        return RenderJob(
+            scene=scene_name,
+            trajectory=trajectory,
+            quick=args.quick,
+            dataflow=args.dataflow,
+            lod=args.lod,
+            quant=args.quant,
+            shards=args.shards,
+            dtype=args.dtype,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _print_progress(record) -> None:

@@ -115,7 +115,7 @@ class RenderFarm:
         """
         # Work units, not frames, size the pool: a sharded single-frame job
         # still spreads its tile-range shards over workers.
-        work_units = job.num_frames * max(getattr(job, "shards", 1), 1)
+        work_units = job.num_frames * job.shards
         with RenderExecutor(
             num_workers=min(self.num_workers, work_units),
             mp_context=self.mp_context,

@@ -40,12 +40,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.exec.frames import DATAFLOWS
+from repro.exec.frames import FrameSpec, check_shards
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.presets import EvalScenePreset, eval_preset
 from repro.gaussians.synthetic import make_camera, scaled_image_size, scene_spec
-from repro.render.common import BACKENDS, DTYPES
-from repro.store.codec import QUANT_SPECS
 
 #: The camera-path kinds understood by :func:`make_trajectory`.
 TRAJECTORY_KINDS: tuple[str, ...] = ("orbit", "dolly", "walkthrough", "jitter")
@@ -225,8 +223,6 @@ class RenderJob:
     dataflow:
         ``"tilewise"`` (standard dataflow) or ``"gaussianwise"`` (GCC
         dataflow).
-    backend:
-        Rasterisation engine, ``"vectorized"`` or ``"reference"``.
     lod:
         Detail level the job requests from the scene store's LOD pyramid
         (0 = full scene; level ``k`` keeps ``0.5**k`` of the Gaussians by
@@ -252,29 +248,17 @@ class RenderJob:
     trajectory: Trajectory
     quick: bool = False
     dataflow: str = "tilewise"
-    backend: str = "vectorized"
     lod: int = 0
     quant: str = "lossless"
     shards: int = 1
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.dataflow not in DATAFLOWS:
-            raise ValueError(f"dataflow must be one of {DATAFLOWS}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.lod < 0:
-            raise ValueError("lod must be non-negative")
-        if self.quant not in QUANT_SPECS:
-            raise ValueError(f"quant must be one of {sorted(QUANT_SPECS)}")
+        # The frame-level rules (dataflow, tier, dtype) live in FrameSpec.
+        FrameSpec.for_job(self)
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shards > 1 and self.dataflow != "tilewise":
-            raise ValueError("shards > 1 requires the tilewise dataflow")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {DTYPES}")
-        if self.dtype != "float64" and self.dataflow != "tilewise":
-            raise ValueError("dtype='float32' requires the tilewise dataflow")
+        check_shards(self.dataflow, self.shards)
         # Fail fast on unknown scenes so jobs cannot enter the farm queue
         # with a name no worker will resolve.
         eval_preset(self.scene, quick=self.quick)

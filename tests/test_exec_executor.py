@@ -92,7 +92,7 @@ class TestSequentialMode:
     def test_frame_failure_carries_index_scene_and_cause(self, monkeypatch):
         import repro.exec.frames as frames_module
 
-        def explode(scene, camera, spec):
+        def explode(scene, camera, spec, tile_shard=None):
             raise ValueError("synthetic kernel failure")
 
         monkeypatch.setattr(frames_module, "render_frame", explode)

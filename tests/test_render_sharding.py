@@ -29,10 +29,10 @@ from repro.exec import RenderExecutor
 from repro.exec.frames import (
     FrameSpec,
     ShardSpec,
-    _render_one,
     merge_shard_records,
     plan_shards,
     render_frame,
+    render_unit,
 )
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import shard_intervals, tile_interval_slice
@@ -275,11 +275,9 @@ class TestShardSpecPlanning:
     def test_merge_rejects_mixed_frames(self):
         scene_obj, camera = _scene_camera("train")
         spec = FrameSpec()
-        from repro.exec.frames import _render_one_shard
-
         shards = plan_shards(camera, spec, 2)
-        a = _render_one_shard(scene_obj, (0, camera), spec, shards[0])
-        b = _render_one_shard(scene_obj, (1, camera), spec, shards[1])
+        a = render_unit(scene_obj, (0, camera), spec, shards[0])
+        b = render_unit(scene_obj, (1, camera), spec, shards[1])
         with pytest.raises(ValueError):
             merge_shard_records([a, b])
 

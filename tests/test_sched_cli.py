@@ -116,6 +116,22 @@ class TestArgumentValidation:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-shards", "2"], "shards > 1 requires the tilewise dataflow"),
+            (["--ladder", "fast"], "the gaussianwise dataflow only supports dtype='float64'"),
+        ],
+        ids=["max-shards", "ladder-fast"],
+    )
+    def test_dataflow_rules_exit_2_with_the_library_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(QUICK_ARGS + ["--dataflow", "gaussianwise", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_parser_defaults_build(self):
         args = build_parser().parse_args([])
         assert args.arrival == "poisson"

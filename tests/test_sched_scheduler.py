@@ -374,7 +374,6 @@ class TestPolicyValidation:
             dict(max_queue=0),
             dict(shed_slack=0.0),
             dict(dataflow="vulkan"),
-            dict(backend="cuda"),
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

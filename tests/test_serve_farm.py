@@ -197,10 +197,23 @@ class TestFrameSpec:
         with pytest.raises(ValueError, match="dataflow"):
             FrameSpec(dataflow="blockwise")
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(tile_size=0), "tile_size"),
+            (dict(dataflow="gaussianwise", block_size=-3), "block_size"),
+            (dict(dataflow="gaussianwise", boundary_mode="bogus"), "boundary_mode"),
+        ],
+        ids=["tile_size", "block_size", "boundary_mode"],
+    )
+    def test_rejects_specs_that_cannot_render(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FrameSpec(**kwargs)
+
     def test_for_job_copies_job_fields(self, orbit_job):
         spec = FrameSpec.for_job(orbit_job)
-        assert spec.dataflow == orbit_job.dataflow
-        assert spec.backend == orbit_job.backend
+        fields = ("dataflow", "lod", "quant", "dtype")
+        assert [getattr(spec, f) for f in fields] == [getattr(orbit_job, f) for f in fields]
 
     def test_render_frame_dispatches_both_dataflows(self, orbit_job):
         scene = make_scene("smoke", scale=1.0)
@@ -257,18 +270,19 @@ class TestWorkerFailureSurfacing:
         """Make frame index 1 raise inside render_frame.
 
         Patches :mod:`repro.exec.frames` — the module whose global
-        ``_render_one`` actually resolves — so both the sequential path and
-        fork-pool workers (which inherit the patched module) see it.
+        ``render_frame`` ``render_unit`` actually resolves — so both the
+        sequential path and fork-pool workers (which inherit the patched
+        module) see it.
         """
         import repro.exec.frames as frames_module
 
         real = frames_module.render_frame
 
-        def explode(scene, camera, spec):
+        def explode(scene, camera, spec, tile_shard=None):
             if explode.countdown == 0:
                 raise ValueError("synthetic kernel failure")
             explode.countdown -= 1
-            return real(scene, camera, spec)
+            return real(scene, camera, spec, tile_shard=tile_shard)
 
         explode.countdown = 1
         monkeypatch.setattr(frames_module, "render_frame", explode)

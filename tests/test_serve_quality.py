@@ -123,6 +123,22 @@ class TestCli:
         assert args.quant == "compact"
         assert sorted(QUANT_SPECS) == ["compact", "fp16", "lossless"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shards", "2"], "shards > 1 requires the tilewise dataflow"),
+            (["--dtype", "float32"], "the gaussianwise dataflow only supports dtype='float64'"),
+        ],
+        ids=["shards", "dtype-float32"],
+    )
+    def test_dataflow_rules_exit_2_with_the_library_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", "--frames", "1", "--dataflow", "gaussianwise", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_cli_runs_quantized_tier(self, capsys):
         rc = main(
             ["--scene", "train", "--quick", "--frames", "1",

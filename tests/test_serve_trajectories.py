@@ -124,12 +124,10 @@ class TestRenderJob:
         with pytest.raises(KeyError):
             RenderJob("bonsai", make_trajectory("orbit", num_frames=2))
 
-    def test_job_rejects_bad_dataflow_and_backend(self):
+    def test_job_rejects_bad_dataflow(self):
         trajectory = make_trajectory("orbit", num_frames=2)
         with pytest.raises(ValueError, match="dataflow"):
             RenderJob("train", trajectory, dataflow="blockwise")
-        with pytest.raises(ValueError, match="backend"):
-            RenderJob("train", trajectory, backend="cuda")
 
     def test_with_frames_resamples(self):
         job = RenderJob("train", make_trajectory("orbit", num_frames=3), quick=True)
