@@ -38,7 +38,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.model import BYTES_GEOMETRY, BYTES_MEAN, BYTES_SH, GaussianScene
 from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import GaussianWiseResult, render_gaussianwise
-from repro.render.preprocess import project_scene
+from repro.render.preprocess import frustum_cull_depths, project_geometry
 
 #: Fixed per-frame control/drain overhead in cycles (frame setup, pipeline
 #: fill and final Image Buffer read-out).
@@ -97,8 +97,13 @@ class GccAccelerator:
     ) -> GccFrameWork:
         """Derive hardware work counts (including Cmode duplication) for a frame."""
         stats = result.stats
+        # Cmode bins by screen footprint, so Stages I and II are enough.
+        _, keep = frustum_cull_depths(scene, camera)
+        geometry = project_geometry(
+            scene, camera, keep.nonzero()[0], RenderConfig(radius_rule="omega-sigma")
+        )
         cmode = plan_cmode(
-            project_scene(scene, camera, RenderConfig(radius_rule="omega-sigma")),
+            geometry,
             camera.width,
             camera.height,
             self.config.max_resident_pixels(),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.render.preprocess import ProjectedGaussians, tile_range
+from repro.render.preprocess import GeometryProjection, tile_range
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class CmodePlan:
 
 
 def subview_invocations(
-    projected: ProjectedGaussians,
+    projected: GeometryProjection,
     width: int,
     height: int,
     subview: int,
@@ -65,7 +65,7 @@ def subview_invocations(
 
 
 def plan_cmode(
-    projected: ProjectedGaussians,
+    projected: GeometryProjection,
     width: int,
     height: int,
     max_resident_pixels: int,

@@ -6,8 +6,11 @@ synthetic stand-in at a reduced scale so the whole reproduction runs on a
 laptop; ``scale`` multiplies the paper-scale Gaussian count and
 ``image_scale`` multiplies the paper's image resolution.  The ratios the
 paper reports (rendered fraction, per-Gaussian loads, DRAM traffic split,
-speedups) are stable under this scaling; absolute FPS numbers are not
-expected to match the 28 nm silicon.
+speedups) are *not* stable under this scaling: the geomean GCC/GSCore cycle
+ratio reads 2.30 / 3.72 / 7.07 at 1/4 / 1 / 4 times these counts, so the
+default presets match the paper's geomean because of where their scale was
+set (ROADMAP item 9).  Absolute FPS numbers are not expected to match the
+28 nm silicon.
 
 The table lives beside :data:`~repro.gaussians.synthetic.SCENE_SPECS`
 because every layer above resolves scenes through it: the scene store

@@ -1,8 +1,17 @@
-"""Shared configuration and constants for the functional renderers."""
+"""Shared configuration and constants for the functional renderers.
+
+The paper's thresholds (alpha bounds, early-termination transmittance, the
+Stage I near plane, the SH degree and the depth-group capacity) are fixed
+constants here, not settings: :class:`RenderConfig` exposes them read-only.
+Both dataflows therefore share one preprocessing with the same numbers: the
+standard dataflow's is GCC's Stages I-III with every condition taken
+(:mod:`repro.render.preprocess`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +27,9 @@ TRANSMITTANCE_EPS = 1.0e-4
 
 #: Depth below which Gaussians are culled in Stage I (the paper's Z pivot).
 DEPTH_NEAR = 0.2
+
+#: Spherical-harmonics degree of colour evaluation (16 coefficients per channel).
+SH_DEGREE = 3
 
 #: Tile edge length (pixels) used by the standard dataflow.
 TILE_SIZE = 16
@@ -49,6 +61,11 @@ DTYPES: tuple[str, ...] = ("float64", "float32")
 class RenderConfig:
     """Configuration shared by both rasterisers.
 
+    The paper's constants are class attributes bound to this module's
+    constants (``alpha_min``, ``alpha_max``, ``transmittance_eps``,
+    ``depth_near``, ``sh_degree``, ``group_capacity``): readable on every
+    instance, settable by no constructor.
+
     Attributes
     ----------
     tile_size:
@@ -56,21 +73,9 @@ class RenderConfig:
     block_size:
         Pixel-block edge length of the Gaussian-wise pipeline (Alpha Unit PE
         array dimension; the paper uses 8).
-    alpha_min:
-        Minimum alpha contribution (1/255).
-    alpha_max:
-        Alpha clamp value (0.99).
-    transmittance_eps:
-        Early-termination threshold on accumulated transmittance.
-    depth_near:
-        Near-plane depth used for Stage I culling (0.2 in the paper).
     radius_rule:
         ``"3sigma"`` for the conventional fixed envelope or ``"omega-sigma"``
         for the paper's opacity-aware radius (Equation 8).
-    sh_degree:
-        Spherical-harmonics degree used for colour evaluation.
-    group_capacity:
-        Maximum Gaussians per depth group (N = 256 in the paper).
     background:
         Background colour blended behind the scene.
     backend:
@@ -90,15 +95,16 @@ class RenderConfig:
         supports ``"float64"``.
     """
 
+    alpha_min: ClassVar[float] = ALPHA_MIN
+    alpha_max: ClassVar[float] = ALPHA_MAX
+    transmittance_eps: ClassVar[float] = TRANSMITTANCE_EPS
+    depth_near: ClassVar[float] = DEPTH_NEAR
+    sh_degree: ClassVar[int] = SH_DEGREE
+    group_capacity: ClassVar[int] = GROUP_CAPACITY
+
     tile_size: int = TILE_SIZE
     block_size: int = BLOCK_SIZE
-    alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
-    transmittance_eps: float = TRANSMITTANCE_EPS
-    depth_near: float = DEPTH_NEAR
     radius_rule: str = "3sigma"
-    sh_degree: int = 3
-    group_capacity: int = GROUP_CAPACITY
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     backend: str = "vectorized"
     dtype: str = "float64"
@@ -110,13 +116,5 @@ class RenderConfig:
             raise ValueError(f"dtype must be one of {DTYPES}")
         if self.tile_size <= 0 or self.block_size <= 0:
             raise ValueError("tile_size and block_size must be positive")
-        if not 0.0 < self.alpha_min < self.alpha_max <= 1.0:
-            raise ValueError("require 0 < alpha_min < alpha_max <= 1")
-        if self.transmittance_eps <= 0 or self.transmittance_eps >= 1:
-            raise ValueError("transmittance_eps must be in (0, 1)")
         if self.radius_rule not in ("3sigma", "omega-sigma"):
             raise ValueError("radius_rule must be '3sigma' or 'omega-sigma'")
-        if self.sh_degree not in (0, 1, 2, 3):
-            raise ValueError("sh_degree must be in [0, 3]")
-        if self.group_capacity <= 0:
-            raise ValueError("group_capacity must be positive")

@@ -220,7 +220,7 @@ def render_gaussianwise(
     # ------------------------------------------------------------------
     # Stage I: depth computation, culling, grouping.
     # ------------------------------------------------------------------
-    depths_all, keep = frustum_cull_depths(scene, camera, config.depth_near)
+    depths_all, keep = frustum_cull_depths(scene, camera)
     visible_indices = np.nonzero(keep)[0]
     stats.num_depth_culled = scene.num_gaussians - int(visible_indices.size)
     stats.num_stage1_passed = int(visible_indices.size)

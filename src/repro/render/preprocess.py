@@ -1,9 +1,15 @@
 """Preprocessing: frustum culling, projection, and screen-space footprints.
 
-This module implements the per-Gaussian preprocessing both dataflows share:
-view transformation, EWA covariance projection (Equation 1), the conventional
-3-sigma radius (Equation 6) and the paper's opacity-aware omega-sigma radius
-(Equation 8), and screen culling.
+This module implements the per-Gaussian preprocessing both dataflows share,
+written once as GCC's stages: Stage I's depth cull
+(:func:`frustum_cull_depths`), Stage II's geometry projection
+(:func:`project_geometry`: view transformation, EWA covariance projection
+(Equation 1), the conventional 3-sigma radius (Equation 6) or the paper's
+opacity-aware omega-sigma radius (Equation 8), and screen culling) and
+Stage III's SH colour.  The standard dataflow's preprocessing
+(:func:`project_scene`) *is* these stages with every condition taken; the
+Gaussian-wise renderer runs the same stages per depth group and skips
+Stage III where cross-stage conditions allow.
 """
 
 from __future__ import annotations
@@ -25,190 +31,26 @@ from repro.render.common import ALPHA_MIN, DEPTH_NEAR, RenderConfig
 
 
 @dataclass
-class ProjectedGaussians:
-    """Screen-space representation of the visible subset of a scene.
-
-    All arrays are aligned: entry ``i`` describes the same Gaussian.  The
-    ``source_indices`` array maps back into the original scene so that
-    statistics (e.g. which Gaussians were actually rendered) can be reported
-    against the full model.
-    """
-
-    #: Indices into the original scene, shape ``(M,)``.
-    source_indices: np.ndarray
-    #: Projected 2D centres in pixel coordinates, shape ``(M, 2)``.
-    means2d: np.ndarray
-    #: View-space depths, shape ``(M,)``.
-    depths: np.ndarray
-    #: Packed inverse 2D covariances ``(A, B, C)``, shape ``(M, 3)``.
-    conics: np.ndarray
-    #: 2D covariance matrices, shape ``(M, 2, 2)``.
-    cov2d: np.ndarray
-    #: Eigenvalues of the 2D covariance (major, minor), shape ``(M, 2)``.
-    eigenvalues: np.ndarray
-    #: Conservative bounding radius in pixels, shape ``(M,)``.
-    radii: np.ndarray
-    #: Opacities, shape ``(M,)``.
-    opacities: np.ndarray
-    #: Evaluated RGB colours, shape ``(M, 3)``.
-    colors: np.ndarray
-    #: Number of Gaussians in the original scene (before any culling).
-    num_total: int
-    #: Number of Gaussians that passed the depth (near-plane) cull.
-    num_depth_passed: int
-
-    @property
-    def num_visible(self) -> int:
-        """Number of Gaussians that survived both depth and screen culling."""
-        return int(self.source_indices.shape[0])
-
-    def depth_order(self) -> np.ndarray:
-        """Indices that sort the visible Gaussians front-to-back."""
-        return np.argsort(self.depths, kind="stable")
-
-
-def bounding_radius(
-    eigenvalues: np.ndarray,
-    opacities: np.ndarray,
-    rule: str = "3sigma",
-    alpha_min: float = ALPHA_MIN,
-) -> np.ndarray:
-    """Compute the per-Gaussian bounding radius in pixels.
-
-    ``"3sigma"`` implements Equation 6 (``r = ceil(3 sqrt(lambda_max))``);
-    ``"omega-sigma"`` implements the paper's opacity-aware Equation 8
-    (``r = ceil(sqrt(2 ln(opacity / alpha_min) * lambda_max))``), which
-    shrinks to zero for Gaussians whose peak alpha cannot reach ``alpha_min``.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    lam_max = eigenvalues[:, 0] if eigenvalues.ndim == 2 else eigenvalues
-    if rule == "3sigma":
-        return np.ceil(3.0 * np.sqrt(np.maximum(lam_max, 0.0)))
-    if rule == "omega-sigma":
-        opacities = np.asarray(opacities, dtype=np.float64)
-        # 2 ln(255 * omega) in the paper's notation with alpha_min = 1/255.
-        chi2 = 2.0 * np.log(np.maximum(opacities / alpha_min, 1.0e-12))
-        chi2 = np.maximum(chi2, 0.0)
-        return np.ceil(np.sqrt(chi2 * np.maximum(lam_max, 0.0)))
-    raise ValueError(f"unknown radius rule {rule!r}")
-
-
-def project_scene(
-    scene: GaussianScene,
-    camera: Camera,
-    config: RenderConfig | None = None,
-) -> ProjectedGaussians:
-    """Project a scene for one camera, applying depth and screen culling.
-
-    This is the functional equivalent of the paper's preprocessing stage
-    (and of GCC's Stages I+II+III applied unconditionally): every Gaussian is
-    transformed, so the caller can measure how many of the preprocessed
-    Gaussians end up being used (Figure 2a).
-    """
-    config = config or RenderConfig()
-    num_total = scene.num_gaussians
-    if num_total == 0:
-        empty = np.zeros((0,))
-        return ProjectedGaussians(
-            source_indices=np.zeros((0,), dtype=np.int64),
-            means2d=np.zeros((0, 2)),
-            depths=empty,
-            conics=np.zeros((0, 3)),
-            cov2d=np.zeros((0, 2, 2)),
-            eigenvalues=np.zeros((0, 2)),
-            radii=empty,
-            opacities=empty,
-            colors=np.zeros((0, 3)),
-            num_total=0,
-            num_depth_passed=0,
-        )
-
-    cam_points = camera.world_to_camera_points(scene.means)
-    depths = cam_points[:, 2]
-    depth_near = max(config.depth_near, camera.znear)
-    depth_mask = (depths > depth_near) & (depths < camera.zfar)
-    num_depth_passed = int(np.count_nonzero(depth_mask))
-
-    indices = np.nonzero(depth_mask)[0]
-    cam_points = cam_points[indices]
-    depths = depths[indices]
-
-    means2d = camera.camera_to_pixel(cam_points)
-    cov3d = build_covariance_3d(scene.scales[indices], scene.quaternions[indices])
-    cov2d = project_covariance_2d(
-        cov3d,
-        cam_points,
-        camera.rotation,
-        camera.fx,
-        camera.fy,
-        camera.tan_half_fov_x,
-        camera.tan_half_fov_y,
-    )
-    conics, conic_valid = invert_covariance_2d(cov2d)
-    lam1, lam2 = covariance_2d_eigenvalues(cov2d)
-    eigenvalues = np.stack([lam1, lam2], axis=1)
-    opacities = scene.opacities[indices]
-    radii = bounding_radius(
-        eigenvalues, opacities, rule=config.radius_rule, alpha_min=config.alpha_min
-    )
-
-    # Screen culling: keep Gaussians whose bounding square overlaps the image
-    # and whose covariance is invertible and whose radius is non-zero.
-    x, y = means2d[:, 0], means2d[:, 1]
-    on_screen = (
-        (x + radii >= 0)
-        & (x - radii <= camera.width - 1)
-        & (y + radii >= 0)
-        & (y - radii <= camera.height - 1)
-    )
-    visible = conic_valid & on_screen & (radii > 0)
-
-    keep = np.nonzero(visible)[0]
-    indices = indices[keep]
-
-    directions = camera.view_directions(scene.means[indices])
-    colors = evaluate_sh_colors(
-        scene.sh_coeffs[indices], directions, degree=config.sh_degree
-    )
-
-    return ProjectedGaussians(
-        source_indices=indices,
-        means2d=means2d[keep],
-        depths=depths[keep],
-        conics=conics[keep],
-        cov2d=cov2d[keep],
-        eigenvalues=eigenvalues[keep],
-        radii=radii[keep],
-        opacities=opacities[keep],
-        colors=colors,
-        num_total=num_total,
-        num_depth_passed=num_depth_passed,
-    )
-
-
-@dataclass
 class GeometryProjection:
     """Stage II output for a subset of Gaussians: geometry only, no colour.
 
     This is what GCC's cross-stage conditional processing relies on: the
     projected position and shape (44 bytes of input per Gaussian) are enough
     to decide whether the 192 bytes of SH coefficients need to be fetched at
-    all.
+    all.  All arrays are aligned: entry ``i`` describes the same Gaussian.
     """
 
     #: Indices into the original scene, shape ``(K,)``.
     source_indices: np.ndarray
-    #: Projected 2D centres, shape ``(K, 2)``.
+    #: Projected 2D centres in pixel coordinates, shape ``(K, 2)``.
     means2d: np.ndarray
     #: View-space depths, shape ``(K,)``.
     depths: np.ndarray
-    #: Packed inverse 2D covariances, shape ``(K, 3)``.
+    #: Packed inverse 2D covariances ``(A, B, C)``, shape ``(K, 3)``.
     conics: np.ndarray
-    #: 2D covariances, shape ``(K, 2, 2)``.
+    #: 2D covariance matrices, shape ``(K, 2, 2)``.
     cov2d: np.ndarray
-    #: Eigenvalues (major, minor), shape ``(K, 2)``.
-    eigenvalues: np.ndarray
-    #: Bounding radii in pixels, shape ``(K,)``.
+    #: Conservative bounding radius in pixels, shape ``(K,)``.
     radii: np.ndarray
     #: Opacities, shape ``(K,)``.
     opacities: np.ndarray
@@ -219,6 +61,65 @@ class GeometryProjection:
     def num_visible(self) -> int:
         """Number of Gaussians that survived screen culling."""
         return int(self.source_indices.shape[0])
+
+
+@dataclass
+class ProjectedGaussians(GeometryProjection):
+    """Stages I-III with every condition taken: one frame's visible Gaussians.
+
+    The geometry of every Stage I survivor that passed screen culling, plus
+    its evaluated colour.  ``source_indices`` maps back into the original
+    scene so that statistics (e.g. which Gaussians were actually rendered)
+    can be reported against the full model.
+    """
+
+    #: Evaluated RGB colours, shape ``(K, 3)``.
+    colors: np.ndarray
+    #: Number of Gaussians in the original scene (before any culling).
+    num_total: int
+
+    @property
+    def num_depth_passed(self) -> int:
+        """Number of Gaussians that passed the Stage I depth cull."""
+        return self.num_input
+
+
+def bounding_radius(
+    eigenvalues: np.ndarray,
+    opacities: np.ndarray,
+    rule: str = "3sigma",
+) -> np.ndarray:
+    """Compute the per-Gaussian bounding radius in pixels.
+
+    ``"3sigma"`` implements Equation 6 (``r = ceil(3 sqrt(lambda_max))``);
+    ``"omega-sigma"`` implements the paper's opacity-aware Equation 8
+    (``r = ceil(sqrt(2 ln(opacity / alpha_min) * lambda_max))``), which
+    shrinks to zero for Gaussians whose peak alpha cannot reach
+    :data:`~repro.render.common.ALPHA_MIN`.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    lam_max = eigenvalues[:, 0] if eigenvalues.ndim == 2 else eigenvalues
+    if rule == "3sigma":
+        return np.ceil(3.0 * np.sqrt(np.maximum(lam_max, 0.0)))
+    if rule == "omega-sigma":
+        opacities = np.asarray(opacities, dtype=np.float64)
+        # 2 ln(255 * omega) in the paper's notation with alpha_min = 1/255.
+        chi2 = 2.0 * np.log(np.maximum(opacities / ALPHA_MIN, 1.0e-12))
+        chi2 = np.maximum(chi2, 0.0)
+        return np.ceil(np.sqrt(chi2 * np.maximum(lam_max, 0.0)))
+    raise ValueError(f"unknown radius rule {rule!r}")
+
+
+def frustum_cull_depths(scene: GaussianScene, camera: Camera) -> tuple[np.ndarray, np.ndarray]:
+    """Stage I depth computation: return ``(depths, keep_mask)``.
+
+    Only the mean positions are needed, which is why GCC's Stage I streams
+    just 12 bytes per Gaussian from DRAM.
+    """
+    cam_points = camera.world_to_camera_points(scene.means)
+    depths = cam_points[:, 2]
+    keep = (depths > max(DEPTH_NEAR, camera.znear)) & (depths < camera.zfar)
+    return depths, keep
 
 
 def project_geometry(
@@ -237,21 +138,6 @@ def project_geometry(
     """
     config = config or RenderConfig()
     indices = np.asarray(indices, dtype=np.int64)
-    num_input = int(indices.size)
-    if num_input == 0:
-        empty = np.zeros((0,))
-        return GeometryProjection(
-            source_indices=indices,
-            means2d=np.zeros((0, 2)),
-            depths=empty,
-            conics=np.zeros((0, 3)),
-            cov2d=np.zeros((0, 2, 2)),
-            eigenvalues=np.zeros((0, 2)),
-            radii=empty,
-            opacities=empty,
-            num_input=0,
-        )
-
     cam_points = camera.world_to_camera_points(scene.means[indices])
     depths = cam_points[:, 2]
     means2d = camera.camera_to_pixel(cam_points)
@@ -266,13 +152,12 @@ def project_geometry(
         camera.tan_half_fov_y,
     )
     conics, conic_valid = invert_covariance_2d(cov2d)
-    lam1, lam2 = covariance_2d_eigenvalues(cov2d)
-    eigenvalues = np.stack([lam1, lam2], axis=1)
+    lam_max, _ = covariance_2d_eigenvalues(cov2d)
     opacities = scene.opacities[indices]
-    radii = bounding_radius(
-        eigenvalues, opacities, rule=config.radius_rule, alpha_min=config.alpha_min
-    )
+    radii = bounding_radius(lam_max, opacities, rule=config.radius_rule)
 
+    # Screen culling: keep Gaussians whose bounding square overlaps the image
+    # and whose covariance is invertible and whose radius is non-zero.
     x, y = means2d[:, 0], means2d[:, 1]
     on_screen = (
         (x + radii >= 0)
@@ -289,25 +174,35 @@ def project_geometry(
         depths=depths[keep],
         conics=conics[keep],
         cov2d=cov2d[keep],
-        eigenvalues=eigenvalues[keep],
         radii=radii[keep],
         opacities=opacities[keep],
-        num_input=num_input,
+        num_input=int(indices.size),
     )
 
 
-def frustum_cull_depths(
-    scene: GaussianScene, camera: Camera, depth_near: float = DEPTH_NEAR
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage I depth computation: return ``(depths, keep_mask)``.
+def project_scene(
+    scene: GaussianScene,
+    camera: Camera,
+    config: RenderConfig | None = None,
+) -> ProjectedGaussians:
+    """Preprocess a scene for one camera: GCC's Stages I-III, unconditionally.
 
-    Only the mean positions are needed, which is why GCC's Stage I streams
-    just 12 bytes per Gaussian from DRAM.
+    Stage I culls by depth, Stage II projects every survivor's geometry and
+    culls by screen, and Stage III evaluates the SH colour of every Gaussian
+    still visible — the standard dataflow's preprocessing, so the caller can
+    measure how many of the preprocessed Gaussians end up being used
+    (Figure 2a).
     """
-    cam_points = camera.world_to_camera_points(scene.means)
-    depths = cam_points[:, 2]
-    keep = (depths > max(depth_near, camera.znear)) & (depths < camera.zfar)
-    return depths, keep
+    config = config or RenderConfig()
+    _, keep = frustum_cull_depths(scene, camera)
+    geometry = project_geometry(scene, camera, np.nonzero(keep)[0], config)
+    visible = geometry.source_indices
+    colors = evaluate_sh_colors(
+        scene.sh_coeffs[visible],
+        camera.view_directions(scene.means[visible]),
+        degree=config.sh_degree,
+    )
+    return ProjectedGaussians(**vars(geometry), colors=colors, num_total=scene.num_gaussians)
 
 
 def tile_range(

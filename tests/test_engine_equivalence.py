@@ -285,8 +285,11 @@ class TestGaussianwiseEquivalence:
             assert vec.stats.blocks_visited == 0 and vec.stats.num_empty_footprint == 2
 
     @pytest.mark.parametrize("group_capacity", [1, 7, 256])
-    def test_group_capacities(self, small_lego_scene, small_lego_camera, group_capacity):
-        ref, vec = self._both(small_lego_scene, small_lego_camera, group_capacity=group_capacity)
+    def test_group_capacities(
+        self, monkeypatch, small_lego_scene, small_lego_camera, group_capacity
+    ):
+        monkeypatch.setattr(RenderConfig, "group_capacity", group_capacity)
+        ref, vec = self._both(small_lego_scene, small_lego_camera)
         assert vec.stats.num_groups >= vec.stats.num_stage1_passed / group_capacity
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)

@@ -122,15 +122,22 @@ def test_traversal_of_an_empty_group():
 # Directed frames of screen-space Gaussians
 # ----------------------------------------------------------------------
 def render_splats(
-    monkeypatch, splat, width, height, visible=None, enable_cc=True, boundary_mode="alpha", **config
+    monkeypatch,
+    splat,
+    width,
+    height,
+    visible=None,
+    enable_cc=True,
+    boundary_mode="alpha",
+    group_capacity=None,
 ):
     """The crafted Gaussians through ``render_gaussianwise``, on both backends.
 
     Stage I sees equal depths — its groups are then runs of
     ``group_capacity`` Gaussians in index order — and Stage II hands back the
     crafted geometry (index order = depth order) of the Gaussians in
-    ``visible``.  ``config`` goes to :class:`RenderConfig`.  Returns
-    ``(reference, vectorized)``.
+    ``visible``.  ``group_capacity``, when given, replaces the paper's
+    N = 256 for this test.  Returns ``(reference, vectorized)``.
     """
     num = splat["means2d"].shape[0]
     visible = np.ones(num, dtype=bool) if visible is None else np.asarray(visible)
@@ -142,7 +149,7 @@ def render_splats(
         rgb=np.linspace(0.05, 0.95, 3 * num).reshape(num, 3),
     )
 
-    def stage_one(scene, camera, depth_near):
+    def stage_one(scene, camera):
         return np.full(num, 5.0), np.ones(num, dtype=bool)
 
     def stage_two(scene, camera, indices, config):
@@ -150,18 +157,19 @@ def render_splats(
         return GeometryProjection(
             source_indices=keep,
             depths=keep.astype(np.float64),
-            eigenvalues=np.zeros((keep.size, 2)),
             num_input=indices.size,
             **{name: values[keep] for name, values in splat.items()},
         )
 
     monkeypatch.setattr(gaussian_raster, "frustum_cull_depths", stage_one)
     monkeypatch.setattr(gaussian_raster, "project_geometry", stage_two)
+    if group_capacity is not None:
+        monkeypatch.setattr(RenderConfig, "group_capacity", group_capacity)
     return [
         render_gaussianwise(
             scene,
             Camera.from_fov(width=width, height=height, fov_y_degrees=60.0),
-            RenderConfig(backend=backend, **config),
+            RenderConfig(backend=backend),
             enable_cc=enable_cc,
             boundary_mode=boundary_mode,
         )

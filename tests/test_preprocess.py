@@ -1,11 +1,21 @@
-"""Tests for projection, culling and footprint radii (Stage II behaviour)."""
+"""Tests for projection, culling and footprint radii (Stages I-III).
+
+The standard dataflow's preprocessing is GCC's Stages I-III with every
+condition taken, so ``TestStagesIToIII`` ties the two dataflows together
+on every quick preset: the Gaussian-wise renderer with cross-stage
+conditions off projects and colours exactly the Gaussians
+``project_scene`` does.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.render.common import RenderConfig
+from repro.eval.runner import EvalSetup, load_scene_and_camera, run_gaussianwise
+from repro.gaussians.presets import QUICK_SCENES
+from repro.render.common import BACKENDS, RenderConfig
+from repro.render.gaussian_raster import render_gaussianwise
 from repro.render.preprocess import (
     bounding_radius,
     frustum_cull_depths,
@@ -70,7 +80,7 @@ class TestFrustumCull:
             opacities=np.array([0.9]),
             rgb=np.full((1, 3), 0.5),
         )
-        _, keep = frustum_cull_depths(scene, front_camera, depth_near=0.2)
+        _, keep = frustum_cull_depths(scene, front_camera)
         assert not keep[0]
 
 
@@ -100,11 +110,6 @@ class TestProjectScene:
         assert projected.conics.shape == (projected.num_visible, 3)
         assert projected.radii.shape == (projected.num_visible,)
 
-    def test_depth_order_is_sorted(self, smoke_scene, smoke_camera):
-        projected = project_scene(smoke_scene, smoke_camera)
-        order = projected.depth_order()
-        assert np.all(np.diff(projected.depths[order]) >= 0)
-
     def test_omega_sigma_rule_prunes_more_or_equal(self, smoke_scene, smoke_camera):
         normal = project_scene(smoke_scene, smoke_camera, RenderConfig(radius_rule="3sigma"))
         tight = project_scene(smoke_scene, smoke_camera, RenderConfig(radius_rule="omega-sigma"))
@@ -114,19 +119,28 @@ class TestProjectScene:
         assert tight.num_visible <= normal.num_visible + smoke_scene.num_gaussians * 0.05
 
 
-class TestProjectGeometry:
-    def test_matches_project_scene_geometry(self, smoke_scene, smoke_camera):
-        config = RenderConfig(radius_rule="3sigma")
-        full = project_scene(smoke_scene, smoke_camera, config)
-        geometry = project_geometry(
-            smoke_scene, smoke_camera, np.arange(smoke_scene.num_gaussians), config
-        )
-        assert set(geometry.source_indices) == set(full.source_indices)
-        # Align rows by source index and compare projected centres.
-        full_map = {int(i): full.means2d[k] for k, i in enumerate(full.source_indices)}
-        for k, index in enumerate(geometry.source_indices):
-            assert np.allclose(geometry.means2d[k], full_map[int(index)])
+class TestStagesIToIII:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", sorted(QUICK_SCENES))
+    def test_no_cc_matches_project_scene(self, name, backend):
+        scene, camera = load_scene_and_camera(EvalSetup(name, quick=True))
+        config = RenderConfig(radius_rule="omega-sigma", backend=backend)
+        projected = project_scene(scene, camera, config)
+        stats = render_gaussianwise(scene, camera, config, enable_cc=False).stats
+        assert stats.num_projected == stats.num_stage1_passed == projected.num_depth_passed
+        assert stats.num_screen_passed == stats.num_sh_evaluated == projected.num_visible
 
+    @pytest.mark.parametrize("name", sorted(QUICK_SCENES))
+    def test_cc_only_removes_sh_work(self, name):
+        # One backend suffices: both engines' counters are integer-identical
+        # (test_engine_equivalence.py).
+        scene, camera = load_scene_and_camera(EvalSetup(name, quick=True))
+        projected = project_scene(scene, camera, RenderConfig(radius_rule="omega-sigma"))
+        stats = run_gaussianwise(EvalSetup(name, quick=True)).stats
+        assert stats.num_sh_evaluated <= projected.num_visible
+
+
+class TestProjectGeometry:
     def test_empty_indices(self, smoke_scene, smoke_camera):
         geometry = project_geometry(smoke_scene, smoke_camera, np.array([], dtype=np.int64))
         assert geometry.num_visible == 0

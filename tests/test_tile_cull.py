@@ -62,12 +62,11 @@ def splats(means, sigmas, thetas, opacities, dtype=np.float64) -> ProjectedGauss
         depths=np.arange(num, dtype=np.float64),
         conics=conics.astype(dtype),
         cov2d=cov2d,
-        eigenvalues=np.sort(sigmas**2, axis=1)[:, ::-1],
         radii=3.0 * sigmas.max(axis=1),
         opacities=np.asarray(opacities, dtype=np.float64).reshape(-1).astype(dtype),
+        num_input=num,
         colors=np.stack([ramp, ramp[::-1], 0.5 * ramp], axis=1).astype(dtype),
         num_total=num,
-        num_depth_passed=num,
     )
 
 
