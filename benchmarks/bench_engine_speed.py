@@ -88,10 +88,10 @@ def dead_pair_share(scene, camera, config) -> float:
     processed = culled = 0
     render_tile = tile_raster._render_tile_vectorized
 
-    def counting(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, obb, subtile, stats, *rest):
+    def counting(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, stats, *rest):
         nonlocal processed, culled
         before = stats.num_pairs_processed
-        render_tile(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, obb, subtile, stats, *rest)
+        render_tile(rows, projected, cull_bounds, x0, y0, x1, y1, color, trans, cfg, stats, *rest)
         counted = stats.num_pairs_processed - before
         live = kernels.live_tile_rows(cull_bounds, rows[:counted], x0, y0, x1, y1)
         processed += counted

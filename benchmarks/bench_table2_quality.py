@@ -1,9 +1,11 @@
 """Table 2 — rendering quality of GSCore and GCC against the GPU reference.
 
 Paper shape: PSNR differences below 0.1 dB and identical LPIPS — the GCC
-dataflow is visually lossless.  In this reproduction the three pipelines
-differ only through bounding-rule fringe pixels, so PSNR is far above any
-visibility threshold.
+dataflow is visually lossless.  In this reproduction GSCore's image is the
+GPU reference (its subtile skip only changes the alpha-evaluation count), so
+its columns read ``inf`` dB and 0; GCC differs from it only through
+bounding-rule fringe pixels, so its PSNR is far above any visibility
+threshold.
 """
 
 from __future__ import annotations

@@ -51,9 +51,8 @@ class GScoreAccelerator:
         self.config = config or GScoreConfig()
 
     def _render(self, scene: GaussianScene, camera: Camera) -> TileWiseResult:
-        """Run the functional tile-wise renderer with GSCore's tile size."""
-        render_config = RenderConfig(tile_size=self.config.tile_size, radius_rule="3sigma")
-        return render_tilewise(scene, camera, render_config, obb_subtile_skip=True)
+        """Run the functional tile-wise renderer (GSCore's dataflow)."""
+        return render_tilewise(scene, camera, RenderConfig(radius_rule="3sigma"))
 
     def simulate(
         self,

@@ -15,7 +15,8 @@ class GScoreConfig:
     conversion and SH units (the parallelism the GCC paper says its balanced
     dataflow lets it cut to 2-way/1-way), a 16-element bitonic sorter, a
     16x16-pixel volume rendering unit with 8x8 subtile skipping, 272 KB of
-    on-chip SRAM, and an LPDDR4-3200 interface.
+    on-chip SRAM, and an LPDDR4-3200 interface.  The tile and subtile are
+    the renderer's fixed ones (``RenderConfig.tile_size``), not settings.
     """
 
     #: Parallel culling-and-conversion lanes (projection parallelism).
@@ -28,8 +29,6 @@ class GScoreConfig:
     sh_cycles_per_gaussian: float = 16.0
     #: Bitonic sorting network width.
     sort_width: int = 16
-    #: Tile edge length in pixels.
-    tile_size: int = 16
     #: Volume Rendering Unit PE count (alpha/blend lanes).
     vru_pes: int = 256
     #: Fixed per-pair overhead in the VRU (fetch + setup), cycles.
@@ -54,5 +53,3 @@ class GScoreConfig:
             raise ValueError("unit counts must be positive")
         if self.vru_pes <= 0:
             raise ValueError("vru_pes must be positive")
-        if self.tile_size <= 0:
-            raise ValueError("tile_size must be positive")

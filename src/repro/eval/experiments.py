@@ -176,16 +176,17 @@ def figure6(
 def table2(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list[dict]:
     """PSNR / perceptual-proxy of GSCore and GCC against the GPU reference.
 
-    The GPU reference is the standard dataflow rendered without subtile
-    skipping (exact per-pixel evaluation); GSCore adds OBB subtile skipping;
-    GCC is the Gaussian-wise pipeline.  Paper: all three are within 0.1 dB.
+    The GPU reference is the standard (tile-wise) dataflow.  GSCore's OBB
+    subtile skip only changes which alpha evaluations are counted, not the
+    image, so GSCore's image *is* the reference: its columns read ``inf`` dB
+    and 0 by construction.  Only the GCC (Gaussian-wise) columns measure
+    anything.  Paper: all three are within 0.1 dB.
     """
     scenes = scenes or all_benchmark_scenes()
     rows = []
     for scene in scenes:
         setup = EvalSetup(scene, quick=quick)
-        reference = run_tilewise(setup, obb_subtile_skip=False).image
-        gscore_img = run_tilewise(setup).image
+        reference = gscore_img = run_tilewise(setup).image
         gcc_img = run_gaussianwise(setup).image
         rows.append(
             {
@@ -505,22 +506,3 @@ def figure15(
         )
     return rows
 
-
-def run_all(quick: bool = True) -> dict[str, object]:
-    """Run every experiment (quick mode by default) and return the results."""
-    return {
-        "figure2": figure2(quick=quick),
-        "table1": table1(quick=quick),
-        "figure4": figure4(),
-        "figure6": figure6(quick=quick),
-        "table2": table2(quick=quick),
-        "figure10": figure10(quick=quick),
-        "figure11": figure11(quick=quick),
-        "table3": table3(quick=quick),
-        "table4": table4(),
-        "figure12": figure12(quick=quick),
-        "figure13a": figure13a(quick=quick),
-        "figure13b": figure13b(quick=quick),
-        "figure14": figure14(quick=quick),
-        "figure15": figure15(quick=quick),
-    }

@@ -100,28 +100,15 @@ def _run_frame(setup: EvalSetup, spec: FrameSpec):
     return _cached(("frame", setup, spec), build)
 
 
-def run_tilewise(
-    setup: EvalSetup,
-    tile_size: int = 16,
-    obb_subtile_skip: bool = True,
-    dtype: str = "float64",
-) -> TileWiseResult:
-    """Standard-dataflow render of a setup (cached).
+def run_tilewise(setup: EvalSetup, dtype: str = "float64") -> TileWiseResult:
+    """Standard-dataflow (GSCore) render of a setup (cached).
 
-    ``obb_subtile_skip`` toggles GSCore's OBB subtile test in the
-    alpha-evaluation accounting (the image is unaffected).  ``dtype``
-    selects the floating-point engine mode
+    ``dtype`` selects the floating-point engine mode
     (:data:`repro.render.common.DTYPES`), so a float32 fast-path render
     never aliases the float64 artefact the accuracy experiments treat as
     the oracle.
     """
-    spec = FrameSpec(
-        dataflow="tilewise",
-        tile_size=tile_size,
-        obb_subtile_skip=obb_subtile_skip,
-        dtype=dtype,
-    )
-    return _run_frame(setup, spec)
+    return _run_frame(setup, FrameSpec(dataflow="tilewise", dtype=dtype))
 
 
 def run_gaussianwise(
@@ -151,7 +138,7 @@ def run_gscore_sim(setup: EvalSetup, config: GScoreConfig | None = None) -> Simu
 
     def build():
         scene, camera = load_scene_and_camera(setup)
-        render = run_tilewise(setup, tile_size=config.tile_size)
+        render = run_tilewise(setup)
         return GScoreAccelerator(config).simulate(scene, camera, render_result=render)
 
     return _cached(("gscore", setup, config), build)

@@ -47,7 +47,7 @@ DATAFLOWS: tuple[str, ...] = ("tilewise", "gaussianwise")
 #: (``test_counter_field_classification_is_exhaustive``), which fails on any
 #: unclassified addition.
 _NON_COUNTER_FIELDS = frozenset(
-    {"width", "height", "tile_size", "block_size", "enable_cc"}
+    {"width", "height", "block_size", "enable_cc"}
 )
 
 
@@ -66,18 +66,17 @@ class FrameSpec:
     The one declaration of how a frame renders above ``repro.render``: the
     evaluation runner, :class:`~repro.serve.trajectories.RenderJob` and the
     request scheduler all defer to it, so a spec that exists can render.
-    ``tilewise`` frames use ``tile_size``/``obb_subtile_skip`` and the
-    conventional 3-sigma radius rule; ``gaussianwise`` frames use
-    ``enable_cc``/``block_size``/``boundary_mode`` and the paper's
-    omega-sigma rule (see :meth:`render_config`).
+    ``tilewise`` frames are GSCore's (a 16x16 tile, 8x8 OBB subtile
+    accounting, the conventional 3-sigma radius rule: fixed, so not
+    fields); ``gaussianwise`` frames use ``enable_cc``/``block_size``/
+    ``boundary_mode`` and the paper's omega-sigma rule (see
+    :meth:`render_config`).
     """
 
     dataflow: str = "tilewise"
     #: Rasterisation engine.  Both are bitwise equal, so nothing above the
     #: executor sets it; it selects the ``"reference"`` oracle in checks.
     backend: str = "vectorized"
-    tile_size: int = 16
-    obb_subtile_skip: bool = True
     enable_cc: bool = True
     block_size: int = 8
     boundary_mode: str = "alpha"
@@ -103,7 +102,7 @@ class FrameSpec:
             raise ValueError(f"quant must be one of {sorted(QUANT_SPECS)}")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
-        # Tile/block size, backend and dtype: the engine's own checks.
+        # Block size, backend and dtype: the engine's own checks.
         self.render_config()
         if self.dataflow == "gaussianwise" and self.dtype != "float64":
             raise ValueError(
@@ -119,12 +118,7 @@ class FrameSpec:
     def render_config(self) -> RenderConfig:
         """The engine configuration this spec's dataflow renders with."""
         if self.dataflow == "tilewise":
-            return RenderConfig(
-                tile_size=self.tile_size,
-                radius_rule="3sigma",
-                backend=self.backend,
-                dtype=self.dtype,
-            )
+            return RenderConfig(radius_rule="3sigma", backend=self.backend, dtype=self.dtype)
         return RenderConfig(
             radius_rule="omega-sigma", block_size=self.block_size, backend=self.backend
         )
@@ -171,7 +165,7 @@ def check_shards(dataflow: str, num_shards: int) -> None:
 def plan_shards(camera: Camera, spec: FrameSpec, num_shards: int) -> list[ShardSpec]:
     """Partition ``camera``'s tile grid into ``num_shards`` shard specs."""
     check_shards(spec.dataflow, num_shards)
-    num_tiles = frame_tile_count(camera.width, camera.height, spec.tile_size)
+    num_tiles = frame_tile_count(camera.width, camera.height)
     return [
         ShardSpec(index=i, num_shards=num_shards, tile_lo=lo, tile_hi=hi)
         for i, (lo, hi) in enumerate(shard_intervals(num_tiles, num_shards))
@@ -196,13 +190,7 @@ def render_frame(
     """
     config = spec.render_config()
     if spec.dataflow == "tilewise":
-        return render_tilewise(
-            scene,
-            camera,
-            config,
-            obb_subtile_skip=spec.obb_subtile_skip,
-            tile_shard=tile_shard,
-        )
+        return render_tilewise(scene, camera, config, tile_shard=tile_shard)
     if tile_shard is not None:
         raise ValueError("tile_shard is only supported by the tilewise dataflow")
     return render_gaussianwise(
@@ -320,7 +308,7 @@ class JobResult:
     def aggregate_counters(self) -> dict[str, int]:
         """Sum every integer work counter across the job's frames.
 
-        Configuration fields (image size, tile/block size, CC flag) and
+        Configuration fields (image size, block size, CC flag) and
         array-valued fields are excluded; what remains are the additive
         per-frame work counters (Gaussians preprocessed, alpha evaluations,
         pixels blended, ...) totalled over the whole trajectory.

@@ -1,20 +1,14 @@
 """Alpha-based Gaussian boundary identification (Algorithm 1 of the paper).
 
-Starting from the pixel (or pixel block) containing the Gaussian's projected
-centre, a breadth-first traversal explores outward.  A pixel/block is added to
-the influence set when the elliptical alpha condition holds there; because the
-footprint is convex, traversal can stop expanding past any pixel/block that
-fails the condition, so only the footprint plus a one-element boundary ring is
-ever evaluated.
-
-Two granularities are provided:
-
-* :func:`identify_influence_pixels` — the per-pixel version matching
-  Algorithm 1 literally; used for correctness tests against the brute-force
-  footprint mask.
-* :func:`identify_influence_blocks` — the block-level version implemented by
-  GCC's Alpha Unit (an ``n x n`` PE array evaluates a whole block at once and
-  the identifier controller decides which neighbouring blocks to enqueue).
+Starting from the pixel block containing the Gaussian's projected centre, a
+breadth-first traversal explores outward.  A block is added to the influence
+set when the elliptical alpha condition holds at one of its pixels; because
+the footprint is convex, traversal can stop expanding past any block that
+fails the condition, so only the footprint plus a one-block boundary ring is
+ever evaluated.  :func:`identify_influence_blocks` is the block-level version
+implemented by GCC's Alpha Unit (an ``n x n`` PE array evaluates a whole
+block at once and the identifier controller decides which neighbouring
+blocks to enqueue).
 """
 
 from __future__ import annotations
@@ -46,66 +40,6 @@ def _clamp_to_bounds(value: float, upper: int) -> int:
     never touches and miss it entirely.
     """
     return int(min(max(np.floor(value), 0), upper - 1))
-
-
-def identify_influence_pixels(
-    mean2d: np.ndarray,
-    conic: np.ndarray,
-    opacity: float,
-    width: int,
-    height: int,
-    alpha_min: float = ALPHA_MIN,
-) -> tuple[np.ndarray, int]:
-    """Pixel-level Algorithm 1.
-
-    Returns ``(mask, evaluations)`` where ``mask`` is a boolean
-    ``(height, width)`` array of influenced pixels and ``evaluations`` is the
-    number of alpha-condition evaluations performed (visited pixels), which
-    the paper's argument says stays close to the footprint size.
-
-    If the projected centre itself fails the alpha condition (possible when
-    the centre lies off-screen and the nearest in-bounds pixel is outside the
-    ellipse) the returned mask may be empty even though some influence exists;
-    this mirrors the hardware behaviour described in Section 4.4.
-    """
-    mask = np.zeros((height, width), dtype=bool)
-    if width <= 0 or height <= 0:
-        return mask, 0
-    chi2 = _alpha_chi2(opacity, alpha_min)
-    if chi2 is None:
-        return mask, 0
-
-    conic = np.asarray(conic, dtype=np.float64)
-    start = (
-        _clamp_to_bounds(float(mean2d[0]), width),
-        _clamp_to_bounds(float(mean2d[1]), height),
-    )
-    visited = np.zeros((height, width), dtype=bool)
-    queue: deque[tuple[int, int]] = deque()
-
-    def condition(px: int, py: int) -> bool:
-        dx = px - float(mean2d[0])
-        dy = py - float(mean2d[1])
-        return float(mahalanobis_sq(conic, dx, dy)) <= chi2
-
-    evaluations = 1
-    visited[start[1], start[0]] = True
-    if condition(*start):
-        mask[start[1], start[0]] = True
-        queue.append(start)
-
-    neighbours = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    while queue:
-        px, py = queue.popleft()
-        for ox, oy in neighbours:
-            qx, qy = px + ox, py + oy
-            if 0 <= qx < width and 0 <= qy < height and not visited[qy, qx]:
-                visited[qy, qx] = True
-                evaluations += 1
-                if condition(qx, qy):
-                    mask[qy, qx] = True
-                    queue.append((qx, qy))
-    return mask, evaluations
 
 
 @dataclass

@@ -5,7 +5,9 @@ Stage I near plane, the SH degree and the depth-group capacity) are fixed
 constants here, not settings: :class:`RenderConfig` exposes them read-only.
 Both dataflows therefore share one preprocessing with the same numbers: the
 standard dataflow's is GCC's Stages I-III with every condition taken
-(:mod:`repro.render.preprocess`).
+(:mod:`repro.render.preprocess`).  The standard dataflow is GSCore's: a
+16x16 tile, alpha evaluations counted on its 8x8 OBB subtiles, blended over
+a black background.
 """
 
 from __future__ import annotations
@@ -31,8 +33,12 @@ DEPTH_NEAR = 0.2
 #: Spherical-harmonics degree of colour evaluation (16 coefficients per channel).
 SH_DEGREE = 3
 
-#: Tile edge length (pixels) used by the standard dataflow.
+#: Tile edge length (pixels) of the standard dataflow (GSCore's 16x16 VRU);
+#: GSCore's OBB subtile is half of it.
 TILE_SIZE = 16
+
+#: Background colour blended behind the scene.
+BACKGROUND: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 #: Pixel-block edge length used by GCC's Alpha Unit (an 8x8 PE array).
 BLOCK_SIZE = 8
@@ -63,21 +69,18 @@ class RenderConfig:
 
     The paper's constants are class attributes bound to this module's
     constants (``alpha_min``, ``alpha_max``, ``transmittance_eps``,
-    ``depth_near``, ``sh_degree``, ``group_capacity``): readable on every
-    instance, settable by no constructor.
+    ``depth_near``, ``sh_degree``, ``group_capacity``, ``tile_size``,
+    ``background``): readable on every instance, settable by no
+    constructor.
 
     Attributes
     ----------
-    tile_size:
-        Tile edge length of the standard (tile-wise) pipeline.
     block_size:
         Pixel-block edge length of the Gaussian-wise pipeline (Alpha Unit PE
         array dimension; the paper uses 8).
     radius_rule:
         ``"3sigma"`` for the conventional fixed envelope or ``"omega-sigma"``
         for the paper's opacity-aware radius (Equation 8).
-    background:
-        Background colour blended behind the scene.
     backend:
         Execution engine for both rasterisers.  ``"vectorized"`` (default)
         batches alpha evaluation, boundary identification and blending with
@@ -101,11 +104,11 @@ class RenderConfig:
     depth_near: ClassVar[float] = DEPTH_NEAR
     sh_degree: ClassVar[int] = SH_DEGREE
     group_capacity: ClassVar[int] = GROUP_CAPACITY
+    tile_size: ClassVar[int] = TILE_SIZE
+    background: ClassVar[tuple[float, float, float]] = BACKGROUND
 
-    tile_size: int = TILE_SIZE
     block_size: int = BLOCK_SIZE
     radius_rule: str = "3sigma"
-    background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     backend: str = "vectorized"
     dtype: str = "float64"
 
@@ -114,7 +117,12 @@ class RenderConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}")
-        if self.tile_size <= 0 or self.block_size <= 0:
-            raise ValueError("tile_size and block_size must be positive")
+        if self.block_size <= 0:
+            raise ValueError("block_size must be positive")
         if self.radius_rule not in ("3sigma", "omega-sigma"):
             raise ValueError("radius_rule must be '3sigma' or 'omega-sigma'")
+
+    @property
+    def subtile_size(self) -> int:
+        """Edge of GSCore's OBB subtile, the unit alpha evaluations are counted in."""
+        return max(self.tile_size // 2, 1)

@@ -59,12 +59,7 @@ import numpy as np
 from repro.gaussians.camera import Camera
 from repro.gaussians.covariance import mahalanobis_sq
 from repro.gaussians.model import GaussianScene
-from repro.render.blending import (
-    alpha_from_maha,
-    blend_pixels,
-    compute_alpha,
-    finalize_image,
-)
+from repro.render.blending import alpha_from_maha, blend_pixels, finalize_image
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import (
     TILE_CHUNK_SCHEDULE,
@@ -85,7 +80,6 @@ class TileWiseStats:
 
     width: int = 0
     height: int = 0
-    tile_size: int = 16
     #: Gaussians in the model.
     num_total: int = 0
     #: Gaussians passing the near/far depth cull.
@@ -240,13 +234,16 @@ def _render_tile_reference(
     tile_color: np.ndarray,
     tile_trans: np.ndarray,
     config: RenderConfig,
-    obb_subtile_skip: bool,
-    subtile: int,
     stats: TileWiseStats,
     processed_rows: np.ndarray,
     rendered_rows: np.ndarray,
 ) -> None:
-    """Original per-pair loop over one tile's depth-ordered Gaussians."""
+    """Original per-pair loop over one tile's depth-ordered Gaussians.
+
+    Alpha evaluations are counted as GSCore's OBB subtile skip does: only
+    the subtiles that meet the Gaussian's 3-sigma footprint are evaluated.
+    """
+    subtile = config.subtile_size
     for row in rows:
         if np.all(tile_trans <= config.transmittance_eps):
             break
@@ -258,31 +255,20 @@ def _render_tile_reference(
         dx = grid_x - mean[0]
         dy = grid_y - mean[1]
 
-        if obb_subtile_skip:
-            maha = mahalanobis_sq(conic[None, :], dx, dy)
-            evaluated = 0
-            for sy in range(0, dx.shape[0], subtile):
-                for sx in range(0, dx.shape[1], subtile):
-                    block = maha[sy : sy + subtile, sx : sx + subtile]
-                    if np.min(block) <= 9.0:  # 3-sigma footprint test
-                        evaluated += block.size
-            stats.alpha_evaluations += evaluated
-            alpha = alpha_from_maha(
-                maha,
-                projected.opacities[row],
-                alpha_min=config.alpha_min,
-                alpha_max=config.alpha_max,
-            )
-        else:
-            stats.alpha_evaluations += dx.size
-            alpha = compute_alpha(
-                conic,
-                float(projected.opacities[row]),
-                dx,
-                dy,
-                alpha_min=config.alpha_min,
-                alpha_max=config.alpha_max,
-            )
+        maha = mahalanobis_sq(conic[None, :], dx, dy)
+        evaluated = 0
+        for sy in range(0, dx.shape[0], subtile):
+            for sx in range(0, dx.shape[1], subtile):
+                block = maha[sy : sy + subtile, sx : sx + subtile]
+                if np.min(block) <= 9.0:  # 3-sigma footprint test
+                    evaluated += block.size
+        stats.alpha_evaluations += evaluated
+        alpha = alpha_from_maha(
+            maha,
+            projected.opacities[row],
+            alpha_min=config.alpha_min,
+            alpha_max=config.alpha_max,
+        )
 
         contributed = blend_pixels(
             tile_color,
@@ -307,8 +293,6 @@ def _render_tile_vectorized(
     tile_color: np.ndarray,
     tile_trans: np.ndarray,
     config: RenderConfig,
-    obb_subtile_skip: bool,
-    subtile: int,
     stats: TileWiseStats,
     processed_rows: np.ndarray,
     rendered_rows: np.ndarray,
@@ -349,8 +333,9 @@ def _render_tile_vectorized(
             projected.colors[chunk],
             config.transmittance_eps,
         )
-        if obb_subtile_skip:
-            stats.alpha_evaluations += subtile_evaluation_count(maha[:n_proc], subtile)
+        stats.alpha_evaluations += subtile_evaluation_count(
+            maha[:n_proc], config.subtile_size
+        )
         stats.pixels_blended += int(counts[:n_proc].sum())
         rendered_rows[chunk[:n_proc][counts[:n_proc] > 0]] = True
         # Saturation can land exactly on the chunk's last row (n_proc ==
@@ -360,13 +345,12 @@ def _render_tile_vectorized(
             break
         pos += chunk.size
     stats.num_pairs_processed += processed
-    if not obb_subtile_skip:
-        stats.alpha_evaluations += processed * num_pixels
     processed_rows[rows[:processed]] = True
 
 
-def frame_tile_count(width: int, height: int, tile_size: int) -> int:
+def frame_tile_count(width: int, height: int) -> int:
     """Number of tiles in a frame's row-major tile grid."""
+    tile_size = RenderConfig.tile_size
     num_tiles_x = (width + tile_size - 1) // tile_size
     num_tiles_y = (height + tile_size - 1) // tile_size
     return num_tiles_x * num_tiles_y
@@ -394,17 +378,16 @@ def render_tilewise(
     scene: GaussianScene,
     camera: Camera,
     config: RenderConfig | None = None,
-    obb_subtile_skip: bool = True,
     tile_shard: tuple[int, int] | None = None,
 ) -> TileWiseResult:
     """Render ``scene`` with the standard preprocess-then-render dataflow.
 
+    Alpha evaluations are counted as GSCore's OBB subtile skip does: only
+    for the subtiles (half a tile on each side) that meet the Gaussian's
+    3-sigma oriented footprint; the rendered image is unaffected.
+
     Parameters
     ----------
-    obb_subtile_skip:
-        When true (GSCore's behaviour), alpha evaluations are only counted
-        for the 8x8 subtiles of each tile that intersect the Gaussian's
-        3-sigma oriented footprint; the rendered image is unaffected.
     tile_shard:
         Optional half-open ``(lo, hi)`` interval of row-major tile ids.
         When given, only tiles with ``lo <= id < hi`` are rendered: pixels
@@ -427,7 +410,7 @@ def render_tilewise(
     dtype = np.dtype(config.dtype)
     if tile_shard is not None:
         lo, hi = int(tile_shard[0]), int(tile_shard[1])
-        num_tiles = frame_tile_count(width, height, tile_size)
+        num_tiles = frame_tile_count(width, height)
         if not 0 <= lo <= hi <= num_tiles:
             raise ValueError(
                 f"tile_shard {tile_shard!r} out of range for {num_tiles} tiles"
@@ -439,7 +422,6 @@ def render_tilewise(
     stats = TileWiseStats(
         width=width,
         height=height,
-        tile_size=tile_size,
         num_total=projected.num_total,
         num_depth_passed=projected.num_depth_passed,
         num_preprocessed=projected.num_visible,
@@ -464,7 +446,6 @@ def render_tilewise(
     view = _render_view(projected, dtype)
     processed_rows = np.zeros(projected.num_visible, dtype=bool)
     rendered_rows = np.zeros(projected.num_visible, dtype=bool)
-    subtile = max(tile_size // 2, 1)
 
     unique_tiles, tile_starts = np.unique(tile_ids, return_index=True)
     tile_bounds = np.append(tile_starts, tile_ids.size)
@@ -504,8 +485,6 @@ def render_tilewise(
                     tile_color,
                     tile_trans,
                     config,
-                    obb_subtile_skip,
-                    subtile,
                     stats,
                     processed_rows,
                     rendered_rows,
@@ -522,8 +501,6 @@ def render_tilewise(
                     tile_color,
                     tile_trans,
                     config,
-                    obb_subtile_skip,
-                    subtile,
                     stats,
                     processed_rows,
                     rendered_rows,
@@ -606,15 +583,16 @@ def compose_tile_shards(shards: list[TileWiseResult]) -> TileWiseResult:
         if shard.tile_shard is None:
             raise ValueError("compose_tile_shards got a whole-frame result")
     base = shards[0].stats
-    width, height, tile_size = base.width, base.height, base.tile_size
+    width, height = base.width, base.height
+    tile_size = RenderConfig.tile_size
     num_tiles_x = (width + tile_size - 1) // tile_size
-    num_tiles = frame_tile_count(width, height, tile_size)
+    num_tiles = frame_tile_count(width, height)
 
     ordered = sorted(shards, key=lambda s: s.tile_shard)
     cursor = 0
     for shard in ordered:
         st = shard.stats
-        if (st.width, st.height, st.tile_size) != (width, height, tile_size):
+        if (st.width, st.height) != (width, height):
             raise ValueError("shards disagree on frame geometry")
         lo, hi = shard.tile_shard
         if lo != cursor:
@@ -637,7 +615,6 @@ def compose_tile_shards(shards: list[TileWiseResult]) -> TileWiseResult:
     stats = TileWiseStats(
         width=width,
         height=height,
-        tile_size=tile_size,
         num_total=base.num_total,
         num_depth_passed=base.num_depth_passed,
         num_preprocessed=base.num_preprocessed,

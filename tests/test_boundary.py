@@ -8,88 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render.bounds import alpha_footprint_mask
-from repro.render.boundary import identify_influence_blocks, identify_influence_pixels
+from repro.render.boundary import identify_influence_blocks
 
-# Strategy: well-conditioned conics (inverse covariances) and centres near a
-# small image so the footprint interacts with the image boundary sometimes.
+# Strategy: well-conditioned conics (inverse covariances).
 conic_strategy = st.tuples(
     st.floats(min_value=0.01, max_value=1.0),
     st.floats(min_value=-0.05, max_value=0.05),
     st.floats(min_value=0.01, max_value=1.0),
 ).filter(lambda c: c[0] * c[2] - c[1] * c[1] > 1e-4)
 
-centre_strategy = st.tuples(
-    st.floats(min_value=-10.0, max_value=74.0),
-    st.floats(min_value=-10.0, max_value=74.0),
-)
-
-opacity_strategy = st.floats(min_value=0.01, max_value=1.0)
-
-
-class TestPixelLevelAlgorithm1:
-    @given(conic=conic_strategy, centre=centre_strategy, opacity=opacity_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_bfs_mask_is_subset_of_brute_force_footprint(self, conic, centre, opacity):
-        width = height = 64
-        mask, _ = identify_influence_pixels(
-            np.array(centre), np.array(conic), opacity, width, height
-        )
-        brute = alpha_footprint_mask(np.array(centre), np.array(conic), opacity, width, height)
-        assert np.all(~mask | brute)
-
-    @given(conic=conic_strategy, opacity=st.floats(min_value=0.05, max_value=1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_bfs_matches_brute_force_when_centre_is_inside_image(self, conic, opacity):
-        # With the centre inside the image, the footprint is connected and
-        # contains the start pixel, so BFS must recover it exactly.
-        width = height = 64
-        centre = np.array([31.7, 30.2])
-        mask, evaluations = identify_influence_pixels(
-            centre, np.array(conic), opacity, width, height
-        )
-        brute = alpha_footprint_mask(centre, np.array(conic), opacity, width, height)
-        assert np.array_equal(mask, brute)
-        # The BFS should not evaluate dramatically more pixels than the
-        # footprint plus its one-pixel boundary ring.
-        assert evaluations <= brute.sum() * 4 + 64
-
-    def test_sub_threshold_opacity_gives_empty_mask(self):
-        mask, evaluations = identify_influence_pixels(
-            np.array([16.0, 16.0]), np.array([0.1, 0.0, 0.1]), 1.0 / 1000.0, 32, 32
-        )
-        assert not mask.any()
-        assert evaluations == 0
-
-    def test_degenerate_image_dimensions(self):
-        mask, evaluations = identify_influence_pixels(
-            np.array([0.0, 0.0]), np.array([0.1, 0.0, 0.1]), 0.9, 0, 0
-        )
-        assert mask.size == 0
-
 
 class TestStartPixelConvention:
-    def test_floor_start_finds_footprint_that_round_would_miss(self):
-        # Algorithm 1 starts at the pixel *containing* the projected centre
-        # (floor), not the nearest sample (round).  This footprint is a
-        # single pixel at (0, 10): with floor the traversal starts there and
-        # finds it; banker's rounding would start at x=11, fail the alpha
-        # condition and return an empty mask.
-        centre = np.array([10.7, -3.0])
-        conic = np.array([0.3, 0.05, 0.3])
-        opacity = 0.0153
-        chi2 = 2.0 * np.log(opacity * 255.0)
-        maha_floor = conic[0] * 0.7**2 + 2 * conic[1] * (-0.7) * 3.0 + conic[2] * 9.0
-        maha_round = conic[0] * 0.3**2 + 2 * conic[1] * 0.3 * 3.0 + conic[2] * 9.0
-        # The scenario is only meaningful if the threshold separates the two
-        # candidate start pixels.
-        assert maha_floor <= chi2 < maha_round
-
-        mask, evaluations = identify_influence_pixels(centre, conic, opacity, 64, 64)
-        brute = alpha_footprint_mask(centre, conic, opacity, 64, 64)
-        assert mask[0, 10]
-        assert np.array_equal(mask, brute)
-        assert evaluations > 0
-
     def test_fractional_centre_starts_in_containing_block(self):
         # Centre x = 15.6 lies in pixel 15 => block 1 (block_size 8); a
         # rounded start (pixel 16 => block 2) begins one block too far right

@@ -73,32 +73,17 @@ def offscreen_camera() -> Camera:
 
 class TestTilewiseEquivalence:
     @pytest.mark.parametrize("tile_size", [8, 16, 24])
-    @pytest.mark.parametrize("obb_subtile_skip", [True, False])
-    def test_smoke_scene(self, smoke_scene, smoke_camera, tile_size, obb_subtile_skip):
-        kwargs = dict(tile_size=tile_size, radius_rule="3sigma")
-        ref = render_tilewise(
-            smoke_scene,
-            smoke_camera,
-            RenderConfig(backend="reference", **kwargs),
-            obb_subtile_skip=obb_subtile_skip,
-        )
-        vec = render_tilewise(
-            smoke_scene,
-            smoke_camera,
-            RenderConfig(backend="vectorized", **kwargs),
-            obb_subtile_skip=obb_subtile_skip,
-        )
+    def test_smoke_scene(self, smoke_scene, smoke_camera, tile_size, monkeypatch):
+        monkeypatch.setattr(RenderConfig, "tile_size", tile_size)
+        ref = render_tilewise(smoke_scene, smoke_camera, RenderConfig(backend="reference"))
+        vec = render_tilewise(smoke_scene, smoke_camera, RenderConfig(backend="vectorized"))
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
-    def test_empty_scene(self, front_camera):
-        config = dict(background=(0.1, 0.2, 0.3))
-        ref = render_tilewise(
-            GaussianScene.empty(), front_camera, RenderConfig(backend="reference", **config)
-        )
-        vec = render_tilewise(
-            GaussianScene.empty(), front_camera, RenderConfig(backend="vectorized", **config)
-        )
+    def test_empty_scene(self, front_camera, monkeypatch):
+        monkeypatch.setattr(RenderConfig, "background", (0.1, 0.2, 0.3))
+        ref = render_tilewise(GaussianScene.empty(), front_camera, RenderConfig(backend="reference"))
+        vec = render_tilewise(GaussianScene.empty(), front_camera, RenderConfig(backend="vectorized"))
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 

@@ -40,9 +40,9 @@ def test_run_gcc_sim_matches_direct_simulate(config):
     assert_reports_equal(run_gcc_sim(SETUP, config), direct)
 
 
-@pytest.mark.parametrize("tile_size", [16, 8])
-def test_run_gscore_sim_matches_direct_simulate(tile_size):
-    config = GScoreConfig(tile_size=tile_size)
+@pytest.mark.parametrize("sort_width", [16, 8])
+def test_run_gscore_sim_matches_direct_simulate(sort_width):
+    config = GScoreConfig(sort_width=sort_width)
     scene, camera = load_scene_and_camera(SETUP)
     direct = GScoreAccelerator(config).simulate(scene, camera)
     assert_reports_equal(run_gscore_sim(SETUP, config), direct)

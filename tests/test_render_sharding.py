@@ -103,7 +103,7 @@ class TestShardMergeExactness:
     """Sharded == unsharded, bitwise, images AND stats counters."""
 
     def _render_sharded(self, scene, camera, config, num_shards):
-        num_tiles = frame_tile_count(camera.width, camera.height, config.tile_size)
+        num_tiles = frame_tile_count(camera.width, camera.height)
         shards = [
             render_tilewise(scene, camera, config, tile_shard=interval)
             for interval in shard_intervals(num_tiles, num_shards)
@@ -155,7 +155,7 @@ class TestShardMergeExactness:
     def test_shard_metadata_round_trip(self):
         scene_obj, camera = _scene_camera("train")
         config = RenderConfig()
-        num_tiles = frame_tile_count(camera.width, camera.height, config.tile_size)
+        num_tiles = frame_tile_count(camera.width, camera.height)
         (lo, hi) = shard_intervals(num_tiles, 2)[1]
         part = render_tilewise(scene_obj, camera, config, tile_shard=(lo, hi))
         assert part.tile_shard == (lo, hi)
@@ -166,7 +166,7 @@ class TestComposeValidation:
     def _two_shards(self):
         scene_obj, camera = _scene_camera("train")
         config = RenderConfig()
-        num_tiles = frame_tile_count(camera.width, camera.height, config.tile_size)
+        num_tiles = frame_tile_count(camera.width, camera.height)
         mid = num_tiles // 2
         return (
             render_tilewise(scene_obj, camera, config, tile_shard=(0, mid)),
@@ -202,7 +202,7 @@ class TestComposeValidation:
     def test_out_of_range_shard_rejected(self):
         scene_obj, camera = _scene_camera("train")
         config = RenderConfig()
-        num_tiles = frame_tile_count(camera.width, camera.height, config.tile_size)
+        num_tiles = frame_tile_count(camera.width, camera.height)
         with pytest.raises(ValueError):
             render_tilewise(
                 scene_obj, camera, config, tile_shard=(0, num_tiles + 1)
@@ -225,7 +225,7 @@ class TestShardSpecPlanning:
         spec = FrameSpec()
         shards = plan_shards(camera, spec, 5)
         assert [s.index for s in shards] == list(range(5))
-        num_tiles = frame_tile_count(camera.width, camera.height, spec.tile_size)
+        num_tiles = frame_tile_count(camera.width, camera.height)
         cursor = 0
         for shard in shards:
             assert shard.tile_lo == cursor

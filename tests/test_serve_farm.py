@@ -133,7 +133,7 @@ class TestAggregation:
             )
             assert total == expected, name
         # Config fields and arrays must not leak into the counter totals.
-        for excluded in ("width", "height", "tile_size", "rendered_indices"):
+        for excluded in ("width", "height", "rendered_indices"):
             assert excluded not in totals
 
     def test_counter_field_classification_is_exhaustive(self, sequential_result):
@@ -200,11 +200,10 @@ class TestFrameSpec:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(tile_size=0), "tile_size"),
             (dict(dataflow="gaussianwise", block_size=-3), "block_size"),
             (dict(dataflow="gaussianwise", boundary_mode="bogus"), "boundary_mode"),
         ],
-        ids=["tile_size", "block_size", "boundary_mode"],
+        ids=["block_size", "boundary_mode"],
     )
     def test_rejects_specs_that_cannot_render(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

@@ -76,7 +76,7 @@ def cull_bounds(view: ProjectedGaussians, width: int, height: int) -> np.ndarray
     )
 
 
-def render_tile(backend, view, rect, width, height, obb_subtile_skip):
+def render_tile(backend, view, rect, width, height):
     """One tile through one backend: ``(stats, processed, rendered, colour, trans)``."""
     x0, y0, x1, y1 = rect
     dtype = view.means2d.dtype
@@ -87,8 +87,7 @@ def render_tile(backend, view, rect, width, height, obb_subtile_skip):
     processed = np.zeros(view.num_visible, dtype=bool)
     rendered = np.zeros(view.num_visible, dtype=bool)
     rows = np.arange(view.num_visible)
-    subtile = TILE // 2
-    tail = (tile_color, tile_trans, CONFIG, obb_subtile_skip, subtile, stats, processed, rendered)
+    tail = (tile_color, tile_trans, CONFIG, stats, processed, rendered)
     if backend == "reference":
         grid_x, grid_y = np.meshgrid(np.arange(x0, x1, dtype=dtype), np.arange(y0, y1, dtype=dtype))
         _render_tile_reference(rows, view, grid_x, grid_y, *tail)
@@ -105,9 +104,9 @@ def _counters(stats) -> dict:
     }
 
 
-def assert_tile_matches_reference(view, rect, width, height, obb_subtile_skip) -> TileWiseStats:
-    ref = render_tile("reference", view, rect, width, height, obb_subtile_skip)
-    got = render_tile("vectorized", view, rect, width, height, obb_subtile_skip)
+def assert_tile_matches_reference(view, rect, width, height) -> TileWiseStats:
+    ref = render_tile("reference", view, rect, width, height)
+    got = render_tile("vectorized", view, rect, width, height)
     assert _counters(got[0]) == _counters(ref[0])
     assert np.array_equal(got[1], ref[1]), "processed rows differ"
     assert np.array_equal(got[2], ref[2]), "rendered rows differ"
@@ -159,11 +158,11 @@ class TestCullIsExact:
         assert not alpha.any(), "a culled row has a non-zero alpha"
         assert dead.size == 0 or maha.min() > 9.0, "a culled row reaches a 3-sigma subtile"
 
-    @given(case=tiles_of_splats(), obb_subtile_skip=st.booleans())
+    @given(case=tiles_of_splats())
     @settings(max_examples=150, deadline=None)
-    def test_tile_counters_match_reference(self, case, obb_subtile_skip):
+    def test_tile_counters_match_reference(self, case):
         view, rect, width, height = case
-        assert_tile_matches_reference(view, rect, width, height, obb_subtile_skip)
+        assert_tile_matches_reference(view, rect, width, height)
 
     def test_cull_drops_what_the_bounding_radius_keeps(self):
         # A faint Gaussian's 3-sigma radius reaches the tile; its alpha
@@ -201,42 +200,41 @@ def _interleave(*groups):
 RECT, FRAME = (0, 0, 16, 16), (256, 256)
 
 
-@pytest.mark.parametrize("obb_subtile_skip", [True, False])
 class TestStopPositionMapping:
     def _live_rows_to_saturate(self) -> int:
-        stats = assert_tile_matches_reference(_interleave(_blanket(40)), RECT, *FRAME, True)
+        stats = assert_tile_matches_reference(_interleave(_blanket(40)), RECT, *FRAME)
         assert 1 < stats.num_pairs_processed < 40
         return stats.num_pairs_processed
 
-    def test_saturation_on_last_live_row_then_trailing_dead_rows(self, obb_subtile_skip):
+    def test_saturation_on_last_live_row_then_trailing_dead_rows(self):
         need = self._live_rows_to_saturate()
         view = _interleave(_bystander(3), _blanket(need), _bystander(5))
-        stats = assert_tile_matches_reference(view, RECT, *FRAME, obb_subtile_skip)
+        stats = assert_tile_matches_reference(view, RECT, *FRAME)
         # The leading dead rows count, the trailing ones fall behind the exit.
         assert stats.num_pairs_processed == 3 + need
 
-    def test_dead_rows_between_live_rows_are_counted(self, obb_subtile_skip):
+    def test_dead_rows_between_live_rows_are_counted(self):
         need = self._live_rows_to_saturate()
         view = _interleave(_blanket(need - 1), _bystander(4), _blanket(5), _bystander(2))
-        stats = assert_tile_matches_reference(view, RECT, *FRAME, obb_subtile_skip)
+        stats = assert_tile_matches_reference(view, RECT, *FRAME)
         assert stats.num_pairs_processed == need + 4
 
-    def test_saturation_exactly_on_a_chunk_boundary(self, obb_subtile_skip, monkeypatch):
+    def test_saturation_exactly_on_a_chunk_boundary(self, monkeypatch):
         need = self._live_rows_to_saturate()
         monkeypatch.setattr(tile_raster, "TILE_CHUNK_SCHEDULE", (need,))
         view = _interleave(_bystander(2), _blanket(need), _bystander(2), _blanket(need))
-        stats = assert_tile_matches_reference(view, RECT, *FRAME, obb_subtile_skip)
+        stats = assert_tile_matches_reference(view, RECT, *FRAME)
         assert stats.num_pairs_processed == 2 + need
 
-    def test_unsaturated_tile_processes_every_row(self, obb_subtile_skip):
+    def test_unsaturated_tile_processes_every_row(self):
         view = _interleave(_blanket(3), _bystander(6))
-        stats = assert_tile_matches_reference(view, RECT, *FRAME, obb_subtile_skip)
+        stats = assert_tile_matches_reference(view, RECT, *FRAME)
         assert stats.num_pairs_processed == 9
 
-    def test_tile_whose_rows_are_all_dead(self, obb_subtile_skip):
-        stats = assert_tile_matches_reference(_interleave(_bystander(7)), RECT, *FRAME, obb_subtile_skip)
+    def test_tile_whose_rows_are_all_dead(self):
+        stats = assert_tile_matches_reference(_interleave(_bystander(7)), RECT, *FRAME)
         assert stats.num_pairs_processed == 7 and stats.pixels_blended == 0
-        assert stats.alpha_evaluations == (0 if obb_subtile_skip else 7 * 256)
+        assert stats.alpha_evaluations == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,16 @@ from repro.render.common import RenderConfig
 from repro.render.tile_raster import render_tilewise
 
 
+def render_at_tile_size(tile_size, scene, camera, monkeypatch):
+    """Render with the fixed tile edge patched to ``tile_size``."""
+    monkeypatch.setattr(RenderConfig, "tile_size", tile_size)
+    return render_tilewise(scene, camera)
+
+
 class TestBasicRendering:
-    def test_empty_scene_renders_background(self, front_camera):
-        config = RenderConfig(background=(0.25, 0.5, 0.75))
-        result = render_tilewise(GaussianScene.empty(), front_camera, config)
+    def test_empty_scene_renders_background(self, front_camera, monkeypatch):
+        monkeypatch.setattr(RenderConfig, "background", (0.25, 0.5, 0.75))
+        result = render_tilewise(GaussianScene.empty(), front_camera)
         assert result.image.shape == (front_camera.height, front_camera.width, 3)
         assert np.allclose(result.image, [0.25, 0.5, 0.75])
         assert result.stats.num_rendered == 0
@@ -32,13 +38,6 @@ class TestBasicRendering:
         result = render_tilewise(smoke_scene, smoke_camera)
         assert np.all(np.isfinite(result.image))
         assert np.all(result.image >= 0.0)
-
-    def test_subtile_skip_does_not_change_the_image(self, smoke_scene, smoke_camera):
-        with_skip = render_tilewise(smoke_scene, smoke_camera, obb_subtile_skip=True)
-        without_skip = render_tilewise(smoke_scene, smoke_camera, obb_subtile_skip=False)
-        assert np.allclose(with_skip.image, without_skip.image)
-        # But it must not *increase* the number of alpha evaluations.
-        assert with_skip.stats.alpha_evaluations <= without_skip.stats.alpha_evaluations
 
 
 class TestStatisticsConsistency:
@@ -82,19 +81,19 @@ class TestStatisticsConsistency:
         stats = render_tilewise(smoke_scene, smoke_camera).stats
         assert 0.0 <= stats.rendered_fraction <= 1.0
 
-    def test_smaller_tiles_create_more_pairs(self, smoke_scene, smoke_camera):
-        small = render_tilewise(smoke_scene, smoke_camera, RenderConfig(tile_size=8)).stats
-        large = render_tilewise(smoke_scene, smoke_camera, RenderConfig(tile_size=32)).stats
+    def test_smaller_tiles_create_more_pairs(self, smoke_scene, smoke_camera, monkeypatch):
+        small = render_at_tile_size(8, smoke_scene, smoke_camera, monkeypatch).stats
+        large = render_at_tile_size(32, smoke_scene, smoke_camera, monkeypatch).stats
         assert small.num_tile_pairs >= large.num_tile_pairs
 
-    def test_tile_size_barely_changes_image(self, smoke_scene, smoke_camera):
+    def test_tile_size_barely_changes_image(self, smoke_scene, smoke_camera, monkeypatch):
         # Coarser tiles admit a few extra fringe pixels (between 3 sigma and
         # the alpha threshold) for near-opaque Gaussians; the images must stay
         # visually identical.
         from repro.render.metrics import psnr
 
-        image_a = render_tilewise(smoke_scene, smoke_camera, RenderConfig(tile_size=8)).image
-        image_b = render_tilewise(smoke_scene, smoke_camera, RenderConfig(tile_size=32)).image
+        image_a = render_at_tile_size(8, smoke_scene, smoke_camera, monkeypatch).image
+        image_b = render_at_tile_size(32, smoke_scene, smoke_camera, monkeypatch).image
         assert psnr(image_a, image_b) > 45.0
 
 
