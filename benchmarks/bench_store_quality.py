@@ -1,7 +1,6 @@
 """Scene store quality/compression sweep — the subsystem's two contracts.
 
-Not a paper figure: this benchmark guards the scene store the way
-``bench_serve_throughput.py`` guards the render farm.
+Not a paper figure: this benchmark guards the scene store.
 
 1. *Losslessness* — the ``lossless`` store tier (encode -> container ->
    decode) is **bitwise identical** to the legacy pipeline on every quick

@@ -14,10 +14,10 @@ All experiments render through the vectorized engine
 (``RenderConfig(backend="vectorized")``, the default), which produces
 statistics counters identical to the reference per-Gaussian/per-block loops
 (``backend="reference"``) and bitwise identical images — so every figure
-and table is backend-independent.  ``bench_engine_speed.py`` checks both the
-equivalence and the >= 5x end-to-end frame speedup of the vectorized engine::
-
-    pytest benchmarks/bench_engine_speed.py --benchmark-only
+and table is backend-independent (``tests/test_engine_equivalence.py``
+holds that equivalence).  Wall-clock performance is measured by the
+``stack`` benchmark, ``python3 benchmarks/stack/run.py`` (see
+``benchmarks/stack/README.md``), not by these drivers.
 """
 
 from __future__ import annotations
@@ -85,22 +85,6 @@ def save_json(results_dir):
         path = results_dir / f"{name}.json"
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
         path.write_text(text + "\n")
-
-    return _save
-
-
-@pytest.fixture(scope="session")
-def save_trace(results_dir):
-    """Return a helper that writes one run's Chrome trace_event JSON.
-
-    Written as ``benchmarks/results/<name>.trace.json`` — loadable in
-    Perfetto / ``chrome://tracing`` — so the per-stage latency breakdowns
-    in EXPERIMENTS.md can be regenerated from benchmark runs.
-    """
-
-    def _save(name: str, payload: dict) -> None:
-        path = results_dir / f"{name}.trace.json"
-        path.write_text(json.dumps(payload, indent=1) + "\n")
 
     return _save
 

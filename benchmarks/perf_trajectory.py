@@ -1,18 +1,13 @@
-"""Commit and diff the perf trajectory of the guard benchmarks.
+"""Commit and exactly diff the virtual-clock guard benchmarks.
 
 Benchmark JSONs land in untracked ``benchmarks/results/`` and vanish with
 the checkout; this harness snapshots each guard benchmark's payload to a
-versioned ``BENCH_<name>.json`` at the repository root so re-anchors can
-see the perf history.  Two classes of guard, two contracts:
-
-* **virtual-clock** guards (deterministic simulated time or pure quality
-  metrics — machine-independent) are committed *verbatim* and diffed
-  exactly: any drift in the committed numbers is a behaviour change and
-  fails the diff.
-* **hardware** guards (wall-clock timings) are committed together with
-  machine metadata and diffed *report-only*: deltas are printed for the
-  trajectory record, but numbers measured on different machines are not
-  comparable enough to gate on.
+versioned ``BENCH_<name>.json`` at the repository root.  Every guard here
+is *virtual-clock* — deterministic simulated time or pure quality
+metrics, machine-independent — so its payload is committed verbatim and
+diffed exactly: any drift in the committed numbers is a behaviour change
+and fails the diff.  Wall-clock performance is measured by the ``stack``
+benchmark (``benchmarks/stack/``), not here.
 
 Usage (plain python — no pytest needed for the harness itself)::
 
@@ -21,37 +16,23 @@ Usage (plain python — no pytest needed for the harness itself)::
     python benchmarks/perf_trajectory.py snapshot [name ...]
     python benchmarks/perf_trajectory.py diff [name ...]
 
-``diff`` exits non-zero only when a virtual-clock guard drifted (or a
-requested result/baseline is missing).  CI runs the virtual-clock guards
-and diffs them on every push; hardware baselines are refreshed manually
-when a perf PR moves them.
+``diff`` exits non-zero when a guard drifted, a requested result/baseline
+is missing, or a committed ``BENCH_*.json`` has no guard.  CI runs the
+guards and diffs every committed baseline on every push.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: Guard benchmarks in the trajectory and their diff contract.
-#: virtual-clock = machine-independent, diffed exactly;
-#: hardware = wall-clock, snapshotted with machine metadata, report-only.
-GUARDS: dict[str, str] = {
-    "sched_slo": "virtual-clock",
-    "fleet_routing": "virtual-clock",
-    "store_quality": "virtual-clock",
-    "engine_speed": "hardware",
-    "exec_residency": "hardware",
-    "serve_throughput": "hardware",
-    "frame_latency": "hardware",
-    "obs_overhead": "hardware",
-}
+#: Guard benchmarks in the trajectory, each diffed exactly.
+GUARDS = ("sched_slo", "fleet_routing", "store_quality")
 
 #: Keys whose leaves are wall-clock measurements embedded in an otherwise
 #: machine-independent payload.  They are masked out of a virtual-clock
@@ -82,42 +63,6 @@ def result_path(name: str) -> Path:
     return RESULTS_DIR / f"{name}.json"
 
 
-def trace_path(name: str) -> Path:
-    return RESULTS_DIR / f"{name}.trace.json"
-
-
-def _trace_analysis(name: str):
-    """(chrome payload, critical-path analysis) for the guard's trace, if any.
-
-    Benchmarks that emit a schema-validated Chrome trace via the
-    ``save_trace`` fixture get the trace and its critical-path/stage
-    breakdown embedded alongside the snapshot — outside ``payload`` so the
-    exact and hardware diffs are unaffected.
-    """
-    source = trace_path(name)
-    if not source.exists():
-        return None, None
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.obs.analysis import analyze, records_from_chrome_trace
-
-    payload = json.loads(source.read_text())
-    return payload, analyze(records_from_chrome_trace(payload))
-
-
-def machine_metadata() -> dict:
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable = os.cpu_count() or 1
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable,
-    }
-
-
 def snapshot(names: list[str]) -> int:
     status = 0
     for name in names:
@@ -126,23 +71,16 @@ def snapshot(names: list[str]) -> int:
             print(f"snapshot {name}: no result at {source} — run the benchmark first")
             status = 1
             continue
-        kind = GUARDS[name]
         document = {
             "benchmark": name,
-            "kind": kind,
+            "kind": "virtual-clock",
             "payload": json.loads(source.read_text()),
         }
-        if kind == "hardware":
-            document["machine"] = machine_metadata()
-        trace_payload, analysis = _trace_analysis(name)
-        if analysis is not None:
-            document["trace"] = trace_payload
-            document["analysis"] = analysis
         target = baseline_path(name)
         target.write_text(
             json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
-        print(f"snapshot {name}: wrote {target.relative_to(REPO_ROOT)} ({kind})")
+        print(f"snapshot {name}: wrote {target.relative_to(REPO_ROOT)}")
     return status
 
 
@@ -191,37 +129,15 @@ def _diff_virtual(name: str, baseline: dict, current) -> int:
     return 1
 
 
-def _diff_hardware(name: str, baseline: dict, current) -> int:
-    expected = _numeric_leaves(baseline["payload"])
-    actual = _numeric_leaves(current)
-    machine = baseline.get("machine", {})
-    print(
-        f"diff {name}: hardware guard (report-only; baseline from "
-        f"{machine.get('platform', 'unknown machine')}, "
-        f"{machine.get('usable_cpus', '?')} usable cpus)"
-    )
-    deltas = []
-    for path in sorted(expected.keys() & actual.keys()):
-        before, after = expected[path], actual[path]
-        if before == after:
-            continue
-        rel = (after - before) / abs(before) if before else float("inf")
-        deltas.append((abs(rel), path, before, after, rel))
-    if not deltas:
-        print("  no numeric deltas")
-        return 0
-    for _, path, before, after, rel in sorted(deltas, reverse=True)[:10]:
-        print(f"  {path}: {before:g} -> {after:g} ({rel:+.1%})")
-    if len(deltas) > 10:
-        print(f"  ... and {len(deltas) - 10} more changed leaves")
-    return 0
-
-
 def diff(names: list[str]) -> int:
     status = 0
     for name in names:
         base = baseline_path(name)
         source = result_path(name)
+        if name not in GUARDS:
+            print(f"diff {name}: {base.name} is committed but no guard writes it")
+            status = 1
+            continue
         if not base.exists():
             print(f"diff {name}: no committed baseline {base.name} — snapshot first")
             status = 1
@@ -232,10 +148,7 @@ def diff(names: list[str]) -> int:
             continue
         baseline = json.loads(base.read_text())
         current = json.loads(source.read_text())
-        if GUARDS[name] == "virtual-clock":
-            status |= _diff_virtual(name, baseline, current)
-        else:
-            _diff_hardware(name, baseline, current)
+        status |= _diff_virtual(name, baseline, current)
     return status
 
 
@@ -250,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         metavar="NAME",
         help="guard benchmarks to process (default: all with a result present "
-        f"for snapshot, all with a committed baseline for diff) — one of: "
-        f"{', '.join(sorted(GUARDS))}",
+        "for snapshot; every guard and every committed BENCH_*.json for diff) "
+        f"— one of: {', '.join(sorted(GUARDS))}",
     )
     args = parser.parse_args(argv)
     unknown = [name for name in args.names if name not in GUARDS]
@@ -262,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "snapshot":
             names = [name for name in GUARDS if result_path(name).exists()]
         else:
-            names = [name for name in GUARDS if baseline_path(name).exists()]
+            committed = [path.stem[len("BENCH_"):] for path in REPO_ROOT.glob("BENCH_*.json")]
+            names = sorted(set(GUARDS) | set(committed))
         if not names:
             print(f"{args.command}: nothing to do (no results/baselines found)")
             return 1

@@ -33,7 +33,6 @@ from repro.obs.exporters import (
     export_metrics,
     export_trace,
     parse_prometheus_snapshot,
-    parse_prometheus_text,
     prometheus_text,
     validate_chrome_trace,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "DEFAULT_BYTE_BUCKETS",
     "chrome_trace",
     "prometheus_text",
-    "parse_prometheus_text",
     "parse_prometheus_snapshot",
     "validate_chrome_trace",
     "export_trace",

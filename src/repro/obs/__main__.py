@@ -4,9 +4,8 @@ The read side of the observability plane as a CLI.  Feed it the
 artifacts the other CLIs write (``--trace-out``/``--metrics-out``) and
 it answers the diagnosis questions: where the latency went (critical
 path, stage/lane breakdowns, occupancy/queue timelines), what regressed
-between two runs (``--diff-trace``, or ``--baseline BENCH_<name>.json``
-against a committed snapshot's embedded analysis), and whether the run
-violated declarative SLO rules (``--alerts rules.json``).
+between two runs (``--diff-trace``), and whether the run violated
+declarative SLO rules (``--alerts rules.json``).
 
 Examples::
 
@@ -48,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--diff-trace", help="baseline trace file to diff the fresh analysis against"
     )
-    parser.add_argument(
-        "--baseline",
-        help="committed BENCH_<name>.json with an embedded 'analysis' to diff "
-        "against — a file path, or a bare guard name like 'obs_overhead'",
-    )
     parser.add_argument("--alerts", help="JSON file with a list of alert rules")
     parser.add_argument(
         "--analyze-out", help="write the full analysis report (JSON) here"
@@ -63,33 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_baseline(spec: str) -> str:
-    """A ``--baseline`` value as a path: verbatim if it exists, else the
-    committed ``BENCH_<name>.json`` looked up in cwd and the repo root."""
-    if Path(spec).exists():
-        return spec
-    name = f"BENCH_{spec}.json"
-    for directory in (Path.cwd(), Path(__file__).resolve().parents[3]):
-        candidate = directory / name
-        if candidate.exists():
-            return str(candidate)
-    return spec  # let open() raise with the original spelling
-
-
-def _read_baseline_analysis(spec: str) -> dict:
-    with open(_resolve_baseline(spec), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("analysis") is None:
-        raise ValueError("no embedded 'analysis' (re-snapshot with perf_trajectory.py)")
-    return doc["analysis"]
-
-
 #: Each input flag's ``args`` attribute and the loader of its file.
 _INPUTS = (
     ("trace", load_trace),
     ("metrics", lambda path: parse_prometheus_snapshot(Path(path).read_text(encoding="utf-8"))),
     ("diff_trace", load_trace),
-    ("baseline", _read_baseline_analysis),
     ("alerts", read_alert_rules),
 )
 
@@ -210,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not args.trace and not args.metrics:
         parser.error("need --trace and/or --metrics")
-    if (args.diff_trace or args.baseline) and not args.trace:
-        parser.error("--diff-trace/--baseline require --trace")
+    if args.diff_trace and not args.trace:
+        parser.error("--diff-trace requires --trace")
 
     # A file that cannot be read or parsed is a usage error (exit 2).  Only
     # loading is guarded: a fault in the analysis below still raises.
@@ -237,8 +209,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.diff_trace:
         report["diff"] = diff_analyses(analyze(inputs["diff_trace"]), report["analysis"])
-    elif args.baseline:
-        report["diff"] = diff_analyses(inputs["baseline"], report["analysis"])
 
     exit_code = 0
     if args.alerts:

@@ -33,7 +33,6 @@ from repro.obs.trace import WALL, Tracer
 __all__ = [
     "chrome_trace",
     "prometheus_text",
-    "parse_prometheus_text",
     "parse_prometheus_labels",
     "parse_prometheus_snapshot",
     "validate_chrome_trace",
@@ -217,32 +216,6 @@ def _split_sample_line(line: str) -> tuple[str, float, int | None]:
     raise ValueError(f"expected 'series value [timestamp]', got {line!r}")
 
 
-def parse_prometheus_text(text: str) -> dict[str, float]:
-    """Parse exposition text back into ``{"name{labels}": value}``.
-
-    A deliberately small parser — enough for tests and the CI smoke job
-    to assert the exposition is well-formed and specific series landed.
-    Raises ``ValueError`` on any malformed line.
-    """
-    out: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            if line.startswith("# TYPE"):
-                parts = line.split()
-                if len(parts) != 4 or parts[3] not in ("counter", "gauge", "histogram"):
-                    raise ValueError(f"line {lineno}: bad TYPE line {line!r}")
-            continue
-        try:
-            series, value, _ = _split_sample_line(line)
-            out[series] = value
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {lineno}: bad sample line {line!r}") from exc
-        if "{" in series and not series.endswith("}"):
-            raise ValueError(f"line {lineno}: unbalanced labels in {line!r}")
-    return out
-
-
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n"}
 
 
@@ -299,7 +272,8 @@ def parse_prometheus_snapshot(text: str) -> list[dict]:
     and the ``_bucket``/``_sum``/``_count`` sample families of each
     histogram are reassembled into per-bucket (non-cumulative) counts —
     the shape ``merge()`` and the alert engine consume.  Series kinds
-    come from the ``# TYPE`` lines.
+    come from the ``# TYPE`` lines.  Raises ``ValueError`` on a malformed
+    line or a ``# TYPE`` kind other than counter, gauge or histogram.
     """
     types: dict[str, str] = {}
     samples: list[tuple[str, dict, float, int | None]] = []
@@ -308,7 +282,7 @@ def parse_prometheus_snapshot(text: str) -> list[dict]:
         if not line or line.startswith("#"):
             if line.startswith("# TYPE"):
                 parts = line.split()
-                if len(parts) != 4:
+                if len(parts) != 4 or parts[3] not in ("counter", "gauge", "histogram"):
                     raise ValueError(f"line {lineno}: bad TYPE line {line!r}")
                 types[parts[2]] = parts[3]
             continue

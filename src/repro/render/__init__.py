@@ -23,7 +23,7 @@ Each renderer runs on one of two engines selected by
 
 The backends are observationally equivalent: statistics counters are
 integer-identical and float64 images bitwise identical (see
-``tests/test_engine_equivalence.py`` and ``benchmarks/bench_engine_speed.py``).
+``tests/test_engine_equivalence.py``).
 """
 
 from repro.render.common import RenderConfig

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.eval.runner import EvalSetup, load_scene_and_camera
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.model import GaussianScene
 from repro.render.common import RenderConfig
@@ -241,6 +242,15 @@ class TestGaussianwiseEquivalence:
             )
             for backend in ("reference", "vectorized")
         ]
+
+    def test_eval_preset(self):
+        # An evaluation preset's real depth groups, not a synthetic scene:
+        # the quick train preset (2,500 Gaussians) on the omega-sigma radius rule.
+        scene, camera = load_scene_and_camera(EvalSetup("train", quick=True))
+        ref, vec = self._both(scene, camera)
+        assert vec.stats.num_rendered > 0
+        assert np.array_equal(ref.image, vec.image)
+        assert_stats_equal(ref.stats, vec.stats)
 
     @pytest.mark.parametrize("boundary_mode", ["aabb", "alpha"])
     def test_3sigma_radius_rule_below_alpha_min(self, smoke_scene, smoke_camera, boundary_mode):

@@ -5,13 +5,13 @@ is a pure map from span records to a report, so these tests pin three
 things: the *numbers* (exact self/child attribution on hand-built span
 trees), the *robustness* (partial traces from killed workers analyze
 without raising), and the *determinism* (repeated analysis of the same
-trace — including the committed BENCH trace — is byte-identical JSON).
+trace — including one read back from its Chrome trace file — is
+byte-identical JSON).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -34,9 +34,6 @@ from repro.obs.analysis import (
 )
 from repro.obs.trace import VIRTUAL, WALL
 from repro.serve.trajectories import RenderJob, make_trajectory
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def span(sid, parent, name, lane, t0, dur, clock=WALL, **attrs):
     return {
@@ -286,20 +283,21 @@ class TestAnalyzeOnRealTraces:
             analyze(obs.tracer.spans), sort_keys=True
         )
 
-
-class TestCommittedBenchTrace:
-    def test_committed_trace_attributes_kernel_stages(self):
-        # Acceptance: the committed 2-worker sharded obs-overhead trace
-        # attributes >= 80% of frame time to named kernel stages, and the
-        # committed analysis is exactly reproducible from the trace.
-        doc = json.loads((REPO_ROOT / "BENCH_obs_overhead.json").read_text())
-        analysis = doc["analysis"]
+    def test_sharded_full_preset_attributes_kernel_stages(self):
+        # A 2-worker, 2-shard run of the full train preset, read back from
+        # its Chrome trace file format, attributes >= 80% of frame time to
+        # named kernel stages, and re-analysing the file is byte-identical.
+        job = RenderJob("train", make_trajectory("orbit", num_frames=2), shards=2)
+        obs = ObsContext.create()
+        with RenderExecutor(num_workers=2, obs=obs) as executor:
+            executor.submit(job).result(timeout=300)
+        payload = json.loads(json.dumps(chrome_trace(obs.tracer.spans)))
+        analysis = analyze(records_from_chrome_trace(payload))
         fraction = analysis["stages"]["frame_attribution"]["attributed_fraction"]
         assert fraction >= 0.80, fraction
         assert analysis["critical_path"]["root_name"] == "request"
-        recomputed = analyze(records_from_chrome_trace(doc["trace"]))
-        assert json.dumps(recomputed, sort_keys=True) == json.dumps(
-            analysis, sort_keys=True
+        assert json.dumps(analysis, sort_keys=True) == json.dumps(
+            analyze(records_from_chrome_trace(payload)), sort_keys=True
         )
 
 

@@ -26,7 +26,6 @@ from repro.obs import (
     TracerStageHook,
     chrome_trace,
     parse_prometheus_snapshot,
-    parse_prometheus_text,
     prometheus_text,
     validate_chrome_trace,
 )
@@ -266,15 +265,25 @@ class TestExporters:
         registry.counter("repro_reqs_total", {"status": "ok"}).inc(7)
         registry.gauge("repro_ratio").set(0.25)
         registry.histogram("repro_lat_ms", buckets=(1.0, 10.0)).observe(5.0)
-        parsed = parse_prometheus_text(prometheus_text(registry))
-        assert parsed['repro_reqs_total{status="ok"}'] == 7
-        assert parsed["repro_ratio"] == 0.25
-        assert parsed['repro_lat_ms_bucket{le="+Inf"}'] == 1
-        assert parsed["repro_lat_ms_sum"] == 5.0
+        parsed = {
+            (e["name"], tuple(sorted(e["labels"].items()))): e
+            for e in parse_prometheus_snapshot(prometheus_text(registry))
+        }
+        assert parsed["repro_reqs_total", (("status", "ok"),)]["value"] == 7
+        assert parsed["repro_ratio", ()]["value"] == 0.25
+        latency = parsed["repro_lat_ms", ()]
+        assert sum(latency["counts"]) == latency["count"] == 1  # the +Inf bucket
+        assert latency["sum"] == 5.0
 
     def test_prometheus_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_prometheus_text("this is not exposition format\n")
+        for text in (
+            "this is not exposition format\n",
+            'repro_x{status="ok" 1\n',  # unbalanced labels
+            "# TYPE repro_x\nrepro_x 1\n",  # TYPE line without a kind
+            "# TYPE repro_x summary\nrepro_x 1\n",  # kind the registry never writes
+        ):
+            with pytest.raises(ValueError):
+                parse_prometheus_snapshot(text)
 
     def test_hostile_label_values_round_trip(self):
         # Backslashes, quotes and newlines in label values must survive

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import ObsContext, VIRTUAL, parse_prometheus_text, validate_chrome_trace
+from repro.obs import (
+    VIRTUAL,
+    ObsContext,
+    parse_prometheus_snapshot,
+    validate_chrome_trace,
+)
 from repro.sched.__main__ import main
 from repro.sched.scheduler import RequestScheduler, run_workload
 from repro.sched.workload import WorkloadSpec
@@ -106,10 +111,15 @@ class TestCliExportFlags:
         path = tmp_path / "metrics.prom"
         main(CLI_ARGS + ["--json", "--metrics-out", str(path)])
         payload = json.loads(capsys.readouterr().out)
-        parsed = parse_prometheus_text(path.read_text())
-        completed = parsed.get('repro_sched_requests_total{status="completed"}', 0)
+        parsed = parse_prometheus_snapshot(path.read_text())
+        completed = sum(
+            e["value"]
+            for e in parsed
+            if e["name"] == "repro_sched_requests_total"
+            and e["labels"] == {"status": "completed"}
+        )
         assert completed == payload["requests"]["completed"]
         dispatches = sum(
-            v for k, v in parsed.items() if k.startswith("repro_sched_dispatch_total")
+            e["value"] for e in parsed if e["name"] == "repro_sched_dispatch_total"
         )
         assert dispatches == payload["dispatch"]["cold"] + payload["dispatch"]["warm"]

@@ -1,7 +1,7 @@
 """Tests for the render farm: scheduling, worker shipping and aggregation.
 
-The heavyweight throughput claim (multi-worker >= 1.5x sequential on a
-16-frame job) lives in ``benchmarks/bench_serve_throughput.py``; here we
+Wall-clock throughput (saturated frames/s, parallel efficiency) is
+measured by the ``stack`` benchmark's ``serve_warm`` workload; here we
 verify correctness on tiny jobs: farm output is bitwise identical to the
 sequential fallback and to single-frame evaluation-runner renders, scenes
 survive the ``.npz`` trip into spawned workers, and counters aggregate
