@@ -1,11 +1,14 @@
 """Energy accounting shared by the accelerator models.
 
 The paper's Figure 12 splits per-frame energy into off-chip (DRAM) access,
-on-chip (SRAM) access and computation; DRAM dominates in both designs, which
-is why GCC's >50% DRAM-traffic reduction translates into the overall energy
-win.  This module turns the traffic/operation counters collected by the
-models into that three-way breakdown, plus a static term proportional to the
-frame time.
+on-chip (SRAM) access and computation.  The paper has DRAM dominating both
+designs; these models do not.  At default scale DRAM is GSCore's largest
+term on every scene, but on-chip access is GCC's largest on train, truck,
+playroom and drjohnson, and GCC's on-chip energy is 1.04x (drjohnson) to
+2.8x (lego; palace 2.7x) GSCore's.  GCC's lower total comes from its cut in
+DRAM traffic, which outweighs that on-chip increase.  This module turns the
+traffic/operation counters collected by the models into that three-way
+breakdown, plus a static term proportional to the frame time.
 """
 
 from __future__ import annotations

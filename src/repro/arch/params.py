@@ -56,8 +56,9 @@ class EnergyParams:
 
     Values are representative 28 nm figures: an FP16/FP32 fused multiply-add
     costs on the order of 1-2 pJ, small SRAM accesses below 1 pJ/byte, and
-    LPDDR4 DRAM access roughly 20 pJ/byte (the dominant term, which is why
-    the paper's Figure 12 is dominated by off-chip access energy).
+    LPDDR4 DRAM access roughly 20 pJ/byte (the dearest per byte).  With these
+    constants off-chip energy is GSCore's largest Figure 12 term on every
+    scene but not GCC's (see :mod:`repro.arch.energy`).
     """
 
     #: Fused multiply-add (FP) energy per operation.

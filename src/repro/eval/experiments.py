@@ -333,6 +333,12 @@ def figure12(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list
 
     Paper: DRAM dominates both designs; GCC cuts DRAM traffic by >50% while
     slightly increasing SRAM activity, for a large net energy win.
+
+    The models read (default scale): off-chip is GSCore's largest term on
+    every scene, but on-chip is GCC's largest on train, truck, playroom and
+    drjohnson; GCC's on-chip energy is 1.04x (drjohnson) to 2.8x (lego;
+    palace 2.7x) GSCore's, not "slightly" more; GCC's total is still lower
+    on every scene (0.82x lego to 0.31x drjohnson).
     """
     scenes = scenes or all_benchmark_scenes()
     rows = []

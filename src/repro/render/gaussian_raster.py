@@ -433,7 +433,7 @@ def render_gaussianwise(
         stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
 
     if vectorized:
-        color_accum = frame.unblocked(frame.color)
+        color_accum = frame.unblocked(np.moveaxis(frame.color, 0, -1))
         transmittance = frame.unblocked(frame.transmittance)
     image = finalize_image(color_accum, transmittance, config.background)
     return GaussianWiseResult(image=image, stats=stats)

@@ -276,10 +276,9 @@ def sequential_blend(
     left-to-right association as the reference loop; a pixel whose
     transmittance crosses ``transmittance_eps`` keeps its crossing value
     (the reference freezes saturated pixels), which is recovered exactly
-    because the sequence is non-increasing.  Colour is accumulated as a left
-    fold over the Gaussians, seeded with ``tile_color``: the additions the
-    reference loop performs, in its order, so the result is bitwise the
-    reference's and does not depend on how the list was chunked.
+    because the sequence is non-increasing.  Colour is a left fold over the
+    Gaussians seeded with ``tile_color``: the reference loop's additions in
+    its order, so the result is bitwise the reference's whatever the chunks.
     """
     num, pixels = alphas.shape
     # trans_seq[i] is the transmittance before Gaussian i (ignoring the
@@ -303,14 +302,15 @@ def sequential_blend(
     active = unsaturated[:num_processed] & (alphas[:num_processed] > 0.0)
     weights = trans_seq[:num_processed] * alphas[:num_processed]
     weights *= active
-    # Left fold seeded with the tile colour: row 0 is the colour so far and
-    # row i + 1 Gaussian i's contribution (exactly +0 where it is inactive),
-    # and a reduction over the leading axis adds the rows one after another
-    # — the reference loop's own sequence of additions, whatever the chunks.
-    contributions = np.empty((num_processed + 1, pixels, 3), dtype=tile_color.dtype)
-    contributions[0] = tile_color
-    np.multiply(weights[:, :, None], colors[:num_processed, None, :], out=contributions[1:])
-    np.add.reduce(contributions, axis=0, out=tile_color)
+    # Left fold seeded with the tile colour, in (3, P) channel planes: row 0
+    # is the colour so far, row i + 1 Gaussian i's contribution (+0 where
+    # inactive).  The pixels, not 3 channels, are numpy's inner loop; the
+    # reduced axis must stay outer, as numpy sums an inner one pairwise (a
+    # (3, K + 1, P) layout at P = 1), which is not the reference's order.
+    contributions = np.empty((num_processed + 1, 3, pixels), dtype=tile_color.dtype)
+    contributions[0] = tile_color.T
+    np.multiply(weights[:, None, :], colors[:num_processed, :, None], out=contributions[1:])
+    tile_color[:] = np.add.reduce(contributions, axis=0).T
 
     tile_trans[:] = trans_seq[np.minimum(first_sat, num_processed), np.arange(pixels)]
     counts = np.add.reduce(active, axis=1, dtype=np.intp)
@@ -381,9 +381,9 @@ class BlockFrame:
         in_y = (np.arange(self.blocks_y * block_size) < height).reshape(-1, block_size)
         valid = in_y[:, None, :, None] & in_x[None, :, None, :]
         valid = valid.reshape(self.blocks_x * self.blocks_y, block_size * block_size)
-        #: ``(num_blocks, bs * bs)`` transmittance and ``(..., 3)`` colour.
+        #: ``(num_blocks, bs * bs)`` transmittance and ``(3, ...)`` colour planes.
         self.transmittance = valid.astype(np.float64)
-        self.color = np.zeros(valid.shape + (3,))
+        self.color = np.zeros((3,) + valid.shape)
         #: The T_mask: every image pixel of the block has terminated.
         self.saturated = np.zeros(len(valid), dtype=bool)
         #: Image pixels per block (fewer on partial edge blocks).
@@ -599,7 +599,7 @@ def blend_group_layers(
 
     gaussian, block = gaussian[order], block[order]
     block_y, block_x = np.divmod(block, frame.blocks_x)
-    color = colors[gaussian, None, :]
+    color = colors[gaussian].T[:, :, None]
     span = np.arange(bs)
     #: Pixels each pair contributed to; -1 while (or if) it is not evaluated.
     pixels = np.full(num_pairs, -1)
@@ -624,7 +624,7 @@ def blend_group_layers(
             # Zero alpha where the pixel has terminated: what is left
             # non-zero is exactly the reference's active set.
             alpha *= trans > eps
-            frame.color[rows] += (trans * alpha)[:, :, None] * color[layer]
+            frame.color[:, rows] += (trans * alpha) * color[:, layer]
             count = np.count_nonzero(alpha, axis=1)
             np.subtract(1.0, alpha, out=alpha)
             trans *= alpha

@@ -17,6 +17,7 @@ import pytest
 from repro.eval.runner import EvalSetup, load_scene_and_camera
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.model import GaussianScene
+from repro.render.blending import compute_alpha
 from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
 from repro.render.tile_raster import (
@@ -112,6 +113,43 @@ class TestTilewiseEquivalence:
         vec = render_tilewise(scene, front_camera, RenderConfig(backend="vectorized"))
         assert vec.stats.num_pairs_processed < vec.stats.num_tile_pairs
         assert np.array_equal(ref.image, vec.image)
+        assert_stats_equal(ref.stats, vec.stats)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_one_pixel_corner_tile(self, dtype):
+        # A 33x17 frame ends in a 1x1 tile.  Faint, frame-filling Gaussians
+        # all blend into its pixel unsaturated, so its colour is a long fold
+        # over one pixel: a fold numpy sums pairwise would differ there.
+        count = 24
+        rng = np.random.default_rng(38)
+        means = np.zeros((count, 3))
+        means[:, 2] = np.linspace(0.0, 1.0, count)
+        scene = GaussianScene.from_flat_colors(
+            means=means,
+            scales=np.full((count, 3), 4.0),
+            quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (count, 1)),
+            opacities=rng.uniform(0.03, 0.15, count),
+            rgb=rng.random((count, 3)),
+        )
+        camera = Camera.from_fov(
+            width=33,
+            height=17,
+            fov_y_degrees=60.0,
+            world_to_camera=look_at(np.array([0.0, 0.0, -3.0]), np.array([0.0, 0.0, 0.0])),
+        )
+        projected = project_scene(scene, camera, RenderConfig())
+        corner = [
+            compute_alpha(conic, opacity, 32.0 - mean[0], 16.0 - mean[1]) > 0.0
+            for mean, conic, opacity in zip(
+                projected.means2d, projected.conics, projected.opacities
+            )
+        ]
+        assert sum(corner) >= 9
+        ref = render_tilewise(scene, camera, RenderConfig(dtype=dtype, backend="reference"))
+        vec = render_tilewise(scene, camera, RenderConfig(dtype=dtype, backend="vectorized"))
+        assert ref.image.dtype == vec.image.dtype == np.dtype(dtype)
+        assert ref.image[16, 32].tobytes() == vec.image[16, 32].tobytes()
+        assert ref.image.tobytes() == vec.image.tobytes()
         assert_stats_equal(ref.stats, vec.stats)
 
     @pytest.mark.parametrize("tile_size", [8, 16, 24])
