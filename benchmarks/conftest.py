@@ -1,14 +1,15 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the guard benchmarks.
 
-Each benchmark regenerates one table or figure of the paper at the default
-evaluation scale, times it with ``pytest-benchmark`` (single round — these
-are experiment drivers, not micro-benchmarks) and writes the formatted result
-to ``benchmarks/results/`` so the numbers can be compared against the paper
-(see EXPERIMENTS.md).
+Each guard runs once under ``pytest-benchmark`` (single round — these are
+contract checks, not micro-benchmarks) and writes its text report and its
+JSON payload to ``benchmarks/results/``; ``perf_trajectory.py`` diffs the
+JSON exactly against the committed ``BENCH_<name>.json``.  The paper ledger
+(``bench_paper_figures.py``) regenerates every table and figure of the
+paper at the default evaluation scale (see EXPERIMENTS.md).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_*.py --benchmark-only
 
 All experiments render through the vectorized engine
 (``RenderConfig(backend="vectorized")``, the default), which produces
@@ -17,7 +18,7 @@ statistics counters identical to the reference per-Gaussian/per-block loops
 and table is backend-independent (``tests/test_engine_equivalence.py``
 holds that equivalence).  Wall-clock performance is measured by the
 ``stack`` benchmark, ``python3 benchmarks/stack/run.py`` (see
-``benchmarks/stack/README.md``), not by these drivers.
+``benchmarks/stack/README.md``), not by these guards.
 """
 
 from __future__ import annotations

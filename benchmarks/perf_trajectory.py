@@ -3,10 +3,10 @@
 Benchmark JSONs land in untracked ``benchmarks/results/`` and vanish with
 the checkout; this harness snapshots each guard benchmark's payload to a
 versioned ``BENCH_<name>.json`` at the repository root.  Every guard here
-is *virtual-clock* — deterministic simulated time or pure quality
-metrics, machine-independent — so its payload is committed verbatim and
-diffed exactly: any drift in the committed numbers is a behaviour change
-and fails the diff.  Wall-clock performance is measured by the ``stack``
+is *virtual-clock* — deterministic simulated time, the accelerator models'
+counters (the paper ledger) or pure quality metrics, machine-independent —
+so its payload is committed verbatim and diffed exactly: any drift in the
+committed numbers is a behaviour change and fails the diff.  Wall-clock performance is measured by the ``stack``
 benchmark (``benchmarks/stack/``), not here.
 
 Usage (plain python — no pytest needed for the harness itself)::
@@ -32,7 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Guard benchmarks in the trajectory, each diffed exactly.
-GUARDS = ("sched_slo", "fleet_routing", "store_quality")
+GUARDS = ("sched_slo", "fleet_routing", "store_quality", "paper_figures")
 
 #: Keys whose leaves are wall-clock measurements embedded in an otherwise
 #: machine-independent payload.  They are masked out of a virtual-clock

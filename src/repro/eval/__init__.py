@@ -2,9 +2,10 @@
 
 Every table and figure of the paper's evaluation (Section 5) and discussion
 (Section 6) has a corresponding function in :mod:`repro.eval.experiments`;
-:mod:`repro.eval.reporting` renders the results as text tables in the same
-shape as the paper, and the ``benchmarks/`` directory wires each experiment
-into ``pytest-benchmark``.  The per-scene presets the runners resolve live
+:mod:`repro.eval.ledger` runs them all once beside the paper's numbers and
+claims, and ``benchmarks/bench_paper_figures.py`` commits that ledger as
+``BENCH_paper_figures.json``.  :mod:`repro.eval.reporting` holds the one
+text-table formatter.  The per-scene presets the runners resolve live
 in :mod:`repro.gaussians.presets`, below every layer that resolves a scene.
 """
 

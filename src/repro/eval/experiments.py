@@ -2,8 +2,9 @@
 
 Each function returns plain dictionaries/lists so that tests can assert on
 the *shape* of the result (who wins, by roughly what factor, where crossovers
-fall) and the benchmark harness can print them next to the paper's numbers.
-The expected shapes and the paper's values are recorded in EXPERIMENTS.md.
+fall).  Each docstring states the paper's claim in words; the paper's
+numbers, the shapes the reproduction keeps and what the models measure sit
+in one table, :mod:`repro.eval.ledger`.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def _geomean(values: list[float]) -> float:
 def figure2(scenes: tuple[str, ...] = MOTIVATION_SCENES, quick: bool = False) -> list[dict]:
     """Gaussian counts per processing phase and per-Gaussian load counts.
 
-    Paper: 64-83% of Gaussians are in the frustum, but far fewer are actually
-    rendered; the same Gaussian is loaded 3.17-6.45 times on average during
-    tile-wise rendering.
+    Paper: most Gaussians are in the frustum, but far fewer are actually
+    rendered; the same Gaussian is loaded several times on average during
+    tile-wise rendering (the ranges are in ``ledger.PAPER``).
     """
     rows = []
     for scene in scenes:
@@ -94,7 +95,7 @@ def table1(scenes: tuple[str, ...] = MOTIVATION_SCENES, quick: bool = False) -> 
     return rows
 
 
-def figure4(opacities: tuple[float, ...] = (1.0, 0.01)) -> list[dict]:
+def figure4(opacities: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)) -> list[dict]:
     """Footprint pixel counts of a single anisotropic Gaussian vs opacity.
 
     Paper: with opacity 1 the effective (alpha >= 1/255) region fills most of
@@ -180,7 +181,8 @@ def table2(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list[d
     subtile skip only changes which alpha evaluations are counted, not the
     image, so GSCore's image *is* the reference: its columns read ``inf`` dB
     and 0 by construction.  Only the GCC (Gaussian-wise) columns measure
-    anything.  Paper: all three are within 0.1 dB.
+    anything.  Paper: all three are within 0.1 dB of each other against
+    ground truth; with no ground-truth image here the ledger has no row for it.
     """
     scenes = scenes or all_benchmark_scenes()
     rows = []
@@ -206,8 +208,9 @@ def table2(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list[d
 def figure10(scenes: tuple[str, ...] | None = None, quick: bool = False) -> dict:
     """GCC vs GSCore area-normalised throughput and energy efficiency.
 
-    Paper: geomean speedup 5.24x (4.27x-6.22x), geomean energy efficiency
-    3.35x (3.05x-3.72x).
+    Paper: GCC wins on every scene in both area-normalised throughput and
+    energy efficiency (the geomeans and per-scene ranges are in
+    ``ledger.PAPER``).
     """
     scenes = scenes or all_benchmark_scenes()
     rows = []
@@ -331,14 +334,11 @@ def table4() -> list[dict]:
 def figure12(scenes: tuple[str, ...] | None = None, quick: bool = False) -> list[dict]:
     """Per-frame energy split into off-chip, on-chip and compute energy.
 
-    Paper: DRAM dominates both designs; GCC cuts DRAM traffic by >50% while
-    slightly increasing SRAM activity, for a large net energy win.
-
-    The models read (default scale): off-chip is GSCore's largest term on
-    every scene, but on-chip is GCC's largest on train, truck, playroom and
-    drjohnson; GCC's on-chip energy is 1.04x (drjohnson) to 2.8x (lego;
-    palace 2.7x) GSCore's, not "slightly" more; GCC's total is still lower
-    on every scene (0.82x lego to 0.31x drjohnson).
+    Paper: DRAM dominates both designs; GCC cuts DRAM traffic by more than
+    half while slightly increasing SRAM activity, for a large net energy win.
+    The models keep the DRAM cut and the net win but not the first and
+    third clauses: the ledger's unguarded Fig. 12 claims state what they
+    measure.
     """
     scenes = scenes or all_benchmark_scenes()
     rows = []
@@ -456,8 +456,9 @@ def figure15(
 
     Paper: on GPUs rendering dominates and the GCC dataflow's render stage
     gets *slower* (atomics), so the dataflow alone does not solve edge 3DGS;
-    on the accelerators the standard dataflow spends ~40% on preprocessing
-    which GCC largely removes.
+    on the accelerators the standard dataflow spends a large share on
+    preprocessing, which GCC largely removes (the ledger's Fig. 15 claims
+    state the share).
     """
     rows = []
     for scene in scenes:

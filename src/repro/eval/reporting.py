@@ -1,4 +1,4 @@
-"""Text rendering of experiment results in the paper's table/figure shapes."""
+"""Plain-text tables for the paper ledger and the ``repro-serve``/``repro-sched`` reports."""
 
 from __future__ import annotations
 
@@ -30,127 +30,3 @@ def _format_cell(cell: object) -> str:
             return f"{cell:,.0f}"
         return f"{cell:.3g}"
     return str(cell)
-
-
-def report_figure2(rows: list[dict]) -> str:
-    """Figure 2: Gaussian counts per phase and per-Gaussian loads."""
-    return format_table(
-        ["scene", "total", "in-frustum", "rendered", "rendered/in-frustum", "avg loads"],
-        [
-            (
-                r["scene"],
-                r["total"],
-                r["in_frustum"],
-                r["rendered"],
-                r["rendered_fraction"],
-                r["avg_loads_per_gaussian"],
-            )
-            for r in rows
-        ],
-        title="Figure 2 — Gaussians per phase and per-Gaussian loadings (GSCore dataflow)",
-    )
-
-
-def report_table1(rows: list[dict]) -> str:
-    """Table 1: rendered pixels per frame under each bounding method."""
-    return format_table(
-        ["scene", "AABB px", "OBB px", "alpha px", "rendered px"],
-        [
-            (r["scene"], r["aabb_pixels"], r["obb_pixels"], r["alpha_pixels"], r["rendered_pixels"])
-            for r in rows
-        ],
-        title="Table 1 — pixels per frame by bounding method",
-    )
-
-
-def report_table2(rows: list[dict]) -> str:
-    """Table 2: rendering quality."""
-    return format_table(
-        ["scene", "GSCore PSNR", "GSCore LPIPS*", "GCC PSNR", "GCC LPIPS*"],
-        [
-            (r["scene"], r["gscore_psnr"], r["gscore_lpips"], r["gcc_psnr"], r["gcc_lpips"])
-            for r in rows
-        ],
-        title="Table 2 — rendering quality vs the GPU reference (LPIPS* = offline proxy)",
-    )
-
-
-def report_figure10(result: dict) -> str:
-    """Figure 10: area-normalised speedup and energy efficiency."""
-    rows = result["rows"]
-    table = format_table(
-        ["scene", "GCC FPS", "GSCore FPS", "speedup (area-norm)", "energy eff (area-norm)"],
-        [
-            (r["scene"], r["gcc_fps"], r["gscore_fps"], r["speedup"], r["energy_efficiency"])
-            for r in rows
-        ],
-        title="Figure 10 — GCC vs GSCore, area-normalised",
-    )
-    return (
-        table
-        + f"\ngeomean speedup: {result['geomean_speedup']:.2f}x"
-        + f"\ngeomean energy efficiency: {result['geomean_energy_efficiency']:.2f}x"
-    )
-
-
-def report_figure11(rows: list[dict]) -> str:
-    """Figure 11: ablation breakdown."""
-    lines = ["Figure 11 — ablation (normalised to GSCore baseline)"]
-    for r in rows:
-        base_total = max(r["dram_baseline"]["total"], 1)
-        lines.append(
-            f"  {r['scene']}: speedup GW={r['speedup_gw']:.2f}x, GW+CC={r['speedup_gw_cc']:.2f}x; "
-            f"DRAM GW={r['dram_gw']['total'] / base_total:.2f}, "
-            f"GW+CC={r['dram_gw_cc']['total'] / base_total:.2f}; "
-            f"render ops GCC/base={r['render_ops_gcc'] / max(r['render_ops_baseline'], 1):.2f}"
-        )
-    return "\n".join(lines)
-
-
-def report_figure12(rows: list[dict]) -> str:
-    """Figure 12: energy breakdown."""
-    return format_table(
-        ["scene", "accelerator", "off-chip mJ", "on-chip mJ", "compute mJ", "total mJ"],
-        [
-            (r["scene"], r["accelerator"], r["offchip_mj"], r["onchip_mj"], r["compute_mj"], r["total_mj"])
-            for r in rows
-        ],
-        title="Figure 12 — per-frame energy breakdown",
-    )
-
-
-def report_figure14(rows: list[dict]) -> str:
-    """Figure 14: bandwidth sensitivity."""
-    return format_table(
-        ["DRAM", "GB/s", "GCC FPS", "GSCore FPS"],
-        [(r["dram"], r["bandwidth_gbps"], r["gcc_fps"], r["gscore_fps"]) for r in rows],
-        title="Figure 14 — throughput vs DRAM bandwidth",
-    )
-
-
-def report_table3(rows: list[dict]) -> str:
-    """Table 3: accelerator comparison."""
-    return format_table(
-        ["design", "model", "area mm2", "power W", "FPS", "FPS/mm2"],
-        [
-            (
-                r["design"],
-                r["model"],
-                r["area_mm2"],
-                r["power_w"],
-                r["throughput_fps"],
-                r["fps_per_mm2"],
-            )
-            for r in rows
-        ],
-        title="Table 3 — neural rendering accelerators (Lego)",
-    )
-
-
-def report_table4(rows: list[dict]) -> str:
-    """Table 4: area/power breakdown."""
-    return format_table(
-        ["component", "area mm2", "power mW", "configuration"],
-        [(r["component"], r["area_mm2"], r["power_mw"], r["configuration"]) for r in rows],
-        title="Table 4 — GCC area and power breakdown (published)",
-    )
