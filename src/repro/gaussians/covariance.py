@@ -182,8 +182,8 @@ def mahalanobis_sq(conic: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndar
     engine mode evaluates in single precision); anything else is promoted
     to float64 as before.
 
-    ``repro.render.kernels.batched_tile_alpha`` builds the same sum from
-    per-axis terms, in this association — change both together (the
+    ``repro.render.kernels._maha_grid`` builds the same sum from per-axis
+    terms, in this association — change both together (the
     backends are compared bitwise by the engine-equivalence tests).
     """
     conic = np.asarray(conic)

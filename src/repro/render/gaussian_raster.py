@@ -21,10 +21,14 @@ nothing under the standard dataflow either.
 
 Two execution backends are provided, selected by ``RenderConfig.backend``:
 
-* ``"vectorized"`` (default) — Stages III/IV run one whole depth group at a
-  time (:mod:`repro.render.kernels`): footprint bits of every (Gaussian,
-  candidate block) pair in one pass, Algorithm 1 as a reachability fixpoint
-  over them, one SH call, and blending per block in depth-rank layers.
+* ``"vectorized"`` (default) — groups are taken in windows of
+  :data:`~repro.render.kernels.GROUP_WINDOW` (:mod:`repro.render.kernels`):
+  each group is projected on its own, then footprint bits of every
+  (Gaussian, candidate block) pair of the window in one pass and Algorithm 1
+  as one reachability fixpoint over them — it does not depend on the render
+  state — and then, group by group until cross-stage termination, one SH
+  call and blending per block in rank layers that are contiguous prefixes
+  of the group's blocks.
 * ``"reference"`` — the original per-Gaussian/per-block Python loops, kept
   as the oracle the vectorized backend is validated against.
 
@@ -36,6 +40,7 @@ equal and every statistics counter matches exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from repro.render.boundary import identify_influence_blocks
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.grouping import group_by_depth
 from repro.render.kernels import (
+    GROUP_WINDOW,
     BlockFrame,
     blend_group_layers,
     identify_group_blocks,
@@ -231,31 +237,61 @@ def render_gaussianwise(
     rendered_sources: list[int] = []
     camera_position = camera.position
 
-    def render_group_batched(geometry, order: np.ndarray) -> list[int]:
-        """Stages III/IV of one depth group on the vectorized backend; returns
-        the source indices of the Gaussians that contributed a pixel.  The
-        conditional *counters* come from per-Gaussian outcome counts after
-        the fact: colour values do not depend on the render state, only how
-        many of them were needed does."""
-        num = order.size
-        means2d, conics = geometry.means2d[order], geometry.conics[order]
-        opacities, sources = geometry.opacities[order], geometry.source_indices[order]
+    def project_window(window) -> list:
+        """Stages II and III's sort of consecutive depth groups, then
+        Algorithm 1 once for all of them (it does not depend on the render
+        state).  Each group is projected on its own: the camera transform
+        rounds differently for small batches, so one projection of the whole
+        window would not be the reference's.  Returns, per group, its
+        projection, its depth-ordered rows (means2d, conics, opacities,
+        source indices), its influence pairs ``(gaussian, block)`` and its
+        blocks visited."""
+        projected = []
+        for group in window:
+            with stage_hook().stage("project"):
+                geometry = project_geometry(scene, camera, visible_indices[group.indices], config)
+            projected.append((geometry, np.argsort(geometry.depths, kind="stable")))
         with stage_hook().stage("boundary"):
+
+            def rows(name: str) -> np.ndarray:
+                return np.concatenate([getattr(g, name)[order] for g, order in projected])
+
+            means2d, conics, opacities = rows("means2d"), rows("conics"), rows("opacities")
             if boundary_mode == "alpha":
                 gaussian, block, visited = identify_group_blocks(
-                    frame, means2d, conics, geometry.cov2d[order], opacities, config.alpha_min
+                    frame, means2d, conics, rows("cov2d"), opacities, config.alpha_min
                 )
-                stats.blocks_visited += int(visited.sum())
             else:
-                gaussian, block = radius_box_blocks(frame, means2d, geometry.radii[order])
-                stats.blocks_visited += gaussian.size
+                gaussian, block = radius_box_blocks(frame, means2d, rows("radii"))
+                visited = np.bincount(gaussian, minlength=means2d.shape[0])
+            sources = rows("source_indices")
+            row_ends = np.cumsum([order.size for _, order in projected]).tolist()
+            pair_ends = np.searchsorted(gaussian, row_ends).tolist()
+        out = []
+        for (geometry, _), r0, r1, p0, p1 in zip(
+            projected, [0, *row_ends], row_ends, [0, *pair_ends], pair_ends
+        ):
+            group_rows = (means2d[r0:r1], conics[r0:r1], opacities[r0:r1], sources[r0:r1])
+            pairs = (gaussian[p0:p1] - r0, block[p0:p1], int(visited[r0:r1].sum()))
+            out.append((geometry, group_rows, pairs))
+        return out
+
+    def render_group_batched(rows, gaussian, block) -> list[int]:
+        """Stages III/IV of one depth group on the vectorized backend, from
+        its depth-ordered rows and influence pairs; returns the source
+        indices of the Gaussians that contributed a pixel.  The conditional
+        *counters* come from per-Gaussian outcome counts after the fact:
+        colour values do not depend on the render state, only how many of
+        them were needed does."""
+        means2d, conics, opacities, sources = rows
+        num = sources.size
+        with stage_hook().stage("sh"):
             influence = np.bincount(gaussian, minlength=num)
             if enable_cc:
                 # Blocks saturated when the group starts are skipped whatever
                 # happens in it: they need no colour and no rank.
                 live = ~frame.saturated[block]
                 gaussian, block = gaussian[live], block[live]
-        with stage_hook().stage("sh"):
             owners = np.flatnonzero(np.bincount(gaussian, minlength=num))
             colors = np.zeros((num, 3))
             colors[owners] = evaluate_sh_colors(
@@ -288,6 +324,38 @@ def render_gaussianwise(
             if np.all(transmittance[y0:y1, x0:x1] <= config.transmittance_eps):
                 saturated_blocks[by, bx] = True
 
+    def finish(color_accum: np.ndarray, transmittance: np.ndarray) -> GaussianWiseResult:
+        stats.num_rendered = len(rendered_sources)
+        if rendered_sources:
+            stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
+        image = finalize_image(color_accum, transmittance, config.background)
+        return GaussianWiseResult(image=image, stats=stats)
+
+    if vectorized:
+        # A window is projected and traversed when its first group is reached.
+        windows = (
+            project_window(groups[first : first + GROUP_WINDOW])
+            for first in range(0, len(groups), GROUP_WINDOW)
+        )
+        for geometry, rows, (gaussian, block, visited) in chain.from_iterable(windows):
+            stats.num_groups_processed += 1
+            stats.num_projected += geometry.num_input
+            stats.num_screen_passed += geometry.num_visible
+            if geometry.num_visible == 0:
+                continue
+            stats.sort_elements += geometry.num_visible
+            stats.blocks_visited += visited
+            rendered_sources += render_group_batched(rows, gaussian, block)
+            # Cross-stage conditional check, as at the end of the loop body.
+            if enable_cc and frame.saturated.all():
+                break
+        # Groups past termination, the rest of its window included, are skipped.
+        for group in groups[stats.num_groups_processed :]:
+            stats.num_groups_skipped += 1
+            stats.num_skipped_by_termination += group.size
+        color = frame.unblocked(frame.color.transpose(0, 2, 1))
+        return finish(color, frame.unblocked(frame.transmittance))
+
     terminated = False
     for group_index, group in enumerate(groups):
         if enable_cc and terminated:
@@ -318,12 +386,6 @@ def render_gaussianwise(
         # ------------------------------------------------------------------
         # Stage IV: boundary identification, alpha computation, blending.
         # ------------------------------------------------------------------
-        if vectorized:
-            rendered_sources += render_group_batched(geometry, order)
-            # Cross-stage conditional check, as at the end of the loop body.
-            terminated = enable_cc and bool(frame.saturated.all())
-            continue
-
         for row in order:
             mean2d = geometry.means2d[row]
             conic = geometry.conics[row]
@@ -428,12 +490,4 @@ def render_gaussianwise(
         if enable_cc and bool(np.all(saturated_blocks)):
             terminated = True
 
-    stats.num_rendered = len(rendered_sources)
-    if rendered_sources:
-        stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
-
-    if vectorized:
-        color_accum = frame.unblocked(np.moveaxis(frame.color, 0, -1))
-        transmittance = frame.unblocked(frame.transmittance)
-    image = finalize_image(color_accum, transmittance, config.background)
-    return GaussianWiseResult(image=image, stats=stats)
+    return finish(color_accum, transmittance)

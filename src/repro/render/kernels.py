@@ -18,11 +18,12 @@ This module provides the batched equivalents used by
 * :func:`subtile_evaluation_count` — the GSCore OBB subtile-skip statistic
   computed for a chunk of Gaussians in one reduction.
 * :class:`BlockFrame` / :func:`identify_group_blocks` /
-  :func:`blend_group_layers` — the Gaussian-wise engine, one depth group at
-  a time: footprint bits of every ``(Gaussian, candidate block)`` pair in
-  one pass, Algorithm 1's traversal as a reachability fixpoint over them,
-  and Stage IV blended per block in depth-rank layers on a block-major
-  frame.
+  :func:`blend_group_layers` — the Gaussian-wise engine: footprint bits of
+  every ``(Gaussian, candidate block)`` pair of a window of
+  :data:`GROUP_WINDOW` depth groups in one pass, Algorithm 1's traversal as
+  a reachability fixpoint over them, and Stage IV of one group blended on a
+  block-major frame in rank layers that are contiguous prefixes of its
+  blocks (longest run first).
 
 Every kernel is *observationally equivalent* to the reference loops: the
 per-pixel arithmetic uses identical elementwise operations in the same
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gaussians.covariance import mahalanobis_sq
 from repro.render.blending import alpha_from_maha
 
 #: Depth-ordered Gaussians evaluated per tile chunk: the first chunk takes
@@ -208,31 +208,16 @@ def batched_tile_alpha(
 
     Returns ``(alpha, maha)`` of shape ``(K, y1 - y0, x1 - x0)``.  The
     elementwise operations match :func:`repro.render.blending.compute_alpha`
-    exactly, so the values are bitwise-identical to the reference loop:
-    the three terms of the quadratic form are built per axis — ``a dx dx``
-    and ``2b dx`` only depend on the column, ``c dy dy`` on the row — and
-    combined over the tile in the reference's association, which leaves
-    three full-size operations instead of nine.  This is the one place the
-    form of :func:`repro.gaussians.covariance.mahalanobis_sq` is restated;
-    the clamp and threshold are :func:`~repro.render.blending.alpha_from_maha`
-    itself, run in place.  The pixel grid inherits
-    the dtype of ``means2d``, keeping the float32 engine mode in single
-    precision without a separate kernel.
+    exactly, so the values are bitwise-identical to the reference loop: the
+    form is :func:`_maha_grid`'s and the clamp and threshold are
+    :func:`~repro.render.blending.alpha_from_maha` itself, run in place.
+    The pixel grid inherits the dtype of ``means2d``, keeping the float32
+    engine mode in single precision without a separate kernel.
     """
     dtype = means2d.dtype
     dx = np.arange(x0, x1, dtype=dtype) - means2d[:, 0, None]
     dy = np.arange(y0, y1, dtype=dtype) - means2d[:, 1, None]
-    a_dx_dx = conics[:, 0, None] * dx
-    a_dx_dx *= dx
-    b2_dx = (2.0 * conics[:, 1, None]) * dx
-    c_dy_dy = conics[:, 2, None] * dy
-    c_dy_dy *= dy
-
-    maha = np.empty((means2d.shape[0], y1 - y0, x1 - x0), dtype=dtype)
-    np.multiply(b2_dx[:, None, :], dy[:, :, None], out=maha)
-    maha += a_dx_dx[:, None, :]
-    maha += c_dy_dy[:, :, None]
-
+    maha = _maha_grid(conics, dx, dy)
     alpha = alpha_from_maha(
         maha,
         opacities[:, None, None],
@@ -241,6 +226,26 @@ def batched_tile_alpha(
         out=np.empty_like(maha),
     )
     return alpha, maha
+
+
+def _maha_grid(conics: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Mahalanobis^2 of ``n`` Gaussians over per-row pixel grids, ``(n, Y, X)``.
+
+    ``dx`` ``(n, X)`` and ``dy`` ``(n, Y)`` are each row's pixel offsets from
+    its mean along one axis.  The values are
+    :func:`~repro.gaussians.covariance.mahalanobis_sq`'s bit for bit: the
+    three terms of the quadratic form are built per axis — ``a dx dx`` and
+    ``2b dx`` only depend on the column, ``c dy dy`` on the row — and summed
+    in the reference's association into one output array in place (the
+    first addition commuted, which IEEE addition allows exactly), so the
+    grid costs one full-size array and no full-size temporary.  This is the
+    one place the form is restated.
+    """
+    maha = np.empty((dx.shape[0], dy.shape[1], dx.shape[1]), dtype=dx.dtype)
+    np.multiply(((2.0 * conics[:, 1, None]) * dx)[:, None, :], dy[:, :, None], out=maha)
+    maha += ((conics[:, 0, None] * dx) * dx)[:, None, :]
+    maha += ((conics[:, 2, None] * dy) * dy)[:, :, None]
+    return maha
 
 
 def sequential_blend(
@@ -356,12 +361,24 @@ def subtile_evaluation_count(maha: np.ndarray, subtile: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Gaussian-wise (GCC dataflow) kernels: one depth group at a time
+# Gaussian-wise (GCC dataflow) kernels
 # ----------------------------------------------------------------------
 #: ``(Gaussian, block)`` pairs evaluated per chunk: bounds the
 #: ``(pairs, bs, bs)`` temporaries (~1 MB each at 8x8 blocks) when a group
 #: of screen-filling Gaussians has tens of thousands of candidate blocks.
 GROUP_PAIR_CHUNK = 2048
+
+#: Depth groups whose Algorithm 1 traversal runs as one batch: it does not
+#: depend on the render state, so one call serves consecutive groups.  When
+#: cross-stage termination lands inside a window, its later groups were
+#: projected and traversed for nothing: at most ``GROUP_WINDOW - 1`` groups'
+#: Stage II and boundary work, host time only.  Sweep on the default
+#: palace / train / drjohnson ablation frames (median of 7 interleaved
+#: rounds, 2-CPU x86 box): windows of 3, 4 and 6 ran within noise of each
+#: other and ~1.15x faster per frame than 1; 8 lost on drjohnson, where CC
+#: skips 49 of 75 groups, and one window of every group ran 1.7x slower
+#: there.
+GROUP_WINDOW = 4
 
 
 class BlockFrame:
@@ -381,9 +398,10 @@ class BlockFrame:
         in_y = (np.arange(self.blocks_y * block_size) < height).reshape(-1, block_size)
         valid = in_y[:, None, :, None] & in_x[None, :, None, :]
         valid = valid.reshape(self.blocks_x * self.blocks_y, block_size * block_size)
-        #: ``(num_blocks, bs * bs)`` transmittance and ``(3, ...)`` colour planes.
+        #: ``(num_blocks, bs * bs)`` transmittance, ``(num_blocks, 3, bs * bs)``
+        #: colour: one plane per channel inside each block.
         self.transmittance = valid.astype(np.float64)
-        self.color = np.zeros((3,) + valid.shape)
+        self.color = np.zeros((len(valid), 3, valid.shape[1]))
         #: The T_mask: every image pixel of the block has terminated.
         self.saturated = np.zeros(len(valid), dtype=bool)
         #: Image pixels per block (fewer on partial edge blocks).
@@ -401,16 +419,14 @@ def _block_maha(frame: BlockFrame, means2d, conics, block_x, block_y, offsets) -
     """Mahalanobis^2 of ``n`` (Gaussian, block) pairs at the block pixels
     ``offsets x offsets``, ``(n, len(offsets), len(offsets))``.
 
-    ``means2d``/``conics`` hold one row per pair.  This is the reference's
-    own :func:`~repro.gaussians.covariance.mahalanobis_sq`; broadcasting
-    keeps its per-axis factors small, leaving three full-size operations.
-    On a partial edge block, pixels off the image repeat its last column
-    (row): an "any" over them is the reference's over the image pixels.
+    ``means2d``/``conics`` hold one row per pair; the form is
+    :func:`_maha_grid`'s.  On a partial edge block, pixels off the image
+    repeat its last column (row): an "any" over them is the reference's over
+    the image pixels.
     """
     px = np.minimum(block_x[:, None] * frame.block_size + offsets, frame.width - 1)
     py = np.minimum(block_y[:, None] * frame.block_size + offsets, frame.height - 1)
-    dx, dy = px - means2d[:, 0, None], py - means2d[:, 1, None]
-    return mahalanobis_sq(conics[:, None, None, :], dx[:, None, :], dy[:, :, None])
+    return _maha_grid(conics, px - means2d[:, 0, None], py - means2d[:, 1, None])
 
 
 def _block_range(centre, half, num_blocks: int, block_size: int):
@@ -527,7 +543,8 @@ def identify_group_blocks(
             reached.append(neighbour[block_any[neighbour]])
         frontier = np.concatenate(reached)
 
-    seen = np.bincount(_locate(np.flatnonzero(visited), ends, count, rect_w)[0], minlength=num)
+    seen = np.zeros(num, dtype=np.intp)
+    seen[count > 0] = np.add.reduceat(visited, (ends - count)[count > 0], dtype=np.intp)
     pair = np.flatnonzero(enqueued)
     gaussian, local_y, local_x = _locate(pair, ends, count, rect_w)
     block_x, block_y = bx_lo[gaussian] + local_x, by_lo[gaussian] + local_y
@@ -577,65 +594,97 @@ def blend_group_layers(
     :class:`~repro.render.common.RenderConfig`.  A block's pixels are touched
     only by the pairs on that block, and its T_mask bit depends only on its
     own pixels, so the group factorises per block: pairs are ranked by depth
-    within their block, and rank ``r`` of every block — pairwise distinct
-    blocks — is blended in one gather/scatter.  Each pixel receives the
-    reference's operations in the reference's order; an inactive pixel adds
-    ``+0.0`` to accumulators that are never ``-0.0`` and keeps its
-    transmittance.  With ``use_tmask`` a pair whose block has saturated by
-    its turn is skipped, exactly when the reference skips it.
+    within their block, and blocks are ordered by run length (their number
+    of pairs), longest first, so that rank layer ``r`` is exactly the first
+    ``n_r`` blocks.  Chunks of whole blocks are therefore independent; per
+    chunk the alphas and the frame state are gathered once and the layer
+    loop only does contiguous-slice work: the transmittance recurrence, the
+    colour fold and a per-pixel count of unsaturated entries.
+
+    As in :func:`sequential_blend`, the recurrence runs unfrozen: each
+    pixel's sequence is non-increasing, so its active entries are a prefix,
+    its frozen transmittance is its first entry at or below ``eps`` and a
+    block saturates at the pair where its last pixel crosses.  Each pixel
+    receives the reference's operations in the reference's order; an
+    inactive pixel adds ``+0.0`` to accumulators that are never ``-0.0``.
+    With ``use_tmask`` the pairs of a block past its saturation point are
+    skipped, exactly when the reference skips them; such a pair changes no
+    pixel, only the counters.  This relies on the frame's invariant that a
+    block's T_mask bit is set exactly when all its pixels have terminated.
 
     Returns, per Gaussian, how many of its pairs were blended rather than
     skipped and how many pixels they contributed to, and the total number of
     alpha evaluations performed.
     """
     bs, eps = frame.block_size, config.transmittance_eps
-    num_pairs = gaussian.size
+    num = means2d.shape[0]
     # Stable sort on the block keeps depth order inside each block's run.
     by_block = np.argsort(block, kind="stable")
-    per_block = np.bincount(block)
-    rank = np.arange(num_pairs) - (np.cumsum(per_block) - per_block)[block[by_block]]
-    order = by_block[np.argsort(rank, kind="stable")]
-    layer_ends = np.cumsum(np.bincount(rank))
+    ids, runs = np.unique(block, return_counts=True)
+    firsts = np.cumsum(runs) - runs
+    longest = np.argsort(-runs, kind="stable")
+    ids, runs, firsts = ids[longest], runs[longest], firsts[longest]
+    ends = np.cumsum(runs)
+    evaluated = np.zeros(num, dtype=np.intp)
+    pixels = np.zeros(num, dtype=np.intp)
+    alpha_evaluations = 0
+    span, span_pixels = np.arange(bs), np.arange(bs * bs)
 
-    gaussian, block = gaussian[order], block[order]
-    block_y, block_x = np.divmod(block, frame.blocks_x)
-    color = colors[gaussian].T[:, :, None]
-    span = np.arange(bs)
-    #: Pixels each pair contributed to; -1 while (or if) it is not evaluated.
-    pixels = np.full(num_pairs, -1)
+    start = 0
+    while start < ids.size:
+        # Whole blocks, up to GROUP_PAIR_CHUNK pairs and at least one block.
+        limit = ends[start] - runs[start] + GROUP_PAIR_CHUNK
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        blk, run, first = ids[start:stop], runs[start:stop], firsts[start:stop]
+        start, m = stop, stop - start
+        # Layer r holds the first sizes[r] blocks; pairs are stored layer by
+        # layer, and entry e of block j's transmittance sequence (entry 0
+        # the state at entry, e the state after its pair of rank e - 1) is
+        # row entry_start[e] + j of ``seq``.
+        sizes = m - np.cumsum(np.bincount(run))[:-1]
+        layer_start = np.cumsum(sizes) - sizes
+        rank = np.repeat(np.arange(sizes.size), sizes)
+        local = np.arange(rank.size) - layer_start[rank]
+        rows = gaussian[by_block[first[local] + rank]]
+        entry_start = np.concatenate([[0], m + layer_start])
 
-    # Alpha does not depend on the frame state, so it is evaluated for a
-    # chunk of pairs at once (a layer split by a chunk edge is two layers).
-    for lo in range(0, num_pairs, GROUP_PAIR_CHUNK):
-        hi = min(lo + GROUP_PAIR_CHUNK, num_pairs)
-        rows = gaussian[lo:hi]
-        maha = _block_maha(frame, means2d[rows], conics[rows], block_x[lo:hi], block_y[lo:hi], span)
-        maha = maha.reshape(hi - lo, bs * bs)
-        alphas = alpha_from_maha(
-            maha, opacities[rows, None], config.alpha_min, config.alpha_max, out=maha
+        block_y, block_x = np.divmod(blk[local], frame.blocks_x)
+        alphas = _block_maha(frame, means2d[rows], conics[rows], block_x, block_y, span)
+        alphas = alphas.reshape(rows.size, bs * bs)
+        alpha_from_maha(
+            alphas, opacities[rows, None], config.alpha_min, config.alpha_max, out=alphas
         )
-        cuts = [lo, *layer_ends[(layer_ends > lo) & (layer_ends < hi)].tolist(), hi]
-        for start, stop in zip(cuts, cuts[1:]):
-            layer = np.arange(start, stop)
-            if use_tmask:
-                layer = layer[~frame.saturated[block[layer]]]
-            rows = block[layer]
-            alpha, trans = alphas[layer - lo], frame.transmittance[rows]
-            # Zero alpha where the pixel has terminated: what is left
-            # non-zero is exactly the reference's active set.
-            alpha *= trans > eps
-            frame.color[:, rows] += (trans * alpha) * color[:, layer]
-            count = np.count_nonzero(alpha, axis=1)
-            np.subtract(1.0, alpha, out=alpha)
-            trans *= alpha
-            frame.transmittance[rows] = trans
-            frame.saturated[rows[(count > 0) & (trans.max(axis=1) <= eps)]] = True
-            pixels[layer] = count
+        seq = np.empty((m + rows.size, bs * bs))
+        seq[:m] = frame.transmittance[blk]
+        np.subtract(1.0, alphas, out=seq[m:])
+        layers = list(zip(entry_start[:-1].tolist(), entry_start[1:].tolist(), sizes.tolist()))
+        for before, after, n in layers:
+            seq[after : after + n] *= seq[before : before + n]
 
-    num = means2d.shape[0]
-    evaluated = pixels >= 0
-    return (
-        np.bincount(gaussian[evaluated], minlength=num),
-        np.bincount(gaussian[evaluated], weights=pixels[evaluated], minlength=num).astype(np.intp),
-        int(frame.valid_pixels[block[evaluated]].sum()),
-    )
+        weights = seq[entry_start[rank] + local]
+        active = weights > eps
+        active &= alphas > 0.0
+        weights *= alphas
+        weights *= active
+        unsaturated = seq > eps
+        crossed = unsaturated[:m].astype(np.intp)
+        color = frame.color[blk]
+        tint = colors[rows][:, :, None]
+        for (_, after, n), lo in zip(layers, layer_start.tolist()):
+            color[:n] += weights[lo : lo + n, None] * tint[lo : lo + n]
+            crossed[:n] += unsaturated[after : after + n]
+
+        # Entry ``crossed`` is each pixel's first at or below eps (the frozen
+        # value), or one past its last when it never crosses.
+        entry = np.minimum(crossed, run[:, None])
+        frame.transmittance[blk] = seq[entry_start[entry] + np.arange(m)[:, None], span_pixels]
+        frame.color[blk] = color
+        saturates_at = crossed.max(axis=1)
+        frame.saturated[blk] |= saturates_at <= run
+        blended = np.minimum(saturates_at, run) if use_tmask else run
+        evaluated += np.bincount(rows[rank < blended[local]], minlength=num)
+        counts = np.count_nonzero(active, axis=1)
+        pixels += np.bincount(rows, weights=counts, minlength=num).astype(np.intp)
+        alpha_evaluations += int(frame.valid_pixels[blk] @ blended)
+
+    return evaluated, pixels, alpha_evaluations

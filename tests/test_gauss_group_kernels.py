@@ -11,8 +11,12 @@ file holds what ``test_engine_equivalence.py``'s scenes do not reach:
 * directed frames of hand-placed screen-space Gaussians (Stage I/II are
   stubbed so the 2D geometry and the grouping are exactly what the case
   needs), compared counter for counter and bit for bit;
+* property tests of Stage IV's prefix rank layers against a per-block
+  ``blend_pixels`` loop, and of the in-place quadratic form against
+  ``mahalanobis_sq``;
 * the two numerical facts the batching leans on;
-* invariance under the pair-chunk size, and the memory guard.
+* invariance under the group window and the pair-chunk size, and the
+  memory guard.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.gaussians.covariance import mahalanobis_sq
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.sh import evaluate_sh_colors
 from repro.render import gaussian_raster, kernels
+from repro.render.blending import blend_pixels, compute_alpha
 from repro.render.boundary import _alpha_chi2, identify_influence_blocks
 from repro.render.common import ALPHA_MIN, RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
@@ -242,14 +247,17 @@ class TestDirectedFrames:
         # third.  With groups of three that is the last Gaussian of the
         # first group — the very next group is already skipped; with groups
         # of two it is the first of the second group, whose other Gaussian
-        # is a T_mask skip.
+        # is a T_mask skip.  Windows of two or more groups put termination
+        # mid-window: the window's later groups are projected, not processed.
         num = 3 * group_capacity if group_capacity == 3 else 8
         splat = splats([[7.5, 3.5]] * num, [[900.0, 900.0]] * num, [0.0] * num, [0.99] * num)
-        ref, vec = render_splats(monkeypatch, splat, 16, 8, group_capacity=group_capacity)
-        assert_frames_identical(ref, vec)
-        assert vec.stats.num_rendered == 3
-        assert vec.stats.num_groups_skipped == skipped_groups
-        assert vec.stats.blocks_skipped_tmask == skipped_blocks
+        for window in (1, 2, 4, 1000):
+            monkeypatch.setattr(gaussian_raster, "GROUP_WINDOW", window)
+            ref, vec = render_splats(monkeypatch, splat, 16, 8, group_capacity=group_capacity)
+            assert_frames_identical(ref, vec)
+            assert vec.stats.num_rendered == 3
+            assert vec.stats.num_groups_skipped == skipped_groups
+            assert vec.stats.blocks_skipped_tmask == skipped_blocks
 
     @pytest.mark.parametrize("boundary_mode", ["alpha", "aabb"])
     def test_group_left_empty_by_screen_culling(self, monkeypatch, boundary_mode):
@@ -266,6 +274,131 @@ class TestDirectedFrames:
         assert_frames_identical(ref, vec)
         assert vec.stats.num_groups_processed == 3 and vec.stats.num_projected == 6
         assert vec.stats.num_screen_passed == 4 and vec.stats.sort_elements == 4
+
+
+# ----------------------------------------------------------------------
+# Stage IV in prefix layers, against per-block blend_pixels
+# ----------------------------------------------------------------------
+def blend_oracle(frame, gaussian, block, means2d, conics, opacities, colors, use_tmask):
+    """The reference's Stage IV, one pair at a time in depth order, on image
+    copies of ``frame``: ``(color, transmittance, saturated, evaluated,
+    pixels, alpha_evaluations)``."""
+    config, bs = RenderConfig(), frame.block_size
+    color = frame.unblocked(frame.color.transpose(0, 2, 1)).copy()
+    trans = frame.unblocked(frame.transmittance).copy()
+    saturated = frame.saturated.copy()
+    evaluated, pixels = np.zeros(means2d.shape[0], int), np.zeros(means2d.shape[0], int)
+    alpha_evaluations = 0
+    for row, b in zip(gaussian, block):
+        if use_tmask and saturated[b]:
+            continue
+        by, bx = divmod(int(b), frame.blocks_x)
+        y0, x0 = by * bs, bx * bs
+        y1, x1 = min(y0 + bs, frame.height), min(x0 + bs, frame.width)
+        grid_x, grid_y = np.meshgrid(np.arange(x0, x1, dtype=float), np.arange(y0, y1, dtype=float))
+        alpha = compute_alpha(
+            conics[row], float(opacities[row]), grid_x - means2d[row, 0], grid_y - means2d[row, 1]
+        )
+        block_color = color[y0:y1, x0:x1].reshape(-1, 3)
+        block_trans = trans[y0:y1, x0:x1].reshape(-1)
+        count = blend_pixels(
+            block_color, block_trans, alpha.reshape(-1), colors[row], config.transmittance_eps
+        )
+        color[y0:y1, x0:x1] = block_color.reshape(y1 - y0, x1 - x0, 3)
+        trans[y0:y1, x0:x1] = block_trans.reshape(y1 - y0, x1 - x0)
+        if count and np.all(block_trans <= config.transmittance_eps):
+            saturated[b] = True
+        evaluated[row] += 1
+        pixels[row] += count
+        alpha_evaluations += alpha.size
+    return color, trans, saturated, evaluated, pixels, alpha_evaluations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    block_size=st.sampled_from([4, 8]),
+    hot_run=st.sampled_from([1, 3, 12, 130]),
+    spread=st.floats(0.0, 1.0),
+    use_tmask=st.booleans(),
+    chunk=st.sampled_from([1, 7, 2048]),
+)
+def test_prefix_layers_blend_like_per_block_pixels(
+    seed, size, block_size, hot_run, spread, use_tmask, chunk
+):
+    # One hot block under ``hot_run`` pairs (opaque ones saturate it
+    # mid-run), beside blocks holding a pair or a few; a frame state that
+    # already has terminated pixels and saturated blocks.
+    rng = np.random.default_rng(seed)
+    width, height = size
+    frame = kernels.BlockFrame(width, height, block_size)
+    num_blocks = frame.blocks_x * frame.blocks_y
+    valid = frame.transmittance > 0.0
+    start = rng.choice([1.0, 0.6, 1.0e-5], size=valid.sum(), p=[0.6, 0.3, 0.1])
+    frame.transmittance[valid] = start * rng.uniform(0.5, 1.0, size=start.size)
+    frame.color.transpose(0, 2, 1)[valid] = rng.uniform(0.0, 0.5, size=(start.size, 3))
+    frame.saturated[:] = np.all(frame.transmittance <= RenderConfig.transmittance_eps, axis=1)
+
+    num = hot_run + int(rng.integers(0, 12))
+    hot = int(rng.integers(num_blocks))
+    pairs = []
+    for row in range(num):
+        others = rng.random(num_blocks) < spread * rng.random()
+        others[hot] = row < hot_run
+        pairs += [(row, b) for b in np.flatnonzero(others)]
+    gaussian = np.array([p[0] for p in pairs], dtype=np.intp)
+    block = np.array([p[1] for p in pairs], dtype=np.intp)
+
+    hot_y, hot_x = divmod(hot, frame.blocks_x)
+    centre = np.array([hot_x, hot_y]) * block_size + block_size / 2.0
+    means2d = centre + rng.normal(scale=1.5 * block_size, size=(num, 2))
+    sigmas = rng.uniform(0.5, 3.0 * block_size, size=(num, 2))
+    splat = splats(means2d, sigmas, rng.uniform(0.0, np.pi, size=num), np.ones(num))
+    opacities = rng.choice([0.99, 0.6, 0.05, 0.002], size=num)
+    colors = rng.uniform(0.0, 1.0, size=(num, 3))
+
+    expected = blend_oracle(
+        frame, gaussian, block, splat["means2d"], splat["conics"], opacities, colors, use_tmask
+    )
+    old_chunk = kernels.GROUP_PAIR_CHUNK
+    kernels.GROUP_PAIR_CHUNK = chunk
+    try:
+        evaluated, pixels, alpha_evaluations = kernels.blend_group_layers(
+            frame, gaussian, block, splat["means2d"], splat["conics"], opacities, colors,
+            RenderConfig(), use_tmask,
+        )
+    finally:
+        kernels.GROUP_PAIR_CHUNK = old_chunk
+    color = frame.unblocked(frame.color.transpose(0, 2, 1))
+    assert color.tobytes() == expected[0].tobytes()
+    assert frame.unblocked(frame.transmittance).tobytes() == expected[1].tobytes()
+    assert np.array_equal(frame.saturated, expected[2])
+    assert np.array_equal(evaluated, expected[3]) and np.array_equal(pixels, expected[4])
+    assert alpha_evaluations == expected[5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(one_splat, min_size=1, max_size=8),
+    size=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+    block_size=st.sampled_from([4, 8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_block_form_is_mahalanobis_sq_bit_for_bit(rows, size, block_size, seed):
+    rows = np.asarray(rows)
+    splat = splats(rows[:, 0:2], rows[:, 2:4], rows[:, 4], rows[:, 5])
+    frame = kernels.BlockFrame(*size, block_size)
+    rng = np.random.default_rng(seed)
+    block_x = rng.integers(0, frame.blocks_x, size=len(rows))
+    block_y = rng.integers(0, frame.blocks_y, size=len(rows))
+    offsets = np.arange(block_size)
+    form = kernels._block_maha(frame, splat["means2d"], splat["conics"], block_x, block_y, offsets)
+    px = np.minimum(block_x[:, None] * block_size + offsets, frame.width - 1)
+    py = np.minimum(block_y[:, None] * block_size + offsets, frame.height - 1)
+    dx, dy = px - splat["means2d"][:, 0, None], py - splat["means2d"][:, 1, None]
+    expected = mahalanobis_sq(splat["conics"][:, None, None, :], dx[:, None, :], dy[:, :, None])
+    assert form.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +450,29 @@ def test_frame_does_not_depend_on_the_pair_chunk(monkeypatch, scene, chunks):
         assert_frames_identical(expected, render_gaussianwise(scene_data, camera, GAUSS_CONFIG))
 
 
+@pytest.mark.parametrize("boundary_mode", ["alpha", "aabb"])
+@pytest.mark.parametrize("enable_cc", [True, False])
+@pytest.mark.parametrize("scene", ["train", "palace", "drjohnson"])
+def test_frame_does_not_depend_on_the_group_window(monkeypatch, scene, enable_cc, boundary_mode):
+    # Algorithm 1 runs once per window of groups; the frame must be the
+    # reference's whatever the window, down to one group per call.
+    scene_data, camera = load_scene_and_camera(EvalSetup(scene, quick=True))
+    kwargs = dict(enable_cc=enable_cc, boundary_mode=boundary_mode)
+    reference = RenderConfig(radius_rule="omega-sigma", backend="reference")
+    expected = render_gaussianwise(scene_data, camera, reference, **kwargs)
+    frames = {}
+    for window in (1, 2, 4, 1000):
+        monkeypatch.setattr(gaussian_raster, "GROUP_WINDOW", window)
+        frames[window] = render_gaussianwise(scene_data, camera, GAUSS_CONFIG, **kwargs)
+        assert_frames_identical(expected, frames[window])
+        assert_frames_identical(frames[1], frames[window])
+
+
 #: Peak traced allocation (bytes) of one Gaussian-wise ``render_frame`` on
 #: the quick presets at the commit before the group kernels (per-Gaussian
 #: footprint regions): train 0.82 MB, drjohnson 1.21 MB.  The group kernels
-#: may use 2 MB more (they read 1.21 and 1.92 MB).
+#: may use 2 MB more (they read 1.21 and 1.92 MB; with four-group windows
+#: and the in-place form, 2.47 and 2.60 MB).
 PARENT_PEAK_BYTES = {"train": 816_423, "drjohnson": 1_212_305}
 
 

@@ -20,6 +20,7 @@ from repro.exec import RenderExecutor
 from repro.exec.frames import FrameRenderError
 from repro.exec.worker import CRASH_ENV
 from repro.obs import ObsContext, chrome_trace, validate_chrome_trace
+from repro.render.kernels import GROUP_WINDOW
 from repro.serve.trajectories import RenderJob, make_trajectory
 
 
@@ -56,9 +57,13 @@ class TestSequentialTracing:
         assert all(s["lane"] == "main" for s in obs.tracer.spans)
 
     def test_gaussianwise_stages_cover_the_frame(self):
-        # The Gaussian-wise engine brackets its stages once per processed
-        # depth group; together they must account for the frame (what is
-        # left is Stage I grouping, the sort and the final composite).
+        # The Gaussian-wise engine brackets Stage II once per projected depth
+        # group, Algorithm 1 once per window of GROUP_WINDOW groups, and SH
+        # and blending once per processed group; together they must account
+        # for the frame (what is left is Stage I grouping, the sort and the
+        # final composite).  A window is projected whole, so up to
+        # GROUP_WINDOW - 1 groups past termination are projected, never
+        # processed.
         obs = ObsContext.create()
         with RenderExecutor(num_workers=0, obs=obs) as executor:
             result = executor.submit(quick_job(1, dataflow="gaussianwise")).result()
@@ -66,11 +71,15 @@ class TestSequentialTracing:
         (frame,) = named["frame"]
         (render,) = named["render"]
         assert render["parent"] == frame["id"]
-        groups = result.frames[0].stats.num_groups_processed
+        stats = result.frames[0].stats
+        groups = stats.num_groups_processed
         assert groups > 1 and "pair_build" not in named
-        assert len(named["project"]) == groups
+        windows = -(-groups // GROUP_WINDOW)
+        assert len(named["boundary"]) == windows
+        assert len(named["project"]) == min(windows * GROUP_WINDOW, stats.num_groups)
+        assert groups <= len(named["project"]) <= groups + GROUP_WINDOW - 1
         stages = [s for name in ("project", "boundary", "sh", "blend") for s in named[name]]
-        assert len(named["boundary"]) == len(named["sh"]) == len(named["blend"]) <= groups
+        assert len(named["sh"]) == len(named["blend"]) <= groups
         # Valid nesting: every stage is a child of the render span, inside
         # the frame's interval, and stages never overlap one another.
         assert all(s["parent"] == render["id"] for s in stages)
