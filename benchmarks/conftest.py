@@ -11,12 +11,11 @@ Run with::
 
     pytest benchmarks/bench_*.py --benchmark-only
 
-All experiments render through the vectorized engine
-(``RenderConfig(backend="vectorized")``, the default), which produces
-statistics counters identical to the reference per-Gaussian/per-block loops
-(``backend="reference"``) and bitwise identical images — so every figure
-and table is backend-independent (``tests/test_engine_equivalence.py``
-holds that equivalence).  Wall-clock performance is measured by the
+All experiments render through the engines, which produce statistics
+counters identical to the per-Gaussian/per-block loops of
+``repro.render.reference`` and bitwise identical images — so every figure
+and table is the oracle's too (``tests/test_engine_equivalence.py`` holds
+that equivalence).  Wall-clock performance is measured by the
 ``stack`` benchmark, ``python3 benchmarks/stack/run.py`` (see
 ``benchmarks/stack/README.md``), not by these guards.
 """

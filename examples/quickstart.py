@@ -14,9 +14,8 @@ Run with::
 
     python examples/quickstart.py [--scale 0.02] [--image-scale 0.15]
 
-Both renders use the vectorized engine by default; pass
-``--backend reference`` to run the original per-Gaussian/per-block loops
-(same statistics, same image to 1e-9).
+The per-Gaussian/per-block loops both engines are checked against are
+``repro.render.reference`` (same statistics, same image to 1e-9).
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ def main() -> None:
     parser.add_argument("--scene", default="lego", help="benchmark scene name")
     parser.add_argument("--scale", type=float, default=0.02, help="scene scale factor")
     parser.add_argument("--image-scale", type=float, default=0.15, help="image scale factor")
-    parser.add_argument(
-        "--backend",
-        default="vectorized",
-        choices=("vectorized", "reference"),
-        help="rasterisation engine (both produce identical statistics)",
-    )
     args = parser.parse_args()
 
     print(f"Generating synthetic scene {args.scene!r} at scale {args.scale} ...")
@@ -47,10 +40,8 @@ def main() -> None:
     camera = make_camera(args.scene, image_scale=args.image_scale)
     print(f"  {scene.num_gaussians} Gaussians, {camera.width}x{camera.height} image")
 
-    print(f"Rendering with the standard (tile-wise) dataflow [{args.backend}] ...")
-    tile = render_tilewise(
-        scene, camera, RenderConfig(radius_rule="3sigma", backend=args.backend)
-    )
+    print("Rendering with the standard (tile-wise) dataflow ...")
+    tile = render_tilewise(scene, camera, RenderConfig(radius_rule="3sigma"))
     print(
         f"  preprocessed {tile.stats.num_preprocessed} Gaussians, "
         f"rendered {tile.stats.num_rendered} "
@@ -58,10 +49,8 @@ def main() -> None:
         f"avg {tile.stats.avg_loads_per_gaussian:.2f} loads/Gaussian"
     )
 
-    print(f"Rendering with the GCC (Gaussian-wise) dataflow [{args.backend}] ...")
-    gauss = render_gaussianwise(
-        scene, camera, RenderConfig(radius_rule="omega-sigma", backend=args.backend)
-    )
+    print("Rendering with the GCC (Gaussian-wise) dataflow ...")
+    gauss = render_gaussianwise(scene, camera, RenderConfig(radius_rule="omega-sigma"))
     print(
         f"  projected {gauss.stats.num_projected}, "
         f"SH evaluated {gauss.stats.num_sh_evaluated}, "

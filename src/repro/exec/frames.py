@@ -26,6 +26,7 @@ from repro.render.gaussian_raster import (
     render_gaussianwise,
 )
 from repro.render.kernels import shard_intervals
+from repro.render.reference import render_gaussianwise_reference, render_tilewise_reference
 from repro.render.tile_raster import (
     TileWiseResult,
     compose_tile_shards,
@@ -74,8 +75,9 @@ class FrameSpec:
     """
 
     dataflow: str = "tilewise"
-    #: Rasterisation engine.  Both are bitwise equal, so nothing above the
-    #: executor sets it; it selects the ``"reference"`` oracle in checks.
+    #: ``"vectorized"`` renders on the engines; ``"reference"`` on the
+    #: bitwise-equal reference loops, the oracle the benchmark checks them
+    #: against.  Nothing above the executor sets it.
     backend: str = "vectorized"
     enable_cc: bool = True
     block_size: int = 8
@@ -102,7 +104,9 @@ class FrameSpec:
             raise ValueError(f"quant must be one of {sorted(QUANT_SPECS)}")
         if self.boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
-        # Block size, backend and dtype: the engine's own checks.
+        if self.backend not in ("vectorized", "reference"):
+            raise ValueError("backend must be 'vectorized' or 'reference'")
+        # Block size and dtype: the engine's own checks.
         self.render_config()
         if self.dataflow == "gaussianwise" and self.dtype != "float64":
             raise ValueError(
@@ -118,10 +122,8 @@ class FrameSpec:
     def render_config(self) -> RenderConfig:
         """The engine configuration this spec's dataflow renders with."""
         if self.dataflow == "tilewise":
-            return RenderConfig(radius_rule="3sigma", backend=self.backend, dtype=self.dtype)
-        return RenderConfig(
-            radius_rule="omega-sigma", block_size=self.block_size, backend=self.backend
-        )
+            return RenderConfig(radius_rule="3sigma", dtype=self.dtype)
+        return RenderConfig(radius_rule="omega-sigma", block_size=self.block_size)
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,19 @@ def render_frame(
     accelerator models in ``repro.arch`` build the same configurations in
     their own ``_render`` when simulated without a ``render_result``.
     ``tile_shard`` restricts the tile-wise pipeline to a half-open tile-id
-    interval (see :func:`repro.render.tile_raster.render_tilewise`).
+    interval (see :func:`repro.render.tile_raster.render_tilewise`).  This
+    is the one place that picks :mod:`repro.render.reference`, for
+    ``spec.backend == "reference"``.
     """
     config = spec.render_config()
+    reference = spec.backend == "reference"
     if spec.dataflow == "tilewise":
-        return render_tilewise(scene, camera, config, tile_shard=tile_shard)
+        render = render_tilewise_reference if reference else render_tilewise
+        return render(scene, camera, config, tile_shard=tile_shard)
     if tile_shard is not None:
         raise ValueError("tile_shard is only supported by the tilewise dataflow")
-    return render_gaussianwise(
+    render = render_gaussianwise_reference if reference else render_gaussianwise
+    return render(
         scene,
         camera,
         config,

@@ -183,8 +183,9 @@ def mahalanobis_sq(conic: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndar
     to float64 as before.
 
     ``repro.render.kernels._maha_grid`` builds the same sum from per-axis
-    terms, in this association — change both together (the
-    backends are compared bitwise by the engine-equivalence tests).
+    terms, in this association — change both together (the engines are
+    compared bitwise with :mod:`repro.render.reference` by the
+    engine-equivalence tests).
     """
     conic = np.asarray(conic)
     if not np.issubdtype(conic.dtype, np.floating):

@@ -13,17 +13,13 @@ Both return the rendered image *and* a statistics object; the hardware models
 in :mod:`repro.arch` consume those statistics to produce cycle and energy
 estimates.
 
-Each renderer runs on one of two engines selected by
-``RenderConfig(backend=...)``:
-
-* ``"vectorized"`` (default) — batched kernels (:mod:`repro.render.kernels`)
-  process whole tiles/chunks of Gaussians and whole depth groups at once.
-* ``"reference"`` — the original per-Gaussian/per-block Python loops that
-  mirror the hardware pipelines operation by operation.
-
-The backends are observationally equivalent: statistics counters are
-integer-identical and float64 images bitwise identical (see
-``tests/test_engine_equivalence.py``).
+Each renderer is one engine: batched kernels (:mod:`repro.render.kernels`)
+process whole tiles/chunks of Gaussians and whole depth groups at once.
+:mod:`repro.render.reference` holds the oracle apart from them — the
+original per-Gaussian/per-block Python loops that mirror the hardware
+pipelines operation by operation.  Each engine is observationally
+equivalent to its reference: statistics counters are integer-identical and
+float64 images bitwise identical (see ``tests/test_engine_equivalence.py``).
 """
 
 from repro.render.common import RenderConfig

@@ -24,8 +24,8 @@ def alpha_from_maha(
 
     ``opacity`` may be a scalar or an array broadcasting against ``maha``.
     This is the single definition of the clamp/threshold semantics shared by
-    the reference loops and the vectorized kernels, so the two backends
-    cannot drift apart.  With ``out`` (an array of ``maha``'s shape and
+    the reference loops and the vectorized kernels, so an engine and its
+    reference cannot drift apart.  With ``out`` (an array of ``maha``'s shape and
     dtype, which ``opacity`` must broadcast into) the same operations run in
     place with no temporaries; the values are those of the allocating form
     (``x * True == x`` and ``x * False == 0`` exactly).

@@ -52,14 +52,11 @@ GROUP_CAPACITY = 256
 #: result pipe with every frame; scene sizes are far below 2**31.
 INDEX_DTYPE = np.int32
 
-#: The rasterisation engines every renderer can run on.
-BACKENDS: tuple[str, ...] = ("vectorized", "reference")
-
 #: Floating-point modes the tile-wise engine can compute in.  ``"float64"``
-#: is the historical default with the bitwise backend-equivalence contract;
+#: is the historical default, bitwise equal to :mod:`repro.render.reference`;
 #: ``"float32"`` is the fast path: alpha evaluation and blending run in
-#: single precision (counters stay integer-identical across backends, images
-#: are held to a PSNR floor against the float64 oracle instead of bitwise).
+#: single precision (counters stay integer-identical to the reference's,
+#: images are held to a PSNR floor against the float64 oracle instead).
 DTYPES: tuple[str, ...] = ("float64", "float32")
 
 
@@ -81,13 +78,6 @@ class RenderConfig:
     radius_rule:
         ``"3sigma"`` for the conventional fixed envelope or ``"omega-sigma"``
         for the paper's opacity-aware radius (Equation 8).
-    backend:
-        Execution engine for both rasterisers.  ``"vectorized"`` (default)
-        batches alpha evaluation, boundary identification and blending with
-        the kernels in :mod:`repro.render.kernels`; ``"reference"`` runs the
-        original per-Gaussian/per-block Python loops.  The two backends
-        produce identical statistics counters and, in float64, bitwise
-        identical images, for both rasterisers.
     dtype:
         Floating-point mode of the tile-wise rendering stage, one of
         :data:`DTYPES`.  Projection, depth sorting and tile assignment
@@ -109,12 +99,9 @@ class RenderConfig:
 
     block_size: int = BLOCK_SIZE
     radius_rule: str = "3sigma"
-    backend: str = "vectorized"
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}")
         if self.block_size <= 0:

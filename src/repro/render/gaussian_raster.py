@@ -19,22 +19,19 @@ The produced image matches the tile-wise reference (Table 2 of the paper):
 every Gaussian/pixel pair skipped by the GCC dataflow would have contributed
 nothing under the standard dataflow either.
 
-Two execution backends are provided, selected by ``RenderConfig.backend``:
+Groups are taken in windows of :data:`~repro.render.kernels.GROUP_WINDOW`
+(:mod:`repro.render.kernels`): each group is projected on its own, then
+footprint bits of every (Gaussian, candidate block) pair of the window in one
+pass and Algorithm 1 as one reachability fixpoint over them — it does not
+depend on the render state — and then, group by group until cross-stage
+termination, one SH call and blending per block in rank layers that are
+contiguous prefixes of the group's blocks.
 
-* ``"vectorized"`` (default) — groups are taken in windows of
-  :data:`~repro.render.kernels.GROUP_WINDOW` (:mod:`repro.render.kernels`):
-  each group is projected on its own, then footprint bits of every
-  (Gaussian, candidate block) pair of the window in one pass and Algorithm 1
-  as one reachability fixpoint over them — it does not depend on the render
-  state — and then, group by group until cross-stage termination, one SH
-  call and blending per block in rank layers that are contiguous prefixes
-  of the group's blocks.
-* ``"reference"`` — the original per-Gaussian/per-block Python loops, kept
-  as the oracle the vectorized backend is validated against.
-
-Per pixel the two backends perform the same operations in the same order
-and the transmittance mask evolves identically, so images are bitwise
-equal and every statistics counter matches exactly.
+The original per-Gaussian/per-block Python loops live apart, in
+:mod:`repro.render.reference`, as the oracle this engine is validated
+against.  Per pixel the two perform the same operations in the same order
+and the transmittance mask evolves identically, so images are bitwise equal
+and every statistics counter matches exactly.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ import numpy as np
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.sh import evaluate_sh_colors
-from repro.render.blending import blend_pixels, compute_alpha, finalize_image
-from repro.render.boundary import identify_influence_blocks
+from repro.render.blending import finalize_image
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.grouping import group_by_depth
 from repro.render.kernels import (
@@ -150,21 +146,50 @@ class GaussianWiseResult:
     stats: GaussianWiseStats
 
 
-def _blocks_from_radius(
-    mean2d: np.ndarray,
-    radius: float,
-    width: int,
-    height: int,
-    block_size: int,
-) -> list[tuple[int, int]]:
-    """All blocks overlapped by the axis-aligned radius box (ablation mode)."""
-    x0 = max(int((mean2d[0] - radius) // block_size), 0)
-    x1 = min(int((mean2d[0] + radius) // block_size), (width - 1) // block_size)
-    y0 = max(int((mean2d[1] - radius) // block_size), 0)
-    y1 = min(int((mean2d[1] + radius) // block_size), (height - 1) // block_size)
-    if x1 < x0 or y1 < y0:
-        return []
-    return [(by, bx) for by in range(y0, y1 + 1) for bx in range(x0, x1 + 1)]
+def frame_setup(
+    scene: GaussianScene,
+    camera: Camera,
+    config: RenderConfig | None,
+    enable_cc: bool,
+    boundary_mode: str,
+) -> tuple[RenderConfig, GaussianWiseStats, np.ndarray, list]:
+    """The bookkeeping that opens a frame, shared with the reference loops:
+    the configuration, the checked ``boundary_mode``, the statistics header
+    and Stage I — depth computation, culling and grouping — as
+    ``(config, stats, visible_indices, groups)``."""
+    config = config or RenderConfig(radius_rule="omega-sigma")
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+    stats = GaussianWiseStats(
+        width=camera.width,
+        height=camera.height,
+        block_size=config.block_size,
+        enable_cc=enable_cc,
+        num_total=scene.num_gaussians,
+    )
+    depths_all, keep = frustum_cull_depths(scene, camera)
+    visible_indices = np.nonzero(keep)[0]
+    stats.num_depth_culled = scene.num_gaussians - int(visible_indices.size)
+    stats.num_stage1_passed = int(visible_indices.size)
+    groups = group_by_depth(depths_all[visible_indices], capacity=config.group_capacity)
+    stats.num_groups = len(groups)
+    return config, stats, visible_indices, groups
+
+
+def frame_result(
+    config: RenderConfig,
+    stats: GaussianWiseStats,
+    rendered_sources: list[int],
+    color_accum: np.ndarray,
+    transmittance: np.ndarray,
+) -> GaussianWiseResult:
+    """The bookkeeping that closes a frame, shared with the reference loops:
+    the rendered index set and the image over the background."""
+    stats.num_rendered = len(rendered_sources)
+    if rendered_sources:
+        stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
+    image = finalize_image(color_accum, transmittance, config.background)
+    return GaussianWiseResult(image=image, stats=stats)
 
 
 def render_gaussianwise(
@@ -192,48 +217,10 @@ def render_gaussianwise(
     -------
     :class:`GaussianWiseResult` with the ``(H, W, 3)`` image and statistics.
     """
-    config = config or RenderConfig(radius_rule="omega-sigma")
-    if boundary_mode not in BOUNDARY_MODES:
-        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
-    width, height = camera.width, camera.height
-    block_size = config.block_size
-    blocks_x = (width + block_size - 1) // block_size
-    blocks_y = (height + block_size - 1) // block_size
-    vectorized = config.backend == "vectorized"
-
-    stats = GaussianWiseStats(
-        width=width,
-        height=height,
-        block_size=block_size,
-        enable_cc=enable_cc,
-        num_total=scene.num_gaussians,
+    config, stats, visible_indices, groups = frame_setup(
+        scene, camera, config, enable_cc, boundary_mode
     )
-
-    if scene.num_gaussians == 0:
-        blank = np.zeros((height, width, 3)), np.ones((height, width))
-        return GaussianWiseResult(finalize_image(*blank, config.background), stats)
-
-    # Frame state: block-major on the vectorized backend; on the reference,
-    # image layout plus the per-block saturation mask (the hardware T_mask):
-    # True when every pixel in the block has terminated.
-    if vectorized:
-        frame = BlockFrame(width, height, block_size)
-    else:
-        color_accum = np.zeros((height, width, 3), dtype=np.float64)
-        transmittance = np.ones((height, width), dtype=np.float64)
-        saturated_blocks = np.zeros((blocks_y, blocks_x), dtype=bool)
-
-    # ------------------------------------------------------------------
-    # Stage I: depth computation, culling, grouping.
-    # ------------------------------------------------------------------
-    depths_all, keep = frustum_cull_depths(scene, camera)
-    visible_indices = np.nonzero(keep)[0]
-    stats.num_depth_culled = scene.num_gaussians - int(visible_indices.size)
-    stats.num_stage1_passed = int(visible_indices.size)
-
-    groups = group_by_depth(depths_all[visible_indices], capacity=config.group_capacity)
-    stats.num_groups = len(groups)
-
+    frame = BlockFrame(camera.width, camera.height, config.block_size)
     rendered_sources: list[int] = []
     camera_position = camera.position
 
@@ -277,12 +264,12 @@ def render_gaussianwise(
         return out
 
     def render_group_batched(rows, gaussian, block) -> list[int]:
-        """Stages III/IV of one depth group on the vectorized backend, from
-        its depth-ordered rows and influence pairs; returns the source
-        indices of the Gaussians that contributed a pixel.  The conditional
-        *counters* come from per-Gaussian outcome counts after the fact:
-        colour values do not depend on the render state, only how many of
-        them were needed does."""
+        """Stages III/IV of one depth group, from its depth-ordered rows and
+        influence pairs; returns the source indices of the Gaussians that
+        contributed a pixel.  The conditional *counters* come from
+        per-Gaussian outcome counts after the fact: colour values do not
+        depend on the render state, only how many of them were needed
+        does."""
         means2d, conics, opacities, sources = rows
         num = sources.size
         with stage_hook().stage("sh"):
@@ -316,178 +303,28 @@ def render_gaussianwise(
             stats.num_sh_evaluated += int(np.count_nonzero(~nothing_left)) if enable_cc else num
         return sources[pixels > 0].tolist()
 
-    def refresh_block_mask(block_coords: list[tuple[int, int]]) -> None:
-        """Update the saturation mask for the given blocks after blending."""
-        for by, bx in block_coords:
-            y0, x0 = by * block_size, bx * block_size
-            y1, x1 = min(y0 + block_size, height), min(x0 + block_size, width)
-            if np.all(transmittance[y0:y1, x0:x1] <= config.transmittance_eps):
-                saturated_blocks[by, bx] = True
-
-    def finish(color_accum: np.ndarray, transmittance: np.ndarray) -> GaussianWiseResult:
-        stats.num_rendered = len(rendered_sources)
-        if rendered_sources:
-            stats.rendered_indices = np.asarray(sorted(rendered_sources), dtype=INDEX_DTYPE)
-        image = finalize_image(color_accum, transmittance, config.background)
-        return GaussianWiseResult(image=image, stats=stats)
-
-    if vectorized:
-        # A window is projected and traversed when its first group is reached.
-        windows = (
-            project_window(groups[first : first + GROUP_WINDOW])
-            for first in range(0, len(groups), GROUP_WINDOW)
-        )
-        for geometry, rows, (gaussian, block, visited) in chain.from_iterable(windows):
-            stats.num_groups_processed += 1
-            stats.num_projected += geometry.num_input
-            stats.num_screen_passed += geometry.num_visible
-            if geometry.num_visible == 0:
-                continue
-            stats.sort_elements += geometry.num_visible
-            stats.blocks_visited += visited
-            rendered_sources += render_group_batched(rows, gaussian, block)
-            # Cross-stage conditional check, as at the end of the loop body.
-            if enable_cc and frame.saturated.all():
-                break
-        # Groups past termination, the rest of its window included, are skipped.
-        for group in groups[stats.num_groups_processed :]:
-            stats.num_groups_skipped += 1
-            stats.num_skipped_by_termination += group.size
-        color = frame.unblocked(frame.color.transpose(0, 2, 1))
-        return finish(color, frame.unblocked(frame.transmittance))
-
-    terminated = False
-    for group_index, group in enumerate(groups):
-        if enable_cc and terminated:
-            stats.num_groups_skipped += 1
-            stats.num_skipped_by_termination += group.size
-            continue
-
+    # A window is projected and traversed when its first group is reached.
+    windows = (
+        project_window(groups[first : first + GROUP_WINDOW])
+        for first in range(0, len(groups), GROUP_WINDOW)
+    )
+    for geometry, rows, (gaussian, block, visited) in chain.from_iterable(windows):
         stats.num_groups_processed += 1
-        source_idx = visible_indices[group.indices]
-
-        # ------------------------------------------------------------------
-        # Stage II: position/shape projection and screen culling.
-        # ------------------------------------------------------------------
-        with stage_hook().stage("project"):
-            geometry = project_geometry(scene, camera, source_idx, config)
         stats.num_projected += geometry.num_input
         stats.num_screen_passed += geometry.num_visible
         if geometry.num_visible == 0:
             continue
-
-        # ------------------------------------------------------------------
-        # Stage III: intra-group front-to-back sort (colour is evaluated
-        # conditionally under CC).
-        # ------------------------------------------------------------------
-        order = np.argsort(geometry.depths, kind="stable")
         stats.sort_elements += geometry.num_visible
-
-        # ------------------------------------------------------------------
-        # Stage IV: boundary identification, alpha computation, blending.
-        # ------------------------------------------------------------------
-        for row in order:
-            mean2d = geometry.means2d[row]
-            conic = geometry.conics[row]
-            opacity = float(geometry.opacities[row])
-
-            if boundary_mode == "alpha":
-                traversal = identify_influence_blocks(
-                    mean2d,
-                    conic,
-                    opacity,
-                    width,
-                    height,
-                    block_size=block_size,
-                    alpha_min=config.alpha_min,
-                    saturated_blocks=saturated_blocks if enable_cc else None,
-                )
-                blocks = traversal.blocks
-                stats.blocks_visited += traversal.blocks_visited
-                stats.blocks_skipped_tmask += traversal.blocks_skipped_tmask
-                skipped_here = traversal.blocks_skipped_tmask
-            else:
-                blocks = _blocks_from_radius(
-                    mean2d, float(geometry.radii[row]), width, height, block_size
-                )
-                stats.blocks_visited += len(blocks)
-                skipped_here = 0
-                if enable_cc:
-                    kept = [b for b in blocks if not saturated_blocks[b]]
-                    skipped_here = len(blocks) - len(kept)
-                    stats.blocks_skipped_tmask += skipped_here
-                    blocks = kept
-
-            if not blocks:
-                # Nothing to render.  Only count a T_mask skip when the
-                # saturation mask actually removed blocks; a footprint that
-                # covered no block to begin with was never going to render
-                # and is not a preprocessing saving.
-                if skipped_here > 0:
-                    stats.num_skipped_tmask += 1
-                else:
-                    stats.num_empty_footprint += 1
-                if enable_cc:
-                    # Under CC this Gaussian's SH coefficients are never
-                    # fetched.
-                    continue
-
-            # Stage III colour evaluation (conditional under CC).
-            direction = scene.means[geometry.source_indices[row]] - camera_position
-            color = evaluate_sh_colors(
-                scene.sh_coeffs[geometry.source_indices[row]][None, :, :],
-                direction[None, :],
-                degree=config.sh_degree,
-            )[0]
-            stats.num_sh_evaluated += 1
-
-            if not blocks:
-                continue
-
-            contributed_any = 0
-            touched_blocks: list[tuple[int, int]] = []
-            for by, bx in blocks:
-                y0, x0 = by * block_size, bx * block_size
-                y1, x1 = min(y0 + block_size, height), min(x0 + block_size, width)
-                xs = np.arange(x0, x1, dtype=np.float64)
-                ys = np.arange(y0, y1, dtype=np.float64)
-                grid_x, grid_y = np.meshgrid(xs, ys)
-                dx = grid_x - mean2d[0]
-                dy = grid_y - mean2d[1]
-
-                stats.alpha_evaluations += dx.size
-                stats.blocks_evaluated += 1
-                alpha = compute_alpha(
-                    conic,
-                    opacity,
-                    dx,
-                    dy,
-                    alpha_min=config.alpha_min,
-                    alpha_max=config.alpha_max,
-                )
-
-                block_color = color_accum[y0:y1, x0:x1].reshape(-1, 3)
-                block_trans = transmittance[y0:y1, x0:x1].reshape(-1)
-                contributed = blend_pixels(
-                    block_color,
-                    block_trans,
-                    alpha.reshape(-1),
-                    color,
-                    config.transmittance_eps,
-                )
-                color_accum[y0:y1, x0:x1] = block_color.reshape(y1 - y0, x1 - x0, 3)
-                transmittance[y0:y1, x0:x1] = block_trans.reshape(y1 - y0, x1 - x0)
-                stats.pixels_blended += contributed
-                contributed_any += contributed
-                if contributed:
-                    touched_blocks.append((by, bx))
-            if contributed_any:
-                refresh_block_mask(touched_blocks)
-                rendered_sources.append(int(geometry.source_indices[row]))
-
-        # Cross-stage conditional check: if every block is saturated, the
-        # remaining (deeper) groups are skipped entirely.
-        if enable_cc and bool(np.all(saturated_blocks)):
-            terminated = True
-
-    return finish(color_accum, transmittance)
+        stats.blocks_visited += visited
+        rendered_sources += render_group_batched(rows, gaussian, block)
+        # Cross-stage conditional check, as at the end of the loop body.
+        if enable_cc and frame.saturated.all():
+            break
+    # Groups past termination, the rest of its window included, are skipped.
+    for group in groups[stats.num_groups_processed :]:
+        stats.num_groups_skipped += 1
+        stats.num_skipped_by_termination += group.size
+    color = frame.unblocked(frame.color.transpose(0, 2, 1))
+    return frame_result(
+        config, stats, rendered_sources, color, frame.unblocked(frame.transmittance)
+    )

@@ -1,10 +1,10 @@
-"""Batched rasterisation kernels shared by the vectorized render backends.
+"""Batched rasterisation kernels of the two rendering engines.
 
-The reference renderers in :mod:`repro.render.tile_raster` and
-:mod:`repro.render.gaussian_raster` are deliberate per-Gaussian/per-block
-Python loops that mirror the hardware pipelines one operation at a time.
-This module provides the batched equivalents used by
-``RenderConfig(backend="vectorized")``:
+The reference renderers in :mod:`repro.render.reference` are deliberate
+per-Gaussian/per-block Python loops that mirror the hardware pipelines one
+operation at a time.  This module provides the batched equivalents
+:mod:`repro.render.tile_raster` and :mod:`repro.render.gaussian_raster`
+render with (the reference imports nothing from here):
 
 * :func:`tile_cull_bounds` / :func:`live_tile_rows` — the exact dead-pair
   cull: which of a tile's depth-ordered Gaussians can change a pixel or a
@@ -459,7 +459,7 @@ def identify_group_blocks(
     Returns ``(gaussian, block, visited)``: the influence pairs —
     ``gaussian`` indexes the input rows and is non-decreasing, ``block`` is
     the row-major block id — and, per input row, how many blocks the
-    traversal visits: what :func:`~repro.render.boundary.identify_influence_blocks`
+    traversal visits: what :func:`~repro.render.reference.identify_influence_blocks`
     finds without a saturation mask (the mask never steers the traversal, it
     only relabels influence blocks as skipped), as a set — nothing observes
     the breadth-first order.
@@ -477,7 +477,7 @@ def identify_group_blocks(
     mx, my = means2d[:, 0], means2d[:, 1]
     start_x = np.clip(np.floor(mx), 0, frame.width - 1).astype(np.intp) // bs
     start_y = np.clip(np.floor(my), 0, frame.height - 1).astype(np.intp) // bs
-    # boundary._alpha_chi2, vectorized (bit-equal; pinned by a test).
+    # reference._alpha_chi2, vectorized (bit-equal; pinned by a test).
     present = ~(opacities < alpha_min)
     chi2 = np.full(num, -1.0)
     chi2[present] = 2.0 * np.log(opacities[present] / alpha_min)

@@ -17,19 +17,14 @@ used (Figure 2a), how many times each Gaussian is re-loaded across tiles
 (Figure 2b), and how many pixels are alpha-evaluated versus actually blended
 (Table 1).
 
-Two execution backends are provided, selected by ``RenderConfig.backend``:
-
-* ``"vectorized"`` (default) — each tile's depth-ordered Gaussian list is
-  first culled to the rows whose footprint can reach the tile, then
-  processed in batched chunks via :mod:`repro.render.kernels`, with the
-  early-termination point recovered exactly from a running transmittance
-  product and mapped back to the un-culled list.
-* ``"reference"`` — the original per-pair Python loop, kept as the oracle
-  the vectorized backend is validated against.
-
-Both backends produce identical statistics counters and bitwise-identical
-images (the vectorized kernels perform the reference's colour additions in
-the reference's order).
+Each tile's depth-ordered Gaussian list is first culled to the rows whose
+footprint can reach the tile, then processed in batched chunks via
+:mod:`repro.render.kernels`, with the early-termination point recovered
+exactly from a running transmittance product and mapped back to the
+un-culled list.  The original per-pair Python loop lives apart, in
+:mod:`repro.render.reference`, as the oracle this engine is validated
+against: identical statistics counters and bitwise-identical images (the
+kernels perform the reference's colour additions in the reference's order).
 
 Two orthogonal execution modes extend the pipeline without changing it:
 
@@ -57,9 +52,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.covariance import mahalanobis_sq
 from repro.gaussians.model import GaussianScene
-from repro.render.blending import alpha_from_maha, blend_pixels, finalize_image
+from repro.render.blending import finalize_image
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import (
     TILE_CHUNK_SCHEDULE,
@@ -163,7 +157,8 @@ def _build_tile_pairs(
     Returns ``(tile_ids, gaussian_rows, num_tiles_x)`` where ``gaussian_rows``
     indexes into the projected arrays.  Pairs are built with a repeat/offset
     construction instead of a per-Gaussian Python loop; the output (order
-    included) is identical to :func:`_build_tile_pairs_reference`.
+    included) is identical to
+    :func:`repro.render.reference._build_tile_pairs_reference`.
     """
     tx_min, tx_max, ty_min, ty_max = tile_range(
         projected.means2d, projected.radii, width, height, tile_size
@@ -187,99 +182,6 @@ def _build_tile_pairs(
     depths = projected.depths[gaussian_rows]
     order = np.lexsort((depths, tile_ids))
     return tile_ids[order], gaussian_rows[order], num_tiles_x
-
-
-def _build_tile_pairs_reference(
-    projected: ProjectedGaussians,
-    width: int,
-    height: int,
-    tile_size: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-Gaussian loop version of :func:`_build_tile_pairs` (oracle)."""
-    tx_min, tx_max, ty_min, ty_max = tile_range(
-        projected.means2d, projected.radii, width, height, tile_size
-    )
-    counts = (tx_max - tx_min) * (ty_max - ty_min)
-    total_pairs = int(counts.sum())
-    num_tiles_x = (width + tile_size - 1) // tile_size
-
-    tile_ids = np.empty(total_pairs, dtype=np.int64)
-    gaussian_rows = np.empty(total_pairs, dtype=np.int64)
-    cursor = 0
-    for row in range(projected.num_visible):
-        nx = tx_max[row] - tx_min[row]
-        ny = ty_max[row] - ty_min[row]
-        if nx <= 0 or ny <= 0:
-            continue
-        txs = np.arange(tx_min[row], tx_max[row])
-        tys = np.arange(ty_min[row], ty_max[row])
-        ids = (tys[:, None] * num_tiles_x + txs[None, :]).ravel()
-        n = ids.size
-        tile_ids[cursor : cursor + n] = ids
-        gaussian_rows[cursor : cursor + n] = row
-        cursor += n
-    tile_ids = tile_ids[:cursor]
-    gaussian_rows = gaussian_rows[:cursor]
-
-    depths = projected.depths[gaussian_rows]
-    order = np.lexsort((depths, tile_ids))
-    return tile_ids[order], gaussian_rows[order], num_tiles_x
-
-
-def _render_tile_reference(
-    rows: np.ndarray,
-    projected: ProjectedGaussians,
-    grid_x: np.ndarray,
-    grid_y: np.ndarray,
-    tile_color: np.ndarray,
-    tile_trans: np.ndarray,
-    config: RenderConfig,
-    stats: TileWiseStats,
-    processed_rows: np.ndarray,
-    rendered_rows: np.ndarray,
-) -> None:
-    """Original per-pair loop over one tile's depth-ordered Gaussians.
-
-    Alpha evaluations are counted as GSCore's OBB subtile skip does: only
-    the subtiles that meet the Gaussian's 3-sigma footprint are evaluated.
-    """
-    subtile = config.subtile_size
-    for row in rows:
-        if np.all(tile_trans <= config.transmittance_eps):
-            break
-        stats.num_pairs_processed += 1
-        processed_rows[row] = True
-
-        mean = projected.means2d[row]
-        conic = projected.conics[row]
-        dx = grid_x - mean[0]
-        dy = grid_y - mean[1]
-
-        maha = mahalanobis_sq(conic[None, :], dx, dy)
-        evaluated = 0
-        for sy in range(0, dx.shape[0], subtile):
-            for sx in range(0, dx.shape[1], subtile):
-                block = maha[sy : sy + subtile, sx : sx + subtile]
-                if np.min(block) <= 9.0:  # 3-sigma footprint test
-                    evaluated += block.size
-        stats.alpha_evaluations += evaluated
-        alpha = alpha_from_maha(
-            maha,
-            projected.opacities[row],
-            alpha_min=config.alpha_min,
-            alpha_max=config.alpha_max,
-        )
-
-        contributed = blend_pixels(
-            tile_color,
-            tile_trans,
-            alpha.reshape(-1),
-            projected.colors[row],
-            config.transmittance_eps,
-        )
-        stats.pixels_blended += contributed
-        if contributed:
-            rendered_rows[row] = True
 
 
 def _render_tile_vectorized(
@@ -374,6 +276,62 @@ def _render_view(projected: ProjectedGaussians, dtype: np.dtype) -> ProjectedGau
     )
 
 
+def frame_setup(
+    scene: GaussianScene,
+    camera: Camera,
+    config: RenderConfig | None,
+    tile_shard: tuple[int, int] | None,
+) -> tuple[RenderConfig, tuple[int, int] | None, ProjectedGaussians, TileWiseStats]:
+    """The bookkeeping that opens a frame, shared with the reference loops:
+    the configuration, the range-checked ``tile_shard``, Stages I-III
+    (:func:`~repro.render.preprocess.project_scene`) and the statistics
+    header."""
+    config = config or RenderConfig()
+    if tile_shard is not None:
+        lo, hi = int(tile_shard[0]), int(tile_shard[1])
+        num_tiles = frame_tile_count(camera.width, camera.height)
+        if not 0 <= lo <= hi <= num_tiles:
+            raise ValueError(
+                f"tile_shard {tile_shard!r} out of range for {num_tiles} tiles"
+            )
+        tile_shard = (lo, hi)
+    with stage_hook().stage("project"):
+        projected = project_scene(scene, camera, config)
+    stats = TileWiseStats(
+        width=camera.width,
+        height=camera.height,
+        num_total=projected.num_total,
+        num_depth_passed=projected.num_depth_passed,
+        num_preprocessed=projected.num_visible,
+    )
+    return config, tile_shard, projected, stats
+
+
+def frame_result(
+    config: RenderConfig,
+    tile_shard: tuple[int, int] | None,
+    projected: ProjectedGaussians,
+    stats: TileWiseStats,
+    color_accum: np.ndarray,
+    transmittance: np.ndarray,
+    processed_rows: np.ndarray,
+    rendered_rows: np.ndarray,
+) -> TileWiseResult:
+    """The bookkeeping that closes a frame, shared with the reference loops:
+    the processed and rendered index sets recovered from their row masks,
+    and the image over the background."""
+    stats.num_distinct_processed = int(np.count_nonzero(processed_rows))
+    stats.num_rendered = int(np.count_nonzero(rendered_rows))
+    if stats.num_distinct_processed:
+        stats.processed_indices = projected.source_indices[processed_rows].astype(INDEX_DTYPE)
+    if stats.num_rendered:
+        stats.rendered_indices = projected.source_indices[rendered_rows].astype(INDEX_DTYPE)
+    image = finalize_image(color_accum, transmittance, config.background)
+    return TileWiseResult(
+        image=image, stats=stats, projected=projected, tile_shard=tile_shard
+    )
+
+
 def render_tilewise(
     scene: GaussianScene,
     camera: Camera,
@@ -404,37 +362,17 @@ def render_tilewise(
     :class:`TileWiseResult` with the ``(H, W, 3)`` image in [0, 1+] and the
     collected statistics.
     """
-    config = config or RenderConfig()
+    config, tile_shard, projected, stats = frame_setup(scene, camera, config, tile_shard)
     width, height = camera.width, camera.height
     tile_size = config.tile_size
     dtype = np.dtype(config.dtype)
-    if tile_shard is not None:
-        lo, hi = int(tile_shard[0]), int(tile_shard[1])
-        num_tiles = frame_tile_count(width, height)
-        if not 0 <= lo <= hi <= num_tiles:
-            raise ValueError(
-                f"tile_shard {tile_shard!r} out of range for {num_tiles} tiles"
-            )
-        tile_shard = (lo, hi)
-
-    with stage_hook().stage("project"):
-        projected = project_scene(scene, camera, config)
-    stats = TileWiseStats(
-        width=width,
-        height=height,
-        num_total=projected.num_total,
-        num_depth_passed=projected.num_depth_passed,
-        num_preprocessed=projected.num_visible,
-    )
-
     color_accum = np.zeros((height, width, 3), dtype=dtype)
     transmittance = np.ones((height, width), dtype=dtype)
-
+    processed_rows = np.zeros(projected.num_visible, dtype=bool)
+    rendered_rows = np.zeros(projected.num_visible, dtype=bool)
+    frame = (config, tile_shard, projected, stats, color_accum, transmittance)
     if projected.num_visible == 0:
-        image = finalize_image(color_accum, transmittance, config.background)
-        return TileWiseResult(
-            image=image, stats=stats, projected=projected, tile_shard=tile_shard
-        )
+        return frame_result(*frame, processed_rows, rendered_rows)
 
     with stage_hook().stage("pair_build"):
         tile_ids, gaussian_rows, num_tiles_x = _build_tile_pairs(
@@ -444,9 +382,6 @@ def render_tilewise(
     stats.num_assigned = int(np.unique(gaussian_rows).size) if tile_ids.size else 0
 
     view = _render_view(projected, dtype)
-    processed_rows = np.zeros(projected.num_visible, dtype=bool)
-    rendered_rows = np.zeros(projected.num_visible, dtype=bool)
-
     unique_tiles, tile_starts = np.unique(tile_ids, return_index=True)
     tile_bounds = np.append(tile_starts, tile_ids.size)
     if tile_shard is None:
@@ -457,10 +392,9 @@ def render_tilewise(
     stats.num_occupied_tiles = t_hi - t_lo
 
     with stage_hook().stage("blend", tiles=t_hi - t_lo):
-        if config.backend != "reference":
-            cull_bounds = tile_cull_bounds(
-                view.means2d, view.conics, view.opacities, config.alpha_min, width, height
-            )
+        cull_bounds = tile_cull_bounds(
+            view.means2d, view.conics, view.opacities, config.alpha_min, width, height
+        )
         for t_index in range(t_lo, t_hi):
             tile_id = unique_tiles[t_index]
             start, stop = tile_bounds[t_index], tile_bounds[t_index + 1]
@@ -472,54 +406,14 @@ def render_tilewise(
 
             tile_color = color_accum[y0:y1, x0:x1].reshape(-1, 3)
             tile_trans = transmittance[y0:y1, x0:x1].reshape(-1)
-
-            if config.backend == "reference":
-                xs = np.arange(x0, x1, dtype=dtype)
-                ys = np.arange(y0, y1, dtype=dtype)
-                grid_x, grid_y = np.meshgrid(xs, ys)
-                _render_tile_reference(
-                    rows,
-                    view,
-                    grid_x,
-                    grid_y,
-                    tile_color,
-                    tile_trans,
-                    config,
-                    stats,
-                    processed_rows,
-                    rendered_rows,
-                )
-            else:
-                _render_tile_vectorized(
-                    rows,
-                    view,
-                    cull_bounds,
-                    x0,
-                    y0,
-                    x1,
-                    y1,
-                    tile_color,
-                    tile_trans,
-                    config,
-                    stats,
-                    processed_rows,
-                    rendered_rows,
-                )
-
+            _render_tile_vectorized(
+                rows, view, cull_bounds, x0, y0, x1, y1, tile_color, tile_trans,
+                config, stats, processed_rows, rendered_rows,
+            )
             color_accum[y0:y1, x0:x1] = tile_color.reshape(y1 - y0, x1 - x0, 3)
             transmittance[y0:y1, x0:x1] = tile_trans.reshape(y1 - y0, x1 - x0)
 
-    stats.num_distinct_processed = int(np.count_nonzero(processed_rows))
-    stats.num_rendered = int(np.count_nonzero(rendered_rows))
-    if stats.num_distinct_processed:
-        stats.processed_indices = projected.source_indices[processed_rows].astype(INDEX_DTYPE)
-    if stats.num_rendered:
-        stats.rendered_indices = projected.source_indices[rendered_rows].astype(INDEX_DTYPE)
-
-    image = finalize_image(color_accum, transmittance, config.background)
-    return TileWiseResult(
-        image=image, stats=stats, projected=projected, tile_shard=tile_shard
-    )
+    return frame_result(*frame, processed_rows, rendered_rows)
 
 
 def _copy_tile_interval(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render.bounds import alpha_footprint_mask
-from repro.render.boundary import identify_influence_blocks
+from repro.render.reference import identify_influence_blocks
 
 # Strategy: well-conditioned conics (inverse covariances).
 conic_strategy = st.tuples(

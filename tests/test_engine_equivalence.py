@@ -19,13 +19,15 @@ from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.model import GaussianScene
 from repro.render.blending import compute_alpha
 from repro.render.common import RenderConfig
+from repro.exec.frames import FrameSpec
 from repro.render.gaussian_raster import render_gaussianwise
-from repro.render.tile_raster import (
-    _build_tile_pairs,
-    _build_tile_pairs_reference,
-    render_tilewise,
-)
 from repro.render.preprocess import project_scene
+from repro.render.reference import (
+    _build_tile_pairs_reference,
+    render_gaussianwise_reference,
+    render_tilewise_reference,
+)
+from repro.render.tile_raster import _build_tile_pairs, render_tilewise
 
 
 def assert_stats_equal(reference, vectorized) -> None:
@@ -77,22 +79,22 @@ class TestTilewiseEquivalence:
     @pytest.mark.parametrize("tile_size", [8, 16, 24])
     def test_smoke_scene(self, smoke_scene, smoke_camera, tile_size, monkeypatch):
         monkeypatch.setattr(RenderConfig, "tile_size", tile_size)
-        ref = render_tilewise(smoke_scene, smoke_camera, RenderConfig(backend="reference"))
-        vec = render_tilewise(smoke_scene, smoke_camera, RenderConfig(backend="vectorized"))
+        ref = render_tilewise_reference(smoke_scene, smoke_camera, RenderConfig())
+        vec = render_tilewise(smoke_scene, smoke_camera, RenderConfig())
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_empty_scene(self, front_camera, monkeypatch):
         monkeypatch.setattr(RenderConfig, "background", (0.1, 0.2, 0.3))
-        ref = render_tilewise(GaussianScene.empty(), front_camera, RenderConfig(backend="reference"))
-        vec = render_tilewise(GaussianScene.empty(), front_camera, RenderConfig(backend="vectorized"))
+        ref = render_tilewise_reference(GaussianScene.empty(), front_camera, RenderConfig())
+        vec = render_tilewise(GaussianScene.empty(), front_camera, RenderConfig())
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_offscreen_centres(self, offscreen_camera):
         scene = offscreen_scene()
-        ref = render_tilewise(scene, offscreen_camera, RenderConfig(backend="reference"))
-        vec = render_tilewise(scene, offscreen_camera, RenderConfig(backend="vectorized"))
+        ref = render_tilewise_reference(scene, offscreen_camera, RenderConfig())
+        vec = render_tilewise(scene, offscreen_camera, RenderConfig())
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
@@ -109,8 +111,8 @@ class TestTilewiseEquivalence:
             opacities=np.full(count, 0.99),
             rgb=np.tile([0.5, 0.5, 0.5], (count, 1)),
         )
-        ref = render_tilewise(scene, front_camera, RenderConfig(backend="reference"))
-        vec = render_tilewise(scene, front_camera, RenderConfig(backend="vectorized"))
+        ref = render_tilewise_reference(scene, front_camera, RenderConfig())
+        vec = render_tilewise(scene, front_camera, RenderConfig())
         assert vec.stats.num_pairs_processed < vec.stats.num_tile_pairs
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
@@ -145,8 +147,8 @@ class TestTilewiseEquivalence:
             )
         ]
         assert sum(corner) >= 9
-        ref = render_tilewise(scene, camera, RenderConfig(dtype=dtype, backend="reference"))
-        vec = render_tilewise(scene, camera, RenderConfig(dtype=dtype, backend="vectorized"))
+        ref = render_tilewise_reference(scene, camera, RenderConfig(dtype=dtype))
+        vec = render_tilewise(scene, camera, RenderConfig(dtype=dtype))
         assert ref.image.dtype == vec.image.dtype == np.dtype(dtype)
         assert ref.image[16, 32].tobytes() == vec.image[16, 32].tobytes()
         assert ref.image.tobytes() == vec.image.tobytes()
@@ -169,17 +171,17 @@ class TestGaussianwiseEquivalence:
     @pytest.mark.parametrize("boundary_mode", ["alpha", "aabb"])
     def test_smoke_scene(self, smoke_scene, smoke_camera, enable_cc, boundary_mode):
         kwargs = dict(radius_rule="omega-sigma")
-        ref = render_gaussianwise(
+        ref = render_gaussianwise_reference(
             smoke_scene,
             smoke_camera,
-            RenderConfig(backend="reference", **kwargs),
+            RenderConfig(**kwargs),
             enable_cc=enable_cc,
             boundary_mode=boundary_mode,
         )
         vec = render_gaussianwise(
             smoke_scene,
             smoke_camera,
-            RenderConfig(backend="vectorized", **kwargs),
+            RenderConfig(**kwargs),
             enable_cc=enable_cc,
             boundary_mode=boundary_mode,
         )
@@ -189,11 +191,11 @@ class TestGaussianwiseEquivalence:
     @pytest.mark.parametrize("block_size", [4, 8, 16])
     def test_block_sizes(self, smoke_scene, smoke_camera, block_size):
         kwargs = dict(radius_rule="omega-sigma", block_size=block_size)
-        ref = render_gaussianwise(
-            smoke_scene, smoke_camera, RenderConfig(backend="reference", **kwargs)
+        ref = render_gaussianwise_reference(
+            smoke_scene, smoke_camera, RenderConfig(**kwargs)
         )
         vec = render_gaussianwise(
-            smoke_scene, smoke_camera, RenderConfig(backend="vectorized", **kwargs)
+            smoke_scene, smoke_camera, RenderConfig(**kwargs)
         )
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
@@ -202,21 +204,21 @@ class TestGaussianwiseEquivalence:
         # With the 3-sigma rule the chi^2 ellipse of near-opaque Gaussians
         # can exceed the bounding radius, exercising the region-growth logic
         # of the footprint kernel.
-        ref = render_gaussianwise(
-            smoke_scene, smoke_camera, RenderConfig(backend="reference", radius_rule="3sigma")
+        ref = render_gaussianwise_reference(
+            smoke_scene, smoke_camera, RenderConfig(radius_rule="3sigma")
         )
         vec = render_gaussianwise(
-            smoke_scene, smoke_camera, RenderConfig(backend="vectorized", radius_rule="3sigma")
+            smoke_scene, smoke_camera, RenderConfig(radius_rule="3sigma")
         )
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
 
     def test_empty_scene(self, front_camera):
-        ref = render_gaussianwise(
-            GaussianScene.empty(), front_camera, RenderConfig(backend="reference")
+        ref = render_gaussianwise_reference(
+            GaussianScene.empty(), front_camera, RenderConfig()
         )
         vec = render_gaussianwise(
-            GaussianScene.empty(), front_camera, RenderConfig(backend="vectorized")
+            GaussianScene.empty(), front_camera, RenderConfig()
         )
         assert np.array_equal(ref.image, vec.image)
         assert_stats_equal(ref.stats, vec.stats)
@@ -225,16 +227,16 @@ class TestGaussianwiseEquivalence:
     def test_offscreen_centres(self, offscreen_camera, boundary_mode):
         scene = offscreen_scene()
         kwargs = dict(radius_rule="omega-sigma")
-        ref = render_gaussianwise(
+        ref = render_gaussianwise_reference(
             scene,
             offscreen_camera,
-            RenderConfig(backend="reference", **kwargs),
+            RenderConfig(**kwargs),
             boundary_mode=boundary_mode,
         )
         vec = render_gaussianwise(
             scene,
             offscreen_camera,
-            RenderConfig(backend="vectorized", **kwargs),
+            RenderConfig(**kwargs),
             boundary_mode=boundary_mode,
         )
         assert np.array_equal(ref.image, vec.image)
@@ -256,11 +258,11 @@ class TestGaussianwiseEquivalence:
             rgb=np.tile([0.5, 0.5, 0.5], (near_count + far_count, 1)),
         )
         config_kwargs = dict(radius_rule="omega-sigma")
-        ref = render_gaussianwise(
-            scene, front_camera, RenderConfig(backend="reference", **config_kwargs)
+        ref = render_gaussianwise_reference(
+            scene, front_camera, RenderConfig(**config_kwargs)
         )
         vec = render_gaussianwise(
-            scene, front_camera, RenderConfig(backend="vectorized", **config_kwargs)
+            scene, front_camera, RenderConfig(**config_kwargs)
         )
         assert vec.stats.num_skipped_tmask + vec.stats.num_skipped_by_termination > 0
         assert np.array_equal(ref.image, vec.image)
@@ -271,14 +273,14 @@ class TestGaussianwiseEquivalence:
         """The same frame on the reference and the vectorized backend."""
         config.setdefault("radius_rule", "omega-sigma")
         return [
-            render_gaussianwise(
+            render(
                 scene,
                 camera,
-                RenderConfig(backend=backend, **config),
+                RenderConfig(**config),
                 enable_cc=enable_cc,
                 boundary_mode=boundary_mode,
             )
-            for backend in ("reference", "vectorized")
+            for render in (render_gaussianwise_reference, render_gaussianwise)
         ]
 
     def test_eval_preset(self):
@@ -347,7 +349,7 @@ class TestGaussianwiseEquivalence:
 class TestBackendConfig:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
-            RenderConfig(backend="gpu")
+            FrameSpec(backend="gpu")
 
     def test_default_backend_is_vectorized(self):
-        assert RenderConfig().backend == "vectorized"
+        assert FrameSpec().backend == "vectorized"

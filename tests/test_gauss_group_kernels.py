@@ -1,10 +1,10 @@
 """The group-batched Gaussian-wise kernels against the oracle.
 
-``backend="vectorized"`` processes a whole depth group at once
+The engine processes a whole depth group at once
 (:func:`repro.render.kernels.identify_group_blocks`,
 :func:`~repro.render.kernels.blend_group_layers`); the per-Gaussian loops of
-``backend="reference"`` and :mod:`repro.render.boundary` are the oracle.  This
-file holds what ``test_engine_equivalence.py``'s scenes do not reach:
+:mod:`repro.render.reference` are the oracle.  This file holds what
+``test_engine_equivalence.py``'s scenes do not reach:
 
 * property tests of the batched Algorithm 1 fixpoint against
   ``identify_influence_blocks`` on generated screen-space Gaussians;
@@ -34,12 +34,16 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.covariance import mahalanobis_sq
 from repro.gaussians.model import GaussianScene
 from repro.gaussians.sh import evaluate_sh_colors
-from repro.render import gaussian_raster, kernels
+from repro.render import gaussian_raster, kernels, reference
 from repro.render.blending import blend_pixels, compute_alpha
-from repro.render.boundary import _alpha_chi2, identify_influence_blocks
 from repro.render.common import ALPHA_MIN, RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
 from repro.render.preprocess import GeometryProjection
+from repro.render.reference import (
+    _alpha_chi2,
+    identify_influence_blocks,
+    render_gaussianwise_reference,
+)
 
 
 def splats(means, sigmas, thetas, opacities) -> dict[str, np.ndarray]:
@@ -136,7 +140,7 @@ def render_splats(
     boundary_mode="alpha",
     group_capacity=None,
 ):
-    """The crafted Gaussians through ``render_gaussianwise``, on both backends.
+    """The crafted Gaussians through ``render_gaussianwise`` and its reference.
 
     Stage I sees equal depths — its groups are then runs of
     ``group_capacity`` Gaussians in index order — and Stage II hands back the
@@ -168,17 +172,18 @@ def render_splats(
 
     monkeypatch.setattr(gaussian_raster, "frustum_cull_depths", stage_one)
     monkeypatch.setattr(gaussian_raster, "project_geometry", stage_two)
+    monkeypatch.setattr(reference, "project_geometry", stage_two)
     if group_capacity is not None:
         monkeypatch.setattr(RenderConfig, "group_capacity", group_capacity)
     return [
-        render_gaussianwise(
+        render(
             scene,
             Camera.from_fov(width=width, height=height, fov_y_degrees=60.0),
-            RenderConfig(backend=backend),
+            RenderConfig(),
             enable_cc=enable_cc,
             boundary_mode=boundary_mode,
         )
-        for backend in ("reference", "vectorized")
+        for render in (render_gaussianwise_reference, render_gaussianwise)
     ]
 
 
@@ -458,8 +463,9 @@ def test_frame_does_not_depend_on_the_group_window(monkeypatch, scene, enable_cc
     # reference's whatever the window, down to one group per call.
     scene_data, camera = load_scene_and_camera(EvalSetup(scene, quick=True))
     kwargs = dict(enable_cc=enable_cc, boundary_mode=boundary_mode)
-    reference = RenderConfig(radius_rule="omega-sigma", backend="reference")
-    expected = render_gaussianwise(scene_data, camera, reference, **kwargs)
+    expected = render_gaussianwise_reference(
+        scene_data, camera, RenderConfig(radius_rule="omega-sigma"), **kwargs
+    )
     frames = {}
     for window in (1, 2, 4, 1000):
         monkeypatch.setattr(gaussian_raster, "GROUP_WINDOW", window)

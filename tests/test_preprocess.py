@@ -14,7 +14,7 @@ import pytest
 
 from repro.eval.runner import EvalSetup, load_scene_and_camera, run_gaussianwise
 from repro.gaussians.presets import QUICK_SCENES
-from repro.render.common import BACKENDS, RenderConfig
+from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
 from repro.render.preprocess import (
     bounding_radius,
@@ -23,6 +23,7 @@ from repro.render.preprocess import (
     project_scene,
     tile_range,
 )
+from repro.render.reference import render_gaussianwise_reference
 
 
 class TestBoundingRadius:
@@ -120,13 +121,17 @@ class TestProjectScene:
 
 
 class TestStagesIToIII:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "render",
+        [render_gaussianwise, render_gaussianwise_reference],
+        ids=["vectorized", "reference"],
+    )
     @pytest.mark.parametrize("name", sorted(QUICK_SCENES))
-    def test_no_cc_matches_project_scene(self, name, backend):
+    def test_no_cc_matches_project_scene(self, name, render):
         scene, camera = load_scene_and_camera(EvalSetup(name, quick=True))
-        config = RenderConfig(radius_rule="omega-sigma", backend=backend)
+        config = RenderConfig(radius_rule="omega-sigma")
         projected = project_scene(scene, camera, config)
-        stats = render_gaussianwise(scene, camera, config, enable_cc=False).stats
+        stats = render(scene, camera, config, enable_cc=False).stats
         assert stats.num_projected == stats.num_stage1_passed == projected.num_depth_passed
         assert stats.num_screen_passed == stats.num_sh_evaluated == projected.num_visible
 

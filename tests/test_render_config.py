@@ -33,7 +33,7 @@ from repro.render.common import (
 )
 from repro.render.tile_raster import render_tilewise
 
-KNOBS = {"block_size", "radius_rule", "backend", "dtype"}
+KNOBS = {"block_size", "radius_rule", "dtype"}
 
 CONSTANTS = {
     "alpha_min": ALPHA_MIN,
@@ -47,7 +47,7 @@ CONSTANTS = {
 }
 
 
-def test_settable_fields_are_the_four_knobs():
+def test_settable_fields_are_the_three_knobs():
     assert {f.name for f in dataclasses.fields(RenderConfig)} == KNOBS
 
 

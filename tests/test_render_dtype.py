@@ -20,6 +20,7 @@ from repro.eval.runner import EvalSetup, clear_cache, load_scene_and_camera, run
 from repro.exec.frames import FrameSpec, render_frame
 from repro.render.common import DTYPES, RenderConfig
 from repro.render.metrics import psnr
+from repro.render.reference import render_tilewise_reference
 from repro.render.tile_raster import render_tilewise
 from repro.serve.trajectories import RenderJob, make_trajectory
 
@@ -75,10 +76,11 @@ class TestFloat32Accuracy:
         scene, camera = _scene_camera()
         return {
             dtype: {
-                backend: render_tilewise(
-                    scene, camera, RenderConfig(backend=backend, dtype=dtype)
+                backend: render(scene, camera, RenderConfig(dtype=dtype))
+                for backend, render in (
+                    ("vectorized", render_tilewise),
+                    ("reference", render_tilewise_reference),
                 )
-                for backend in ("vectorized", "reference")
             }
             for dtype in DTYPES
         }

@@ -36,6 +36,7 @@ from repro.exec.frames import (
 )
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import shard_intervals, tile_interval_slice
+from repro.render.reference import render_tilewise_reference
 from repro.render.tile_raster import (
     compose_tile_shards,
     frame_tile_count,
@@ -102,10 +103,10 @@ class TestShardIntervals:
 class TestShardMergeExactness:
     """Sharded == unsharded, bitwise, images AND stats counters."""
 
-    def _render_sharded(self, scene, camera, config, num_shards):
+    def _render_sharded(self, scene, camera, config, num_shards, render=render_tilewise):
         num_tiles = frame_tile_count(camera.width, camera.height)
         shards = [
-            render_tilewise(scene, camera, config, tile_shard=interval)
+            render(scene, camera, config, tile_shard=interval)
             for interval in shard_intervals(num_tiles, num_shards)
         ]
         return compose_tile_shards(shards)
@@ -132,12 +133,16 @@ class TestShardMergeExactness:
         assert np.array_equal(whole.image, merged.image)
         assert_stats_equal(whole.stats, merged.stats)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_both_backends_compose_bitwise(self, backend):
+    @pytest.mark.parametrize(
+        "render",
+        [render_tilewise, render_tilewise_reference],
+        ids=["vectorized", "reference"],
+    )
+    def test_both_backends_compose_bitwise(self, render):
         scene_obj, camera = _scene_camera("train")
-        config = RenderConfig(backend=backend)
-        whole = render_tilewise(scene_obj, camera, config)
-        merged = self._render_sharded(scene_obj, camera, config, 3)
+        config = RenderConfig()
+        whole = render(scene_obj, camera, config)
+        merged = self._render_sharded(scene_obj, camera, config, 3, render)
         assert np.array_equal(whole.image, merged.image)
         assert_stats_equal(whole.stats, merged.stats)
 

@@ -29,12 +29,8 @@ from repro.eval.runner import EvalSetup, load_scene_and_camera
 from repro.render import kernels, tile_raster
 from repro.render.common import RenderConfig
 from repro.render.preprocess import ProjectedGaussians
-from repro.render.tile_raster import (
-    TileWiseStats,
-    _render_tile_reference,
-    _render_tile_vectorized,
-    render_tilewise,
-)
+from repro.render.reference import _render_tile_reference, render_tilewise_reference
+from repro.render.tile_raster import TileWiseStats, _render_tile_vectorized, render_tilewise
 
 CONFIG = RenderConfig()
 TILE = CONFIG.tile_size
@@ -251,7 +247,7 @@ def test_chunk_schedule_is_unobservable(scene, monkeypatch):
         return finalize(color_accum, transmittance, background)
 
     monkeypatch.setattr(tile_raster, "finalize_image", spy)
-    reference = render_tilewise(scene_data, camera, RenderConfig(backend="reference"))
+    reference = render_tilewise_reference(scene_data, camera, RenderConfig())
     for schedule in [kernels.TILE_CHUNK_SCHEDULE, (1,), (7,), (64, 128), (4096,)]:
         monkeypatch.setattr(tile_raster, "TILE_CHUNK_SCHEDULE", schedule)
         result = render_tilewise(scene_data, camera, RenderConfig())
