@@ -6,14 +6,19 @@ rebuilds that layer:
 
 * :mod:`repro.arch.params` — technology constants, DRAM presets, energy and
   clock parameters.
-* :mod:`repro.arch.memory` — DRAM bandwidth/traffic model and SRAM buffers.
+* :mod:`repro.arch.memory` — DRAM bandwidth/traffic model and the per-pixel
+  accumulation state width.
 * :mod:`repro.arch.energy` — energy accounting.
 * :mod:`repro.arch.area` — published area/power breakdowns (Table 4).
-* :mod:`repro.arch.units` — generic pipelined compute-unit cycle model.
-* :mod:`repro.arch.gcc` — the GCC accelerator (RCA, Projection Unit, SH Unit,
-  Sort Unit, Alpha Unit, Blending Unit, Compatibility Mode).
+* :mod:`repro.arch.units` — the pipelined unit model and the per-operation
+  costs both designs charge.
+* :mod:`repro.arch.report` — the per-frame report and the energy tail both
+  simulations end with.
+* :mod:`repro.arch.gcc` — the GCC accelerator: ``gcc_units`` (RCA, Projection
+  Unit, SH Unit, Sort Unit, Alpha Unit, Blending Unit) and Compatibility
+  Mode.
 * :mod:`repro.arch.gscore` — the GSCore baseline (standard two-stage,
-  tile-wise dataflow).
+  tile-wise dataflow) and ``gscore_units``.
 * :mod:`repro.arch.gpu` — analytical GPU timing model used by the Discussion
   section (Figure 15).
 """

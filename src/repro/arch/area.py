@@ -41,6 +41,21 @@ GCC_BUFFER_MODULES: tuple[ModuleArea, ...] = (
     ModuleArea("Image Buffer", 0.872, 37.0, "1 x 4 x 32 KB"),
 )
 
+
+
+def _module_area(name: str) -> float:
+    """Table 4 area of the GCC module called ``name``."""
+    for module in GCC_COMPUTE_MODULES + GCC_BUFFER_MODULES:
+        if module.name == name:
+            return module.area_mm2
+    raise KeyError(f"no GCC module named {name!r} in Table 4")
+
+
+#: The Table 4 areas the Figure 13 design-space scaling is anchored to: the
+#: 128 KB Image Buffer and the 8x8 (64 PE) Alpha + Blending arrays.
+IMAGE_BUFFER_AREA_MM2 = _module_area("Image Buffer")
+ALPHA_BLEND_AREA_MM2 = _module_area("Alpha Unit") + _module_area("Blending Unit")
+
 #: GCC totals (Table 4).
 GCC_TOTAL_AREA_MM2 = 2.711
 GCC_TOTAL_POWER_MW = 790.0
@@ -62,64 +77,27 @@ GSCORE_SRAM_KB = 272
 
 def gcc_area_table() -> list[dict[str, object]]:
     """Return Table 4 (GCC breakdown + GSCore totals) as a list of rows."""
-    rows: list[dict[str, object]] = []
-    for module in GCC_COMPUTE_MODULES:
-        rows.append(
-            {
-                "component": module.name,
-                "area_mm2": module.area_mm2,
-                "power_mw": module.power_mw,
-                "configuration": module.configuration,
-                "kind": "compute",
-            }
-        )
-    rows.append(
-        {
-            "component": "Compute Total",
-            "area_mm2": GCC_COMPUTE_AREA_MM2,
-            "power_mw": GCC_COMPUTE_POWER_MW,
-            "configuration": "-",
-            "kind": "compute",
+
+    def row(component, area_mm2, power_mw, configuration, kind):
+        return {
+            "component": component,
+            "area_mm2": area_mm2,
+            "power_mw": power_mw,
+            "configuration": configuration,
+            "kind": kind,
         }
-    )
-    for module in GCC_BUFFER_MODULES:
-        rows.append(
-            {
-                "component": module.name,
-                "area_mm2": module.area_mm2,
-                "power_mw": module.power_mw,
-                "configuration": module.configuration,
-                "kind": "buffer",
-            }
-        )
-    rows.append(
-        {
-            "component": "Buffer Total",
-            "area_mm2": GCC_BUFFER_AREA_MM2,
-            "power_mw": GCC_BUFFER_POWER_MW,
-            "configuration": f"{GCC_SRAM_KB} KB",
-            "kind": "buffer",
-        }
-    )
-    rows.append(
-        {
-            "component": "GCC Total",
-            "area_mm2": GCC_TOTAL_AREA_MM2,
-            "power_mw": GCC_TOTAL_POWER_MW,
-            "configuration": "-",
-            "kind": "total",
-        }
-    )
-    rows.append(
-        {
-            "component": "GSCore Total",
-            "area_mm2": GSCORE_TOTAL_AREA_MM2,
-            "power_mw": GSCORE_TOTAL_POWER_MW,
-            "configuration": f"{GSCORE_SRAM_KB} KB",
-            "kind": "total",
-        }
-    )
-    return rows
+
+    def modules(table, kind):
+        return [row(m.name, m.area_mm2, m.power_mw, m.configuration, kind) for m in table]
+
+    return [
+        *modules(GCC_COMPUTE_MODULES, "compute"),
+        row("Compute Total", GCC_COMPUTE_AREA_MM2, GCC_COMPUTE_POWER_MW, "-", "compute"),
+        *modules(GCC_BUFFER_MODULES, "buffer"),
+        row("Buffer Total", GCC_BUFFER_AREA_MM2, GCC_BUFFER_POWER_MW, f"{GCC_SRAM_KB} KB", "buffer"),
+        row("GCC Total", GCC_TOTAL_AREA_MM2, GCC_TOTAL_POWER_MW, "-", "total"),
+        row("GSCore Total", GSCORE_TOTAL_AREA_MM2, GSCORE_TOTAL_POWER_MW, f"{GSCORE_SRAM_KB} KB", "total"),
+    ]
 
 
 def scaled_image_buffer_area(capacity_bytes: int) -> float:
@@ -127,23 +105,19 @@ def scaled_image_buffer_area(capacity_bytes: int) -> float:
 
     Used by the design-space exploration of Figure 13(a): SRAM area scales
     roughly linearly with capacity at fixed banking, anchored to the paper's
-    128 KB / 0.872 mm^2 point.
+    128 KB Image Buffer.
     """
-    reference_bytes = 128 * 1024
-    reference_area = 0.872
     if capacity_bytes <= 0:
         raise ValueError("capacity must be positive")
-    return reference_area * capacity_bytes / reference_bytes
+    return IMAGE_BUFFER_AREA_MM2 * capacity_bytes / (128 * 1024)
 
 
 def scaled_alpha_blend_area(array_size: int) -> float:
     """Estimate combined Alpha+Blending Unit area for an ``n x n`` PE array.
 
-    Anchored to the paper's 8x8 (64 PE) configuration: 0.576 + 0.382 mm^2.
-    PE-array area scales with the number of PEs.
+    Anchored to the paper's 8x8 (64 PE) configuration.  PE-array area
+    scales with the number of PEs.
     """
     if array_size <= 0:
         raise ValueError("array_size must be positive")
-    reference_pes = 64
-    reference_area = 0.576 + 0.382
-    return reference_area * (array_size * array_size) / reference_pes
+    return ALPHA_BLEND_AREA_MM2 * (array_size * array_size) / 64

@@ -2,9 +2,9 @@
 
 :class:`GccAccelerator` combines the functional Gaussian-wise renderer (which
 establishes *what* work a frame requires: Gaussians projected, SH colours
-evaluated, blocks traversed, pixels blended) with the per-module cycle models
-in this package (which establish *how long* that work takes on the Table-4
-configuration) and the DRAM/energy models.
+evaluated, blocks traversed, pixels blended) with :func:`gcc_units`, the
+table of its hardware modules (which establishes *how long* that work takes
+on the Table-4 configuration), and the DRAM/energy models.
 
 The frame latency is::
 
@@ -21,31 +21,98 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.area import GCC_TOTAL_AREA_MM2, scaled_alpha_blend_area, scaled_image_buffer_area
-from repro.arch.energy import compute_energy_breakdown
-from repro.arch.gcc.alpha_unit import ALPHA_SFU_PER_PIXEL, alpha_cycles
-from repro.arch.gcc.blending_unit import blending_cycles, image_buffer_traffic
+from repro.arch.area import (
+    ALPHA_BLEND_AREA_MM2,
+    GCC_TOTAL_AREA_MM2,
+    IMAGE_BUFFER_AREA_MM2,
+    scaled_alpha_blend_area,
+    scaled_image_buffer_area,
+)
 from repro.arch.gcc.cmode import CmodePlan, plan_cmode
 from repro.arch.gcc.config import GccConfig
-from repro.arch.gcc.projection_unit import PROJECTION_SFU_PER_GAUSSIAN, projection_cycles
-from repro.arch.gcc.rca import grouping_cycles
-from repro.arch.gcc.sh_unit import sh_cycles
-from repro.arch.gcc.sort_unit import sort_cycles
-from repro.arch.memory import DramModel, TrafficCounter
+from repro.arch.memory import PIXEL_STATE_BYTES, DramModel, TrafficCounter
 from repro.arch.params import dram_preset
-from repro.arch.report import SimulationReport
+from repro.arch.report import SimulationReport, frame_report
+from repro.arch.units import (
+    ALPHA_FMA_PER_PIXEL,
+    ALPHA_SFU_PER_PIXEL,
+    BLEND_FMA_PER_PIXEL,
+    FRAME_OVERHEAD_CYCLES,
+    PROJECTION_FMA_PER_GAUSSIAN,
+    PROJECTION_SFU_PER_GAUSSIAN,
+    SH_FMA_PER_GAUSSIAN,
+    SH_SFU_PER_GAUSSIAN,
+    Unit,
+    bitonic_sorter,
+)
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import BYTES_GEOMETRY, BYTES_MEAN, BYTES_SH, GaussianScene
-from repro.render.common import RenderConfig
+from repro.render.common import GROUP_CAPACITY, RenderConfig
 from repro.render.gaussian_raster import GaussianWiseResult, render_gaussianwise
+from repro.render.grouping import grouping_comparison_count
 from repro.render.preprocess import frustum_cull_depths, project_geometry
-
-#: Fixed per-frame control/drain overhead in cycles (frame setup, pipeline
-#: fill and final Image Buffer read-out).
-FRAME_OVERHEAD_CYCLES = 2000.0
 
 #: Bytes per Gaussian of grouping metadata spilled to DRAM (depth + ID).
 GROUPING_RECORD_BYTES = 8
+
+#: Sub-view edge length used when Compatibility Mode engages.
+CMODE_SUBVIEW = 128
+
+#: Gaussians whose status map and traversal queue the Alpha Unit preloads;
+#: only one setup per preload batch is exposed.
+ALPHA_PRELOAD_DEPTH = 16
+
+
+def gcc_units(config: GccConfig) -> dict[str, Unit]:
+    """GCC's hardware modules (Section 4, Table 4) as pipelined units."""
+    return {
+        # Stage I (Section 4.2): four lanes of the shared MVM each produce one
+        # view-space depth (a 4-wide dot product) per cycle ...
+        "depth_mvm": Unit("depth-mvm", items_per_cycle=4.0, latency_cycles=4, ops_per_item=4.0),
+        # ... and the Reconfigurable Comparator Array, four units comparing
+        # two Gaussians a cycle each, bins them into depth groups with one
+        # comparator and one adder-tree update per comparison.
+        "rca": Unit("rca", items_per_cycle=4 * 2.0, latency_cycles=8, ops_per_item=2.0),
+        # Stage II (Section 4.3): two Projection Units (PPU + RU + SCU +
+        # shared MVM), each issuing one Gaussian a cycle.
+        "projection": Unit(
+            "projection",
+            items_per_cycle=2 / 1.0,
+            latency_cycles=16,
+            ops_per_item=PROJECTION_FMA_PER_GAUSSIAN,
+        ),
+        # Stage III: one SH Unit, a Spherical Harmonics Element per colour
+        # channel, 16 cycles a Gaussian (16 coefficients per channel).  Under
+        # CC it only runs for Gaussians that still reach unsaturated pixels,
+        # which is what lets GCC provision one unit where GSCore has four.
+        "sh": Unit("sh", items_per_cycle=1 / 16.0, latency_cycles=8, ops_per_item=SH_FMA_PER_GAUSSIAN),
+        # Stage III: GSCore's bitonic network reused to order Gaussians
+        # within a depth group (at most GROUP_CAPACITY) instead of per tile.
+        "sort": bitonic_sorter(GROUP_CAPACITY),
+        # Stage IV (Section 4.4): the n x n Alpha Unit evaluates one block
+        # (the renderer's block is the PE array) a cycle with a 16-segment
+        # EXP LUT; its 14-cycle per-Gaussian setup is paid once per preload
+        # batch.
+        "alpha": Unit(
+            "alpha",
+            items_per_cycle=1.0,
+            latency_cycles=14,
+            ops_per_item=config.alpha_array_pes * ALPHA_FMA_PER_PIXEL,
+        ),
+        # Stage IV (Section 4.5): the n x n Blending Unit updates one block's
+        # transmittance and colour (Equation 4) a cycle.
+        "blend": Unit(
+            "blend",
+            items_per_cycle=1.0,
+            latency_cycles=4,
+            ops_per_item=config.alpha_array_pes * BLEND_FMA_PER_PIXEL,
+        ),
+    }
+
+
+def image_buffer_traffic(blocks_blended: int, block_size: int) -> int:
+    """Image Buffer bytes moved: read-modify-write of each blended block."""
+    return blocks_blended * block_size * block_size * PIXEL_STATE_BYTES * 2
 
 
 @dataclass
@@ -107,7 +174,7 @@ class GccAccelerator:
             camera.width,
             camera.height,
             self.config.max_resident_pixels(),
-            self.config.cmode_subview,
+            CMODE_SUBVIEW,
         )
         duplication = cmode.duplication_factor if cmode.enabled else 1.0
         return GccFrameWork(
@@ -139,15 +206,18 @@ class GccAccelerator:
         result = render_result or self._render(scene, camera)
         work = self._frame_work(scene, camera, result)
 
-        dram = DramModel(preset=dram_preset(config.dram), tech=config.tech)
+        units = gcc_units(config)
+        dram = DramModel(preset=dram_preset(config.dram))
         dram.record("gaussian_3d", work.num_total * BYTES_MEAN)
         dram.record("gaussian_3d", work.num_projected * BYTES_GEOMETRY)
         dram.record("gaussian_3d", work.num_sh_evaluated * BYTES_SH)
         dram.record("grouping", work.num_stage1_passed * GROUPING_RECORD_BYTES * 2)
 
-        # Stage I: standalone grouping pass.
-        stage1_compute, stage1_detail = grouping_cycles(
-            config, work.num_total, work.num_stage1_passed
+        # Stage I: standalone grouping pass; the depth MVM and the RCA run
+        # back-to-back, so their cycles add.
+        comparisons = grouping_comparison_count(work.num_stage1_passed)
+        stage1_compute = units["depth_mvm"].cycles(work.num_total) + units["rca"].cycles(
+            comparisons
         )
         stage1_dram_bytes = work.num_total * BYTES_MEAN + (
             work.num_stage1_passed * GROUPING_RECORD_BYTES * 2
@@ -155,91 +225,70 @@ class GccAccelerator:
         stage1_dram = stage1_dram_bytes / dram.bytes_per_cycle
         stage1_cycles = max(stage1_compute, stage1_dram)
 
-        # Stages II-IV: pipelined Gaussian-wise processing.
-        proj_cycles, proj_detail = projection_cycles(config, work.num_projected)
-        sh_cy, sh_detail = sh_cycles(config, work.num_sh_evaluated)
-        sort_cy, sort_detail = sort_cycles(config, work.sort_elements, work.num_groups)
-        # Blocks whose transmittance mask is already saturated never enter the
-        # PE array (the status map marks them pruned), so only the remaining
-        # block passes are charged to the Alpha Unit.
+        # Stages II-IV: pipelined Gaussian-wise processing.  Blocks whose
+        # transmittance mask is already saturated never enter the PE array
+        # (the status map marks them pruned), so only the remaining block
+        # passes are charged to the Alpha Unit; the per-Gaussian setup is
+        # exposed once per preload batch.
         alpha_block_passes = max(work.blocks_visited - work.blocks_skipped_tmask, 0)
-        alpha_cy, alpha_detail = alpha_cycles(
-            config, alpha_block_passes, work.num_sh_evaluated, config.alpha_array_size
-        )
-        blend_cy, blend_detail = blending_cycles(
-            config, work.blocks_blended, config.alpha_array_size
-        )
+        exposed_setups = max(work.num_sh_evaluated // ALPHA_PRELOAD_DEPTH, 1)
+        unit_cycles = {
+            "projection": units["projection"].cycles(work.num_projected),
+            "sh": units["sh"].cycles(work.num_sh_evaluated),
+            "sort": units["sort"].cycles(work.sort_elements, batches=work.num_groups),
+            "alpha": units["alpha"].cycles(alpha_block_passes, batches=exposed_setups),
+            "blend": units["blend"].cycles(work.blocks_blended),
+        }
         pipeline_dram_bytes = (
             work.num_projected * BYTES_GEOMETRY + work.num_sh_evaluated * BYTES_SH
         )
         pipeline_dram = pipeline_dram_bytes / dram.bytes_per_cycle
-        compute_bottleneck = max(proj_cycles, sh_cy, sort_cy, alpha_cy, blend_cy)
-        pipeline_cycles = max(compute_bottleneck, pipeline_dram)
+        pipeline_cycles = max(max(unit_cycles.values()), pipeline_dram)
 
         total_cycles = stage1_cycles + pipeline_cycles + FRAME_OVERHEAD_CYCLES
 
         # On-chip traffic.
-        block_px = config.alpha_array_size * config.alpha_array_size
         sram_bytes = (
             # Shared + SH buffers: parameters staged on-chip (write + read).
             2 * (work.num_projected * BYTES_GEOMETRY + work.num_sh_evaluated * BYTES_SH)
             # Sorted buffer: depth/ID records.
             + 2 * work.sort_elements * GROUPING_RECORD_BYTES
             # Image buffer: read-modify-write per blended block.
-            + image_buffer_traffic(
-                work.blocks_blended, config.alpha_array_size, config.bytes_per_pixel
-            )
+            + image_buffer_traffic(work.blocks_blended, config.alpha_array_size)
         )
 
         compute_ops = {
             "fma": (
-                stage1_detail["depth_mvm_ops"]
-                + proj_detail["projection_fma_ops"]
-                + sh_detail["sh_fma_ops"]
-                + alpha_detail["alpha_fma_ops"]
-                + blend_detail["blend_fma_ops"]
+                units["depth_mvm"].ops(work.num_total)
+                + units["projection"].ops(work.num_projected)
+                + units["sh"].ops(work.num_sh_evaluated)
+                + units["alpha"].ops(alpha_block_passes)
+                + units["blend"].ops(work.blocks_blended)
             ),
             "sfu": (
-                proj_detail["projection_sfu_ops"]
-                + sh_detail["sh_sfu_ops"]
+                work.num_projected * PROJECTION_SFU_PER_GAUSSIAN
+                + work.num_sh_evaluated * SH_SFU_PER_GAUSSIAN
                 + work.alpha_evaluations * ALPHA_SFU_PER_PIXEL
             ),
-            "cmp": stage1_detail["rca_ops"] + sort_detail["sort_cmp_ops"],
+            "cmp": units["rca"].ops(comparisons) + units["sort"].ops(work.sort_elements),
         }
-
-        frame_time_s = total_cycles / config.tech.clock_hz
-        energy = compute_energy_breakdown(
-            dram_bytes=dram.traffic.total,
-            sram_bytes=sram_bytes,
-            compute_ops=compute_ops,
-            frame_time_s=frame_time_s,
-            energy=config.energy,
-            dram=dram.preset,
-        )
 
         stage_cycles = {
             "stage1_grouping": stage1_cycles,
-            "projection": proj_cycles,
-            "sh": sh_cy,
-            "sort": sort_cy,
-            "alpha": alpha_cy,
-            "blend": blend_cy,
+            **unit_cycles,
             "dram_stream": pipeline_dram,
             "pipeline": pipeline_cycles,
         }
 
-        area = self.effective_area_mm2()
-        report = SimulationReport(
-            accelerator="GCC",
-            scene=scene.name,
-            clock_hz=config.tech.clock_hz,
-            total_cycles=total_cycles,
-            stage_cycles=stage_cycles,
-            dram_traffic=dram.traffic,
-            sram_bytes=sram_bytes,
-            compute_ops=compute_ops,
-            energy_pj=energy,
-            area_mm2=area,
+        return frame_report(
+            "GCC",
+            scene.name,
+            total_cycles,
+            stage_cycles,
+            dram,
+            sram_bytes,
+            compute_ops,
+            self.effective_area_mm2(),
             extra={
                 "cmode_enabled": float(work.cmode.enabled),
                 "cmode_duplication": work.cmode.duplication_factor,
@@ -251,7 +300,6 @@ class GccAccelerator:
                 "num_rendered": float(result.stats.num_rendered),
             },
         )
-        return report
 
     def effective_area_mm2(self) -> float:
         """Total area of this configuration.
@@ -263,9 +311,9 @@ class GccAccelerator:
         area = GCC_TOTAL_AREA_MM2
         default = GccConfig()
         if self.config.image_buffer_bytes != default.image_buffer_bytes:
-            area += scaled_image_buffer_area(self.config.image_buffer_bytes) - 0.872
+            area += scaled_image_buffer_area(self.config.image_buffer_bytes) - IMAGE_BUFFER_AREA_MM2
         if self.config.alpha_array_size != default.alpha_array_size:
-            area += scaled_alpha_blend_area(self.config.alpha_array_size) - (0.576 + 0.382)
+            area += scaled_alpha_blend_area(self.config.alpha_array_size) - ALPHA_BLEND_AREA_MM2
         return area
 
 

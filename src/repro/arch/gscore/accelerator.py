@@ -18,30 +18,62 @@ The standard dataflow has three phases executed back-to-back for each frame:
 from __future__ import annotations
 
 from repro.arch.area import GSCORE_TOTAL_AREA_MM2
-from repro.arch.energy import compute_energy_breakdown
-from repro.arch.gcc.sort_unit import bitonic_passes
 from repro.arch.gscore.config import GScoreConfig
-from repro.arch.memory import DramModel
+from repro.arch.memory import PIXEL_STATE_BYTES, DramModel
 from repro.arch.params import dram_preset
-from repro.arch.report import SimulationReport
-from repro.arch.units import PipelinedUnit
+from repro.arch.report import SimulationReport, frame_report
+from repro.arch.units import (
+    ALPHA_FMA_PER_PIXEL,
+    ALPHA_SFU_PER_PIXEL,
+    BLEND_FMA_PER_PIXEL,
+    FRAME_OVERHEAD_CYCLES,
+    PROJECTION_FMA_PER_GAUSSIAN,
+    PROJECTION_SFU_PER_GAUSSIAN,
+    SH_FMA_PER_GAUSSIAN,
+    SH_SFU_PER_GAUSSIAN,
+    Unit,
+    bitonic_sorter,
+)
 from repro.gaussians.camera import Camera
 from repro.gaussians.model import BYTES_PER_GAUSSIAN, GaussianScene
-from repro.gaussians.sh import count_sh_flops
 from repro.render.common import RenderConfig
 from repro.render.tile_raster import TileWiseResult, render_tilewise
 
-#: Fixed per-frame overhead (configuration load, pipeline fill/drain).
-FRAME_OVERHEAD_CYCLES = 2000.0
+#: Bytes of the 2D (projected) Gaussian record exchanged with DRAM.
+BYTES_2D_GAUSSIAN = 80
+#: Bytes per Gaussian-tile key-value pair.
+BYTES_KEY_VALUE = 8
+#: Fixed per-pair overhead in the Volume Rendering Unit (fetch + setup), cycles.
+VRU_PAIR_OVERHEAD_CYCLES = 2.0
 
-#: FMA operations per Gaussian in projection (same transform as GCC's Stage II).
-PROJECTION_OPS_PER_GAUSSIAN = 120.0
-PROJECTION_SFU_PER_GAUSSIAN = 8.0
 
-#: Operations per alpha-evaluated pixel and per blended pixel.
-ALPHA_FMA_PER_PIXEL = 4.0
-ALPHA_SFU_PER_PIXEL = 1.0
-BLEND_FMA_PER_PIXEL = 4.0
+def gscore_units() -> dict[str, Unit]:
+    """GSCore's published configuration as pipelined units.
+
+    Four-way culling, conversion and SH (the parallelism the GCC paper says
+    its balanced dataflow lets it cut to 2-way/1-way), a 16-element bitonic
+    sorter and a 16x16-pixel volume rendering array.
+    """
+    return {
+        # Four culling lanes, one frustum test (six comparisons) a cycle each.
+        "cull": Unit("cull", items_per_cycle=4.0, ops_per_item=6.0),
+        # Four conversion (projection) lanes, one Gaussian a cycle each; the
+        # same Stage-II transform as GCC's Projection Unit.
+        "projection": Unit(
+            "projection",
+            items_per_cycle=4 / 1.0,
+            latency_cycles=16,
+            ops_per_item=PROJECTION_FMA_PER_GAUSSIAN,
+        ),
+        # Four SH lanes, 16 cycles a Gaussian (16 coefficients per channel).
+        "sh": Unit("sh", items_per_cycle=4 / 16.0, latency_cycles=8, ops_per_item=SH_FMA_PER_GAUSSIAN),
+        # The bitonic network over per-tile key-value lists of 256 elements.
+        "sort": bitonic_sorter(256),
+        # The Volume Rendering Unit's 256 PEs: one alpha evaluation ...
+        "vru_alpha": Unit("vru-alpha", items_per_cycle=256.0, ops_per_item=ALPHA_FMA_PER_PIXEL),
+        # ... or one blended pixel per PE per cycle.
+        "vru_blend": Unit("vru-blend", items_per_cycle=256.0, ops_per_item=BLEND_FMA_PER_PIXEL),
+    }
 
 
 class GScoreAccelerator:
@@ -65,42 +97,26 @@ class GScoreAccelerator:
         result = render_result or self._render(scene, camera)
         stats = result.stats
 
-        dram = DramModel(preset=dram_preset(config.dram), tech=config.tech)
+        units = gscore_units()
+        dram = DramModel(preset=dram_preset(config.dram))
         # Phase 1: every 3D Gaussian is streamed in, all 59 floats.
         dram.record("gaussian_3d", stats.num_total * BYTES_PER_GAUSSIAN)
         # Preprocessed 2D Gaussians spilled to DRAM, then re-fetched once per
         # processed Gaussian-tile pair during rendering.
-        dram.record("gaussian_2d", stats.num_preprocessed * config.bytes_2d_gaussian)
-        dram.record("gaussian_2d", stats.num_pairs_processed * config.bytes_2d_gaussian)
+        dram.record("gaussian_2d", stats.num_preprocessed * BYTES_2D_GAUSSIAN)
+        dram.record("gaussian_2d", stats.num_pairs_processed * BYTES_2D_GAUSSIAN)
         # Key-value pairs: written after tile assignment, read for sorting and
         # again for rendering.
-        dram.record("key_value", stats.num_tile_pairs * config.bytes_key_value * 3)
+        dram.record("key_value", stats.num_tile_pairs * BYTES_KEY_VALUE * 3)
 
         # ------------------------------------------------------------------
         # Phase 1: preprocessing cycles.
         # ------------------------------------------------------------------
-        cull_unit = PipelinedUnit(
-            name="cull", items_per_cycle=float(config.preprocess_units), ops_per_item=6.0
-        )
-        projection_unit = PipelinedUnit(
-            name="projection",
-            items_per_cycle=config.preprocess_units / config.projection_cycles_per_gaussian,
-            latency_cycles=16,
-            ops_per_item=PROJECTION_OPS_PER_GAUSSIAN,
-        )
-        sh_unit = PipelinedUnit(
-            name="sh",
-            items_per_cycle=config.sh_units / config.sh_cycles_per_gaussian,
-            latency_cycles=8,
-            ops_per_item=float(count_sh_flops(1)),
-        )
-        cull_cycles = cull_unit.process(stats.num_total)
-        proj_cycles = projection_unit.process(stats.num_depth_passed)
-        sh_cycles = sh_unit.process(stats.num_preprocessed)
-        preprocess_compute = cull_cycles + max(proj_cycles, sh_cycles)
+        proj_cycles = units["projection"].cycles(stats.num_depth_passed)
+        sh_cycles = units["sh"].cycles(stats.num_preprocessed)
+        preprocess_compute = units["cull"].cycles(stats.num_total) + max(proj_cycles, sh_cycles)
         preprocess_dram_bytes = (
-            stats.num_total * BYTES_PER_GAUSSIAN
-            + stats.num_preprocessed * config.bytes_2d_gaussian
+            stats.num_total * BYTES_PER_GAUSSIAN + stats.num_preprocessed * BYTES_2D_GAUSSIAN
         )
         preprocess_cycles = max(
             preprocess_compute, preprocess_dram_bytes / dram.bytes_per_cycle
@@ -109,37 +125,23 @@ class GScoreAccelerator:
         # ------------------------------------------------------------------
         # Phase 2: tile assignment and sorting.
         # ------------------------------------------------------------------
-        sorter_cycles_per_element = bitonic_passes(256, config.sort_width) / 256.0
-        sort_unit = PipelinedUnit(
-            name="sort",
-            items_per_cycle=1.0 / max(sorter_cycles_per_element, 1e-9),
-            latency_cycles=4,
-            ops_per_item=max(sorter_cycles_per_element, 1.0),
+        sort_compute = units["sort"].cycles(
+            stats.num_tile_pairs, batches=stats.num_occupied_tiles
         )
-        sort_compute = sort_unit.process(stats.num_tile_pairs, batches=max(stats.num_occupied_tiles, 1))
-        sort_dram_bytes = stats.num_tile_pairs * config.bytes_key_value * 2
+        sort_dram_bytes = stats.num_tile_pairs * BYTES_KEY_VALUE * 2
         sort_cycles = max(sort_compute, sort_dram_bytes / dram.bytes_per_cycle)
 
         # ------------------------------------------------------------------
         # Phase 3: tile-wise rendering.
         # ------------------------------------------------------------------
-        vru_alpha = PipelinedUnit(
-            name="vru-alpha",
-            items_per_cycle=float(config.vru_pes),
-            ops_per_item=ALPHA_FMA_PER_PIXEL,
+        render_compute = (
+            units["vru_alpha"].cycles(stats.alpha_evaluations)
+            + units["vru_blend"].cycles(stats.pixels_blended)
+            + stats.num_pairs_processed * VRU_PAIR_OVERHEAD_CYCLES
         )
-        vru_blend = PipelinedUnit(
-            name="vru-blend",
-            items_per_cycle=float(config.vru_pes),
-            ops_per_item=BLEND_FMA_PER_PIXEL,
-        )
-        alpha_cycles = vru_alpha.process(stats.alpha_evaluations)
-        blend_cycles = vru_blend.process(stats.pixels_blended)
-        pair_overhead = stats.num_pairs_processed * config.vru_pair_overhead
-        render_compute = alpha_cycles + blend_cycles + pair_overhead
         render_dram_bytes = (
-            stats.num_pairs_processed * config.bytes_2d_gaussian
-            + stats.num_tile_pairs * config.bytes_key_value
+            stats.num_pairs_processed * BYTES_2D_GAUSSIAN
+            + stats.num_tile_pairs * BYTES_KEY_VALUE
         )
         render_cycles = max(render_compute, render_dram_bytes / dram.bytes_per_cycle)
 
@@ -150,36 +152,26 @@ class GScoreAccelerator:
         # On-chip traffic: staged Gaussian parameters, key-value buffers and
         # the tile-buffer read-modify-write per blended pixel.
         sram_bytes = (
-            2 * stats.num_preprocessed * config.bytes_2d_gaussian
-            + 2 * stats.num_tile_pairs * config.bytes_key_value
+            2 * stats.num_preprocessed * BYTES_2D_GAUSSIAN
+            + 2 * stats.num_tile_pairs * BYTES_KEY_VALUE
             + stats.alpha_evaluations * 4
-            + stats.pixels_blended * config.bytes_per_pixel * 2
+            + stats.pixels_blended * PIXEL_STATE_BYTES * 2
         )
 
         compute_ops = {
             "fma": (
-                projection_unit.activity.ops
-                + sh_unit.activity.ops
-                + vru_alpha.activity.ops
-                + vru_blend.activity.ops
+                units["projection"].ops(stats.num_depth_passed)
+                + units["sh"].ops(stats.num_preprocessed)
+                + units["vru_alpha"].ops(stats.alpha_evaluations)
+                + units["vru_blend"].ops(stats.pixels_blended)
             ),
             "sfu": (
                 stats.num_depth_passed * PROJECTION_SFU_PER_GAUSSIAN
-                + stats.num_preprocessed * 3
+                + stats.num_preprocessed * SH_SFU_PER_GAUSSIAN
                 + stats.alpha_evaluations * ALPHA_SFU_PER_PIXEL
             ),
-            "cmp": cull_unit.activity.ops + sort_unit.activity.ops,
+            "cmp": units["cull"].ops(stats.num_total) + units["sort"].ops(stats.num_tile_pairs),
         }
-
-        frame_time_s = total_cycles / config.tech.clock_hz
-        energy = compute_energy_breakdown(
-            dram_bytes=dram.traffic.total,
-            sram_bytes=sram_bytes,
-            compute_ops=compute_ops,
-            frame_time_s=frame_time_s,
-            energy=config.energy,
-            dram=dram.preset,
-        )
 
         stage_cycles = {
             "preprocess": preprocess_cycles,
@@ -189,17 +181,15 @@ class GScoreAccelerator:
             "render_dram": render_dram_bytes / dram.bytes_per_cycle,
         }
 
-        return SimulationReport(
-            accelerator="GSCore",
-            scene=scene.name,
-            clock_hz=config.tech.clock_hz,
-            total_cycles=total_cycles,
-            stage_cycles=stage_cycles,
-            dram_traffic=dram.traffic,
-            sram_bytes=sram_bytes,
-            compute_ops=compute_ops,
-            energy_pj=energy,
-            area_mm2=GSCORE_TOTAL_AREA_MM2,
+        return frame_report(
+            "GSCore",
+            scene.name,
+            total_cycles,
+            stage_cycles,
+            dram,
+            sram_bytes,
+            compute_ops,
+            GSCORE_TOTAL_AREA_MM2,
             extra={
                 "num_preprocessed": float(stats.num_preprocessed),
                 "num_rendered": float(stats.num_rendered),

@@ -1,4 +1,4 @@
-"""Off-chip DRAM and on-chip SRAM models.
+"""Off-chip DRAM model and the on-chip pixel-state width.
 
 The DRAM model is a bandwidth/traffic model: each traffic class (3D Gaussian
 attributes, 2D projected attributes, key-value pairs, frame buffer spills)
@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.params import DEFAULT_DRAM, DramPreset, TechnologyParams, dram_preset
+
+#: Bytes of accumulation state per pixel (RGB + transmittance, FP32) in
+#: GCC's Image Buffer and GSCore's tile buffer alike.
+PIXEL_STATE_BYTES = 16
 
 
 @dataclass
@@ -52,15 +56,6 @@ class TrafficCounter:
             "total": self.total,
         }
 
-    def __add__(self, other: "TrafficCounter") -> "TrafficCounter":
-        return TrafficCounter(
-            gaussian_3d=self.gaussian_3d + other.gaussian_3d,
-            gaussian_2d=self.gaussian_2d + other.gaussian_2d,
-            key_value=self.key_value + other.key_value,
-            grouping=self.grouping + other.grouping,
-            framebuffer=self.framebuffer + other.framebuffer,
-        )
-
 
 @dataclass
 class DramModel:
@@ -94,48 +89,8 @@ class DramModel:
             self.traffic, traffic_class, getattr(self.traffic, traffic_class) + int(num_bytes)
         )
 
-    def transfer_cycles(self, num_bytes: int | None = None) -> float:
-        """Cycles needed to move ``num_bytes`` (defaults to all recorded traffic)."""
-        total = self.traffic.total if num_bytes is None else num_bytes
-        if total <= 0:
-            return 0.0
-        return total / self.bytes_per_cycle
 
-    def energy_pj(self, energy_per_byte: float | None = None) -> float:
-        """Energy of all recorded traffic in picojoules."""
-        per_byte = self.preset.energy_pj_per_byte if energy_per_byte is None else energy_per_byte
-        return self.traffic.total * per_byte
-
-
-@dataclass
-class SramBuffer:
-    """One on-chip buffer: capacity plus access-byte accounting.
-
-    ``capacity_bytes`` is only used for configuration checks (e.g. whether a
-    full-resolution image fits the Image Buffer, which triggers Compatibility
-    Mode); energy is proportional to accessed bytes.
-    """
-
-    name: str
-    capacity_bytes: int
-    bytes_accessed: int = 0
-
-    def access(self, num_bytes: int) -> None:
-        """Record ``num_bytes`` of read+write traffic to this buffer."""
-        if num_bytes < 0:
-            raise ValueError("access bytes must be non-negative")
-        self.bytes_accessed += int(num_bytes)
-
-    def fits(self, num_bytes: int) -> bool:
-        """Whether a working set of ``num_bytes`` fits in this buffer."""
-        return num_bytes <= self.capacity_bytes
-
-    def energy_pj(self, pj_per_byte: float) -> float:
-        """Dynamic access energy in picojoules."""
-        return self.bytes_accessed * pj_per_byte
-
-
-def image_buffer_bytes(width: int, height: int, bytes_per_pixel: int = 16) -> int:
+def image_buffer_bytes(width: int, height: int, bytes_per_pixel: int = PIXEL_STATE_BYTES) -> int:
     """On-chip image-buffer working set for a ``width x height`` view.
 
     Each pixel holds accumulated RGB plus transmittance (4 values); the GCC

@@ -75,6 +75,12 @@ class EnergyParams:
     static_power_w: float = 0.05
 
 
+#: The technology and energy constants every model charges (both designs run
+#: at 1 GHz in the same 28 nm process).
+TECHNOLOGY = TechnologyParams()
+ENERGY = EnergyParams()
+
+
 def dram_preset(name: str) -> DramPreset:
     """Look up a DRAM preset by name (case-sensitive, as printed in Fig. 14)."""
     if name not in DRAM_PRESETS:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.memory import TrafficCounter
+from repro.arch.energy import compute_energy_breakdown
+from repro.arch.memory import DramModel, TrafficCounter
+from repro.arch.params import ENERGY, TECHNOLOGY
 
 
 @dataclass
@@ -71,14 +73,6 @@ class SimulationReport:
         """mJ per frame per mm^2 (used by the Figure 13 design-space plots)."""
         return self.energy_mj_per_frame / self.area_mm2
 
-    @property
-    def frames_per_joule(self) -> float:
-        """Energy efficiency as frames per joule (Fig. 10b is the area-normalised ratio)."""
-        energy_j = self.total_energy_pj * 1.0e-12
-        if energy_j <= 0:
-            return float("inf")
-        return 1.0 / energy_j
-
     def summary(self) -> dict[str, float]:
         """Compact scalar summary used by the reporting helpers."""
         return {
@@ -89,3 +83,39 @@ class SimulationReport:
             "sram_bytes": float(self.sram_bytes),
             "energy_mj": self.energy_mj_per_frame,
         }
+
+
+def frame_report(
+    accelerator: str,
+    scene: str,
+    total_cycles: float,
+    stage_cycles: dict[str, float],
+    dram: DramModel,
+    sram_bytes: int,
+    compute_ops: dict[str, float],
+    area_mm2: float,
+    extra: dict[str, float],
+) -> SimulationReport:
+    """The report of one simulated frame, its energy charged at the shared constants."""
+    frame_time_s = total_cycles / TECHNOLOGY.clock_hz
+    energy = compute_energy_breakdown(
+        dram_bytes=dram.traffic.total,
+        sram_bytes=sram_bytes,
+        compute_ops=compute_ops,
+        frame_time_s=frame_time_s,
+        energy=ENERGY,
+        dram=dram.preset,
+    )
+    return SimulationReport(
+        accelerator=accelerator,
+        scene=scene,
+        clock_hz=TECHNOLOGY.clock_hz,
+        total_cycles=total_cycles,
+        stage_cycles=stage_cycles,
+        dram_traffic=dram.traffic,
+        sram_bytes=sram_bytes,
+        compute_ops=compute_ops,
+        energy_pj=energy,
+        area_mm2=area_mm2,
+        extra=extra,
+    )

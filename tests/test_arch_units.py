@@ -1,98 +1,79 @@
-"""Tests for the generic pipelined-unit model and GCC unit factories."""
+"""Tests for the pipelined-unit model and the two designs' unit tables."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.arch.gcc.alpha_unit import alpha_cycles, make_alpha_unit
-from repro.arch.gcc.blending_unit import blending_cycles, image_buffer_traffic
+from repro.arch.gcc.accelerator import gcc_units, image_buffer_traffic
 from repro.arch.gcc.config import GccConfig
-from repro.arch.gcc.projection_unit import projection_cycles
-from repro.arch.gcc.rca import grouping_cycles
-from repro.arch.gcc.sh_unit import sh_cycles
-from repro.arch.gcc.sort_unit import bitonic_passes, sort_cycles
-from repro.arch.units import PipelinedUnit
+from repro.arch.gscore.accelerator import gscore_units
+from repro.arch.units import SH_FMA_PER_GAUSSIAN, Unit, bitonic_passes
 
 
 class TestPipelinedUnit:
     def test_throughput_dominates_for_large_batches(self):
-        unit = PipelinedUnit("u", items_per_cycle=2.0, latency_cycles=10)
-        cycles = unit.process(1000)
-        assert cycles == pytest.approx(510.0)
+        unit = Unit("u", items_per_cycle=2.0, latency_cycles=10)
+        assert unit.cycles(1000) == pytest.approx(510.0)
 
     def test_zero_items_cost_nothing(self):
-        unit = PipelinedUnit("u", items_per_cycle=1.0, latency_cycles=5)
-        assert unit.process(0) == 0.0
-        assert unit.activity.cycles == 0.0
-
-    def test_activity_accumulates(self):
-        unit = PipelinedUnit("u", items_per_cycle=1.0, ops_per_item=3.0)
-        unit.process(10)
-        unit.process(20)
-        assert unit.activity.items == 30
-        assert unit.activity.ops == pytest.approx(90.0)
-
-    def test_reset_clears_activity(self):
-        unit = PipelinedUnit("u", items_per_cycle=1.0)
-        unit.process(5)
-        unit.reset()
-        assert unit.activity.items == 0
+        unit = Unit("u", items_per_cycle=1.0, latency_cycles=5, ops_per_item=3.0)
+        assert unit.cycles(0) == 0.0
+        assert unit.ops(0) == 0.0
+        assert unit.ops(10) == pytest.approx(30.0)
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
-            PipelinedUnit("u", items_per_cycle=0.0)
+            Unit("u", items_per_cycle=0.0)
         with pytest.raises(ValueError):
-            PipelinedUnit("u", items_per_cycle=1.0, latency_cycles=-1)
+            Unit("u", items_per_cycle=1.0, latency_cycles=-1)
         with pytest.raises(ValueError):
-            PipelinedUnit("u", items_per_cycle=1.0).process(-5)
+            Unit("u", items_per_cycle=1.0).cycles(-5)
+        with pytest.raises(ValueError):
+            Unit("u", items_per_cycle=1.0).ops(-5)
 
 
 class TestGccUnits:
     def test_grouping_cycles_scale_with_gaussians(self):
-        config = GccConfig()
-        small, _ = grouping_cycles(config, 1000, 800)
-        large, _ = grouping_cycles(config, 10000, 8000)
-        assert large > small
+        units = gcc_units(GccConfig())
+        for name in ("depth_mvm", "rca"):
+            assert units[name].cycles(10000) > units[name].cycles(1000)
 
     def test_projection_parallelism_halves_cycles(self):
-        one_way = projection_cycles(GccConfig(projection_units=1), 10000)[0]
-        two_way = projection_cycles(GccConfig(projection_units=2), 10000)[0]
-        assert two_way < one_way
-        assert two_way == pytest.approx(one_way / 2, rel=0.05)
+        # Two Projection Units against GSCore's four conversion lanes.
+        two_way = gcc_units(GccConfig())["projection"].cycles(10000)
+        four_way = gscore_units()["projection"].cycles(10000)
+        assert four_way < two_way
+        assert four_way == pytest.approx(two_way / 2, rel=0.05)
 
     def test_sh_cycles_match_per_gaussian_cost(self):
-        config = GccConfig()
-        cycles, detail = sh_cycles(config, 100)
-        assert cycles == pytest.approx(100 * config.sh_cycles_per_gaussian + 8, rel=0.01)
-        assert detail["sh_fma_ops"] > 0
+        unit = gcc_units(GccConfig())["sh"]
+        assert unit.cycles(100) == pytest.approx(100 * 16 + 8, rel=0.01)
+        assert unit.ops(100) == pytest.approx(100 * SH_FMA_PER_GAUSSIAN)
+        assert unit.ops(100) > 0
 
     def test_bitonic_passes_grow_superlinearly(self):
         assert bitonic_passes(256, 16) > 2 * bitonic_passes(128, 16)
 
     def test_sort_cycles_zero_for_empty_group(self):
-        cycles, _ = sort_cycles(GccConfig(), 0, 0)
-        assert cycles == 0.0
+        assert gcc_units(GccConfig())["sort"].cycles(0, batches=0) == 0.0
 
     def test_alpha_unit_block_passes(self):
-        config = GccConfig(alpha_array_size=8)
-        unit = make_alpha_unit(config)
-        assert unit.items_per_cycle == pytest.approx(1.0)
-        # A 16x16 block on an 8x8 array needs 4 passes.
-        unit_16 = make_alpha_unit(config, block_size=16)
-        assert unit_16.items_per_cycle == pytest.approx(0.25)
+        # The renderer's block is the PE array, so every array size retires
+        # one block pass per cycle and charges every PE.
+        for size in (8, 16):
+            unit = gcc_units(GccConfig(alpha_array_size=size))["alpha"]
+            assert unit.items_per_cycle == pytest.approx(1.0)
+            assert unit.ops_per_item == pytest.approx(size * size * 4.0)
 
     def test_alpha_cycles_scale_with_blocks(self):
-        config = GccConfig()
-        few, _ = alpha_cycles(config, 100, 10)
-        many, _ = alpha_cycles(config, 1000, 10)
-        assert many > few
+        unit = gcc_units(GccConfig())["alpha"]
+        assert unit.cycles(1000, batches=1) > unit.cycles(100, batches=1)
 
     def test_blending_cycles_and_buffer_traffic(self):
-        config = GccConfig()
-        cycles, detail = blending_cycles(config, 50)
-        assert cycles > 0
-        assert detail["blend_fma_ops"] > 0
-        assert image_buffer_traffic(50, 8, 16) == 50 * 64 * 16 * 2
+        unit = gcc_units(GccConfig())["blend"]
+        assert unit.cycles(50) > 0
+        assert unit.ops(50) > 0
+        assert image_buffer_traffic(50, 8) == 50 * 64 * 16 * 2
 
 
 class TestGccConfigValidation:
@@ -105,7 +86,7 @@ class TestGccConfigValidation:
             GccConfig(image_buffer_bytes=0)
 
     def test_max_resident_pixels(self):
-        config = GccConfig(image_buffer_bytes=128 * 1024, bytes_per_pixel=16)
+        config = GccConfig(image_buffer_bytes=128 * 1024)
         assert config.max_resident_pixels() == 8192
 
     def test_alpha_array_pes(self):

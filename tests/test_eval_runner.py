@@ -40,9 +40,9 @@ def test_run_gcc_sim_matches_direct_simulate(config):
     assert_reports_equal(run_gcc_sim(SETUP, config), direct)
 
 
-@pytest.mark.parametrize("sort_width", [16, 8])
-def test_run_gscore_sim_matches_direct_simulate(sort_width):
-    config = GScoreConfig(sort_width=sort_width)
+@pytest.mark.parametrize("dram", ["LPDDR4-3200", "LPDDR5-6400"])
+def test_run_gscore_sim_matches_direct_simulate(dram):
+    config = GScoreConfig(dram=dram)
     scene, camera = load_scene_and_camera(SETUP)
     direct = GScoreAccelerator(config).simulate(scene, camera)
     assert_reports_equal(run_gscore_sim(SETUP, config), direct)
