@@ -22,7 +22,7 @@ def compute_energy_breakdown(
     compute_ops: dict[str, float],
     frame_time_s: float,
     energy: EnergyParams,
-    dram: DramPreset | None = None,
+    dram: DramPreset,
 ) -> dict[str, float]:
     """Return the per-frame energy breakdown in picojoules.
 
@@ -40,18 +40,17 @@ def compute_energy_breakdown(
     energy:
         Per-access energy constants.
     dram:
-        Optional DRAM preset; when given, its per-byte energy overrides
-        ``energy.dram_pj_per_byte`` (newer LPDDR generations are cheaper per
-        byte, which Figure 14's bandwidth sweep indirectly assumes).
+        The DRAM preset, whose per-byte energy the off-chip term is charged
+        at (newer LPDDR generations are cheaper per byte, which Figure 14's
+        bandwidth sweep indirectly assumes).
     """
-    per_byte = dram.energy_pj_per_byte if dram is not None else energy.dram_pj_per_byte
     per_op = {"fma": energy.fma_pj, "sfu": energy.sfu_pj, "cmp": energy.cmp_pj}
     compute_pj = sum(
         count * per_op.get(kind, energy.fma_pj) for kind, count in compute_ops.items()
     )
     static_pj = energy.static_power_w * frame_time_s * 1.0e12
     return {
-        "dram": dram_bytes * per_byte,
+        "dram": dram_bytes * dram.energy_pj_per_byte,
         "sram": sram_bytes * energy.sram_pj_per_byte,
         "compute": compute_pj,
         "static": static_pj,

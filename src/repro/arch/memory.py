@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.params import DEFAULT_DRAM, DramPreset, TechnologyParams, dram_preset
+from repro.arch.params import DEFAULT_DRAM, TECHNOLOGY, DramPreset, dram_preset
 
 #: Bytes of accumulation state per pixel (RGB + transmittance, FP32) in
 #: GCC's Image Buffer and GSCore's tile buffer alike.
@@ -65,19 +65,17 @@ class DramModel:
     ----------
     preset:
         One of :data:`repro.arch.params.DRAM_PRESETS` (or a custom
-        :class:`DramPreset`).
-    tech:
-        Clock parameters used to convert transfer time into cycles.
+        :class:`DramPreset`).  Transfer time becomes cycles at the shared
+        clock, :data:`repro.arch.params.TECHNOLOGY`.
     """
 
     preset: DramPreset = field(default_factory=lambda: dram_preset(DEFAULT_DRAM))
-    tech: TechnologyParams = field(default_factory=TechnologyParams)
     traffic: TrafficCounter = field(default_factory=TrafficCounter)
 
     @property
     def bytes_per_cycle(self) -> float:
         """Peak bytes the interface can transfer per accelerator clock cycle."""
-        return self.preset.bandwidth_gbps * 1.0e9 / self.tech.clock_hz
+        return self.preset.bandwidth_gbps * 1.0e9 / TECHNOLOGY.clock_hz
 
     def record(self, traffic_class: str, num_bytes: int) -> None:
         """Add ``num_bytes`` of traffic to the named class."""

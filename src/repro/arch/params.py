@@ -41,8 +41,6 @@ class TechnologyParams:
 
     #: Clock frequency in Hz (both designs run at 1 GHz).
     clock_hz: float = 1.0e9
-    #: Process node in nanometres (for documentation only).
-    process_nm: int = 28
 
     @property
     def cycle_time_s(self) -> float:
@@ -56,9 +54,10 @@ class EnergyParams:
 
     Values are representative 28 nm figures: an FP16/FP32 fused multiply-add
     costs on the order of 1-2 pJ, small SRAM accesses below 1 pJ/byte, and
-    LPDDR4 DRAM access roughly 20 pJ/byte (the dearest per byte).  With these
-    constants off-chip energy is GSCore's largest Figure 12 term on every
-    scene but not GCC's (see :mod:`repro.arch.energy`).
+    LPDDR4 DRAM access roughly 20 pJ/byte (the dearest per byte; DRAM energy
+    is the :class:`DramPreset`'s).  With these constants off-chip energy is
+    GSCore's largest Figure 12 term on every scene but not GCC's (see
+    :mod:`repro.arch.energy`).
     """
 
     #: Fused multiply-add (FP) energy per operation.
@@ -69,8 +68,6 @@ class EnergyParams:
     cmp_pj: float = 0.2
     #: On-chip SRAM energy per byte accessed.
     sram_pj_per_byte: float = 0.6
-    #: Off-chip DRAM energy per byte (overridden by the DRAM preset if given).
-    dram_pj_per_byte: float = 20.0
     #: Static (leakage + clock) power in watts charged for the frame duration.
     static_power_w: float = 0.05
 

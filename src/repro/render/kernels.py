@@ -6,24 +6,20 @@ operation at a time.  This module provides the batched equivalents
 :mod:`repro.render.tile_raster` and :mod:`repro.render.gaussian_raster`
 render with (the reference imports nothing from here):
 
-* :func:`tile_cull_bounds` / :func:`live_tile_rows` — the exact dead-pair
-  cull: which of a tile's depth-ordered Gaussians can change a pixel or a
-  counter at all, decided from a conservative footprint box.
-* :func:`batched_tile_alpha` — alpha/Mahalanobis evaluation of a whole chunk
-  of depth-ordered Gaussians over a full tile at once.
-* :func:`sequential_blend` — front-to-back blending of a depth-ordered chunk
-  with the exact freeze-after-saturation semantics of
-  :func:`repro.render.blending.blend_pixels`, implemented as a running
-  product over the Gaussian axis.
-* :func:`subtile_evaluation_count` — the GSCore OBB subtile-skip statistic
-  computed for a chunk of Gaussians in one reduction.
-* :class:`BlockFrame` / :func:`identify_group_blocks` /
-  :func:`blend_group_layers` — the Gaussian-wise engine: footprint bits of
-  every ``(Gaussian, candidate block)`` pair of a window of
-  :data:`GROUP_WINDOW` depth groups in one pass, Algorithm 1's traversal as
-  a reachability fixpoint over them, and Stage IV of one group blended on a
-  block-major frame in rank layers that are contiguous prefixes of its
-  blocks (longest run first).
+* :func:`cull_level` / :func:`footprint_block_spans` /
+  :func:`ellipse_meets_blocks` — the tile-wise engine's exact dead-pair
+  cull: which of a tile's Gaussians can change a pixel or a counter of one
+  of its blocks at all, from a conservative box and the ellipse's minimum.
+* :class:`BlockFrame` / :func:`rank_layers` / :func:`blend_layers` — the
+  one Stage IV of both engines: whole block runs blended on a block-major
+  frame in rank layers that are contiguous prefixes of the blocks (longest
+  run first), fed windows of ranks of the tile lists by the tile-wise
+  engine and one depth group at a time by :func:`blend_group_layers`.
+* :func:`identify_group_blocks` — footprint bits of every ``(Gaussian,
+  candidate block)`` pair of a window of :data:`GROUP_WINDOW` depth groups
+  in one pass, and Algorithm 1's traversal as a reachability fixpoint.
+* :func:`batched_tile_alpha` / :func:`sequential_blend` — the former
+  per-tile kernels, off the engine path, timed by the benchmark's canary.
 
 Every kernel is *observationally equivalent* to the reference loops: the
 per-pixel arithmetic uses identical elementwise operations in the same
@@ -39,11 +35,15 @@ import numpy as np
 
 from repro.render.blending import alpha_from_maha
 
-#: Depth-ordered Gaussians evaluated per tile chunk: the first chunk takes
-#: the first entry, the next the second, ... and the last entry repeats.
-#: Small first chunks keep a tile that saturates early from paying for rows
-#: its early exit never consumes; the cap bounds the chunk temporaries.
-TILE_CHUNK_SCHEDULE: tuple[int, ...] = (64, 128)
+#: Ranks of the tiles' live lists the tile-wise Stage IV blends per window.
+#: A tile whose last block saturates inside a window leaves the next one,
+#: so a wider window wastes more rows past early exits and a narrower one
+#: pays more per-window and per-layer calls.
+RANK_WINDOW = 32
+
+#: ``(row, block)`` entries per tile-wise layer chunk: bounds the
+#: ``(entries, bs * bs)`` temporaries of :func:`blend_layers`.
+LAYER_CHUNK = 768
 
 
 # ----------------------------------------------------------------------
@@ -119,14 +119,8 @@ def shard_intervals(num_tiles: int, num_shards: int) -> list[tuple[int, int]]:
 
 
 def tile_interval_slice(tile_ids: np.ndarray, lo: int, hi: int) -> slice:
-    """Slice of a tile-id-sorted array whose ids lie in ``[lo, hi)``.
-
-    ``tile_ids`` must be sorted ascending (the (tile, depth) radix sort of
-    the standard pipeline guarantees this for the pair stream, and
-    ``np.unique`` for the occupied-tile list), so a shard's pairs are one
-    contiguous slice recovered by binary search — the tile-range entry
-    point of the kernels layer.
-    """
+    """Slice of a tile-id-sorted array (the pair stream, sorted by (tile,
+    depth)) whose ids lie in ``[lo, hi)``: a shard's pairs, by binary search."""
     if lo > hi:
         raise ValueError(f"empty-ordered tile interval: [{lo}, {hi})")
     start = int(np.searchsorted(tile_ids, lo, side="left"))
@@ -134,7 +128,7 @@ def tile_interval_slice(tile_ids: np.ndarray, lo: int, hi: int) -> slice:
     return slice(start, stop)
 
 
-def tile_cull_bounds(
+def cull_level(
     means2d: np.ndarray,
     conics: np.ndarray,
     opacities: np.ndarray,
@@ -142,23 +136,15 @@ def tile_cull_bounds(
     width: int,
     height: int,
 ) -> np.ndarray:
-    """Conservative screen-space footprint box of every Gaussian, ``(M, 4)``.
+    """Per Gaussian, the Mahalanobis^2 level its footprint is culled at.
 
-    Row ``i`` is ``(x_lo, x_hi, y_lo, y_hi)``: the axis-aligned bounding box
-    of the ellipse ``maha <= max(9, 2 ln(opacity / alpha_min))`` of the
-    quadratic form the kernels evaluate.  Outside that ellipse a Gaussian's
-    alpha is below ``alpha_min`` (zeroed, so transmittance and colour are
-    untouched) *and* its Mahalanobis^2 exceeds the 3-sigma subtile test, so
-    a ``(Gaussian, tile)`` pair whose tile rectangle misses the box changes
-    no pixel and no counter except the processed-pair position, which
-    :func:`live_tile_rows`' caller restores (see ``_render_tile_vectorized``).
-
-    The box is computed in float64 from the arrays the kernels will read
-    (the float32 views included), and the ellipse level is inflated by a
-    bound on the rounding error of evaluating the form in that dtype
-    anywhere on the ``width x height`` image, so "outside the box" holds for
-    the *computed* values, not only the exact ones.  A degenerate conic
-    yields NaN/inf bounds, which never compare as a miss.
+    Outside the ellipse ``maha <= max(9, 2 ln(opacity / alpha_min))`` a
+    Gaussian's alpha is below ``alpha_min`` (zeroed) *and* its Mahalanobis^2
+    exceeds the 3-sigma subtile test, so a pixel it cannot reach changes no
+    pixel value and no counter.  The level is computed in float64 from the
+    arrays the kernels read (float32 views included) and inflated by a bound
+    on the rounding error of evaluating the form in that dtype anywhere on
+    the ``width x height`` image, so this holds for the *computed* values.
     """
     eps = np.finfo(means2d.dtype).eps
     mx, my = np.asarray(means2d, dtype=np.float64).T
@@ -169,28 +155,67 @@ def tile_cull_bounds(
         far_x = np.maximum(np.abs(mx), np.abs(width - 1 - mx))
         far_y = np.maximum(np.abs(my), np.abs(height - 1 - my))
         magnitude = np.abs(a) * far_x**2 + 2.0 * np.abs(b) * far_x * far_y + np.abs(c) * far_y**2
-        level = level * (1.0 + 1.0e-6) + 16.0 * eps * magnitude
+    return level * (1.0 + 1.0e-6) + 16.0 * eps * magnitude
+
+
+def footprint_block_spans(
+    frame: BlockFrame, means2d: np.ndarray, conics: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per Gaussian, ``(x_first, x_last, y_first, y_last)``: the inclusive
+    ranges of ``frame``'s block columns and rows with a pixel centre in the
+    bounding box of the ellipse ``maha <= level`` (:func:`cull_level`),
+    empty (``first > last``) when it misses the image.  A degenerate conic
+    (NaN or infinite half-widths) spans every block."""
+    mx, my = np.asarray(means2d, dtype=np.float64).T
+    a, b, c = np.asarray(conics, dtype=np.float64).T
+    bs = frame.block_size
+
+    def span(centre, half, extent):
+        first, last = np.ceil(centre - half), np.floor(centre + half)
+        first[~(first >= 0)] = 0
+        last[~(last <= extent - 1)] = extent - 1
+        empty = first > last
+        first[empty], last[empty] = 0, -bs
+        return first.astype(np.int32) // bs, last.astype(np.int32) // bs
+
+    with np.errstate(divide="ignore", invalid="ignore"):
         det = a * c - b * b
-        half_x = np.sqrt(level * c / det)
-        half_y = np.sqrt(level * a / det)
-    return np.stack([mx - half_x, mx + half_x, my - half_y, my + half_y], axis=1)
+        return (
+            *span(mx, np.sqrt(level * c / det), frame.width),
+            *span(my, np.sqrt(level * a / det), frame.height),
+        )
 
 
-def live_tile_rows(
-    bounds: np.ndarray, rows: np.ndarray, x0: int, y0: int, x1: int, y1: int
+def ellipse_meets_blocks(
+    frame: BlockFrame, blk: np.ndarray, means2d: np.ndarray, conics: np.ndarray, level: np.ndarray
 ) -> np.ndarray:
-    """Positions in ``rows`` whose footprint box meets the pixel tile.
+    """Per ``(block, Gaussian)`` entry (the arrays are the entries' rows),
+    whether the ellipse ``maha <= level`` (:func:`cull_level`) can reach a
+    pixel centre of the block.  The form's minimum over the block's
+    pixel-centre rectangle is exact: zero when the mean lies inside, else
+    the least of its four edges' minima (the form is convex), in float64,
+    whose rounding the level's inflation absorbs.  Forms that are not
+    positive definite always reach."""
+    bs = frame.block_size
+    block_y, block_x = np.divmod(blk, frame.blocks_x)
+    mx, my = np.asarray(means2d, dtype=np.float64).T
+    a, b, c = np.asarray(conics, dtype=np.float64).T
+    u0, v0 = block_x * bs - mx, block_y * bs - my
+    u1 = np.minimum(block_x * bs + bs, frame.width) - 1 - mx
+    v1 = np.minimum(block_y * bs + bs, frame.height) - 1 - my
 
-    ``bounds`` is :func:`tile_cull_bounds`' array, ``rows`` indexes into it
-    and the tile covers pixel centres ``[x0, x1) x [y0, y1)``.  Every
-    position *not* returned is a dead pair: all-zero alpha, no 3-sigma
-    subtile.
-    """
-    box = bounds[rows]
-    dead = (
-        (box[:, 1] < x0) | (box[:, 0] > x1 - 1) | (box[:, 3] < y0) | (box[:, 2] > y1 - 1)
-    )
-    return np.flatnonzero(~dead)
+    def edge(a, b, c, u, v_lo, v_hi):
+        """Minimum of ``a u^2 + 2 b u v + c v^2`` over ``v`` in ``[v_lo, v_hi]``."""
+        v = np.clip(-b * u / c, v_lo, v_hi)
+        return (a * u + 2.0 * b * v) * u + c * v * v
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        least = np.minimum(
+            np.minimum(edge(a, b, c, u0, v0, v1), edge(a, b, c, u1, v0, v1)),
+            np.minimum(edge(c, b, a, v0, u0, u1), edge(c, b, a, v1, u0, u1)),
+        )
+        out_of_reach = (least > level) & (a > 0.0) & (a * c - b * b > 0.0)
+    return ~out_of_reach | ((u0 <= 0.0) & (u1 >= 0.0) & (v0 <= 0.0) & (v1 >= 0.0))
 
 
 def batched_tile_alpha(
@@ -204,15 +229,12 @@ def batched_tile_alpha(
     alpha_min: float,
     alpha_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha and Mahalanobis^2 of ``K`` Gaussians over one pixel tile.
-
-    Returns ``(alpha, maha)`` of shape ``(K, y1 - y0, x1 - x0)``.  The
-    elementwise operations match :func:`repro.render.blending.compute_alpha`
-    exactly, so the values are bitwise-identical to the reference loop: the
-    form is :func:`_maha_grid`'s and the clamp and threshold are
-    :func:`~repro.render.blending.alpha_from_maha` itself, run in place.
-    The pixel grid inherits the dtype of ``means2d``, keeping the float32
-    engine mode in single precision without a separate kernel.
+    """Alpha and Mahalanobis^2 of ``K`` Gaussians over one pixel tile,
+    ``(K, y1 - y0, x1 - x0)`` each, in ``means2d``'s dtype: the form is
+    :func:`_maha_grid`'s and the clamp and threshold are
+    :func:`~repro.render.blending.alpha_from_maha`'s, so the values are the
+    reference loop's bit for bit.  Off the engine path (like
+    :func:`sequential_blend`): the benchmark's kernel canary times it.
     """
     dtype = means2d.dtype
     dx = np.arange(x0, x1, dtype=dtype) - means2d[:, 0, None]
@@ -255,41 +277,18 @@ def sequential_blend(
     colors: np.ndarray,
     transmittance_eps: float,
 ) -> tuple[int, np.ndarray]:
-    """Blend a depth-ordered chunk of Gaussians into a tile, in place.
+    """Blend a depth-ordered chunk of ``K`` Gaussians into a tile, in place.
 
-    Parameters
-    ----------
-    tile_color:
-        ``(P, 3)`` accumulated colour (modified in place).
-    tile_trans:
-        ``(P,)`` accumulated transmittance (modified in place).
-    alphas:
-        ``(K, P)`` per-Gaussian, per-pixel alpha, front-to-back order.
-    colors:
-        ``(K, 3)`` per-Gaussian RGB.
-
-    Returns
-    -------
-    ``(num_processed, counts)`` where ``num_processed`` is how many leading
-    Gaussians of the chunk the reference loop would have processed before its
-    all-pixels-saturated early exit, and ``counts[i]`` is the number of
-    pixels Gaussian ``i`` contributed to (only the first ``num_processed``
-    entries are meaningful).
-
-    The recurrence ``T <- T * (1 - alpha)`` is evaluated row by row with the
-    initial transmittance as the first factor, which is the same
-    left-to-right association as the reference loop; a pixel whose
-    transmittance crosses ``transmittance_eps`` keeps its crossing value
-    (the reference freezes saturated pixels), which is recovered exactly
-    because the sequence is non-increasing.  Colour is a left fold over the
-    Gaussians seeded with ``tile_color``: the reference loop's additions in
-    its order, so the result is bitwise the reference's whatever the chunks.
+    ``tile_color`` ``(P, 3)`` and ``tile_trans`` ``(P,)`` are updated with
+    ``alphas`` ``(K, P)`` and ``colors`` ``(K, 3)`` exactly as the reference
+    loop would (the recurrence row by row, a pixel frozen at its first
+    transmittance at or below ``transmittance_eps``, colour as a left fold).
+    Returns how many leading Gaussians the reference would process before
+    its all-saturated exit, and per Gaussian the pixels it contributed to.
+    Off the engine path: the benchmark's kernel canary times it.
     """
     num, pixels = alphas.shape
-    # trans_seq[i] is the transmittance before Gaussian i (ignoring the
-    # freeze).  One in-place row product per Gaussian: each is a full-width
-    # vector operation, where an axis-0 ``cumprod`` walks the array column
-    # by column and needs a second array.
+    # trans_seq[i] is the transmittance before Gaussian i (ignoring the freeze).
     trans_seq = np.empty((num + 1, pixels), dtype=tile_trans.dtype)
     trans_seq[0] = tile_trans
     np.subtract(1.0, alphas, out=trans_seq[1:])
@@ -297,9 +296,6 @@ def sequential_blend(
     for before, after in zip(seq_rows, seq_rows[1:]):
         after *= before
 
-    # Each pixel's sequence is non-increasing, so its unsaturated entries
-    # are a prefix: their count is the first crossing below eps, which is
-    # both the frozen value and the point after which nothing is active.
     unsaturated = trans_seq > transmittance_eps
     first_sat = np.add.reduce(unsaturated, axis=0, dtype=np.intp)
     num_processed = int(min(num, first_sat.max())) if pixels else num
@@ -307,11 +303,8 @@ def sequential_blend(
     active = unsaturated[:num_processed] & (alphas[:num_processed] > 0.0)
     weights = trans_seq[:num_processed] * alphas[:num_processed]
     weights *= active
-    # Left fold seeded with the tile colour, in (3, P) channel planes: row 0
-    # is the colour so far, row i + 1 Gaussian i's contribution (+0 where
-    # inactive).  The pixels, not 3 channels, are numpy's inner loop; the
-    # reduced axis must stay outer, as numpy sums an inner one pairwise (a
-    # (3, K + 1, P) layout at P = 1), which is not the reference's order.
+    # A left fold seeded with the tile colour: numpy sums an outer axis in
+    # order (an inner one pairwise, which is not the reference's order).
     contributions = np.empty((num_processed + 1, 3, pixels), dtype=tile_color.dtype)
     contributions[0] = tile_color.T
     np.multiply(weights[:, None, :], colors[:num_processed, :, None], out=contributions[1:])
@@ -323,41 +316,15 @@ def sequential_blend(
 
 
 def _any_over_axis1(block: np.ndarray) -> np.ndarray:
-    """``block.any(axis=1)`` of a boolean array by repeated halving.
-
-    Each step ORs the leading and trailing halves (overlapping in the
-    middle element when the length is odd, which an OR does not mind), so
-    the work runs as a few wide vector operations instead of a reduction
-    with a short inner loop.
-    """
+    """``block.any(axis=1)`` of a boolean array by repeated halving (ORs of
+    the leading and trailing halves, overlapping when the length is odd):
+    a few wide vector operations instead of a short-inner-loop reduction."""
     length = block.shape[1]
     while length > 1:
         half = (length + 1) // 2
         block = block[:, :half] | block[:, length - half : length]
         length = half
     return block[:, 0]
-
-
-def subtile_evaluation_count(maha: np.ndarray, subtile: int) -> int:
-    """GSCore subtile-skip alpha-evaluation count for a chunk of Gaussians.
-
-    Mirrors the reference double loop: a subtile is evaluated when the
-    minimum Mahalanobis^2 inside it is within the 3-sigma footprint (<= 9)
-    — equivalently when any of its pixels is — and then contributes its
-    full pixel count (edge subtiles of a partial tile are smaller).
-    """
-    num, th, tw = maha.shape
-    if num == 0:
-        return 0
-    inside = maha <= 9.0
-    evaluated = 0
-    for sy in range(0, th, subtile):
-        band = _any_over_axis1(inside[:, sy : sy + subtile])
-        band_height = min(subtile, th - sy)
-        for sx in range(0, tw, subtile):
-            hits = int(np.count_nonzero(_any_over_axis1(band[:, sx : sx + subtile])))
-            evaluated += hits * band_height * min(subtile, tw - sx)
-    return evaluated
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +349,7 @@ GROUP_WINDOW = 4
 
 
 class BlockFrame:
-    """Block-major frame state of the Gaussian-wise engine.
+    """Block-major frame state of both engines' Stage IV.
 
     The image is padded to whole blocks and stored one block per row, so a
     set of distinct blocks is gathered and scattered with a plain row index
@@ -391,7 +358,7 @@ class BlockFrame:
     saturation threshold, so they are invisible to every result.
     """
 
-    def __init__(self, width: int, height: int, block_size: int) -> None:
+    def __init__(self, width: int, height: int, block_size: int, dtype=np.float64) -> None:
         self.width, self.height, self.block_size = width, height, block_size
         self.blocks_x, self.blocks_y = -(-width // block_size), -(-height // block_size)
         in_x = (np.arange(self.blocks_x * block_size) < width).reshape(-1, block_size)
@@ -400,8 +367,8 @@ class BlockFrame:
         valid = valid.reshape(self.blocks_x * self.blocks_y, block_size * block_size)
         #: ``(num_blocks, bs * bs)`` transmittance, ``(num_blocks, 3, bs * bs)``
         #: colour: one plane per channel inside each block.
-        self.transmittance = valid.astype(np.float64)
-        self.color = np.zeros((len(valid), 3, valid.shape[1]))
+        self.transmittance = valid.astype(dtype)
+        self.color = np.zeros((len(valid), 3, valid.shape[1]), dtype=dtype)
         #: The T_mask: every image pixel of the block has terminated.
         self.saturated = np.zeros(len(valid), dtype=bool)
         #: Image pixels per block (fewer on partial edge blocks).
@@ -420,12 +387,13 @@ def _block_maha(frame: BlockFrame, means2d, conics, block_x, block_y, offsets) -
     ``offsets x offsets``, ``(n, len(offsets), len(offsets))``.
 
     ``means2d``/``conics`` hold one row per pair; the form is
-    :func:`_maha_grid`'s.  On a partial edge block, pixels off the image
-    repeat its last column (row): an "any" over them is the reference's over
-    the image pixels.
+    :func:`_maha_grid`'s, in their dtype.  On a partial edge block, pixels
+    off the image repeat its last column (row): an "any" over them is the
+    reference's over the image pixels.
     """
-    px = np.minimum(block_x[:, None] * frame.block_size + offsets, frame.width - 1)
-    py = np.minimum(block_y[:, None] * frame.block_size + offsets, frame.height - 1)
+    dtype = means2d.dtype
+    px = np.minimum(block_x[:, None] * frame.block_size + offsets, frame.width - 1).astype(dtype)
+    py = np.minimum(block_y[:, None] * frame.block_size + offsets, frame.height - 1).astype(dtype)
     return _maha_grid(conics, px - means2d[:, 0, None], py - means2d[:, 1, None])
 
 
@@ -576,6 +544,111 @@ def radius_box_blocks(
     return gaussian, (by_lo[gaussian] + local_y) * frame.blocks_x + bx_lo[gaussian] + local_x
 
 
+def rank_layers(run: np.ndarray):
+    """Layer-major layout of block runs ordered longest first: layer ``r``
+    holds the ``r``-th pair of each of the first ``sizes[r]`` blocks.
+    Returns ``(sizes, layer_start, rank, local)``: per layer its size and
+    start, per pair its rank in its block's run and its block's position."""
+    sizes = run.size - np.cumsum(np.bincount(run))[:-1]
+    layer_start = np.cumsum(sizes) - sizes
+    rank = np.repeat(np.arange(sizes.size), sizes)
+    return sizes, layer_start, rank, np.arange(rank.size) - layer_start[rank]
+
+
+def layer_chunks(run: np.ndarray, chunk: int):
+    """``(start, stop)`` slices of whole blocks (runs ordered longest first),
+    each of at most ``chunk`` pairs unless one block alone holds more."""
+    ends = np.cumsum(run)
+    start = 0
+    while start < run.size:
+        limit = ends[start] - run[start] + chunk
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def blend_layers(
+    frame: BlockFrame,
+    blk: np.ndarray,
+    run: np.ndarray,
+    layers,
+    rows: np.ndarray,
+    means2d: np.ndarray,
+    conics: np.ndarray,
+    opacities: np.ndarray,
+    colors: np.ndarray,
+    config,
+    footprint: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Stage IV of whole block runs in rank layers, in place on ``frame``.
+
+    ``blk`` lists distinct blocks ordered by run length ``run``, longest
+    first, ``layers`` is :func:`rank_layers` of ``run`` and ``rows`` indexes
+    the per-Gaussian arrays for each pair in that layer-major order (depth
+    order within a block); ``config`` is the
+    :class:`~repro.render.common.RenderConfig`.  The alphas and the frame
+    state are gathered once; the layer loop only does contiguous-slice work.
+    The recurrence runs unfrozen: each pixel's sequence is non-increasing,
+    so its active entries are a prefix and its frozen transmittance is its
+    first entry at or below ``eps``.  Each pixel receives the reference's
+    operations in the reference's order, in the frame's dtype; an inactive
+    pixel adds ``+0.0`` to accumulators that are never ``-0.0``.
+
+    Returns, per pair, the pixels it contributed to; per block, the number
+    of leading pairs after which all its pixels had terminated (above
+    ``run`` when they never do, 0 when they already had); and with
+    ``footprint``, per pair, whether a pixel of its block is within GSCore's
+    3-sigma subtile test (``maha <= 9``).
+    """
+    bs, eps = frame.block_size, config.transmittance_eps
+    sizes, layer_start, rank, local = layers
+    m, n = blk.size, rows.size
+    # Entry e of block j's transmittance sequence (entry 0 the state at
+    # entry, e the state after its pair of rank e - 1) is row
+    # entry_start[e] + j of ``seq``.
+    entry_start = np.concatenate([[0], m + layer_start])
+    alphas = entry_maha(frame, blk[local], rows, means2d, conics)
+    inside = np.minimum.reduce(alphas, axis=1) <= 9.0 if footprint else None
+    alpha_from_maha(alphas, opacities[rows, None], config.alpha_min, config.alpha_max, out=alphas)
+    seq = np.empty((m + n, bs * bs), dtype=alphas.dtype)
+    seq[:m] = frame.transmittance[blk]
+    np.subtract(1.0, alphas, out=seq[m:])
+    bounds = list(zip(entry_start[:-1].tolist(), entry_start[1:].tolist(), sizes.tolist()))
+    for before, after, size in bounds:
+        seq[after : after + size] *= seq[before : before + size]
+
+    # A pair is active on a pixel where it enters unsaturated with a
+    # non-zero alpha: exactly where its weight T * alpha (>= eps / 255) is
+    # non-zero once masked by the entry test.
+    weights = seq[entry_start[rank] + local]
+    active = weights > eps
+    weights *= alphas
+    weights *= active
+    unsaturated = seq > eps
+    crossed = unsaturated[:m].astype(np.intp)
+    color = frame.color[blk]
+    tint = colors[rows][:, :, None]
+    for (_, after, size), lo in zip(bounds, layer_start.tolist()):
+        color[:size] += weights[lo : lo + size, None] * tint[lo : lo + size]
+        crossed[:size] += unsaturated[after : after + size]
+
+    # Entry ``crossed`` is each pixel's first at or below eps (the frozen
+    # value), or one past its last when it never crosses.
+    entry = np.minimum(crossed, run[:, None])
+    frame.transmittance[blk] = seq[entry_start[entry] + np.arange(m)[:, None], np.arange(bs * bs)]
+    frame.color[blk] = color
+    return np.count_nonzero(weights, axis=1), crossed.max(axis=1), inside
+
+
+def entry_maha(frame: BlockFrame, blk, rows, means2d, conics) -> np.ndarray:
+    """Mahalanobis^2 of ``(block, row)`` entries over their block's pixels,
+    ``(entries, bs * bs)``, in the rows' dtype (:func:`_block_maha`)."""
+    block_y, block_x = np.divmod(blk, frame.blocks_x)
+    span = np.arange(frame.block_size)
+    maha = _block_maha(frame, means2d[rows], conics[rows], block_x, block_y, span)
+    return maha.reshape(rows.size, -1)
+
+
 def blend_group_layers(
     frame: BlockFrame,
     gaussian: np.ndarray,
@@ -593,30 +666,16 @@ def blend_group_layers(
     pairs; the per-Gaussian arrays are in depth order; ``config`` is the
     :class:`~repro.render.common.RenderConfig`.  A block's pixels are touched
     only by the pairs on that block, and its T_mask bit depends only on its
-    own pixels, so the group factorises per block: pairs are ranked by depth
-    within their block, and blocks are ordered by run length (their number
-    of pairs), longest first, so that rank layer ``r`` is exactly the first
-    ``n_r`` blocks.  Chunks of whole blocks are therefore independent; per
-    chunk the alphas and the frame state are gathered once and the layer
-    loop only does contiguous-slice work: the transmittance recurrence, the
-    colour fold and a per-pixel count of unsaturated entries.
-
-    As in :func:`sequential_blend`, the recurrence runs unfrozen: each
-    pixel's sequence is non-increasing, so its active entries are a prefix,
-    its frozen transmittance is its first entry at or below ``eps`` and a
-    block saturates at the pair where its last pixel crosses.  Each pixel
-    receives the reference's operations in the reference's order; an
-    inactive pixel adds ``+0.0`` to accumulators that are never ``-0.0``.
-    With ``use_tmask`` the pairs of a block past its saturation point are
-    skipped, exactly when the reference skips them; such a pair changes no
-    pixel, only the counters.  This relies on the frame's invariant that a
-    block's T_mask bit is set exactly when all its pixels have terminated.
+    own pixels, so the group factorises per block: chunks of whole blocks,
+    longest run first, go through :func:`blend_layers`.  With ``use_tmask``
+    the pairs of a block past its saturation point are skipped, exactly when
+    the reference skips them (its T_mask bit is set exactly when all its
+    pixels have terminated); such a pair changes only the counters.
 
     Returns, per Gaussian, how many of its pairs were blended rather than
     skipped and how many pixels they contributed to, and the total number of
     alpha evaluations performed.
     """
-    bs, eps = frame.block_size, config.transmittance_eps
     num = means2d.shape[0]
     # Stable sort on the block keeps depth order inside each block's run.
     by_block = np.argsort(block, kind="stable")
@@ -624,67 +683,21 @@ def blend_group_layers(
     firsts = np.cumsum(runs) - runs
     longest = np.argsort(-runs, kind="stable")
     ids, runs, firsts = ids[longest], runs[longest], firsts[longest]
-    ends = np.cumsum(runs)
     evaluated = np.zeros(num, dtype=np.intp)
     pixels = np.zeros(num, dtype=np.intp)
     alpha_evaluations = 0
-    span, span_pixels = np.arange(bs), np.arange(bs * bs)
-
-    start = 0
-    while start < ids.size:
-        # Whole blocks, up to GROUP_PAIR_CHUNK pairs and at least one block.
-        limit = ends[start] - runs[start] + GROUP_PAIR_CHUNK
-        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
-        blk, run, first = ids[start:stop], runs[start:stop], firsts[start:stop]
-        start, m = stop, stop - start
-        # Layer r holds the first sizes[r] blocks; pairs are stored layer by
-        # layer, and entry e of block j's transmittance sequence (entry 0
-        # the state at entry, e the state after its pair of rank e - 1) is
-        # row entry_start[e] + j of ``seq``.
-        sizes = m - np.cumsum(np.bincount(run))[:-1]
-        layer_start = np.cumsum(sizes) - sizes
-        rank = np.repeat(np.arange(sizes.size), sizes)
-        local = np.arange(rank.size) - layer_start[rank]
-        rows = gaussian[by_block[first[local] + rank]]
-        entry_start = np.concatenate([[0], m + layer_start])
-
-        block_y, block_x = np.divmod(blk[local], frame.blocks_x)
-        alphas = _block_maha(frame, means2d[rows], conics[rows], block_x, block_y, span)
-        alphas = alphas.reshape(rows.size, bs * bs)
-        alpha_from_maha(
-            alphas, opacities[rows, None], config.alpha_min, config.alpha_max, out=alphas
+    for start, stop in layer_chunks(runs, GROUP_PAIR_CHUNK):
+        blk, run = ids[start:stop], runs[start:stop]
+        layers = rank_layers(run)
+        rank, local = layers[2:]
+        rows = gaussian[by_block[firsts[start:stop][local] + rank]]
+        counts, saturates_at, _ = blend_layers(
+            frame, blk, run, layers, rows, means2d, conics, opacities, colors, config
         )
-        seq = np.empty((m + rows.size, bs * bs))
-        seq[:m] = frame.transmittance[blk]
-        np.subtract(1.0, alphas, out=seq[m:])
-        layers = list(zip(entry_start[:-1].tolist(), entry_start[1:].tolist(), sizes.tolist()))
-        for before, after, n in layers:
-            seq[after : after + n] *= seq[before : before + n]
-
-        weights = seq[entry_start[rank] + local]
-        active = weights > eps
-        active &= alphas > 0.0
-        weights *= alphas
-        weights *= active
-        unsaturated = seq > eps
-        crossed = unsaturated[:m].astype(np.intp)
-        color = frame.color[blk]
-        tint = colors[rows][:, :, None]
-        for (_, after, n), lo in zip(layers, layer_start.tolist()):
-            color[:n] += weights[lo : lo + n, None] * tint[lo : lo + n]
-            crossed[:n] += unsaturated[after : after + n]
-
-        # Entry ``crossed`` is each pixel's first at or below eps (the frozen
-        # value), or one past its last when it never crosses.
-        entry = np.minimum(crossed, run[:, None])
-        frame.transmittance[blk] = seq[entry_start[entry] + np.arange(m)[:, None], span_pixels]
-        frame.color[blk] = color
-        saturates_at = crossed.max(axis=1)
         frame.saturated[blk] |= saturates_at <= run
         blended = np.minimum(saturates_at, run) if use_tmask else run
         evaluated += np.bincount(rows[rank < blended[local]], minlength=num)
-        counts = np.count_nonzero(active, axis=1)
         pixels += np.bincount(rows, weights=counts, minlength=num).astype(np.intp)
         alpha_evaluations += int(frame.valid_pixels[blk] @ blended)
-
     return evaluated, pixels, alpha_evaluations
+

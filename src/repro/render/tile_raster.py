@@ -17,26 +17,25 @@ used (Figure 2a), how many times each Gaussian is re-loaded across tiles
 (Figure 2b), and how many pixels are alpha-evaluated versus actually blended
 (Table 1).
 
-Each tile's depth-ordered Gaussian list is first culled to the rows whose
-footprint can reach the tile, then processed in batched chunks via
-:mod:`repro.render.kernels`, with the early-termination point recovered
-exactly from a running transmittance product and mapped back to the
-un-culled list.  The original per-pair Python loop lives apart, in
-:mod:`repro.render.reference`, as the oracle this engine is validated
-against: identical statistics counters and bitwise-identical images (the
-kernels perform the reference's colour additions in the reference's order).
+Stage IV blends every tile at once, with no per-tile loop, on a block-major
+frame of GSCore's 8x8 subtiles in the rank layers of GCC's engine
+(:func:`~repro.render.kernels.blend_layers`); each tile's early exit and
+every counter are recovered in bulk (:func:`_blend_tiles`).  The original
+per-pair loop lives apart, in :mod:`repro.render.reference`, as the oracle
+this engine is validated against: identical statistics counters and
+bitwise-identical images (each pixel gets the reference's operations, colour
+additions included, in the reference's order).
 
 Two orthogonal execution modes extend the pipeline without changing it:
 
 * **Tile-range sharding** — ``render_tilewise(..., tile_shard=(lo, hi))``
   renders only the tiles whose row-major id falls in the half-open
-  interval.  Tiles are independent until Stage IV blending is applied
-  per-tile, so a frame sharded over any partition of the tile range and
-  merged by :func:`compose_tile_shards` is *bitwise identical* — image and
-  statistics counters — to the unsharded render.  Projection and pair
-  building run identically in every shard (they are cheap relative to
-  blending and keep the frame-global counters exact); only the per-tile
-  rendering loop is restricted.
+  interval.  Tiles are independent in Stage IV, so a frame sharded over
+  any partition of the tile range and merged by :func:`compose_tile_shards`
+  is *bitwise identical* — image and statistics counters — to the
+  unsharded render.  Projection and pair building run identically in every
+  shard (they keep the frame-global counters exact); only Stage IV is
+  restricted.
 * **float32 engine mode** — ``RenderConfig(dtype="float32")`` runs alpha
   evaluation and blending in single precision.  Projection, depth sorting
   and tile assignment stay float64, so the pair stream and every counter
@@ -47,7 +46,6 @@ Two orthogonal execution modes extend the pipeline without changing it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -56,13 +54,17 @@ from repro.gaussians.model import GaussianScene
 from repro.render.blending import finalize_image
 from repro.render.common import INDEX_DTYPE, RenderConfig
 from repro.render.kernels import (
-    TILE_CHUNK_SCHEDULE,
-    batched_tile_alpha,
-    live_tile_rows,
-    sequential_blend,
+    LAYER_CHUNK,
+    RANK_WINDOW,
+    BlockFrame,
+    blend_layers,
+    cull_level,
+    ellipse_meets_blocks,
+    entry_maha,
+    footprint_block_spans,
+    layer_chunks,
+    rank_layers,
     stage_hook,
-    subtile_evaluation_count,
-    tile_cull_bounds,
     tile_interval_slice,
 )
 from repro.render.preprocess import ProjectedGaussians, project_scene, tile_range
@@ -151,103 +153,35 @@ def _build_tile_pairs(
     width: int,
     height: int,
     tile_size: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Create (tile_id, gaussian_index) pairs sorted by (tile, depth).
 
-    Returns ``(tile_ids, gaussian_rows, num_tiles_x)`` where ``gaussian_rows``
-    indexes into the projected arrays.  Pairs are built with a repeat/offset
-    construction instead of a per-Gaussian Python loop; the output (order
-    included) is identical to
-    :func:`repro.render.reference._build_tile_pairs_reference`.
+    Returns ``(tile_ids, gaussian_rows, num_tiles_x, num_assigned)`` where
+    ``gaussian_rows`` indexes into the projected arrays and ``num_assigned``
+    counts the Gaussians with at least one pair.  Pairs are laid out
+    Gaussian by Gaussian in stable depth order, each Gaussian's tiles
+    row-major, and then stably sorted by tile id (a radix sort when the ids
+    fit 16 bits), so the order is exactly that of
+    :func:`repro.render.reference._build_tile_pairs_reference`'s lexsort.
     """
     tx_min, tx_max, ty_min, ty_max = tile_range(
         projected.means2d, projected.radii, width, height, tile_size
     )
-    nx = (tx_max - tx_min).astype(np.int64)
-    ny = (ty_max - ty_min).astype(np.int64)
-    counts = nx * ny
-    total_pairs = int(counts.sum())
+    nx = tx_max - tx_min
+    counts = nx * (ty_max - ty_min)
     num_tiles_x = (width + tile_size - 1) // tile_size
 
-    gaussian_rows = np.repeat(np.arange(projected.num_visible, dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total_pairs, dtype=np.int64) - np.repeat(starts, counts)
-    # Row-major (y outer, x inner) within each Gaussian, as the reference
-    # loop's ravel() of the (ty, tx) meshgrid produces.
-    nx_rep = np.repeat(nx, counts)
-    iy, ix = np.divmod(local, np.maximum(nx_rep, 1))
-    tile_ids = (np.repeat(ty_min, counts) + iy) * num_tiles_x + np.repeat(tx_min, counts) + ix
-
-    # Sort by (tile, depth) — the radix sort of the standard pipeline.
-    depths = projected.depths[gaussian_rows]
-    order = np.lexsort((depths, tile_ids))
-    return tile_ids[order], gaussian_rows[order], num_tiles_x
-
-
-def _render_tile_vectorized(
-    rows: np.ndarray,
-    projected: ProjectedGaussians,
-    cull_bounds: np.ndarray,
-    x0: int,
-    y0: int,
-    x1: int,
-    y1: int,
-    tile_color: np.ndarray,
-    tile_trans: np.ndarray,
-    config: RenderConfig,
-    stats: TileWiseStats,
-    processed_rows: np.ndarray,
-    rendered_rows: np.ndarray,
-) -> None:
-    """Chunked, batched processing of one tile's depth-ordered Gaussians.
-
-    Only the *live* rows — those whose footprint box meets the tile — are
-    evaluated.  A dead row leaves every pixel and every counter alone
-    except that the reference loop still counts it as processed while the
-    tile is unsaturated, so the number of processed pairs is mapped back
-    from the live rows: one past the position of the live row the tile
-    saturated on, or every row when it never saturates.
-    """
-    num_pixels = (y1 - y0) * (x1 - x0)
-    live = live_tile_rows(cull_bounds, rows, x0, y0, x1, y1)
-    live_rows = rows[live]
-    processed = rows.size
-    pos = 0
-    for size in chain(TILE_CHUNK_SCHEDULE, repeat(TILE_CHUNK_SCHEDULE[-1])):
-        if pos >= live_rows.size:
-            break
-        chunk = live_rows[pos : pos + size]
-        alpha, maha = batched_tile_alpha(
-            projected.means2d[chunk],
-            projected.conics[chunk],
-            projected.opacities[chunk],
-            x0,
-            y0,
-            x1,
-            y1,
-            config.alpha_min,
-            config.alpha_max,
-        )
-        n_proc, counts = sequential_blend(
-            tile_color,
-            tile_trans,
-            alpha.reshape(chunk.size, num_pixels),
-            projected.colors[chunk],
-            config.transmittance_eps,
-        )
-        stats.alpha_evaluations += subtile_evaluation_count(
-            maha[:n_proc], config.subtile_size
-        )
-        stats.pixels_blended += int(counts[:n_proc].sum())
-        rendered_rows[chunk[:n_proc][counts[:n_proc] > 0]] = True
-        # Saturation can land exactly on the chunk's last row (n_proc ==
-        # chunk size), so a full chunk re-checks before the next one.
-        if n_proc < chunk.size or np.all(tile_trans <= config.transmittance_eps):
-            processed = int(live[pos + n_proc - 1]) + 1
-            break
-        pos += chunk.size
-    stats.num_pairs_processed += processed
-    processed_rows[rows[:processed]] = True
+    by_depth = np.argsort(projected.depths, kind="stable")
+    per_gaussian = counts[by_depth]
+    position = np.repeat(np.arange(by_depth.size), per_gaussian)
+    owner = by_depth[position]
+    local = np.arange(owner.size) - (np.cumsum(per_gaussian) - per_gaussian)[position]
+    iy, ix = np.divmod(local, nx[owner])
+    tile_ids = (ty_min[owner] + iy) * num_tiles_x + tx_min[owner] + ix
+    num_tiles = num_tiles_x * ((height + tile_size - 1) // tile_size)
+    key = tile_ids.astype(np.uint16) if num_tiles <= 2**16 else tile_ids
+    order = np.argsort(key, kind="stable")
+    return tile_ids[order], owner[order], num_tiles_x, int(np.count_nonzero(counts))
 
 
 def frame_tile_count(width: int, height: int) -> int:
@@ -259,21 +193,12 @@ def frame_tile_count(width: int, height: int) -> int:
 
 
 def _render_view(projected: ProjectedGaussians, dtype: np.dtype) -> ProjectedGaussians:
-    """The projected arrays the rendering loop reads, in the engine dtype.
-
-    Projection and pair building always run float64; for the float32 mode
-    only the fields the per-pixel stage touches are down-cast, leaving
-    depths (sorting) and radii (tile assignment) untouched.
-    """
+    """The projected arrays Stage IV reads, in the engine dtype: projection
+    and pair building (depths, radii) always run float64."""
     if dtype == np.float64:
         return projected
-    return replace(
-        projected,
-        means2d=projected.means2d.astype(dtype),
-        conics=projected.conics.astype(dtype),
-        opacities=projected.opacities.astype(dtype),
-        colors=projected.colors.astype(dtype),
-    )
+    fields = ("means2d", "conics", "opacities", "colors")
+    return replace(projected, **{name: getattr(projected, name).astype(dtype) for name in fields})
 
 
 def frame_setup(
@@ -363,98 +288,154 @@ def render_tilewise(
     collected statistics.
     """
     config, tile_shard, projected, stats = frame_setup(scene, camera, config, tile_shard)
-    width, height = camera.width, camera.height
-    tile_size = config.tile_size
-    dtype = np.dtype(config.dtype)
-    color_accum = np.zeros((height, width, 3), dtype=dtype)
-    transmittance = np.ones((height, width), dtype=dtype)
+    frame = BlockFrame(camera.width, camera.height, config.subtile_size, config.dtype)
     processed_rows = np.zeros(projected.num_visible, dtype=bool)
     rendered_rows = np.zeros(projected.num_visible, dtype=bool)
-    frame = (config, tile_shard, projected, stats, color_accum, transmittance)
-    if projected.num_visible == 0:
-        return frame_result(*frame, processed_rows, rendered_rows)
-
-    with stage_hook().stage("pair_build"):
-        tile_ids, gaussian_rows, num_tiles_x = _build_tile_pairs(
-            projected, width, height, tile_size
-        )
-    stats.num_tile_pairs = int(tile_ids.size)
-    stats.num_assigned = int(np.unique(gaussian_rows).size) if tile_ids.size else 0
-
-    view = _render_view(projected, dtype)
-    unique_tiles, tile_starts = np.unique(tile_ids, return_index=True)
-    tile_bounds = np.append(tile_starts, tile_ids.size)
-    if tile_shard is None:
-        t_lo, t_hi = 0, int(unique_tiles.size)
-    else:
-        owned = tile_interval_slice(unique_tiles, *tile_shard)
-        t_lo, t_hi = owned.start, owned.stop
-    stats.num_occupied_tiles = t_hi - t_lo
-
-    with stage_hook().stage("blend", tiles=t_hi - t_lo):
-        cull_bounds = tile_cull_bounds(
-            view.means2d, view.conics, view.opacities, config.alpha_min, width, height
-        )
-        for t_index in range(t_lo, t_hi):
-            tile_id = unique_tiles[t_index]
-            start, stop = tile_bounds[t_index], tile_bounds[t_index + 1]
-            rows = gaussian_rows[start:stop]
-
-            ty, tx = divmod(int(tile_id), num_tiles_x)
-            x0, y0 = tx * tile_size, ty * tile_size
-            x1, y1 = min(x0 + tile_size, width), min(y0 + tile_size, height)
-
-            tile_color = color_accum[y0:y1, x0:x1].reshape(-1, 3)
-            tile_trans = transmittance[y0:y1, x0:x1].reshape(-1)
-            _render_tile_vectorized(
-                rows, view, cull_bounds, x0, y0, x1, y1, tile_color, tile_trans,
-                config, stats, processed_rows, rendered_rows,
+    if projected.num_visible:
+        with stage_hook().stage("pair_build"):
+            tile_ids, gaussian_rows, num_tiles_x, stats.num_assigned = _build_tile_pairs(
+                projected, camera.width, camera.height, config.tile_size
             )
-            color_accum[y0:y1, x0:x1] = tile_color.reshape(y1 - y0, x1 - x0, 3)
-            transmittance[y0:y1, x0:x1] = tile_trans.reshape(y1 - y0, x1 - x0)
+        stats.num_tile_pairs = int(tile_ids.size)
+        if tile_shard is not None:
+            owned = tile_interval_slice(tile_ids, *tile_shard)
+            tile_ids, gaussian_rows = tile_ids[owned], gaussian_rows[owned]
+        starts = np.flatnonzero(np.diff(tile_ids, prepend=-1))
+        stats.num_occupied_tiles = int(starts.size)
+        with stage_hook().stage("blend", tiles=stats.num_occupied_tiles):
+            if starts.size:
+                view = _render_view(projected, np.dtype(config.dtype))
+                _blend_tiles(
+                    view, tile_ids, gaussian_rows, starts, num_tiles_x, frame, config,
+                    stats, processed_rows, rendered_rows,
+                )  # fmt: skip
+    color = frame.unblocked(frame.color.transpose(0, 2, 1))
+    return frame_result(
+        config, tile_shard, projected, stats, color, frame.unblocked(frame.transmittance),
+        processed_rows, rendered_rows,
+    )  # fmt: skip
 
-    return frame_result(*frame, processed_rows, rendered_rows)
 
-
-def _copy_tile_interval(
-    dst: np.ndarray,
-    src: np.ndarray,
-    interval: tuple[int, int],
+def _blend_tiles(
+    view: ProjectedGaussians,
+    tile_ids: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
     num_tiles_x: int,
-    tile_size: int,
+    frame: BlockFrame,
+    config: RenderConfig,
+    stats: TileWiseStats,
+    processed_rows: np.ndarray,
+    rendered_rows: np.ndarray,
 ) -> None:
-    """Copy the pixels of the tiles in ``interval`` from ``src`` to ``dst``.
+    """Stage IV of every tile of a pair stream at once, on ``frame``'s blocks.
 
-    A contiguous row-major tile-id interval is a stack of full tile rows
-    with at most one partial row at each end, so the copy is a handful of
-    rectangular slice assignments, not a per-tile loop.
+    ``tile_ids``/``rows`` are the pairs sorted by (tile, depth), each tile's
+    list starting at ``starts``; ``frame`` has GSCore's subtile edge, half
+    the tile's.  A
+    tile's *live* rows are those whose footprint box spans one of its blocks
+    (:func:`~repro.render.kernels.footprint_block_spans`); a block's run is
+    the live rows, in depth order, whose box spans it and whose ellipse
+    reaches it (:func:`~repro.render.kernels.ellipse_meets_blocks`); any
+    other row has zero alpha and no 3-sigma pixel there.  Windows of
+    :data:`RANK_WINDOW` ranks of the live lists go through
+    :func:`~repro.render.kernels.blend_layers` in chunks of whole blocks,
+    longest run first, and a tile leaves once all its blocks saturate.
+
+    The reference exits a tile on the live row its last block saturates on,
+    so the counters follow in bulk: that rank, mapped back to the tile's
+    full list (dead rows included), gives its processed pairs, and each
+    processed (row, block) entry with a pixel within the 3-sigma test adds
+    its block's pixels to the alpha evaluations (an entry of an already
+    saturated block is evaluated for that test alone).
     """
-    lo, hi = interval
-    if lo >= hi:
-        return
-    height, width = dst.shape[:2]
-    for ty in range(lo // num_tiles_x, (hi - 1) // num_tiles_x + 1):
-        tx_lo = max(lo - ty * num_tiles_x, 0)
-        tx_hi = min(hi - ty * num_tiles_x, num_tiles_x)
-        y0, y1 = ty * tile_size, min((ty + 1) * tile_size, height)
-        x0, x1 = tx_lo * tile_size, min(tx_hi * tile_size, width)
-        dst[y0:y1, x0:x1] = src[y0:y1, x0:x1]
+    bs, per = frame.block_size, config.tile_size // frame.block_size
+    lengths = np.diff(np.append(starts, tile_ids.size))
+    tile_of = np.repeat(np.arange(starts.size, dtype=np.int32), lengths)
+    ty, tx = np.divmod(tile_ids[starts], num_tiles_x)
+    level = cull_level(
+        view.means2d, view.conics, view.opacities, config.alpha_min, frame.width, frame.height
+    )
+    # Per pair, the cells (0..per-1) of its tile's block columns and rows
+    # that its footprint box spans.
+    spans = footprint_block_spans(frame, view.means2d, view.conics, level)
+    origin = ((tx * per).astype(np.int32), (ty * per).astype(np.int32))
+    x_lo, x_hi, y_lo, y_hi = (s[rows] - origin[i // 2][tile_of] for i, s in enumerate(spans))
+    live = (x_lo < per) & (x_hi >= 0) & (y_lo < per) & (y_hi >= 0)
+    before = np.cumsum(live, dtype=np.int32) - live
+    rank = before - before[starts][tile_of]
+    live_pairs = np.flatnonzero(live)
+    window = rank[live_pairs] // RANK_WINDOW
+    per_window = np.bincount(window)
+    key = window.astype(np.uint16) if per_window.size <= 2**16 else window
+    live_pairs = live_pairs[np.argsort(key, kind="stable")]
+    window_ends = np.cumsum(per_window).tolist()
 
+    # Per tile its blocks, cell by cell; a cell past the frame edge points
+    # at a sentinel slot that reads as saturated before the first row.
+    cells = np.arange(per)
+    cell_y, cell_x = ty[:, None] * per + cells, tx[:, None] * per + cells
+    on_frame = (cell_y < frame.blocks_y)[:, :, None] & (cell_x < frame.blocks_x)[:, None, :]
+    num_blocks = frame.valid_pixels.size
+    tile_blocks = cell_y[:, :, None] * frame.blocks_x + cell_x[:, None, :]
+    tile_blocks = np.where(on_frame, tile_blocks, num_blocks).reshape(starts.size, per * per)
+    never = np.iinfo(np.intp).max
+    #: Rank (in its tile's live list) of the row each block saturated on.
+    saturated_on = np.full(num_blocks + 1, never)
+    saturated_on[-1] = -1
+    exit_rank = np.full(starts.size, never)
+    alive = exit_rank == never
+    arrays = (view.means2d, view.conics, view.opacities, view.colors)
+    for lo, hi in zip([0, *window_ends], window_ends):
+        sel = live_pairs[lo:hi]
+        sel = sel[alive[tile_of[sel]]]
+        if not sel.size:
+            break
+        # The window's (pair, block) entries, cell by cell: each block's
+        # entries are one contiguous run in depth order.
+        in_y = (y_lo[sel, None] <= cells) & (y_hi[sel, None] >= cells)
+        in_x = (x_lo[sel, None] <= cells) & (x_hi[sel, None] >= cells)
+        cell, at = np.nonzero((in_y[:, :, None] & in_x[:, None, :]).reshape(sel.size, -1).T)
+        pair = sel[at]
+        blocks = tile_blocks[tile_of[pair], cell]
+        g = rows[pair]
+        reach = ellipse_meets_blocks(frame, blocks, view.means2d[g], view.conics[g], level[g])
+        pair, blocks = pair[reach], blocks[reach]
+        tile = tile_of[pair]
+        first = np.flatnonzero(np.diff(blocks, prepend=-1))
+        run = np.diff(np.append(first, blocks.size))
+        done = saturated_on[blocks[first]] != never
+        inside = np.zeros(pair.size, dtype=bool)
+        if done.any():
+            ent = np.repeat(done, run)
+            maha = entry_maha(frame, blocks[ent], rows[pair[ent]], *arrays[:2])
+            inside[ent] = np.minimum.reduce(maha, axis=1) <= 9.0
+        first, run = first[~done], run[~done]
+        longest = np.argsort(-run, kind="stable")
+        blk, run, first = blocks[first[longest]], run[longest], first[longest]
+        for start, stop in layer_chunks(run, LAYER_CHUNK):
+            layers = rank_layers(run[start:stop])
+            _, layer_start, layer_rank, local = layers
+            e = first[start:stop][local] + layer_rank
+            counts, sat, inside[e] = blend_layers(
+                frame, blk[start:stop], run[start:stop], layers, rows[pair[e]], *arrays, config,
+                footprint=True,
+            )  # fmt: skip
+            stats.pixels_blended += int(counts.sum())
+            rendered_rows[rows[pair[e[counts > 0]]]] = True
+            new = np.flatnonzero((sat > 0) & (sat <= run[start:stop]))
+            saturated_on[blk[start + new]] = rank[pair[e[layer_start[sat[new] - 1] + new]]]
+        exit_rank = saturated_on[tile_blocks].max(axis=1)
+        alive = exit_rank == never
+        counted = inside & (rank[pair] <= exit_rank[tile])
+        stats.alpha_evaluations += int(frame.valid_pixels[blocks[counted]].sum())
 
-def _union_indices(arrays: list[np.ndarray]) -> np.ndarray:
-    """Sorted union of per-shard source-index arrays.
-
-    Each input is sorted-unique (a subset of the ascending
-    ``source_indices``), so the union reproduces the unsharded array
-    bitwise, dtype included.
-    """
-    nonempty = [a for a in arrays if a.size]
-    if not nonempty:
-        return np.zeros(0, dtype=INDEX_DTYPE)
-    out = nonempty[0]
-    for arr in nonempty[1:]:
-        out = np.union1d(out, arr)
-    return out
+    exited = np.flatnonzero(exit_rank != never)
+    last = np.flatnonzero(live)[before[starts[exited]] + exit_rank[exited]]
+    lengths[exited] = last + 1 - starts[exited]
+    stats.num_pairs_processed += int(lengths.sum())
+    position = np.arange(rows.size) - starts[tile_of]
+    processed_rows[rows[position < lengths[tile_of]]] = True
 
 
 def compose_tile_shards(shards: list[TileWiseResult]) -> TileWiseResult:
@@ -501,11 +482,16 @@ def compose_tile_shards(shards: list[TileWiseResult]) -> TileWiseResult:
         )
 
     image = np.empty_like(ordered[0].image)
+    tile_y, tile_x = np.arange(height) // tile_size, np.arange(width) // tile_size
+    pixel_tile = tile_y[:, None] * num_tiles_x + tile_x
     for shard in ordered:
-        _copy_tile_interval(image, shard.image, shard.tile_shard, num_tiles_x, tile_size)
+        owned = (pixel_tile >= shard.tile_shard[0]) & (pixel_tile < shard.tile_shard[1])
+        image[owned] = shard.image[owned]
 
-    processed = _union_indices([s.stats.processed_indices for s in ordered])
-    rendered = _union_indices([s.stats.rendered_indices for s in ordered])
+    # Each shard's index set is a sorted subset of the ascending
+    # ``source_indices``, so their union is the unsharded array, dtype included.
+    processed = np.unique(np.concatenate([s.stats.processed_indices for s in ordered]))
+    rendered = np.unique(np.concatenate([s.stats.rendered_indices for s in ordered]))
     stats = TileWiseStats(
         width=width,
         height=height,

@@ -14,7 +14,10 @@ from repro.arch.area import (
     scaled_image_buffer_area,
 )
 from repro.arch.energy import compute_energy_breakdown
-from repro.arch.params import EnergyParams, dram_preset
+from repro.arch.params import DEFAULT_DRAM, EnergyParams, dram_preset
+
+#: The DRAM every model is charged at unless a configuration names another.
+LPDDR4 = dram_preset(DEFAULT_DRAM)
 
 
 class TestEnergyBreakdown:
@@ -25,31 +28,31 @@ class TestEnergyBreakdown:
             compute_ops={"fma": 500, "sfu": 100, "cmp": 50},
             frame_time_s=1e-3,
             energy=EnergyParams(),
+            dram=LPDDR4,
         )
         assert set(energy) == {"dram", "sram", "compute", "static"}
         assert all(value >= 0 for value in energy.values())
 
     def test_dram_energy_scales_with_bytes(self):
         params = EnergyParams()
-        small = compute_energy_breakdown(1000, 0, {}, 0.0, params)
-        large = compute_energy_breakdown(10_000, 0, {}, 0.0, params)
+        small = compute_energy_breakdown(1000, 0, {}, 0.0, params, LPDDR4)
+        large = compute_energy_breakdown(10_000, 0, {}, 0.0, params, LPDDR4)
         assert large["dram"] == pytest.approx(10 * small["dram"])
 
-    def test_preset_overrides_dram_energy_per_byte(self):
-        params = EnergyParams(dram_pj_per_byte=100.0)
-        with_preset = compute_energy_breakdown(
-            1000, 0, {}, 0.0, params, dram=dram_preset("LPDDR4-3200")
-        )
-        assert with_preset["dram"] == pytest.approx(1000 * 20.0)
+    def test_dram_energy_is_charged_at_the_preset_per_byte(self):
+        # DRAM energy is the preset's alone: no per-byte constant competes.
+        for name, per_byte in (("LPDDR4-3200", 20.0), ("LPDDR6-14400", 10.0)):
+            energy = compute_energy_breakdown(1000, 0, {}, 0.0, EnergyParams(), dram_preset(name))
+            assert energy["dram"] == pytest.approx(1000 * per_byte)
 
     def test_unknown_op_kind_charged_at_fma_rate(self):
         params = EnergyParams(fma_pj=2.0)
-        energy = compute_energy_breakdown(0, 0, {"mystery": 10}, 0.0, params)
+        energy = compute_energy_breakdown(0, 0, {"mystery": 10}, 0.0, params, LPDDR4)
         assert energy["compute"] == pytest.approx(20.0)
 
     def test_static_term_scales_with_frame_time(self):
         params = EnergyParams(static_power_w=0.1)
-        energy = compute_energy_breakdown(0, 0, {}, 2e-3, params)
+        energy = compute_energy_breakdown(0, 0, {}, 2e-3, params, LPDDR4)
         assert energy["static"] == pytest.approx(0.1 * 2e-3 * 1e12)
 
 

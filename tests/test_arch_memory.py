@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.energy import compute_energy_breakdown
 from repro.arch.memory import DramModel, TrafficCounter, image_buffer_bytes
-from repro.arch.params import DRAM_PRESETS, EnergyParams, TechnologyParams, dram_preset
+from repro.arch.params import DRAM_PRESETS, TECHNOLOGY, EnergyParams, TechnologyParams, dram_preset
 
 
 class TestTrafficCounter:
@@ -18,7 +18,9 @@ class TestTrafficCounter:
 
 class TestDramModel:
     def test_bytes_per_cycle_matches_preset(self):
-        dram = DramModel(preset=dram_preset("LPDDR4-3200"), tech=TechnologyParams(clock_hz=1e9))
+        # 51.2 GB/s at the shared 1 GHz clock.
+        dram = DramModel(preset=dram_preset("LPDDR4-3200"))
+        assert TECHNOLOGY.clock_hz == 1e9
         assert dram.bytes_per_cycle == pytest.approx(51.2)
 
     def test_record_and_transfer_cycles(self):
@@ -72,7 +74,7 @@ class TestParams:
 
     def test_energy_params_defaults_are_positive(self):
         params = EnergyParams()
-        assert params.fma_pj > 0 and params.sram_pj_per_byte > 0 and params.dram_pj_per_byte > 0
+        assert params.fma_pj > 0 and params.sram_pj_per_byte > 0 and params.static_power_w > 0
 
     def test_image_buffer_bytes(self):
         assert image_buffer_bytes(128, 128, bytes_per_pixel=16) == 128 * 128 * 16

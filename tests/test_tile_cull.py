@@ -1,16 +1,19 @@
-"""The tile-wise engine's dead-pair cull, chunk schedule and memory footprint.
+"""The tile-wise engine's dead-pair cull, rank windows and memory footprint.
 
-Three contracts of the vectorized Stage IV (``render/kernels.py``,
-``render/tile_raster.py::_render_tile_vectorized``):
+Three contracts of the frame-level Stage IV (``render/kernels.py``,
+``render/tile_raster.py::_blend_tiles``):
 
-* **The cull is exact.**  A ``(Gaussian, tile)`` pair dropped by
-  :func:`~repro.render.kernels.live_tile_rows` has all-zero alpha and no
-  pixel within the 3-sigma subtile test when the pair *is* evaluated, by
-  the kernel of the same dtype; and mapping the live-row stop position
-  back to the depth-ordered list reproduces the reference loop's counters
-  one for one, whatever mix of live and dead rows the tile holds.
-* **The chunk schedule is unobservable** in counters and float64
-  transmittance.
+* **The cull is exact.**  A ``(Gaussian, tile)`` pair whose footprint box
+  (:func:`~repro.render.kernels.footprint_block_spans`) spans none of the tile's
+  blocks, and a ``(Gaussian, block)`` entry that
+  :func:`~repro.render.kernels.ellipse_meets_blocks` finds out of reach,
+  have all-zero alpha and no pixel within the 3-sigma subtile test when they
+  *are* evaluated, by the kernel of the same dtype; and mapping the
+  live-row exit rank back to the depth-ordered list reproduces the
+  reference loop's counters one for one, whatever mix of live and dead rows
+  the tile holds.
+* **The rank windows and layer chunks are unobservable** in counters and
+  float64 transmittance.
 * **Memory:** one frame allocates no more than the engine it replaced, and
   nothing array-valued outlives the call at module level.
 """
@@ -30,7 +33,7 @@ from repro.render import kernels, tile_raster
 from repro.render.common import RenderConfig
 from repro.render.preprocess import ProjectedGaussians
 from repro.render.reference import _render_tile_reference, render_tilewise_reference
-from repro.render.tile_raster import TileWiseStats, _render_tile_vectorized, render_tilewise
+from repro.render.tile_raster import TileWiseStats, render_tilewise
 
 CONFIG = RenderConfig()
 TILE = CONFIG.tile_size
@@ -66,30 +69,55 @@ def splats(means, sigmas, thetas, opacities, dtype=np.float64) -> ProjectedGauss
     )
 
 
-def cull_bounds(view: ProjectedGaussians, width: int, height: int) -> np.ndarray:
-    return kernels.tile_cull_bounds(
+def cull_level(view: ProjectedGaussians, width: int, height: int) -> np.ndarray:
+    return kernels.cull_level(
         view.means2d, view.conics, view.opacities, CONFIG.alpha_min, width, height
     )
 
 
+def live_rows(view: ProjectedGaussians, rect, width: int, height: int) -> np.ndarray:
+    """The rows the engine keeps for the tile at ``rect``: those whose box
+    spans one of its block columns and one of its block rows."""
+    x0, y0, x1, y1 = rect
+    bs = CONFIG.subtile_size
+    frame = kernels.BlockFrame(width, height, bs)
+    spans = kernels.footprint_block_spans(
+        frame, view.means2d, view.conics, cull_level(view, width, height)
+    )
+    x_lo, x_hi, y_lo, y_hi = spans
+    hit_x = (x_lo <= (x1 - 1) // bs) & (x_hi >= x0 // bs)
+    return np.flatnonzero(hit_x & (y_lo <= (y1 - 1) // bs) & (y_hi >= y0 // bs))
+
+
 def render_tile(backend, view, rect, width, height):
-    """One tile through one backend: ``(stats, processed, rendered, colour, trans)``."""
+    """One tile through one backend: ``(stats, processed, rendered, colour, trans)``.
+
+    The engine renders the tile's depth-ordered list (every row) as the one
+    occupied tile of a ``width x height`` frame."""
     x0, y0, x1, y1 = rect
     dtype = view.means2d.dtype
-    num_pixels = (y1 - y0) * (x1 - x0)
-    tile_color = np.zeros((num_pixels, 3), dtype=dtype)
-    tile_trans = np.ones(num_pixels, dtype=dtype)
     stats = TileWiseStats()
     processed = np.zeros(view.num_visible, dtype=bool)
     rendered = np.zeros(view.num_visible, dtype=bool)
     rows = np.arange(view.num_visible)
-    tail = (tile_color, tile_trans, CONFIG, stats, processed, rendered)
     if backend == "reference":
+        num_pixels = (y1 - y0) * (x1 - x0)
+        tile_color = np.zeros((num_pixels, 3), dtype=dtype)
+        tile_trans = np.ones(num_pixels, dtype=dtype)
         grid_x, grid_y = np.meshgrid(np.arange(x0, x1, dtype=dtype), np.arange(y0, y1, dtype=dtype))
+        tail = (tile_color, tile_trans, CONFIG, stats, processed, rendered)
         _render_tile_reference(rows, view, grid_x, grid_y, *tail)
-    else:
-        _render_tile_vectorized(rows, view, cull_bounds(view, width, height), x0, y0, x1, y1, *tail)
-    return stats, processed, rendered, tile_color, tile_trans
+        return stats, processed, rendered, tile_color, tile_trans
+    num_tiles_x = -(-width // TILE)
+    tile_ids = np.full(rows.size, (y0 // TILE) * num_tiles_x + x0 // TILE)
+    frame = kernels.BlockFrame(width, height, CONFIG.subtile_size, dtype)
+    tile_raster._blend_tiles(
+        view, tile_ids, rows, np.zeros(1, dtype=np.intp), num_tiles_x, frame, CONFIG,
+        stats, processed, rendered,
+    )  # fmt: skip
+    color = frame.unblocked(frame.color.transpose(0, 2, 1))[y0:y1, x0:x1].reshape(-1, 3)
+    trans = frame.unblocked(frame.transmittance)[y0:y1, x0:x1].reshape(-1)
+    return stats, processed, rendered, color, trans
 
 
 def _counters(stats) -> dict:
@@ -142,10 +170,9 @@ class TestCullIsExact:
     @given(case=tiles_of_splats())
     @settings(max_examples=300, deadline=None)
     def test_culled_rows_are_dead_in_the_same_dtype_kernel(self, case):
-        view, (x0, y0, x1, y1), width, height = case
-        rows = np.arange(view.num_visible)
-        live = kernels.live_tile_rows(cull_bounds(view, width, height), rows, x0, y0, x1, y1)
-        dead = np.setdiff1d(rows, live)
+        view, rect, width, height = case
+        x0, y0, x1, y1 = rect
+        dead = np.setdiff1d(np.arange(view.num_visible), live_rows(view, rect, width, height))
         alpha, maha = kernels.batched_tile_alpha(
             view.means2d[dead], view.conics[dead], view.opacities[dead],
             x0, y0, x1, y1, CONFIG.alpha_min, CONFIG.alpha_max,
@@ -153,6 +180,28 @@ class TestCullIsExact:
         assert alpha.dtype == view.means2d.dtype
         assert not alpha.any(), "a culled row has a non-zero alpha"
         assert dead.size == 0 or maha.min() > 9.0, "a culled row reaches a 3-sigma subtile"
+
+    @given(case=tiles_of_splats())
+    @settings(max_examples=300, deadline=None)
+    def test_unreached_blocks_are_dead_in_the_same_dtype_kernel(self, case):
+        view, (x0, y0, x1, y1), width, height = case
+        bs = CONFIG.subtile_size
+        frame = kernels.BlockFrame(width, height, bs, view.means2d.dtype)
+        level = cull_level(view, width, height)
+        rows = np.arange(view.num_visible)
+        for by in range(y0 // bs, -(-y1 // bs)):
+            for bx in range(x0 // bs, -(-x1 // bs)):
+                block = np.full(rows.size, by * frame.blocks_x + bx)
+                means, conics = view.means2d, view.conics
+                dead = rows[~kernels.ellipse_meets_blocks(frame, block, means, conics, level)]
+                bx0, by0 = bx * bs, by * bs
+                alpha, maha = kernels.batched_tile_alpha(
+                    view.means2d[dead], view.conics[dead], view.opacities[dead],
+                    bx0, by0, min(bx0 + bs, width), min(by0 + bs, height),
+                    CONFIG.alpha_min, CONFIG.alpha_max,
+                )  # fmt: skip
+                assert not alpha.any(), "an unreached block has a non-zero alpha"
+                assert dead.size == 0 or maha.min() > 9.0, "an unreached block is 3-sigma"
 
     @given(case=tiles_of_splats())
     @settings(max_examples=150, deadline=None)
@@ -164,14 +213,18 @@ class TestCullIsExact:
         # A faint Gaussian's 3-sigma radius reaches the tile; its alpha
         # footprint and 3-sigma ellipse (thin, pointing away) do not.
         view = splats([[40.0, 8.0]], [[1.0, 12.0]], [0.0], [0.5])
-        live = kernels.live_tile_rows(cull_bounds(view, 64, 64), np.arange(1), 0, 0, 16, 16)
+        live = live_rows(view, (0, 0, 16, 16), 64, 64)
         assert view.radii[0] > 40.0 - 15.0 and live.size == 0
 
     def test_degenerate_conic_is_never_culled(self):
         view = splats([[500.0, 500.0]], [[1.0, 1.0]], [0.0], [0.5])
         view.conics[0] = (1.0, 1.0, 1.0)  # det == 0
-        live = kernels.live_tile_rows(cull_bounds(view, 64, 64), np.arange(1), 0, 0, 16, 16)
+        live = live_rows(view, (0, 0, 16, 16), 64, 64)
         assert live.tolist() == [0]
+        block = np.zeros(1, dtype=np.intp)
+        frame = kernels.BlockFrame(64, 64, CONFIG.subtile_size)
+        level = cull_level(view, 64, 64)
+        assert kernels.ellipse_meets_blocks(frame, block, view.means2d, view.conics, level).all()
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +269,9 @@ class TestStopPositionMapping:
         assert stats.num_pairs_processed == need + 4
 
     def test_saturation_exactly_on_a_chunk_boundary(self, monkeypatch):
+        # The tile saturates on the last live row of its first rank window.
         need = self._live_rows_to_saturate()
-        monkeypatch.setattr(tile_raster, "TILE_CHUNK_SCHEDULE", (need,))
+        monkeypatch.setattr(tile_raster, "RANK_WINDOW", need)
         view = _interleave(_bystander(2), _blanket(need), _bystander(2), _blanket(need))
         stats = assert_tile_matches_reference(view, RECT, *FRAME)
         assert stats.num_pairs_processed == 2 + need
@@ -234,8 +288,13 @@ class TestStopPositionMapping:
 
 
 # ----------------------------------------------------------------------
-# Chunk-schedule invariance and memory
+# Rank-window and layer-chunk invariance, and memory
 # ----------------------------------------------------------------------
+#: ``(RANK_WINDOW, LAYER_CHUNK)`` settings: one rank per window and one
+#: block per chunk, odd sizes, and one window and chunk for the whole frame.
+SCHEDULES = [(kernels.RANK_WINDOW, kernels.LAYER_CHUNK), (1, 1), (7, 50), (64, 128), (4096, 10**6)]
+
+
 @pytest.mark.parametrize("scene", ["train", "drjohnson"])
 def test_chunk_schedule_is_unobservable(scene, monkeypatch):
     scene_data, camera = load_scene_and_camera(EvalSetup(scene, quick=True))
@@ -248,8 +307,9 @@ def test_chunk_schedule_is_unobservable(scene, monkeypatch):
 
     monkeypatch.setattr(tile_raster, "finalize_image", spy)
     reference = render_tilewise_reference(scene_data, camera, RenderConfig())
-    for schedule in [kernels.TILE_CHUNK_SCHEDULE, (1,), (7,), (64, 128), (4096,)]:
-        monkeypatch.setattr(tile_raster, "TILE_CHUNK_SCHEDULE", schedule)
+    for schedule in SCHEDULES:
+        monkeypatch.setattr(tile_raster, "RANK_WINDOW", schedule[0])
+        monkeypatch.setattr(tile_raster, "LAYER_CHUNK", schedule[1])
         result = render_tilewise(scene_data, camera, RenderConfig())
         assert _counters(result.stats) == _counters(reference.stats), schedule
         assert result.stats.processed_indices.size == result.stats.num_distinct_processed
