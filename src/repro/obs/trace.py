@@ -56,8 +56,8 @@ WALL = "wall"
 VIRTUAL = "virtual"
 
 #: The render engines' named stages — the paper's per-stage cost model:
-#: tile-wise project / pair_build / blend, Gaussian-wise project / boundary /
-#: sh / blend (once per depth group).
+#: tile-wise project / pair_build / blend, Gaussian-wise project / boundary
+#: (once per window of depth groups) and sh / blend (once per depth group).
 KERNEL_STAGES = ("project", "pair_build", "boundary", "sh", "blend")
 
 

@@ -5,7 +5,7 @@ This renderer implements the four-stage pipeline of Figure 3:
 * **Stage I** — depth computation and grouping: only the 3D means are needed;
   Gaussians closer than the near plane are culled and the rest are organised
   into front-to-back depth groups.
-* **Stage II** — position and shape projection of one group at a time, with
+* **Stage II** — position and shape projection of each group, with
   omega-sigma screen culling.
 * **Stage III** — spherical-harmonics colour evaluation and intra-group depth
   sorting.  Under cross-stage conditional (CC) processing the SH coefficients
@@ -20,10 +20,12 @@ every Gaussian/pixel pair skipped by the GCC dataflow would have contributed
 nothing under the standard dataflow either.
 
 Groups are taken in windows of :data:`~repro.render.kernels.GROUP_WINDOW`
-(:mod:`repro.render.kernels`): each group is projected on its own, then
-footprint bits of every (Gaussian, candidate block) pair of the window in one
-pass and Algorithm 1 as one reachability fixpoint over them — it does not
-depend on the render state — and then, group by group until cross-stage
+(:mod:`repro.render.kernels`): one Stage II call on the window
+(:func:`~repro.render.preprocess.project_groups`, each group's camera
+transform on its own so every group's projection is bit for bit its own),
+then footprint bits of every (Gaussian, candidate block) pair of the window
+in one pass and Algorithm 1 as one reachability fixpoint over them — it does
+not depend on the render state — and then, group by group until cross-stage
 termination, one SH call and blending per block in rank layers that are
 contiguous prefixes of the group's blocks.
 
@@ -55,7 +57,7 @@ from repro.render.kernels import (
     radius_box_blocks,
     stage_hook,
 )
-from repro.render.preprocess import frustum_cull_depths, project_geometry
+from repro.render.preprocess import frustum_cull_depths, project_groups
 
 #: Boundary identifiers: Algorithm 1's alpha test, or the full radius box.
 BOUNDARY_MODES: tuple[str, ...] = ("alpha", "aabb")
@@ -227,17 +229,15 @@ def render_gaussianwise(
     def project_window(window) -> list:
         """Stages II and III's sort of consecutive depth groups, then
         Algorithm 1 once for all of them (it does not depend on the render
-        state).  Each group is projected on its own: the camera transform
-        rounds differently for small batches, so one projection of the whole
-        window would not be the reference's.  Returns, per group, its
-        projection, its depth-ordered rows (means2d, conics, opacities,
-        source indices), its influence pairs ``(gaussian, block)`` and its
-        blocks visited."""
-        projected = []
-        for group in window:
-            with stage_hook().stage("project"):
-                geometry = project_geometry(scene, camera, visible_indices[group.indices], config)
-            projected.append((geometry, np.argsort(geometry.depths, kind="stable")))
+        state).  Stage II is one call on the window that hands back each
+        group's projection as a call on that group alone would make it.
+        Returns, per group, its projection, its depth-ordered rows (means2d,
+        conics, opacities, source indices), its influence pairs
+        ``(gaussian, block)`` and its blocks visited."""
+        with stage_hook().stage("project"):
+            parts = [visible_indices[group.indices] for group in window]
+            geometries = project_groups(scene, camera, parts, config)
+        projected = [(g, np.argsort(g.depths, kind="stable")) for g in geometries]
         with stage_hook().stage("boundary"):
 
             def rows(name: str) -> np.ndarray:

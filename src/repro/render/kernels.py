@@ -17,7 +17,8 @@ render with (the reference imports nothing from here):
   engine and one depth group at a time by :func:`blend_group_layers`.
 * :func:`identify_group_blocks` — footprint bits of every ``(Gaussian,
   candidate block)`` pair of a window of :data:`GROUP_WINDOW` depth groups
-  in one pass, and Algorithm 1's traversal as a reachability fixpoint.
+  in one pass over a pixel-major form (the pair axis innermost), and
+  Algorithm 1's traversal as a reachability fixpoint.
 * :func:`batched_tile_alpha` / :func:`sequential_blend` — the former
   per-tile kernels, off the engine path, timed by the benchmark's canary.
 
@@ -239,7 +240,7 @@ def batched_tile_alpha(
     dtype = means2d.dtype
     dx = np.arange(x0, x1, dtype=dtype) - means2d[:, 0, None]
     dy = np.arange(y0, y1, dtype=dtype) - means2d[:, 1, None]
-    maha = _maha_grid(conics, dx, dy)
+    maha = _maha_grid(conics[:, None, None], dx[:, None, :], dy[:, :, None])
     alpha = alpha_from_maha(
         maha,
         opacities[:, None, None],
@@ -251,10 +252,12 @@ def batched_tile_alpha(
 
 
 def _maha_grid(conics: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Mahalanobis^2 of ``n`` Gaussians over per-row pixel grids, ``(n, Y, X)``.
+    """Mahalanobis^2 over pixel grids, shaped as ``dx`` and ``dy`` broadcast.
 
-    ``dx`` ``(n, X)`` and ``dy`` ``(n, Y)`` are each row's pixel offsets from
-    its mean along one axis.  The values are
+    ``dx`` and ``dy`` are pixel offsets from the means along one axis each,
+    laid out so that they broadcast to the grid (the row axis of ``dx`` and
+    the column axis of ``dy`` of length 1); the packed ``conics`` ``(..., 3)``
+    broadcast against them.  The values are
     :func:`~repro.gaussians.covariance.mahalanobis_sq`'s bit for bit: the
     three terms of the quadratic form are built per axis — ``a dx dx`` and
     ``2b dx`` only depend on the column, ``c dy dy`` on the row — and summed
@@ -263,10 +266,10 @@ def _maha_grid(conics: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray
     grid costs one full-size array and no full-size temporary.  This is the
     one place the form is restated.
     """
-    maha = np.empty((dx.shape[0], dy.shape[1], dx.shape[1]), dtype=dx.dtype)
-    np.multiply(((2.0 * conics[:, 1, None]) * dx)[:, None, :], dy[:, :, None], out=maha)
-    maha += ((conics[:, 0, None] * dx) * dx)[:, None, :]
-    maha += ((conics[:, 2, None] * dy) * dy)[:, :, None]
+    a, b, c = conics[..., 0], conics[..., 1], conics[..., 2]
+    maha = ((2.0 * b) * dx) * dy
+    maha += (a * dx) * dx
+    maha += (c * dy) * dy
     return maha
 
 
@@ -315,25 +318,19 @@ def sequential_blend(
     return num_processed, counts
 
 
-def _any_over_axis1(block: np.ndarray) -> np.ndarray:
-    """``block.any(axis=1)`` of a boolean array by repeated halving (ORs of
-    the leading and trailing halves, overlapping when the length is odd):
-    a few wide vector operations instead of a short-inner-loop reduction."""
-    length = block.shape[1]
-    while length > 1:
-        half = (length + 1) // 2
-        block = block[:, :half] | block[:, length - half : length]
-        length = half
-    return block[:, 0]
-
-
 # ----------------------------------------------------------------------
 # Gaussian-wise (GCC dataflow) kernels
 # ----------------------------------------------------------------------
-#: ``(Gaussian, block)`` pairs evaluated per chunk: bounds the
-#: ``(pairs, bs, bs)`` temporaries (~1 MB each at 8x8 blocks) when a group
-#: of screen-filling Gaussians has tens of thousands of candidate blocks.
+#: ``(Gaussian, block)`` pairs blended per Stage IV chunk of whole blocks:
+#: bounds the ``(pairs, bs * bs)`` temporaries (~1 MB each at 8x8 blocks)
+#: when a group of screen-filling Gaussians has tens of thousands of blocks.
 GROUP_PAIR_CHUNK = 2048
+
+#: Candidate pairs per footprint-bits chunk of :func:`identify_group_blocks`
+#: (a ``(bs, bs, pairs)`` form, 0.5 MB at 8x8 blocks).  Peak of one quick
+#: Gaussian-wise frame, train / drjohnson: 1.92 / 2.17 MB at 1024 pairs;
+#: 2.14 / 3.49 MB at 2048, over the memory guard of its tests.
+FOOTPRINT_CHUNK = 1024
 
 #: Depth groups whose Algorithm 1 traversal runs as one batch: it does not
 #: depend on the render state, so one call serves consecutive groups.  When
@@ -344,7 +341,9 @@ GROUP_PAIR_CHUNK = 2048
 #: rounds, 2-CPU x86 box): windows of 3, 4 and 6 ran within noise of each
 #: other and ~1.15x faster per frame than 1; 8 lost on drjohnson, where CC
 #: skips 49 of 75 groups, and one window of every group ran 1.7x slower
-#: there.
+#: there.  Re-swept with window-wide Stage II and pixel-major footprint
+#: bits: 2 ran 0.91x of 4; 6 and 8 ran 1.01-1.06x, within noise and not
+#: faster on drjohnson, so 4 stays.
 GROUP_WINDOW = 4
 
 
@@ -382,19 +381,29 @@ class BlockFrame:
         return grid[: self.height, : self.width]
 
 
-def _block_maha(frame: BlockFrame, means2d, conics, block_x, block_y, offsets) -> np.ndarray:
+def _block_maha(
+    frame: BlockFrame, means2d, conics, block_x, block_y, offsets, pixel_major: bool = False
+) -> np.ndarray:
     """Mahalanobis^2 of ``n`` (Gaussian, block) pairs at the block pixels
-    ``offsets x offsets``, ``(n, len(offsets), len(offsets))``.
+    ``offsets x offsets``, ``(n, len(offsets), len(offsets))``, or with
+    ``pixel_major`` ``(len(offsets), len(offsets), n)``: the pair axis
+    innermost, so every elementwise loop over the grid is ``n`` long.
 
     ``means2d``/``conics`` hold one row per pair; the form is
     :func:`_maha_grid`'s, in their dtype.  On a partial edge block, pixels
     off the image repeat its last column (row): an "any" over them is the
     reference's over the image pixels.
     """
-    dtype = means2d.dtype
-    px = np.minimum(block_x[:, None] * frame.block_size + offsets, frame.width - 1).astype(dtype)
-    py = np.minimum(block_y[:, None] * frame.block_size + offsets, frame.height - 1).astype(dtype)
-    return _maha_grid(conics, px - means2d[:, 0, None], py - means2d[:, 1, None])
+    per_pair = (None, slice(None)) if pixel_major else (slice(None), None)
+    pixels = offsets[per_pair[::-1]]
+    bs, dtype = frame.block_size, means2d.dtype
+    dx = np.minimum(block_x[per_pair] * bs + pixels, frame.width - 1).astype(dtype)
+    dy = np.minimum(block_y[per_pair] * bs + pixels, frame.height - 1).astype(dtype)
+    dx -= means2d[:, 0][per_pair]
+    dy -= means2d[:, 1][per_pair]
+    if pixel_major:
+        return _maha_grid(conics, dx[None], dy[:, None])
+    return _maha_grid(conics[:, None, None], dx[:, None, :], dy[:, :, None])
 
 
 def _block_range(centre, half, num_blocks: int, block_size: int):
@@ -436,10 +445,12 @@ def identify_group_blocks(
     (plus the clamped start block); outside it every pixel fails the alpha
     condition.  Each candidate's per-pixel condition is reduced to five bits
     — any pixel inside, and any inside on its right / left / bottom / top
-    pixel column or row — and the traversal is a reachability fixpoint over
-    them: a block is *visited* when it is the start or the in-grid neighbour
-    of an *enqueued* block across an edge whose bit is set, and *enqueued*
-    when visited with a pixel inside.
+    pixel column or row — in chunks of :data:`FOOTPRINT_CHUNK` pairs, each a
+    ``(bs, bs, pairs)`` form reduced by ``np.fmin`` to its least value per
+    column, block and edge row.  The traversal is a reachability fixpoint
+    over the bits: a block is *visited* when it is the start or the in-grid
+    neighbour of an *enqueued* block across an edge whose bit is set, and
+    *enqueued* when visited with a pixel inside.
     """
     num, bs = means2d.shape[0], frame.block_size
     mx, my = means2d[:, 0], means2d[:, 1]
@@ -464,26 +475,23 @@ def identify_group_blocks(
     ends = np.cumsum(count)
     total = int(count.sum())
 
-    # (1) Footprint bits of every candidate: any / right / left / down / up.
-    # A block with its four corner pixels inside has all five (the corners
-    # lie on the edges); the others are evaluated pixel by pixel.
+    # (1) Footprint bits of every candidate — any pixel inside, and any on
+    # its right / left / bottom / top pixel column or row — from the form
+    # laid out pixel-major.  ``fmin`` skips NaN and an all-NaN line stays
+    # NaN, so "least <= chi^2" is "any pixel <= chi^2" for every input.
     bits = np.empty((5, total), dtype=bool)
     offsets = np.arange(bs)
-    for lo in range(0, total, GROUP_PAIR_CHUNK):
-        pair = np.arange(lo, min(lo + GROUP_PAIR_CHUNK, total))
-        gaussian, local_y, local_x = _locate(pair, ends, count, rect_w)
+    for lo in range(0, total, FOOTPRINT_CHUNK):
+        hi = min(lo + FOOTPRINT_CHUNK, total)
+        gaussian, local_y, local_x = _locate(np.arange(lo, hi), ends, count, rect_w)
         block_x, block_y = bx_lo[gaussian] + local_x, by_lo[gaussian] + local_y
-        mean, conic, limit = means2d[gaussian], conics[gaussian], chi2[gaussian, None, None]
-        corners = _block_maha(frame, mean, conic, block_x, block_y, offsets[[0, -1]]) <= limit
-        bits[:, pair] = full = corners.all(axis=(1, 2))
-        pair, rest = pair[~full], np.flatnonzero(~full)
-        inside = _block_maha(frame, mean[rest], conic[rest], block_x[rest], block_y[rest], offsets)
-        inside = inside <= limit[rest]
-        in_col = _any_over_axis1(inside)
-        bits[0, pair] = _any_over_axis1(in_col)
-        bits[1, pair], bits[2, pair] = in_col[:, -1], in_col[:, 0]
-        bits[3, pair] = _any_over_axis1(inside[:, -1])
-        bits[4, pair] = _any_over_axis1(inside[:, 0])
+        maha = _block_maha(
+            frame, means2d[gaussian], conics[gaussian], block_x, block_y, offsets, pixel_major=True
+        )
+        column = np.fmin.reduce(maha, axis=0)
+        edge_rows = np.fmin.reduce(maha[[-1, 0]], axis=1)
+        least = np.concatenate([np.fmin.reduce(column, axis=0)[None], column[[-1, 0]], edge_rows])
+        np.less_equal(least, chi2[gaussian], out=bits[:, lo:hi])
     block_any = bits[0]
 
     # (2) Reachability fixpoint.  Within one direction distinct frontier

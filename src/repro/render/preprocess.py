@@ -3,12 +3,12 @@
 This module implements the per-Gaussian preprocessing both dataflows share,
 written once as GCC's stages: Stage I's depth cull
 (:func:`frustum_cull_depths`), Stage II's geometry projection
-(:func:`project_geometry`: view transformation, EWA covariance projection
+(:func:`project_groups`: view transformation, EWA covariance projection
 (Equation 1), the conventional 3-sigma radius (Equation 6) or the paper's
 opacity-aware omega-sigma radius (Equation 8), and screen culling) and
 Stage III's SH colour.  The standard dataflow's preprocessing
 (:func:`project_scene`) *is* these stages with every condition taken; the
-Gaussian-wise renderer runs the same stages per depth group and skips
+Gaussian-wise renderer projects a window of depth groups per call and skips
 Stage III where cross-stage conditions allow.
 """
 
@@ -128,17 +128,32 @@ def project_geometry(
     indices: np.ndarray,
     config: RenderConfig | None = None,
 ) -> GeometryProjection:
-    """Project only the position/shape of the Gaussians at ``indices``.
+    """Stage II of the Gaussians at ``indices``: :func:`project_groups`'s one-part case."""
+    return project_groups(scene, camera, [indices], config)[0]
+
+
+def project_groups(
+    scene: GaussianScene,
+    camera: Camera,
+    parts: list[np.ndarray],
+    config: RenderConfig | None = None,
+) -> list[GeometryProjection]:
+    """Project the position/shape of consecutive groups of Gaussians, given
+    by their scene ``indices`` per part, in one pass: one projection per part.
 
     This is Stage II of the GCC dataflow: position projection, covariance
     reconstruction and projection, the omega-sigma (or 3-sigma) radius, and
     screen culling.  Spherical-harmonics colour is *not* evaluated here; the
     caller decides per Gaussian whether that work (and the associated SH data
-    load) is necessary.
+    load) is necessary.  Each part's means are moved to camera space by their
+    own call: that matrix product rounds by batch size, so every part's
+    projection is bit for bit the one a call on that part alone would make;
+    everything after it is per Gaussian and runs once on all parts.
     """
     config = config or RenderConfig()
-    indices = np.asarray(indices, dtype=np.int64)
-    cam_points = camera.world_to_camera_points(scene.means[indices])
+    parts = [np.asarray(p, dtype=np.int64) for p in parts]
+    indices = np.concatenate(parts)
+    cam_points = np.concatenate([camera.world_to_camera_points(scene.means[p]) for p in parts])
     depths = cam_points[:, 2]
     means2d = camera.camera_to_pixel(cam_points)
     cov3d = build_covariance_3d(scene.scales[indices], scene.quaternions[indices])
@@ -168,16 +183,13 @@ def project_geometry(
     visible = conic_valid & on_screen & (radii > 0)
     keep = np.nonzero(visible)[0]
 
-    return GeometryProjection(
-        source_indices=indices[keep],
-        means2d=means2d[keep],
-        depths=depths[keep],
-        conics=conics[keep],
-        cov2d=cov2d[keep],
-        radii=radii[keep],
-        opacities=opacities[keep],
-        num_input=int(indices.size),
-    )
+    # Each part's survivors, then its projection's arrays in field order.
+    rows = np.split(keep, np.searchsorted(keep, np.cumsum([p.size for p in parts])[:-1]))
+    window = (indices, means2d, depths, conics, cov2d, radii, opacities)
+    return [
+        GeometryProjection(*(values[row] for values in window), num_input=p.size)
+        for p, row in zip(parts, rows)
+    ]
 
 
 def project_scene(

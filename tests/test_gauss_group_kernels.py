@@ -15,7 +15,7 @@ The engine processes a whole depth group at once
   ``blend_pixels`` loop, and of the in-place quadratic form against
   ``mahalanobis_sq``;
 * the two numerical facts the batching leans on;
-* invariance under the group window and the pair-chunk size, and the
+* invariance under the group window and the pair-chunk sizes, and the
   memory guard.
 """
 
@@ -145,7 +145,8 @@ def render_splats(
     Stage I sees equal depths — its groups are then runs of
     ``group_capacity`` Gaussians in index order — and Stage II hands back the
     crafted geometry (index order = depth order) of the Gaussians in
-    ``visible``.  ``group_capacity``, when given, replaces the paper's
+    ``visible`` (the engine's one call per window is stubbed part by
+    part).  ``group_capacity``, when given, replaces the paper's
     N = 256 for this test.  Returns ``(reference, vectorized)``.
     """
     num = splat["means2d"].shape[0]
@@ -170,8 +171,11 @@ def render_splats(
             **{name: values[keep] for name, values in splat.items()},
         )
 
+    def stage_two_window(scene, camera, parts, config):
+        return [stage_two(scene, camera, part, config) for part in parts]
+
     monkeypatch.setattr(gaussian_raster, "frustum_cull_depths", stage_one)
-    monkeypatch.setattr(gaussian_raster, "project_geometry", stage_two)
+    monkeypatch.setattr(gaussian_raster, "project_groups", stage_two_window)
     monkeypatch.setattr(reference, "project_geometry", stage_two)
     if group_capacity is not None:
         monkeypatch.setattr(RenderConfig, "group_capacity", group_capacity)
@@ -404,6 +408,11 @@ def test_in_place_block_form_is_mahalanobis_sq_bit_for_bit(rows, size, block_siz
     dx, dy = px - splat["means2d"][:, 0, None], py - splat["means2d"][:, 1, None]
     expected = mahalanobis_sq(splat["conics"][:, None, None, :], dx[:, None, :], dy[:, :, None])
     assert form.tobytes() == expected.tobytes()
+    # Algorithm 1's footprint bits read the same form pixel-major.
+    pixel_major = kernels._block_maha(
+        frame, splat["means2d"], splat["conics"], block_x, block_y, offsets, pixel_major=True
+    )
+    assert pixel_major.tobytes() == np.ascontiguousarray(expected.transpose(1, 2, 0)).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +461,7 @@ def test_frame_does_not_depend_on_the_pair_chunk(monkeypatch, scene, chunks):
     expected = render_gaussianwise(scene_data, camera, GAUSS_CONFIG)
     for chunk in chunks:
         monkeypatch.setattr(kernels, "GROUP_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "FOOTPRINT_CHUNK", chunk)
         assert_frames_identical(expected, render_gaussianwise(scene_data, camera, GAUSS_CONFIG))
 
 
@@ -478,7 +488,8 @@ def test_frame_does_not_depend_on_the_group_window(monkeypatch, scene, enable_cc
 #: the quick presets at the commit before the group kernels (per-Gaussian
 #: footprint regions): train 0.82 MB, drjohnson 1.21 MB.  The group kernels
 #: may use 2 MB more (they read 1.21 and 1.92 MB; with four-group windows
-#: and the in-place form, 2.47 and 2.60 MB).
+#: and the in-place form, 2.47 and 2.60 MB; with window-wide Stage II and
+#: pixel-major footprint bits in chunks of 1024 pairs, 1.92 and 2.17 MB).
 PARENT_PEAK_BYTES = {"train": 816_423, "drjohnson": 1_212_305}
 
 
