@@ -69,6 +69,13 @@ PSNR_FLOORS_DB = {
 }
 
 
+def _six_digits(value: float) -> float:
+    """``value`` at 6 significant digits, as the paper ledger rounds its
+    floats: an image metric's last digits move with numpy's SIMD dispatch,
+    and the committed baseline is diffed exactly."""
+    return float(f"{value:.6g}")
+
+
 def _stats_mismatches(expected, actual) -> list[str]:
     mismatches = []
     for field in dataclasses.fields(expected):
@@ -134,8 +141,8 @@ def measure_store_grid(tmp_dir: Path, scene_name: str = "train") -> dict:
                     "disk_bytes": disk_bytes,
                     "disk_ratio": lossless_disk_bytes / disk_bytes,
                     "frames_per_second": 1.0 / render_seconds,
-                    "psnr_db": None if math.isinf(quality_db) else quality_db,
-                    "lpips_proxy": lpips_proxy(reference.image, result.image),
+                    "psnr_db": None if math.isinf(quality_db) else _six_digits(quality_db),
+                    "lpips_proxy": _six_digits(lpips_proxy(reference.image, result.image)),
                     "bitwise": bool(np.array_equal(reference.image, result.image)),
                 }
             )

@@ -105,9 +105,17 @@ class Camera:
     # Transforms
     # ------------------------------------------------------------------
     def world_to_camera_points(self, points: np.ndarray) -> np.ndarray:
-        """Transform ``(N, 3)`` world points into camera space."""
+        """Transform ``(N, 3)`` world points into camera space.
+
+        Each coordinate is the explicit sum ``x R[i,0] + y R[i,1] + z R[i,2]
+        + t[i]``, elementwise, so a point's bits do not depend on how many
+        points share the call (a matrix product's BLAS kernel rounds by batch
+        size).
+        """
         points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
+        rotation = self.rotation
+        x, y, z = points[:, 0, None], points[:, 1, None], points[:, 2, None]
+        return x * rotation[:, 0] + y * rotation[:, 1] + z * rotation[:, 2] + self.translation
 
     def camera_to_pixel(self, cam_points: np.ndarray) -> np.ndarray:
         """Project camera-space points to pixel coordinates.
@@ -121,19 +129,6 @@ class Camera:
             u = self.fx * cam_points[:, 0] / z + self.cx
             v = self.fy * cam_points[:, 1] / z + self.cy
         return np.stack([u, v], axis=1)
-
-    def project_points(self, world_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Project world points; return ``(pixel_xy, depth)``."""
-        cam = self.world_to_camera_points(world_points)
-        return self.camera_to_pixel(cam), cam[:, 2]
-
-    def view_directions(self, world_points: np.ndarray) -> np.ndarray:
-        """Unit directions from the camera centre to each world point."""
-        world_points = np.asarray(world_points, dtype=np.float64)
-        deltas = world_points - self.position[None, :]
-        norms = np.linalg.norm(deltas, axis=1, keepdims=True)
-        norms = np.where(norms < 1e-12, 1.0, norms)
-        return deltas / norms
 
     def scaled(self, factor: float) -> "Camera":
         """Return a camera rendering at ``factor`` times the resolution."""

@@ -21,11 +21,12 @@ nothing under the standard dataflow either.
 
 Groups are taken in windows of :data:`~repro.render.kernels.GROUP_WINDOW`
 (:mod:`repro.render.kernels`): one Stage II call on the window
-(:func:`~repro.render.preprocess.project_groups`, each group's camera
-transform on its own so every group's projection is bit for bit its own),
-then footprint bits of every (Gaussian, candidate block) pair of the window
-in one pass and Algorithm 1 as one reachability fixpoint over them — it does
-not depend on the render state — and then, group by group until cross-stage
+(:func:`~repro.render.preprocess.project_geometry`, which is per Gaussian,
+so every group's rows are bit for bit those of a call on that group alone)
+with its survivors ordered by (group, depth), then footprint bits of every
+(Gaussian, candidate block) pair of the window in one pass and Algorithm 1
+as one reachability fixpoint over them — it does not depend on the render
+state — and then, group by group until cross-stage
 termination, one SH call and blending per block in rank layers that are
 contiguous prefixes of the group's blocks.
 
@@ -57,7 +58,7 @@ from repro.render.kernels import (
     radius_box_blocks,
     stage_hook,
 )
-from repro.render.preprocess import frustum_cull_depths, project_groups
+from repro.render.preprocess import frustum_cull_depths, project_geometry
 
 #: Boundary identifiers: Algorithm 1's alpha test, or the full radius box.
 BOUNDARY_MODES: tuple[str, ...] = ("alpha", "aabb")
@@ -226,41 +227,46 @@ def render_gaussianwise(
     rendered_sources: list[int] = []
     camera_position = camera.position
 
-    def project_window(window) -> list:
-        """Stages II and III's sort of consecutive depth groups, then
-        Algorithm 1 once for all of them (it does not depend on the render
-        state).  Stage II is one call on the window that hands back each
-        group's projection as a call on that group alone would make it.
-        Returns, per group, its projection, its depth-ordered rows (means2d,
-        conics, opacities, source indices), its influence pairs
-        ``(gaussian, block)`` and its blocks visited."""
+    # Each Stage I survivor's depth group, by its position in visible_indices.
+    group_of = np.empty(visible_indices.size, dtype=np.int64)
+    for number, group in enumerate(groups):
+        group_of[group.indices] = number
+
+    def project_window(first: int) -> list:
+        """Stages II and III's sort of the window of depth groups from group
+        ``first`` on, then Algorithm 1 once for all of them (it does not
+        depend on the render state).  Stage II is one call on the window;
+        its survivors are ordered by (group, depth), stably.  Returns, per
+        group, its input and survivor counts, its depth-ordered rows
+        (means2d, conics, opacities, source indices), and its influence
+        pairs ``(gaussian, block)`` and blocks visited."""
+        window = groups[first : first + GROUP_WINDOW]
         with stage_hook().stage("project"):
-            parts = [visible_indices[group.indices] for group in window]
-            geometries = project_groups(scene, camera, parts, config)
-        projected = [(g, np.argsort(g.depths, kind="stable")) for g in geometries]
+            indices = visible_indices[np.concatenate([group.indices for group in window])]
+            geometry = project_geometry(scene, camera, indices, config)
+        owner = group_of[np.searchsorted(visible_indices, geometry.source_indices)]
+        order = np.lexsort((geometry.depths, owner))
         with stage_hook().stage("boundary"):
-
-            def rows(name: str) -> np.ndarray:
-                return np.concatenate([getattr(g, name)[order] for g, order in projected])
-
-            means2d, conics, opacities = rows("means2d"), rows("conics"), rows("opacities")
+            means2d, conics = geometry.means2d[order], geometry.conics[order]
+            opacities = geometry.opacities[order]
             if boundary_mode == "alpha":
                 gaussian, block, visited = identify_group_blocks(
-                    frame, means2d, conics, rows("cov2d"), opacities, config.alpha_min
+                    frame, means2d, conics, geometry.cov2d[order], opacities, config.alpha_min
                 )
             else:
-                gaussian, block = radius_box_blocks(frame, means2d, rows("radii"))
+                gaussian, block = radius_box_blocks(frame, means2d, geometry.radii[order])
                 visited = np.bincount(gaussian, minlength=means2d.shape[0])
-            sources = rows("source_indices")
-            row_ends = np.cumsum([order.size for _, order in projected]).tolist()
+            sources = geometry.source_indices[order]
+            row_ends = np.searchsorted(owner[order], np.arange(first, first + len(window)) + 1)
             pair_ends = np.searchsorted(gaussian, row_ends).tolist()
+            row_ends = row_ends.tolist()
         out = []
-        for (geometry, _), r0, r1, p0, p1 in zip(
-            projected, [0, *row_ends], row_ends, [0, *pair_ends], pair_ends
+        for group, r0, r1, p0, p1 in zip(
+            window, [0, *row_ends], row_ends, [0, *pair_ends], pair_ends
         ):
             group_rows = (means2d[r0:r1], conics[r0:r1], opacities[r0:r1], sources[r0:r1])
             pairs = (gaussian[p0:p1] - r0, block[p0:p1], int(visited[r0:r1].sum()))
-            out.append((geometry, group_rows, pairs))
+            out.append((group.size, r1 - r0, group_rows, pairs))
         return out
 
     def render_group_batched(rows, gaussian, block) -> list[int]:
@@ -304,17 +310,14 @@ def render_gaussianwise(
         return sources[pixels > 0].tolist()
 
     # A window is projected and traversed when its first group is reached.
-    windows = (
-        project_window(groups[first : first + GROUP_WINDOW])
-        for first in range(0, len(groups), GROUP_WINDOW)
-    )
-    for geometry, rows, (gaussian, block, visited) in chain.from_iterable(windows):
+    windows = (project_window(first) for first in range(0, len(groups), GROUP_WINDOW))
+    for num_input, num_visible, rows, (gaussian, block, visited) in chain.from_iterable(windows):
         stats.num_groups_processed += 1
-        stats.num_projected += geometry.num_input
-        stats.num_screen_passed += geometry.num_visible
-        if geometry.num_visible == 0:
+        stats.num_projected += num_input
+        stats.num_screen_passed += num_visible
+        if num_visible == 0:
             continue
-        stats.sort_elements += geometry.num_visible
+        stats.sort_elements += num_visible
         stats.blocks_visited += visited
         rendered_sources += render_group_batched(rows, gaussian, block)
         # Cross-stage conditional check, as at the end of the loop body.

@@ -3,13 +3,16 @@
 This module implements the per-Gaussian preprocessing both dataflows share,
 written once as GCC's stages: Stage I's depth cull
 (:func:`frustum_cull_depths`), Stage II's geometry projection
-(:func:`project_groups`: view transformation, EWA covariance projection
+(:func:`project_geometry`: view transformation, EWA covariance projection
 (Equation 1), the conventional 3-sigma radius (Equation 6) or the paper's
 opacity-aware omega-sigma radius (Equation 8), and screen culling) and
-Stage III's SH colour.  The standard dataflow's preprocessing
-(:func:`project_scene`) *is* these stages with every condition taken; the
-Gaussian-wise renderer projects a window of depth groups per call and skips
-Stage III where cross-stage conditions allow.
+Stage III's SH colour, from the raw offset of each mean from the camera.
+The standard dataflow's preprocessing (:func:`project_scene`) *is* these
+stages with every condition taken; the Gaussian-wise renderer projects a
+window of depth groups per call and skips Stage III where cross-stage
+conditions allow.  Every stage is per Gaussian: a Gaussian's projection and
+colour are bit for bit the same in either dataflow, whatever batch it is
+projected in.
 """
 
 from __future__ import annotations
@@ -128,32 +131,18 @@ def project_geometry(
     indices: np.ndarray,
     config: RenderConfig | None = None,
 ) -> GeometryProjection:
-    """Stage II of the Gaussians at ``indices``: :func:`project_groups`'s one-part case."""
-    return project_groups(scene, camera, [indices], config)[0]
-
-
-def project_groups(
-    scene: GaussianScene,
-    camera: Camera,
-    parts: list[np.ndarray],
-    config: RenderConfig | None = None,
-) -> list[GeometryProjection]:
-    """Project the position/shape of consecutive groups of Gaussians, given
-    by their scene ``indices`` per part, in one pass: one projection per part.
+    """Project the position/shape of the Gaussians at scene ``indices``.
 
     This is Stage II of the GCC dataflow: position projection, covariance
     reconstruction and projection, the omega-sigma (or 3-sigma) radius, and
     screen culling.  Spherical-harmonics colour is *not* evaluated here; the
     caller decides per Gaussian whether that work (and the associated SH data
-    load) is necessary.  Each part's means are moved to camera space by their
-    own call: that matrix product rounds by batch size, so every part's
-    projection is bit for bit the one a call on that part alone would make;
-    everything after it is per Gaussian and runs once on all parts.
+    load) is necessary.  Every step is per Gaussian, so a Gaussian's row is
+    bit for bit the same whatever else shares the call.
     """
     config = config or RenderConfig()
-    parts = [np.asarray(p, dtype=np.int64) for p in parts]
-    indices = np.concatenate(parts)
-    cam_points = np.concatenate([camera.world_to_camera_points(scene.means[p]) for p in parts])
+    indices = np.asarray(indices, dtype=np.int64)
+    cam_points = camera.world_to_camera_points(scene.means[indices])
     depths = cam_points[:, 2]
     means2d = camera.camera_to_pixel(cam_points)
     cov3d = build_covariance_3d(scene.scales[indices], scene.quaternions[indices])
@@ -180,16 +169,17 @@ def project_groups(
         & (y + radii >= 0)
         & (y - radii <= camera.height - 1)
     )
-    visible = conic_valid & on_screen & (radii > 0)
-    keep = np.nonzero(visible)[0]
-
-    # Each part's survivors, then its projection's arrays in field order.
-    rows = np.split(keep, np.searchsorted(keep, np.cumsum([p.size for p in parts])[:-1]))
-    window = (indices, means2d, depths, conics, cov2d, radii, opacities)
-    return [
-        GeometryProjection(*(values[row] for values in window), num_input=p.size)
-        for p, row in zip(parts, rows)
-    ]
+    keep = np.nonzero(conic_valid & on_screen & (radii > 0))[0]
+    return GeometryProjection(
+        source_indices=indices[keep],
+        means2d=means2d[keep],
+        depths=depths[keep],
+        conics=conics[keep],
+        cov2d=cov2d[keep],
+        radii=radii[keep],
+        opacities=opacities[keep],
+        num_input=int(indices.size),
+    )
 
 
 def project_scene(
@@ -211,7 +201,7 @@ def project_scene(
     visible = geometry.source_indices
     colors = evaluate_sh_colors(
         scene.sh_coeffs[visible],
-        camera.view_directions(scene.means[visible]),
+        scene.means[visible] - camera.position,
         degree=config.sh_degree,
     )
     return ProjectedGaussians(**vars(geometry), colors=colors, num_total=scene.num_gaussians)

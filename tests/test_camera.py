@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gaussians.camera import Camera, look_at, orbit_cameras
 
@@ -49,14 +51,15 @@ class TestCameraConstruction:
 class TestCameraTransforms:
     def test_identity_camera_projects_origin_axis_point_to_centre(self):
         camera = Camera(width=100, height=100, fx=50.0, fy=50.0)
-        pixels, depths = camera.project_points(np.array([[0.0, 0.0, 5.0]]))
-        assert depths[0] == pytest.approx(5.0)
+        cam_points = camera.world_to_camera_points(np.array([[0.0, 0.0, 5.0]]))
+        pixels = camera.camera_to_pixel(cam_points)
+        assert cam_points[0, 2] == pytest.approx(5.0)
         assert pixels[0, 0] == pytest.approx(camera.cx)
         assert pixels[0, 1] == pytest.approx(camera.cy)
 
     def test_point_to_the_right_projects_right_of_centre(self):
         camera = Camera(width=100, height=100, fx=50.0, fy=50.0)
-        pixels, _ = camera.project_points(np.array([[1.0, 0.0, 5.0]]))
+        pixels = camera.camera_to_pixel(camera.world_to_camera_points(np.array([[1.0, 0.0, 5.0]])))
         assert pixels[0, 0] > camera.cx
 
     def test_position_is_inverse_of_view_transform(self):
@@ -65,12 +68,6 @@ class TestCameraTransforms:
             width=64, height=64, fx=50.0, fy=50.0, world_to_camera=look_at(eye, np.zeros(3))
         )
         assert np.allclose(camera.position, eye, atol=1e-9)
-
-    def test_view_directions_are_unit_length(self):
-        camera = Camera(width=64, height=64, fx=50.0, fy=50.0)
-        points = np.array([[0.0, 1.0, 4.0], [2.0, -1.0, 3.0]])
-        directions = camera.view_directions(points)
-        assert np.allclose(np.linalg.norm(directions, axis=1), 1.0)
 
     def test_scaled_camera_preserves_fov(self):
         camera = Camera.from_fov(width=200, height=100, fov_y_degrees=60.0)
@@ -86,6 +83,28 @@ class TestCameraTransforms:
         )
         cam_points = camera.world_to_camera_points(np.zeros((1, 3)))
         assert cam_points[0, 2] == pytest.approx(4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 600),
+        size=st.one_of(st.just(1), st.integers(1, 600)),
+    )
+    def test_any_subset_transforms_as_its_rows_of_the_whole(self, seed, count, size):
+        # The transform is per point: a point's camera-space bits do not
+        # depend on which points, or how many, share the call.
+        rng = np.random.default_rng(seed)
+        camera = Camera(
+            width=64,
+            height=64,
+            fx=50.0,
+            fy=50.0,
+            world_to_camera=look_at(rng.normal(0.0, 10.0, 3), rng.normal(0.0, 1.0, 3)),
+        )
+        points = rng.normal(0.0, 5.0, (count, 3))
+        rows = rng.choice(count, min(size, count), replace=False)
+        whole = camera.world_to_camera_points(points)
+        assert camera.world_to_camera_points(points[rows]).tobytes() == whole[rows].tobytes()
 
 
 class TestLookAt:

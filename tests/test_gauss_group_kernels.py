@@ -145,8 +145,8 @@ def render_splats(
     Stage I sees equal depths — its groups are then runs of
     ``group_capacity`` Gaussians in index order — and Stage II hands back the
     crafted geometry (index order = depth order) of the Gaussians in
-    ``visible`` (the engine's one call per window is stubbed part by
-    part).  ``group_capacity``, when given, replaces the paper's
+    ``visible``, to the engine's window calls and the reference's group
+    calls alike.  ``group_capacity``, when given, replaces the paper's
     N = 256 for this test.  Returns ``(reference, vectorized)``.
     """
     num = splat["means2d"].shape[0]
@@ -171,11 +171,8 @@ def render_splats(
             **{name: values[keep] for name, values in splat.items()},
         )
 
-    def stage_two_window(scene, camera, parts, config):
-        return [stage_two(scene, camera, part, config) for part in parts]
-
     monkeypatch.setattr(gaussian_raster, "frustum_cull_depths", stage_one)
-    monkeypatch.setattr(gaussian_raster, "project_groups", stage_two_window)
+    monkeypatch.setattr(gaussian_raster, "project_geometry", stage_two)
     monkeypatch.setattr(reference, "project_geometry", stage_two)
     if group_capacity is not None:
         monkeypatch.setattr(RenderConfig, "group_capacity", group_capacity)

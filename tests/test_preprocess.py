@@ -4,19 +4,28 @@ The standard dataflow's preprocessing is GCC's Stages I-III with every
 condition taken, so ``TestStagesIToIII`` ties the two dataflows together
 on every quick preset: the Gaussian-wise renderer with cross-stage
 conditions off projects and colours exactly the Gaussians
-``project_scene`` does.
+``project_scene`` does; ``TestProjectGeometry`` holds Stage II to being per
+Gaussian, so projecting a depth group, a window of groups or a frame at once
+gives every Gaussian the same bits.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.runner import EvalSetup, load_scene_and_camera, run_gaussianwise
 from repro.gaussians.presets import QUICK_SCENES
 from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
+from repro.render.grouping import group_by_depth
 from repro.render.preprocess import (
+    GeometryProjection,
     bounding_radius,
     frustum_cull_depths,
     project_geometry,
@@ -145,11 +154,65 @@ class TestStagesIToIII:
         assert stats.num_sh_evaluated <= projected.num_visible
 
 
+@lru_cache(maxsize=None)
+def stage_one_and_whole(name: str, radius_rule: str):
+    """A quick preset, its camera, its Stage I survivors, and Stage II of
+    all of them in one call."""
+    scene, camera = load_scene_and_camera(EvalSetup(name, quick=True))
+    survivors = np.nonzero(frustum_cull_depths(scene, camera)[1])[0]
+    whole = project_geometry(scene, camera, survivors, RenderConfig(radius_rule=radius_rule))
+    return scene, camera, survivors, whole
+
+
+def assert_rows_of_the_whole(part, whole, indices) -> None:
+    """``part``, Stage II of the Gaussians at ``indices``, is bit for bit
+    the whole's rows of those Gaussians, in ``indices``' order."""
+    row_of = dict(zip(whole.source_indices.tolist(), range(whole.num_visible)))
+    rows = [row_of[i] for i in indices.tolist() if i in row_of]
+    assert part.num_input == indices.size
+    for field in fields(GeometryProjection):
+        if field.name != "num_input":
+            mine, theirs = getattr(part, field.name), getattr(whole, field.name)[rows]
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+            assert mine.tobytes() == theirs.tobytes(), field.name
+
+
 class TestProjectGeometry:
     def test_empty_indices(self, smoke_scene, smoke_camera):
         geometry = project_geometry(smoke_scene, smoke_camera, np.array([], dtype=np.int64))
         assert geometry.num_visible == 0
         assert geometry.num_input == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(QUICK_SCENES)),
+        radius_rule=st.sampled_from(("omega-sigma", "3sigma")),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(st.just(1), st.integers(2, 64), st.integers(64, 1500)),
+        in_order=st.booleans(),
+    )
+    def test_any_subset_projects_as_its_rows_of_the_whole(
+        self, name, radius_rule, seed, size, in_order
+    ):
+        # Stage II is per Gaussian: which Gaussians share the call, how
+        # many and in what order moves no bit of a row.
+        scene, camera, survivors, whole = stage_one_and_whole(name, radius_rule)
+        subset = np.random.default_rng(seed).choice(survivors, min(size, survivors.size), False)
+        if in_order:
+            subset.sort()
+        part = project_geometry(scene, camera, subset, RenderConfig(radius_rule=radius_rule))
+        assert_rows_of_the_whole(part, whole, subset)
+
+    @pytest.mark.parametrize("name", sorted(QUICK_SCENES))
+    def test_each_depth_group_and_survivor_alone_projects_as_its_rows(self, name):
+        # The engine's batches: each real depth group, and each of the first
+        # 400 survivors as a group of one.
+        scene, camera, survivors, whole = stage_one_and_whole(name, "omega-sigma")
+        depths = frustum_cull_depths(scene, camera)[0][survivors]
+        groups = [survivors[g.indices] for g in group_by_depth(depths, RenderConfig.group_capacity)]
+        config = RenderConfig(radius_rule="omega-sigma")
+        for part in groups + np.split(survivors[:400], 400):
+            assert_rows_of_the_whole(project_geometry(scene, camera, part, config), whole, part)
 
 
 class TestTileRange:
