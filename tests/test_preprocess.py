@@ -23,7 +23,6 @@ from repro.eval.runner import EvalSetup, load_scene_and_camera, run_gaussianwise
 from repro.gaussians.presets import QUICK_SCENES
 from repro.render.common import RenderConfig
 from repro.render.gaussian_raster import render_gaussianwise
-from repro.render.grouping import group_by_depth
 from repro.render.preprocess import (
     GeometryProjection,
     bounding_radius,
@@ -202,17 +201,6 @@ class TestProjectGeometry:
             subset.sort()
         part = project_geometry(scene, camera, subset, RenderConfig(radius_rule=radius_rule))
         assert_rows_of_the_whole(part, whole, subset)
-
-    @pytest.mark.parametrize("name", sorted(QUICK_SCENES))
-    def test_each_depth_group_and_survivor_alone_projects_as_its_rows(self, name):
-        # The engine's batches: each real depth group, and each of the first
-        # 400 survivors as a group of one.
-        scene, camera, survivors, whole = stage_one_and_whole(name, "omega-sigma")
-        depths = frustum_cull_depths(scene, camera)[0][survivors]
-        groups = [survivors[g.indices] for g in group_by_depth(depths, RenderConfig.group_capacity)]
-        config = RenderConfig(radius_rule="omega-sigma")
-        for part in groups + np.split(survivors[:400], 400):
-            assert_rows_of_the_whole(project_geometry(scene, camera, part, config), whole, part)
 
 
 class TestTileRange:
