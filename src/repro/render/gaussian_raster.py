@@ -19,14 +19,15 @@ The produced image matches the tile-wise reference (Table 2 of the paper):
 every Gaussian/pixel pair skipped by the GCC dataflow would have contributed
 nothing under the standard dataflow either.
 
-Groups are taken in windows of :data:`~repro.render.kernels.GROUP_WINDOW`
-(:mod:`repro.render.kernels`): one Stage II call on the window
-(:func:`~repro.render.preprocess.project_geometry`, which is per Gaussian,
-so every group's rows are bit for bit those of a call on that group alone)
-with its survivors ordered by (group, depth), then footprint bits of every
-(Gaussian, candidate block) pair of the window in one pass and Algorithm 1
-as one reachability fixpoint over them — it does not depend on the render
-state — and then, group by group until cross-stage
+Stage I hands out its survivors in one stable depth order, each depth group
+a run of it (:func:`~repro.render.grouping.group_by_depth`), and groups are
+taken in windows of :data:`~repro.render.kernels.GROUP_WINDOW`: one Stage II
+call on the window's run (:func:`~repro.render.preprocess.project_geometry`,
+which is per Gaussian, so every group's rows are bit for bit those of a call
+on that group alone), whose survivors are already in (group, depth) order;
+then footprint bits of every (Gaussian, candidate block) pair of the window
+in one pass and Algorithm 1 as one reachability fixpoint over them — it does
+not depend on the render state — and then, group by group until cross-stage
 termination, one SH call and blending per block in rank layers that are
 contiguous prefixes of the group's blocks.
 
@@ -155,11 +156,12 @@ def frame_setup(
     config: RenderConfig | None,
     enable_cc: bool,
     boundary_mode: str,
-) -> tuple[RenderConfig, GaussianWiseStats, np.ndarray, list]:
+) -> tuple[RenderConfig, GaussianWiseStats, np.ndarray, np.ndarray]:
     """The bookkeeping that opens a frame, shared with the reference loops:
     the configuration, the checked ``boundary_mode``, the statistics header
     and Stage I — depth computation, culling and grouping — as
-    ``(config, stats, visible_indices, groups)``."""
+    ``(config, stats, sources, bounds)``: the surviving scene indices in
+    depth order, group ``k`` being ``sources[bounds[k] : bounds[k + 1]]``."""
     config = config or RenderConfig(radius_rule="omega-sigma")
     if boundary_mode not in BOUNDARY_MODES:
         raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
@@ -174,9 +176,9 @@ def frame_setup(
     visible_indices = np.nonzero(keep)[0]
     stats.num_depth_culled = scene.num_gaussians - int(visible_indices.size)
     stats.num_stage1_passed = int(visible_indices.size)
-    groups = group_by_depth(depths_all[visible_indices], capacity=config.group_capacity)
-    stats.num_groups = len(groups)
-    return config, stats, visible_indices, groups
+    order, starts = group_by_depth(depths_all[visible_indices], capacity=config.group_capacity)
+    stats.num_groups = int(starts.size)
+    return config, stats, visible_indices[order], np.append(starts, order.size)
 
 
 def frame_result(
@@ -220,53 +222,48 @@ def render_gaussianwise(
     -------
     :class:`GaussianWiseResult` with the ``(H, W, 3)`` image and statistics.
     """
-    config, stats, visible_indices, groups = frame_setup(
+    config, stats, sources, bounds = frame_setup(
         scene, camera, config, enable_cc, boundary_mode
     )
     frame = BlockFrame(camera.width, camera.height, config.block_size)
     rendered_sources: list[int] = []
     camera_position = camera.position
 
-    # Each Stage I survivor's depth group, by its position in visible_indices.
-    group_of = np.empty(visible_indices.size, dtype=np.int64)
-    for number, group in enumerate(groups):
-        group_of[group.indices] = number
+    # Each Stage I survivor's position in sources, by scene index.
+    position = np.empty(scene.num_gaussians, dtype=np.int64)
+    position[sources] = np.arange(sources.size)
 
     def project_window(first: int) -> list:
-        """Stages II and III's sort of the window of depth groups from group
-        ``first`` on, then Algorithm 1 once for all of them (it does not
-        depend on the render state).  Stage II is one call on the window;
-        its survivors are ordered by (group, depth), stably.  Returns, per
-        group, its input and survivor counts, its depth-ordered rows
-        (means2d, conics, opacities, source indices), and its influence
-        pairs ``(gaussian, block)`` and blocks visited."""
-        window = groups[first : first + GROUP_WINDOW]
+        """Stage II of the window of depth groups from group ``first`` on —
+        one call on its run of ``sources``, whose survivors keep Stage III's
+        (group, depth) order — then Algorithm 1 once for all of them (it
+        does not depend on the render state).  Returns, per group, its input
+        and survivor counts, its depth-ordered rows (means2d, conics,
+        opacities, source indices), and its influence pairs
+        ``(gaussian, block)`` and blocks visited."""
+        edges = bounds[first : first + GROUP_WINDOW + 1]
         with stage_hook().stage("project"):
-            indices = visible_indices[np.concatenate([group.indices for group in window])]
-            geometry = project_geometry(scene, camera, indices, config)
-        owner = group_of[np.searchsorted(visible_indices, geometry.source_indices)]
-        order = np.lexsort((geometry.depths, owner))
+            geometry = project_geometry(scene, camera, sources[edges[0] : edges[-1]], config)
         with stage_hook().stage("boundary"):
-            means2d, conics = geometry.means2d[order], geometry.conics[order]
-            opacities = geometry.opacities[order]
+            means2d, conics, opacities = geometry.means2d, geometry.conics, geometry.opacities
             if boundary_mode == "alpha":
                 gaussian, block, visited = identify_group_blocks(
-                    frame, means2d, conics, geometry.cov2d[order], opacities, config.alpha_min
+                    frame, means2d, conics, geometry.cov2d, opacities, config.alpha_min
                 )
             else:
-                gaussian, block = radius_box_blocks(frame, means2d, geometry.radii[order])
+                gaussian, block = radius_box_blocks(frame, means2d, geometry.radii)
                 visited = np.bincount(gaussian, minlength=means2d.shape[0])
-            sources = geometry.source_indices[order]
-            row_ends = np.searchsorted(owner[order], np.arange(first, first + len(window)) + 1)
+            kept = geometry.source_indices
+            row_ends = np.searchsorted(position[kept], edges[1:])
             pair_ends = np.searchsorted(gaussian, row_ends).tolist()
             row_ends = row_ends.tolist()
         out = []
-        for group, r0, r1, p0, p1 in zip(
-            window, [0, *row_ends], row_ends, [0, *pair_ends], pair_ends
+        for size, r0, r1, p0, p1 in zip(
+            np.diff(edges).tolist(), [0, *row_ends], row_ends, [0, *pair_ends], pair_ends
         ):
-            group_rows = (means2d[r0:r1], conics[r0:r1], opacities[r0:r1], sources[r0:r1])
+            group_rows = (means2d[r0:r1], conics[r0:r1], opacities[r0:r1], kept[r0:r1])
             pairs = (gaussian[p0:p1] - r0, block[p0:p1], int(visited[r0:r1].sum()))
-            out.append((group.size, r1 - r0, group_rows, pairs))
+            out.append((size, r1 - r0, group_rows, pairs))
         return out
 
     def render_group_batched(rows, gaussian, block) -> list[int]:
@@ -310,7 +307,7 @@ def render_gaussianwise(
         return sources[pixels > 0].tolist()
 
     # A window is projected and traversed when its first group is reached.
-    windows = (project_window(first) for first in range(0, len(groups), GROUP_WINDOW))
+    windows = (project_window(first) for first in range(0, stats.num_groups, GROUP_WINDOW))
     for num_input, num_visible, rows, (gaussian, block, visited) in chain.from_iterable(windows):
         stats.num_groups_processed += 1
         stats.num_projected += num_input
@@ -324,9 +321,8 @@ def render_gaussianwise(
         if enable_cc and frame.saturated.all():
             break
     # Groups past termination, the rest of its window included, are skipped.
-    for group in groups[stats.num_groups_processed :]:
-        stats.num_groups_skipped += 1
-        stats.num_skipped_by_termination += group.size
+    stats.num_groups_skipped = stats.num_groups - stats.num_groups_processed
+    stats.num_skipped_by_termination = int(sources.size - bounds[stats.num_groups_processed])
     color = frame.unblocked(frame.color.transpose(0, 2, 1))
     return frame_result(
         config, stats, rendered_sources, color, frame.unblocked(frame.transmittance)

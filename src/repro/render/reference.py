@@ -357,7 +357,7 @@ def render_gaussianwise_reference(
     Gaussian at a time: Algorithm 1's traversal (or the radius box), its SH
     colour and its blocks blended in image layout, with the per-block
     saturation mask refreshed after every Gaussian."""
-    config, stats, visible_indices, groups = gaussian_raster.frame_setup(
+    config, stats, sources, bounds = gaussian_raster.frame_setup(
         scene, camera, config, enable_cc, boundary_mode
     )
     width, height = camera.width, camera.height
@@ -381,19 +381,18 @@ def render_gaussianwise_reference(
                 saturated_blocks[by, bx] = True
 
     terminated = False
-    for group_index, group in enumerate(groups):
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         if enable_cc and terminated:
             stats.num_groups_skipped += 1
-            stats.num_skipped_by_termination += group.size
+            stats.num_skipped_by_termination += end - start
             continue
 
         stats.num_groups_processed += 1
-        source_idx = visible_indices[group.indices]
 
         # ------------------------------------------------------------------
         # Stage II: position/shape projection and screen culling.
         # ------------------------------------------------------------------
-        geometry = project_geometry(scene, camera, source_idx, config)
+        geometry = project_geometry(scene, camera, sources[start:end], config)
         stats.num_projected += geometry.num_input
         stats.num_screen_passed += geometry.num_visible
         if geometry.num_visible == 0:
